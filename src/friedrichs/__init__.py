@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .model import (ConfigError, FormFactor, FriedrichsModel,
                     HydrogenFormFactor, RationalFormFactor,
                     TabulatedFormFactor, UnitSystem, eval_form_factor,
-                    eval_mod_sq_derivative, l2_norm_sq, load_model,
-                    make_preset, model_digest, model_from_dict, PRESETS,
-                    total_l2_norm_sq)
+                    l2_norm_sq, load_model, make_preset, model_digest,
+                    model_from_dict, PRESETS, total_l2_norm_sq)
 from .quad import (LevelShiftMatrix, NumericalError, PvSettings,
                    QuadratureError, QuadratureSettings, gram_matrix,
                    integrate_semiinf, pv_integral, pv_matrix, t_matrix)
@@ -36,7 +35,7 @@ __all__ = [
     "__version__",
     "ConfigError", "FormFactor", "FriedrichsModel", "HydrogenFormFactor",
     "RationalFormFactor", "TabulatedFormFactor", "UnitSystem",
-    "eval_form_factor", "eval_mod_sq_derivative", "l2_norm_sq", "load_model",
+    "eval_form_factor", "l2_norm_sq", "load_model",
     "make_preset", "model_digest", "model_from_dict", "PRESETS",
     "total_l2_norm_sq",
     "LevelShiftMatrix", "NumericalError", "PvSettings", "QuadratureError",

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
 from .quad import NumericalError, PvSettings, QuadratureSettings
-from .solver import positive_candidate_scan, solve_model
-from .spectral import kappa_curve, write_kappa_csv
+from .solver import CountResult, positive_candidate_scan, solve_model
+from .spectral import kappa_curve
 from .oracle import compare_negative_spectrum
 from .thresholds import certificate
 
@@ -183,8 +183,7 @@ def cmd_sweep_lambda(args) -> int:
     rows = []
     for lam in lams:
         point = eigh(k_matrix(model.with_coupling(lam), s0), 0.0)
-        count = int(np.count_nonzero(point.kappa < -1e-12))
-        row = [_FMT.format(lam), str(count)]
+        row = [_FMT.format(lam), str(CountResult.from_kappa(point.kappa).count)]
         row += [_FMT.format(top - k) for k in point.kappa]
         rows.append(row)
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]
@@ -205,9 +204,14 @@ def cmd_kappa_curves(args) -> int:
     if args.kind == "D" and grid[0] < 0:
         raise ConfigError("kind 'D' needs a nonnegative energy grid")
     points = kappa_curve(model, grid, kind=args.kind, settings=settings)
+    n, top = model.n_levels, model.levels[-1]
+    header = (["E"] + [f"kappa_{i}" for i in range(1, n + 1)]
+              + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])
+    rows = [[_FMT.format(x) for x in (p.e, *p.kappa, *(top - p.kappa), top - p.e)]
+            for p in points]
     out = _outdir(args)
-    write_kappa_csv(points, model, out / "kappa_curves.csv",
-                    metadata=_metadata(args, model, settings))
+    _write(out / "kappa_curves.csv",
+           _csv(header, _metadata(args, model, settings), rows))
 
     # sidecar: diagonal intersections, bound states on the negative side and
     # embedded candidates with their defects on the positive side

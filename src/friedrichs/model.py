@@ -8,8 +8,8 @@ omega**p (p > 0) at threshold and decays at large omega.
 
 Everything numerical runs in a dimensionless internal unit system: energies
 are stored as (physical energy) / reference_cutoff and form-factor values as
-(physical value) / sqrt(reference_cutoff).  `UnitSystem` performs the
-conversions; all other modules see only internal quantities.
+(physical value) / sqrt(reference_cutoff).  `UnitSystem` converts the
+energies; all other modules see only internal quantities.
 
 Built-in form-factor families share one algebraic shape,
 
@@ -44,9 +44,20 @@ _HYDROGEN_POLY = ((1.0,), (1.0, 2.0), (45.0, 146.0, 125.0))
 _HYDROGEN_POLE_ORDER = (2, 3, 4)
 _HYDROGEN_CUTOFF_RATIO = (1.0, 8.0 / 9.0, 10.0 / 12.0)
 
+# Largest rational pole index: (1 + u^2)^(2(n+1)) in |v|^2 stays below the
+# double-precision limit out to u = 1e6, beyond the abscissas the quadrature
+# tail reaches.
+_MAX_N_INDEX = 11
+
 
 class ConfigError(ValueError):
     """Raised when a model description (file, preset name, field) is invalid."""
+
+
+def _require_finite(**fields):
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,12 +80,6 @@ class UnitSystem:
 
     def energy_to_physical(self, e):
         return np.asarray(e, dtype=float) * self.reference_cutoff if np.ndim(e) else float(e) * self.reference_cutoff
-
-    def amplitude_to_internal(self, v):
-        return v / math.sqrt(self.reference_cutoff)
-
-    def amplitude_to_physical(self, v):
-        return v * math.sqrt(self.reference_cutoff)
 
 
 class FormFactor:
@@ -229,9 +234,10 @@ class RationalFormFactor(_PolynomialFormFactor):
     """
 
     def __init__(self, n_index: int, a: float = 0.0, cutoff: float = 1.0, prefactor: float = 1.0):
+        if not (float(n_index).is_integer() and 1 <= n_index <= _MAX_N_INDEX):
+            raise ConfigError(f"n_index must be an integer in 1..{_MAX_N_INDEX}")
         n_index = int(n_index)
-        if n_index < 1:
-            raise ConfigError("n_index must be a positive integer")
+        _require_finite(a=a, prefactor=prefactor)
         if not (cutoff > 0.0 and math.isfinite(cutoff)):
             raise ConfigError("cutoff must be finite and positive")
         if n_index == 1:
@@ -267,6 +273,7 @@ class HydrogenFormFactor(_PolynomialFormFactor):
             raise ConfigError("hydrogen form-factor index must be 1, 2 or 3")
         if not (lambda1 > 0.0 and math.isfinite(lambda1)):
             raise ConfigError("lambda1 must be finite and positive")
+        _require_finite(prefactor=prefactor)
         i = index - 1
         width = _HYDROGEN_CUTOFF_RATIO[i] * lambda1
         amp = prefactor * _HYDROGEN_PREFACTOR[i] * math.sqrt(lambda1)
@@ -303,6 +310,8 @@ class TabulatedFormFactor(FormFactor):
             raise ConfigError("tabulated grid must be positive and strictly increasing")
         if values.shape != grid.shape:
             raise ConfigError("values must match the grid shape")
+        _require_finite(grid=grid, values=values, tail_exponent=tail_exponent,
+                        p_exponent=p_exponent)
         if not tail_exponent < -0.5:
             raise ConfigError("tail_exponent must be < -1/2 for square integrability")
         if p_exponent < 0.0:
@@ -414,6 +423,7 @@ class FriedrichsModel:
         object.__setattr__(self, "form_factors", tuple(self.form_factors))
         if len(levels) == 0:
             raise ConfigError("at least one level is required")
+        _require_finite(levels=levels)
         if any(levels[i] > levels[i + 1] for i in range(len(levels) - 1)):
             raise ConfigError("levels must be sorted ascending")
         if len(self.form_factors) != len(levels):
@@ -433,9 +443,6 @@ class FriedrichsModel:
 
     def with_coupling(self, coupling: float) -> "FriedrichsModel":
         return replace(self, coupling=float(coupling))
-
-    def with_scaled_factors(self, factor: float) -> "FriedrichsModel":
-        return replace(self, form_factors=tuple(f.scaled(factor) for f in self.form_factors))
 
     def descriptor(self) -> dict:
         return {
@@ -461,13 +468,6 @@ def eval_form_factor(model: FriedrichsModel, n: int, omega) -> complex:
     return model.form_factors[n - 1].value(omega)
 
 
-def eval_mod_sq_derivative(model: FriedrichsModel, n: int, omega):
-    """d|v_n|^2/domega at omega, closed form for the built-in families."""
-    if not 1 <= n <= model.n_levels:
-        raise ValueError(f"level index {n} outside 1..{model.n_levels}")
-    return model.form_factors[n - 1].mod_sq_derivative(omega)
-
-
 def l2_norm_sq(model: FriedrichsModel, n: int, settings=None) -> float:
     """Integral of |v_n|^2 over the half line."""
     from .quad import integrate_semiinf
@@ -475,7 +475,8 @@ def l2_norm_sq(model: FriedrichsModel, n: int, settings=None) -> float:
     if not 1 <= n <= model.n_levels:
         raise ValueError(f"level index {n} outside 1..{model.n_levels}")
     f = model.form_factors[n - 1]
-    value, _ = integrate_semiinf(f.mod_sq_scalar, settings, split=10.0 * f.scale)
+    value, _ = integrate_semiinf(f.mod_sq_scalar, settings, breakpoints=f.breakpoints(),
+                                 split=10.0 * f.scale)
     return value
 
 

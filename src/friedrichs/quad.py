@@ -180,7 +180,8 @@ def pv_integral(eta, e, settings=None, pv=None, *, eta_at_e=None,
 
     eta must be smooth near w = e.  eta_at_e and eta_prime_at_e may be
     supplied when closed forms are available; otherwise eta is evaluated at e
-    and differenced with step 1e-6 max(e, 1).  Returns (value, error).
+    and differenced with step min(1e-6 max(e, 1), e/2), which stays on the
+    half line.  Returns (value, error).
     """
     settings = settings or DEFAULT_QUAD
     pv = pv or DEFAULT_PV
@@ -191,7 +192,7 @@ def pv_integral(eta, e, settings=None, pv=None, *, eta_at_e=None,
     window = pv.analytic_window * max(e, 1.0)
     eta_e = eta(e) if eta_at_e is None else eta_at_e
     if eta_prime_at_e is None:
-        h = 1e-6 * max(e, 1.0)
+        h = min(1e-6 * max(e, 1.0), 0.5 * e)
         eta_p = (eta(e + h) - eta(e - h)) / (2.0 * h)
     else:
         eta_p = eta_prime_at_e

@@ -5,7 +5,7 @@ kappa_n(E) = E.  Since every kappa_n is nonincreasing on the negative half
 axis while the identity grows, each branch crosses the diagonal at most once,
 and the number of bound states equals the number of eigencurves that are
 still negative at E = 0.  Counting therefore needs a single Gram matrix at
-the threshold; locating the energies is one-dimensional bisection per branch.
+the threshold; locating the energies is a bracketed root search per branch.
 
 Embedded (positive-energy) candidates are handled separately: crossings of
 kappa_n(E) = E on the principal-value family are reported together with the
@@ -17,13 +17,13 @@ and their defects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import BracketError, bracketed_root
 from .model import total_l2_norm_sq
-from .quad import (DEFAULT_QUAD, NumericalError, gram_matrix, integrate_semiinf,
-                   pv_matrix)
+from .quad import _factor_breakpoints, gram_matrix, integrate_semiinf
 from .spectral import eigh, k_matrix, kappa_curve
 
 __all__ = [
@@ -34,15 +34,22 @@ __all__ = [
 ]
 
 
-class BracketError(NumericalError):
-    """No sign-changing bracket could be established for a root search."""
-
-
 @dataclass(frozen=True)
 class CountResult:
     count: int
     kappa_at_zero: np.ndarray
     indeterminate: tuple = ()
+
+    @classmethod
+    def from_kappa(cls, kappa, tol_zero: float = 1e-12) -> "CountResult":
+        """Count the branches with kappa_n(0) < -tol_zero.
+
+        Branches with |kappa_n(0)| <= tol_zero are flagged indeterminate and
+        not counted; they sit within numerical resolution of the continuum
+        edge.
+        """
+        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= tol_zero)[0])
+        return cls(int(np.count_nonzero(kappa < -tol_zero)), kappa, indeterminate)
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,7 @@ class BoundState:
     continuum_norm_sq: integral of |f|^2 over the half line.
     total_norm_sq: |c|^2 + continuum_norm_sq (1 by construction).
     branch_index: which eigencurve produced the state (1-based).
-    bracket: final bisection interval.
+    bracket: final bracket of the root search, enclosing energy.
     degenerate_partners: other branch indices within degeneracy tolerance.
     """
 
@@ -103,70 +110,40 @@ class PositiveCandidate:
 
 
 def count_negative(model, settings=None, tol_zero: float = 1e-12) -> CountResult:
-    """Count eigencurves negative at threshold, i.e. the bound states.
-
-    Branches with |kappa_n(0)| <= tol_zero are flagged indeterminate and not
-    counted; they sit within numerical resolution of the continuum edge.
-    """
+    """Count eigencurves negative at threshold, i.e. the bound states
+    (see CountResult.from_kappa for the rule)."""
     point = eigh(k_matrix(model, gram_matrix(model, 0.0, settings)), 0.0)
-    kappa = point.kappa
-    indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= tol_zero)[0])
-    count = int(np.count_nonzero(kappa < -tol_zero))
-    return CountResult(count, kappa, indeterminate)
+    return CountResult.from_kappa(point.kappa, tol_zero)
 
 
 def _branch_gap(model, e, n, settings):
-    """kappa_n(E) - E, the bisection objective for branch n (1-based)."""
+    """kappa_n(E) - E, the root objective for branch n (1-based)."""
     point = eigh(k_matrix(model, gram_matrix(model, e, settings)), e)
     return float(point.kappa[n - 1]) - e
 
 
-def _find_root_bracketed(model, n, settings, tol, max_doublings):
-    g0 = _branch_gap(model, 0.0, n, settings)
-    if g0 >= 0.0:
-        raise BracketError(
-            f"branch {n} does not cross the diagonal: kappa_{n}(0) = {g0:+.3e} >= 0")
+def _find_root_bracketed(model, n, settings, tol):
     # kappa_n >= omega_1 - lambda^2 tr S(E) and tr S(E) <= sum_n l2 / |E|
     # make this seed a guaranteed positive end once |E_lo| >= 1.
     lam_sq = model.coupling ** 2
     e_lo = min(model.levels[0], 0.0) - 1.0 - lam_sq * total_l2_norm_sq(model, settings)
-    for _ in range(max_doublings):
-        if _branch_gap(model, e_lo, n, settings) > 0.0:
-            break
-        e_lo *= 2.0
-    else:
-        raise BracketError(f"no positive end found for branch {n} down to E = {e_lo}")
-
-    lo, hi = e_lo, 0.0
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g = _branch_gap(model, mid, n, settings)
-        if g > 0.0:
-            lo = mid
-        elif g < 0.0:
-            hi = mid
-        else:
-            return mid, (lo, hi)
-        if hi - lo < tol and abs(g) < tol:
-            break
-    mid = 0.5 * (lo + hi)
-    if hi - lo >= tol:
-        raise NumericalError(
-            f"bisection stalled on branch {n}: width {hi - lo:.3e} >= {tol}")
-    return mid, (lo, hi)
+    gap = np.vectorize(lambda e: _branch_gap(model, e, n, settings), otypes=[float])
+    res = bracketed_root(gap, e_lo, 0.0, what=f"branch {n}, kappa_{n}(E) - E",
+                         xatol=tol, xrtol=0.0)
+    if not res.x < 0.0:
+        raise BracketError(f"branch {n} touches the diagonal at E = 0")
+    return float(res.x), (float(res.bracket[0]), float(res.bracket[1]))
 
 
-def find_root(model, n, settings=None, *, tol: float = 1e-12,
-              max_doublings: int = 60) -> float:
-    """Bound-state energy on branch n (1-based) by bisection.
+def find_root(model, n, settings=None, *, tol: float = 1e-12) -> float:
+    """Bound-state energy on branch n (1-based).
 
-    The bracket starts at [min(omega_1, 0) - 1 - lambda^2 sum_n |v_n|^2, 0]
-    and doubles leftward if needed; convergence requires both the bracket
-    width and |kappa_n(E) - E| below tol.
+    Chandrupatla's bracketing method on kappa_n(E) - E over the bracket
+    [min(omega_1, 0) - 1 - lambda^2 sum_n |v_n|^2, 0], whose left end is
+    provably above the diagonal; converges once the bracket is narrower
+    than tol.
     """
-    root, _ = _find_root_bracketed(model, n, settings, tol, max_doublings)
+    root, _ = _find_root_bracketed(model, n, settings, tol)
     return root
 
 
@@ -179,7 +156,7 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
     """
     bracket = (float("nan"), float("nan"))
     if e is None:
-        e, bracket = _find_root_bracketed(model, n, settings, 1e-12, 60)
+        e, bracket = _find_root_bracketed(model, n, settings, 1e-12)
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
@@ -202,8 +179,8 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
         return lam * lam * (amp.real ** 2 + amp.imag ** 2) / (d * d)
 
     split = 10.0 * model.max_scale()
-    scales = [f.scale for f in factors]
-    continuum_raw, _ = integrate_semiinf(density, settings, breakpoints=scales,
+    continuum_raw, _ = integrate_semiinf(density, settings,
+                                         breakpoints=_factor_breakpoints(model),
                                          split=split)
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
@@ -272,38 +249,31 @@ def positive_candidate_scan(model, e_grid, settings=None, pv=None):
     points = kappa_curve(model, grid, kind="D", settings=settings, pv=pv)
     gaps = np.array([p.kappa - p.e for p in points])
 
-    def branch_gap(e, n):
-        pt = kappa_curve(model, [e], kind="D", settings=settings, pv=pv)[0]
-        return float(pt.kappa[n - 1]) - e, pt
+    def point_at(e):
+        return kappa_curve(model, [e], kind="D", settings=settings, pv=pv)[0]
 
+    # a zero on the grid is a crossing as sampled; every sign change between
+    # neighbours is refined, all of them in one elementwise search
+    cells = [(n, i) for n in range(1, model.n_levels + 1)
+             for i in range(len(grid) - 1)
+             if gaps[i, n - 1] == 0.0 or gaps[i, n - 1] * gaps[i + 1, n - 1] < 0.0]
+    refine = [(n, i) for n, i in cells if gaps[i, n - 1] != 0.0]
+    roots = {}
+    if refine:
+        branch, cell = np.array(refine).T
+        gap = np.vectorize(lambda e, n: point_at(e).kappa[n - 1] - e, otypes=[float])
+        res = bracketed_root(gap, grid[cell], grid[cell + 1], args=(branch,),
+                             what="positive crossing search", xatol=1e-11,
+                             xrtol=1e-11)
+        roots = dict(zip(refine, res.x))
     out = []
-    for n in range(1, model.n_levels + 1):
-        col = gaps[:, n - 1]
-        for i in range(len(grid) - 1):
-            a, b = col[i], col[i + 1]
-            if a == 0.0:
-                lo = hi = grid[i]
-            elif a * b < 0.0:
-                lo, hi = grid[i], grid[i + 1]
-            else:
-                continue
-            glo = a
-            for _ in range(80):
-                if hi - lo <= 1e-11 * max(1.0, hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                gm, _ = branch_gap(mid, n)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm > 0.0) == (glo > 0.0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            e_star = 0.5 * (lo + hi)
-            _, pt = branch_gap(e_star, n)
-            c = pt.vectors[:, n - 1]
-            amp = sum(ci * f.value_scalar(e_star)
-                      for ci, f in zip(c, model.form_factors))
-            out.append(PositiveCandidate(n, float(e_star), abs(amp)))
+    for n, i in cells:
+        if (n, i) in roots:
+            e_star = float(roots[n, i])
+            pt = point_at(e_star)
+        else:
+            e_star, pt = float(grid[i]), points[i]
+        c = pt.vectors[:, n - 1]
+        amp = sum(ci * f.value_scalar(e_star) for ci, f in zip(c, model.form_factors))
+        out.append(PositiveCandidate(n, e_star, abs(amp)))
     return out

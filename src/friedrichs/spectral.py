@@ -27,7 +27,6 @@ from .quad import (DEFAULT_PV, DEFAULT_QUAD, LevelShiftMatrix, NumericalError,
 __all__ = [
     "EigenCurvePoint", "LevelShiftMatrix", "DegeneracyError",
     "k_matrix", "eigh", "kappa_curve", "projector", "projector_series",
-    "write_kappa_csv",
 ]
 
 
@@ -169,28 +168,3 @@ def projector_series(model, e, n, order, settings=None, pv=None, *,
             acc += lam_pow * cur
         total += ph * acc
     return -(radius / m) * total
-
-
-def write_kappa_csv(points, model, path, metadata=()):
-    """Write eigencurve points as CSV.
-
-    Columns: E, kappa_1..kappa_N, then omega_N - kappa_n for each n, then
-    omega_N - E.  Additional metadata strings are emitted as '#'-prefixed
-    lines after the header row.
-    """
-    n = model.n_levels
-    top = model.levels[-1]
-    header = (["E"] + [f"kappa_{i}" for i in range(1, n + 1)]
-              + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])
-    lines = [",".join(header)]
-    lines += [f"# {m}" for m in metadata]
-    for p in points:
-        row = [f"{p.e:.12e}"]
-        row += [f"{k:.12e}" for k in p.kappa]
-        row += [f"{top - k:.12e}" for k in p.kappa]
-        row.append(f"{top - p.e:.12e}")
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text

@@ -18,8 +18,8 @@ eigencurve can satisfy kappa_n(E) = E inside the continuum:
 The certified statement is |lambda| < min(lambda_a, lambda_b, lambda_bar_n
 over positive levels); the verdict is three-valued since the hypotheses
 (nondegenerate levels, at least one positive level, alpha_n > 0) can fail.
-All suprema are located on deterministic grids with golden-section
-refinement, never by stochastic sampling.
+All suprema are located on deterministic grids refined around the best
+sample, never by stochastic sampling.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import bracketed_root, grid_max
 from .quad import gram_matrix, pv_matrix
 
 __all__ = [
@@ -36,9 +37,6 @@ __all__ = [
     "sup_d_norm", "r_a", "lambda_a", "r_b_lambda_b", "lambda_n",
     "alpha_beta_gamma", "lambda_bar", "lambda_bar_closed_form", "certificate",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class HypothesisViolation(ValueError):
     """A certificate hypothesis fails for this model (degenerate levels,
@@ -75,34 +73,13 @@ class ThresholdReport:
     notes: tuple = ()
 
 
-def _golden_max(fun, lo, hi, rel_tol):
-    """Deterministic golden-section maximization of fun on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    span = max(abs(a), abs(b), 1e-300)
-    while (b - a) > rel_tol * span:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
 def sup_d_norm(model, settings=None, pv=None, *, grid_points: int = 400,
                e_min: float | None = None, e_max: float | None = None,
                refine_rel: float = 1e-4):
     """Supremum of ||D(E)|| over E > 0 and its argmax.
 
     A log grid over (e_min, e_max] (defaults 1e-4 and 100 times the largest
-    form-factor width) locates the peak; golden-section refinement in log
+    form-factor width) locates the peak; a bracketed maximization in log
     energy sharpens it to relative accuracy refine_rel.  The threshold value
     ||D(0)|| = ||S(0)|| competes as a candidate, and the decay of the entries
     makes the tail beyond e_max subdominant (spot-checked by the caller's
@@ -114,19 +91,11 @@ def sup_d_norm(model, settings=None, pv=None, *, grid_points: int = 400,
     if not 0.0 < e_lo < e_hi:
         raise ValueError("need 0 < e_min < e_max")
 
-    def norm_at(e):
-        return pv_matrix(model, e, settings, pv).norm()
-
-    grid = np.geomspace(e_lo, e_hi, int(grid_points))
-    vals = np.array([norm_at(e) for e in grid])
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    x, fx = _golden_max(lambda t: norm_at(math.exp(t)), math.log(lo), math.log(hi),
-                        refine_rel)
-    best_e, best = math.exp(x), fx
-    if vals[k] > best:
-        best_e, best = float(grid[k]), float(vals[k])
+    norm_at = np.vectorize(lambda t: pv_matrix(model, math.exp(t), settings, pv).norm(),
+                           otypes=[float])
+    t, best = grid_max(norm_at, np.log(np.geomspace(e_lo, e_hi, int(grid_points))),
+                       what="sup ||D(E)||", xatol=refine_rel)
+    best_e = math.exp(t)
     at_zero = gram_matrix(model, 0.0, settings).norm()
     if at_zero > best:
         return at_zero, 0.0
@@ -172,10 +141,12 @@ def r_b_lambda_b(model, settings=None, pv=None, *, sup: float | None = None,
     """Largest scanned energy below which D(E) is positive semidefinite.
 
     Scans a log grid from just above threshold; on the first violation of
-    min eig D(E) >= -psd_rel_tol * sup ||D|| the boundary is bisected to
-    relative width refine_rel.  Returns (r_b, lambda_b, note) where note
-    explains a truncated or empty scan; r_b = 0 with a diagnostic when the
-    matrix already fails at the smallest scanned energy.
+    min eig D(E) >= -psd_rel_tol * sup ||D|| the boundary is refined by a
+    bracketed root search to relative width refine_rel, and r_b is the lower
+    end of the final bracket, where the test still holds.  Returns (r_b,
+    lambda_b, note) where note explains a truncated or empty scan; r_b = 0
+    with a diagnostic when the matrix already fails at the smallest scanned
+    energy.
     """
     if sup is None:
         sup, _ = sup_d_norm(model, settings, pv)
@@ -199,13 +170,10 @@ def r_b_lambda_b(model, settings=None, pv=None, *, sup: float | None = None,
     if bad == 0:
         return 0.0, 0.0, (
             f"not positive semidefinite at the smallest scanned energy {e_lo:.6g}")
-    lo, hi = float(grid[bad - 1]), float(grid[bad])
-    while (hi - lo) > refine_rel * hi:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) < -tol:
-            hi = mid
-        else:
-            lo = mid
+    margin = np.vectorize(lambda e: min_eig(e) + tol, otypes=[float])
+    res = bracketed_root(margin, grid[bad - 1], grid[bad], what="R_b edge",
+                         xatol=0.0, xrtol=refine_rel)
+    lo = float(res.bracket[0])
     return lo, math.sqrt(lo / sup), None
 
 
@@ -231,28 +199,14 @@ def _sup_mod_sq_derivative(factor, *, grid_points: int = 10_000,
     scale = factor.scale
     grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 1e3 * scale,
                                                grid_points)))
-    vals = np.abs(factor.mod_sq_derivative(grid))
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    if hi <= lo:
-        return float(vals[k])
-    x, fx = _golden_max(lambda t: abs(float(factor.mod_sq_derivative(t))),
-                        lo, hi, refine_rel)
-    return max(float(vals[k]), fx)
+    return grid_max(lambda x: np.abs(factor.mod_sq_derivative(x)), grid,
+                    what="sup |d|v|^2/domega|", xrtol=refine_rel)[1]
 
 
 def _sup_mod_sq_window(factor, lo, hi, *, grid_points: int = 2001,
                        refine_rel: float = 1e-8) -> float:
-    grid = np.linspace(lo, hi, grid_points)
-    vals = factor.mod_sq(grid)
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    if b <= a:
-        return float(vals[k])
-    x, fx = _golden_max(lambda t: float(factor.mod_sq(t)), a, b, refine_rel)
-    return max(float(vals[k]), fx)
+    return grid_max(factor.mod_sq, np.linspace(lo, hi, grid_points),
+                    what="sup |v|^2", xrtol=refine_rel)[1]
 
 
 def alpha_beta_gamma(model, n, *, r_a_value: float | None = None):

@@ -72,9 +72,9 @@ def pv_entry(eta, e):
 
 
 def herm3_eigen(mat):
-    """Eigenvalues of a symmetric 3x3 mpmath matrix, ascending."""
+    """Eigenvalues of a symmetric 3x3 mpmath matrix, ascending, as mpf."""
     es, _ = mp.eigsy(mp.matrix(mat))
-    return sorted(float(v) for v in es)
+    return sorted(es)
 
 
 def matrix_of(entry_fn):
@@ -92,10 +92,6 @@ def fmt(x):
 out = {}
 
 # Gram matrix of the hydrogen family at E = -1 (upper triangle, row major)
-g = {}
-for n in (1, 2, 3):
-    for m in (n, 3):
-        pass
 vals = []
 for n in (1, 2, 3):
     for m in range(n, 4):

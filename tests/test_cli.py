@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from friedrichs import __version__
+from friedrichs import __version__, kappa_curve, make_preset
 from friedrichs.cli import main
 
 
@@ -86,6 +87,25 @@ def test_kappa_curves(tmp_path):
     assert energies[1] == pytest.approx(-0.003386919, abs=1e-6)
 
 
+def test_kappa_curves_csv(tmp_path):
+    rc = main(["kappa-curves", "--preset", "three-level-fig",
+               "--lambda", "0.7", "--e-min=-1.0", "--e-max=-0.25",
+               "--e-steps", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "kappa_curves.csv").read_text().splitlines()
+    assert lines[0].split(",") == ["E", "kappa_1", "kappa_2", "kappa_3",
+                                   "top_minus_kappa_1", "top_minus_kappa_2",
+                                   "top_minus_kappa_3", "top_minus_E"]
+    assert sum(1 for ln in lines if ln.startswith("#")) >= 1
+    data = [ln for ln in lines[1:] if not ln.startswith("#")]
+    assert len(data) == 4
+    first = [float(tok) for tok in data[0].split(",")]
+    point = kappa_curve(make_preset("three-level-fig", 0.7), [-1.0])[0]
+    assert first[0] == pytest.approx(-1.0)
+    assert first[1] == pytest.approx(point.kappa[0], rel=1e-11)
+    assert first[-1] == pytest.approx(1.02)
+
+
 def test_kappa_curves_candidates(tmp_path):
     rc = main(["kappa-curves", "--preset", "three-level-fig",
                "--lambda", "0.001", "--e-min", "0.005", "--e-max", "0.05",
@@ -166,3 +186,35 @@ def test_bad_flags_exit_code(tmp_path):
         main(["analyze", "--preset", "three-level-fig",
               "--model", "also.json", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+
+@pytest.mark.parametrize("path,value", [
+    (("levels", 0), math.nan),
+    (("form_factors", 1, "a"), math.nan),
+    (("form_factors", 1, "n_index"), 1.7),
+    (("form_factors", 1, "n_index"), 400),
+], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index"])
+def test_malformed_model_exit_code(tmp_path, capsys, path, value):
+    config = make_preset("three-level-fig").descriptor()
+    *head, last = path
+    node = config
+    for key in head:
+        node = node[key]
+    node[last] = value
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_kappa_curves_tabulated_near_threshold(tmp_path, tabulated_two_level):
+    # the principal value's difference step must stay on the half line
+    # for 0 < E < 1e-6
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(tabulated_two_level.descriptor()))
+    rc = main(["kappa-curves", "--model", str(cfg), "--kind", "D",
+               "--e-min", "1e-7", "--e-max", "9e-7", "--e-steps", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import friedrichs.solver
 from friedrichs import (
     BracketError,
     FriedrichsModel,
@@ -53,6 +54,7 @@ def test_bound_state_fields(three_level):
     st = bound_state(model, 1)
     assert st.branch_index == 1
     assert st.bracket[0] <= st.energy <= st.bracket[1]
+    assert st.bracket[1] - st.bracket[0] < 1e-12
     assert st.total_norm_sq == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(st.c, st.c) + st.continuum_norm_sq - 1.0) <= 1e-10
     assert st.degenerate_partners == ()
@@ -156,3 +158,29 @@ def test_seed_energy_covers_strong_coupling(three_level):
         l2_norm_sq(model, n) for n in (1, 2, 3))
     assert seed < THREE_LEVEL_ROOTS[10.0][0]
     assert find_root(model, 1) > seed
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
+def test_find_root_gram_budget(three_level, lam, monkeypatch):
+    # the bracketed root search needs far fewer Gram matrices than bisection
+    # to reach the 1e-12 bracket
+    calls = []
+    gram = friedrichs.solver.gram_matrix
+    monkeypatch.setattr(friedrichs.solver, "gram_matrix",
+                        lambda *a, **k: calls.append(1) or gram(*a, **k))
+    model = three_level.with_coupling(lam)
+    for n in range(1, len(THREE_LEVEL_ROOTS[lam]) + 1):
+        calls.clear()
+        find_root(model, n)
+        assert len(calls) <= 15
+
+
+def test_solve_tabulated_bound_state(tabulated_two_level):
+    # the interpolant's kinks must reach the quadrature as breakpoints, both
+    # in the l2 norm that seeds the bracket and in the continuum weight
+    rep = solve_model(tabulated_two_level)
+    assert rep.count == 1
+    (st,) = rep.states
+    assert st.energy < -0.2
+    assert abs(st.total_norm_sq - 1.0) <= 1e-10
+    assert residual(tabulated_two_level, st) <= 1e-9

@@ -11,7 +11,6 @@ from friedrichs import (
     projector_series,
     pv_matrix,
 )
-from friedrichs.spectral import write_kappa_csv
 
 from _references import HYDROGEN_PV_NORM_AT_1
 
@@ -126,19 +125,3 @@ def test_projector_series_warns_outside_radius(three_level):
     model = three_level.with_coupling(2.0)
     with pytest.warns(RuntimeWarning):
         projector_series(model, -0.5, 2, order=2, lambda_n=0.5)
-
-
-def test_write_kappa_csv(tmp_path, three_level):
-    model = three_level.with_coupling(0.7)
-    grid = np.array([-1.0, -0.5, -0.25])
-    points = kappa_curve(model, grid)
-    path = tmp_path / "curves.csv"
-    write_kappa_csv(points, model, path, metadata=("run: unit-test",))
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[0] == "E"
-    assert sum(1 for ln in lines if ln.startswith("#")) >= 1
-    data = [ln for ln in lines[1:] if not ln.startswith("#")]
-    assert len(data) == 3
-    first = [float(tok) for tok in data[0].split(",")]
-    assert first[0] == pytest.approx(-1.0)
-    assert first[1] == pytest.approx(points[0].kappa[0], rel=1e-11)
