@@ -24,9 +24,8 @@ from .solver import (BoundState, BracketError, CountResult,
                      independence_analysis, positive_candidate_scan, residual,
                      solve_model)
 from .thresholds import (HypothesisViolation, LevelThreshold, ThresholdReport,
-                         alpha_beta_gamma, certificate, lambda_a, lambda_bar,
-                         lambda_bar_closed_form, lambda_n, r_a, r_b_lambda_b,
-                         sup_d_norm)
+                         alpha_beta_gamma, certificate, lambda_bar_closed_form,
+                         lambda_n, r_a, r_b_lambda_b, sup_d_norm)
 from .oracle import (ConvergenceRow, ConvergenceTable, DiscretizedHamiltonian,
                      GridSpec, compare_negative_spectrum, discretize,
                      from_arrays)
@@ -48,8 +47,8 @@ __all__ = [
     "count_negative", "find_root", "independence_analysis",
     "positive_candidate_scan", "residual", "solve_model",
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
-    "alpha_beta_gamma", "certificate", "lambda_a", "lambda_bar",
-    "lambda_bar_closed_form", "lambda_n", "r_a", "r_b_lambda_b", "sup_d_norm",
+    "alpha_beta_gamma", "certificate", "lambda_bar_closed_form", "lambda_n",
+    "r_a", "r_b_lambda_b", "sup_d_norm",
     "ConvergenceRow", "ConvergenceTable", "DiscretizedHamiltonian", "GridSpec",
     "compare_negative_spectrum", "discretize", "from_arrays",
 ]

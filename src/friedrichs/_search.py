@@ -38,14 +38,14 @@ def bracketed_root(f, lo, hi, *, args=(), what="root search", **tolerances):
     return res
 
 
-def grid_max(f, grid, *, what="maximum search", **tolerances):
-    """Largest value of f on an ascending grid, refined around the argmax.
+def grid_max(f, grid, vals, *, what="maximum search", **tolerances):
+    """Largest of the samples vals = f(grid) on an ascending grid, refined
+    around the argmax.
 
     An interior grid maximum is refined by minimizing -f on the three-point
     bracket around it; a maximum at either end of the grid is returned as
     sampled.  Returns (argmax, max).
     """
-    vals = f(grid)
     k = int(np.argmax(vals))
     if k == 0 or k == grid.size - 1:
         return float(grid[k]), float(vals[k])

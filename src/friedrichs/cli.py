@@ -96,8 +96,11 @@ def _settings(args) -> QuadratureSettings:
     base = QuadratureSettings()
     rel = base.rel_tol if args.rel_tol is None else args.rel_tol
     abs_ = base.abs_tol if args.abs_tol is None else args.abs_tol
-    return QuadratureSettings(rel_tol=rel, abs_tol=abs_,
-                              max_subdivisions=base.max_subdivisions)
+    try:
+        return QuadratureSettings(rel_tol=rel, abs_tol=abs_,
+                                  max_subdivisions=base.max_subdivisions)
+    except ValueError as exc:
+        raise ConfigError(f"--rel-tol/--abs-tol: {exc}") from exc
 
 
 def _metadata(args, model, settings) -> list:
@@ -196,8 +199,8 @@ def cmd_sweep_lambda(args) -> int:
 def cmd_kappa_curves(args) -> int:
     model = _load(args)
     settings = _settings(args)
-    if args.e_steps < 2 or args.e_min >= args.e_max:
-        raise ConfigError("need --e-min < --e-max and --e-steps >= 2")
+    if args.e_steps < 2 or not -np.inf < args.e_min < args.e_max < np.inf:
+        raise ConfigError("need finite --e-min < --e-max and --e-steps >= 2")
     grid = np.linspace(args.e_min, args.e_max, args.e_steps)
     if args.kind == "S" and grid[-1] > 0:
         raise ConfigError("kind 'S' needs a nonpositive energy grid")
@@ -273,8 +276,8 @@ def cmd_oracle_check(args) -> int:
         schedule = [int(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --grid list: {exc}") from exc
-    if not schedule:
-        raise ConfigError("--grid must name at least one size")
+    if not schedule or min(schedule) < 10:
+        raise ConfigError("--grid must name at least one size, each >= 10")
     table = compare_negative_spectrum(model, schedule, settings)
     k = len(table.solver_energies)
     header = (["m", "count"] + [f"e_{i}" for i in range(1, k + 1)]

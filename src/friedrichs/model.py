@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,14 +45,20 @@ _HYDROGEN_POLY = ((1.0,), (1.0, 2.0), (45.0, 146.0, 125.0))
 _HYDROGEN_POLE_ORDER = (2, 3, 4)
 _HYDROGEN_CUTOFF_RATIO = (1.0, 8.0 / 9.0, 10.0 / 12.0)
 
-# Largest rational pole index: (1 + u^2)^(2(n+1)) in |v|^2 stays below the
-# double-precision limit out to u = 1e6, beyond the abscissas the quadrature
-# tail reaches.
+# Largest rational pole index; _DIRECT_MAX assumes pole orders n + 1 <= 12.
 _MAX_N_INDEX = 11
 
 
 class ConfigError(ValueError):
     """Raised when a model description (file, preset name, field) is invalid."""
+
+
+def _require_index(name, value, lo, hi) -> int:
+    """value as an int in lo..hi; integral floats pass, bools and strings fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not lo <= value <= hi or value != int(value)):
+        raise ConfigError(f"{name} must be an integer in {lo}..{hi}")
+    return int(value)
 
 
 def _require_finite(**fields):
@@ -134,44 +141,69 @@ class FormFactor:
         raise NotImplementedError
 
 
+def _over_pole(desc, s, power):
+    """Q(s) / (1+s)**power for Q of degree d < power (coefficients in
+    descending order), on floats or arrays.  Evaluated as r**(power - d) *
+    sum_k Q_k t**k r**(d - k) with r = 1/(1+s) and t = s r, both in [0, 1],
+    so nothing overflows where (1+s)**power would."""
+    r = 1.0 / (1.0 + s)
+    t = s * r
+    acc, rk = 0.0, 1.0
+    for coef in desc:
+        acc = acc * t + coef * rk
+        rk = rk * r
+    return acc * r ** (power - len(desc) + 1)
+
+
+def _horner(desc, s: float) -> float:
+    """Polynomial with coefficients in descending order at one abscissa."""
+    acc = 0.0
+    for coef in desc:
+        acc = acc * s + coef
+    return acc
+
+
+# Up to this s = u**2 the direct quotients, Q(s)^2 / (1+s)**(2q) included,
+# stay finite for q <= 12; beyond it the scalar paths switch to _over_pole.
+_DIRECT_MAX = 1e12
+
+
 class _PolynomialFormFactor(FormFactor):
     """Shared engine for the built-in families (see module docstring)."""
 
     def __init__(self, amplitude, phase, poly, pole_order, width):
         self._amp = float(amplitude)
         self.common_phase = complex(phase)
-        self._poly = tuple(float(c) for c in poly)           # Q in s = u**2, ascending
-        self._dpoly = tuple(i * c for i, c in enumerate(self._poly))[1:] or (0.0,)
+        poly = tuple(float(c) for c in poly)                 # Q in s = u**2, ascending
+        dpoly = tuple(i * c for i, c in enumerate(poly))[1:] or (0.0,)
+        self._desc, self._ddesc = poly[::-1], dpoly[::-1]    # Q and dQ/ds, descending
         self._q = int(pole_order)
         self._c = float(width)
         self.scale = self._c
         self.p_exponent = 0.5
-
-    def _q_at(self, s: float) -> float:
-        acc = 0.0
-        for coef in reversed(self._poly):
-            acc = acc * s + coef
-        return acc
-
-    def _dq_at(self, s: float) -> float:
-        acc = 0.0
-        for coef in reversed(self._dpoly):
-            acc = acc * s + coef
-        return acc
 
     def profile_scalar(self, x: float) -> float:
         if x < 0.0:
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
         s = u * u
-        return self._amp * math.sqrt(u) * self._q_at(s) / (1.0 + s) ** self._q
+        if s > _DIRECT_MAX:
+            return self._amp * math.sqrt(u) * _over_pole(self._desc, s, self._q)
+        return self._amp * math.sqrt(u) * _horner(self._desc, s) / (1.0 + s) ** self._q
 
     def profile_derivative_scalar(self, x: float) -> float:
-        # d/dx of amp * sqrt(u) Q(u^2) (1+u^2)^(-q), valid for x > 0.
+        # d/dx of amp * sqrt(u) Q(s) (1+s)^(-q), s = u^2, valid for x > 0.
         u = x / self._c
         s = u * u
-        qv = self._q_at(s)
-        dq = self._dq_at(s)
+        if s > _DIRECT_MAX:
+            # (amp/c) [Q r^q / (2 sqrt(u)) + 2 sqrt(u) u r (Q' r^(q-1) - q Q r^q)]
+            qr = _over_pole(self._desc, s, self._q)
+            dqr = _over_pole(self._ddesc, s, self._q - 1)
+            root = math.sqrt(u)
+            inner = qr / (2.0 * root) + 2.0 * root * (u / (1.0 + s)) * (dqr - self._q * qr)
+            return self._amp * inner / self._c
+        qv = _horner(self._desc, s)
+        dq = _horner(self._ddesc, s)
         one = 1.0 + s
         inner = qv * one / (2.0 * math.sqrt(u)) + 2.0 * u * math.sqrt(u) * (dq * one - self._q * qv)
         return self._amp * inner / (self._c * one ** (self._q + 1))
@@ -181,7 +213,10 @@ class _PolynomialFormFactor(FormFactor):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
         s = u * u
-        qv = self._q_at(s)
+        if s > _DIRECT_MAX:
+            qr = _over_pole(self._desc, s, self._q)
+            return self._amp * self._amp * u * qr * qr
+        qv = _horner(self._desc, s)
         return self._amp * self._amp * u * qv * qv / (1.0 + s) ** (2 * self._q)
 
     def value(self, x):
@@ -189,9 +224,7 @@ class _PolynomialFormFactor(FormFactor):
         if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        s = u * u
-        qv = np.polynomial.polynomial.polyval(s, self._poly)
-        out = self._amp * np.sqrt(u) * qv / (1.0 + s) ** self._q
+        out = self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._q)
         return self.common_phase * out
 
     def mod_sq(self, x):
@@ -199,16 +232,17 @@ class _PolynomialFormFactor(FormFactor):
         if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        s = u * u
-        qv = np.polynomial.polynomial.polyval(s, self._poly)
-        return self._amp * self._amp * u * qv * qv / (1.0 + s) ** (2 * self._q)
+        qr = _over_pole(self._desc, u * u, self._q)
+        return self._amp * self._amp * u * qr * qr
 
     def mod_sq_derivative(self, x):
         """Closed-form d|v|^2/domega.
 
         With F(u) = u Q(u^2)^2 (1+u^2)^(-m), m = 2q, the derivative is
         (amp^2/c) (1+u^2)^(-m-1) [Q^2 (1+u^2) + 4u^2 Q Q' (1+u^2) - 2m u^2 Q^2]
-        evaluated at u = x/c, with Q' = dQ/ds.  Finite at u = 0.
+        evaluated at u = x/c, with Q' = dQ/ds, and computed without overflow as
+        (amp^2/c) [(Q r^q)^2 (1 - 2m t) + 4t (Q r^q) (Q' r^(q-1))], r = 1/(1+u^2),
+        t = u^2 r.
         """
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -216,12 +250,11 @@ class _PolynomialFormFactor(FormFactor):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
         s = u * u
-        qv = np.polynomial.polynomial.polyval(s, self._poly)
-        dq = np.polynomial.polynomial.polyval(s, self._dpoly)
-        one = 1.0 + s
-        m = 2 * self._q
-        num = qv * qv * one + 4.0 * s * qv * dq * one - 2.0 * m * s * qv * qv
-        out = (self._amp * self._amp / self._c) * num / one ** (m + 1)
+        t = s / (1.0 + s)
+        qr = _over_pole(self._desc, s, self._q)
+        dqr = _over_pole(self._ddesc, s, self._q - 1)
+        num = qr * qr * (1.0 - 4.0 * self._q * t) + 4.0 * t * qr * dqr
+        out = (self._amp * self._amp / self._c) * num
         return float(out[0]) if scalar else out
 
 
@@ -234,9 +267,7 @@ class RationalFormFactor(_PolynomialFormFactor):
     """
 
     def __init__(self, n_index: int, a: float = 0.0, cutoff: float = 1.0, prefactor: float = 1.0):
-        if not (float(n_index).is_integer() and 1 <= n_index <= _MAX_N_INDEX):
-            raise ConfigError(f"n_index must be an integer in 1..{_MAX_N_INDEX}")
-        n_index = int(n_index)
+        n_index = _require_index("n_index", n_index, 1, _MAX_N_INDEX)
         _require_finite(a=a, prefactor=prefactor)
         if not (cutoff > 0.0 and math.isfinite(cutoff)):
             raise ConfigError("cutoff must be finite and positive")
@@ -268,9 +299,7 @@ class HydrogenFormFactor(_PolynomialFormFactor):
     """
 
     def __init__(self, index: int, lambda1: float = 1.0, prefactor: float = 1.0):
-        index = int(index)
-        if index not in (1, 2, 3):
-            raise ConfigError("hydrogen form-factor index must be 1, 2 or 3")
+        index = _require_index("hydrogen form-factor index", index, 1, 3)
         if not (lambda1 > 0.0 and math.isfinite(lambda1)):
             raise ConfigError("lambda1 must be finite and positive")
         _require_finite(prefactor=prefactor)
@@ -531,7 +560,7 @@ def _factor_from_descriptor(d: dict) -> FormFactor:
             values = np.asarray(d.pop("values_re"), dtype=float) + 1j * np.asarray(
                 d.pop("values_im", 0.0), dtype=float)
             return TabulatedFormFactor(d.pop("grid"), values, **d)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"bad form-factor description: {exc}") from exc
     raise ConfigError(f"unknown form-factor family {family!r}")
 
@@ -544,9 +573,9 @@ def model_from_dict(data: dict) -> FriedrichsModel:
         factors = tuple(_factor_from_descriptor(d) for d in data["form_factors"])
     except KeyError as exc:
         raise ConfigError(f"missing model field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model field: {exc}") from exc
     return FriedrichsModel(levels, coupling, factors, units)
 

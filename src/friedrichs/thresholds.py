@@ -19,7 +19,8 @@ The certified statement is |lambda| < min(lambda_a, lambda_b, lambda_bar_n
 over positive levels); the verdict is three-valued since the hypotheses
 (nondegenerate levels, at least one positive level, alpha_n > 0) can fail.
 All suprema are located on deterministic grids refined around the best
-sample, never by stochastic sampling.
+sample, never by stochastic sampling.  sup ||D|| and R_b are read from one
+log grid of D(E) spectra: each D(E) is computed once and serves both.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .quad import gram_matrix, pv_matrix
 
 __all__ = [
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
-    "sup_d_norm", "r_a", "lambda_a", "r_b_lambda_b", "lambda_n",
-    "alpha_beta_gamma", "lambda_bar", "lambda_bar_closed_form", "certificate",
+    "sup_d_norm", "r_a", "r_b_lambda_b", "lambda_n",
+    "alpha_beta_gamma", "lambda_bar_closed_form", "certificate",
 ]
 
 class HypothesisViolation(ValueError):
@@ -73,33 +74,52 @@ class ThresholdReport:
     notes: tuple = ()
 
 
-def sup_d_norm(model, settings=None, pv=None, *, grid_points: int = 400,
-               e_min: float | None = None, e_max: float | None = None,
-               refine_rel: float = 1e-4):
-    """Supremum of ||D(E)|| over E > 0 and its argmax.
+def _d_scan(model, settings, pv, grid_points):
+    """(sup ||D||, argmax, r_b, lambda_b, note) from one sampled spectrum.
 
-    A log grid over (e_min, e_max] (defaults 1e-4 and 100 times the largest
-    form-factor width) locates the peak; a bracketed maximization in log
-    energy sharpens it to relative accuracy refine_rel.  The threshold value
-    ||D(0)|| = ||S(0)|| competes as a candidate, and the decay of the entries
-    makes the tail beyond e_max subdominant (spot-checked by the caller's
-    tests rather than assumed).
+    eigvalsh(D(E)) is stored on a log grid over [1e-6, 100] times the largest
+    form-factor width.  sup ||D|| is the largest |eigenvalue| there, refined
+    in log energy to 1e-4 around the best sample; ||D(0)|| = ||S(0)||
+    competes.  r_b is the lower end of the final bracket, of relative width
+    1e-4, around the edge where min eig D(E) first drops below -1e-10 sup
+    ||D||: the top grid energy if no sample drops below, 0 if the first one
+    does (each with a note).
     """
     scale = model.max_scale()
-    e_lo = 1e-4 * scale if e_min is None else float(e_min)
-    e_hi = 100.0 * scale if e_max is None else float(e_max)
-    if not 0.0 < e_lo < e_hi:
-        raise ValueError("need 0 < e_min < e_max")
+    grid = np.geomspace(1e-6 * scale, 100.0 * scale, int(grid_points))
 
-    norm_at = np.vectorize(lambda t: pv_matrix(model, math.exp(t), settings, pv).norm(),
-                           otypes=[float])
-    t, best = grid_max(norm_at, np.log(np.geomspace(e_lo, e_hi, int(grid_points))),
-                       what="sup ||D(E)||", xatol=refine_rel)
-    best_e = math.exp(t)
+    def eigs(e):
+        return np.linalg.eigvalsh(pv_matrix(model, e, settings, pv).entries)
+
+    spectra = np.array([eigs(e) for e in grid])
+
+    norm_at = np.vectorize(lambda t: np.abs(eigs(math.exp(t))).max(), otypes=[float])
+    t, sup = grid_max(norm_at, np.log(grid), np.abs(spectra).max(axis=1),
+                      what="sup ||D(E)||", xatol=1e-4)
+    e_star = math.exp(t)
     at_zero = gram_matrix(model, 0.0, settings).norm()
-    if at_zero > best:
-        return at_zero, 0.0
-    return best, best_e
+    if at_zero > sup:
+        sup, e_star = at_zero, 0.0
+
+    tol = 1e-10 * sup
+    bad = np.flatnonzero(spectra[:, 0] < -tol)
+    if bad.size == 0:
+        e_hi = float(grid[-1])
+        return sup, e_star, e_hi, math.sqrt(e_hi / sup), (
+            f"positive semidefinite over the whole scan up to {e_hi:.6g}")
+    if bad[0] == 0:
+        return sup, e_star, 0.0, 0.0, (
+            f"not positive semidefinite at the smallest scanned energy {grid[0]:.6g}")
+    margin = np.vectorize(lambda e: eigs(e)[0] + tol, otypes=[float])
+    res = bracketed_root(margin, grid[bad[0] - 1], grid[bad[0]], what="R_b edge",
+                         xatol=0.0, xrtol=1e-4)
+    r_b = float(res.bracket[0])
+    return sup, e_star, r_b, math.sqrt(r_b / sup), None
+
+
+def sup_d_norm(model, settings=None, pv=None, *, grid_points: int = 600):
+    """Supremum of ||D(E)|| over E >= 0 and its argmax (see _d_scan)."""
+    return _d_scan(model, settings, pv, grid_points)[:2]
 
 
 def _n_plus(levels) -> int:
@@ -127,54 +147,10 @@ def r_a(model) -> float:
     return float(radius)
 
 
-def lambda_a(model, settings=None, pv=None, *, sup: float | None = None) -> float:
-    """Global threshold sqrt(R_a / sup ||D||)."""
-    if sup is None:
-        sup, _ = sup_d_norm(model, settings, pv)
-    return math.sqrt(r_a(model) / sup)
-
-
-def r_b_lambda_b(model, settings=None, pv=None, *, sup: float | None = None,
-                 scan_points: int = 600, e_min: float | None = None,
-                 e_max: float | None = None, refine_rel: float = 1e-4,
-                 psd_rel_tol: float = 1e-10):
-    """Largest scanned energy below which D(E) is positive semidefinite.
-
-    Scans a log grid from just above threshold; on the first violation of
-    min eig D(E) >= -psd_rel_tol * sup ||D|| the boundary is refined by a
-    bracketed root search to relative width refine_rel, and r_b is the lower
-    end of the final bracket, where the test still holds.  Returns (r_b,
-    lambda_b, note) where note explains a truncated or empty scan; r_b = 0
-    with a diagnostic when the matrix already fails at the smallest scanned
-    energy.
-    """
-    if sup is None:
-        sup, _ = sup_d_norm(model, settings, pv)
-    scale = model.max_scale()
-    e_lo = 1e-6 * scale if e_min is None else float(e_min)
-    e_hi = 100.0 * scale if e_max is None else float(e_max)
-    tol = psd_rel_tol * sup
-
-    def min_eig(e):
-        return float(np.linalg.eigvalsh(pv_matrix(model, e, settings, pv).entries)[0])
-
-    grid = np.geomspace(e_lo, e_hi, int(scan_points))
-    bad = None
-    for i, e in enumerate(grid):
-        if min_eig(e) < -tol:
-            bad = i
-            break
-    if bad is None:
-        return float(e_hi), math.sqrt(e_hi / sup), (
-            f"positive semidefinite over the whole scan up to {e_hi:.6g}")
-    if bad == 0:
-        return 0.0, 0.0, (
-            f"not positive semidefinite at the smallest scanned energy {e_lo:.6g}")
-    margin = np.vectorize(lambda e: min_eig(e) + tol, otypes=[float])
-    res = bracketed_root(margin, grid[bad - 1], grid[bad], what="R_b edge",
-                         xatol=0.0, xrtol=refine_rel)
-    lo = float(res.bracket[0])
-    return lo, math.sqrt(lo / sup), None
+def r_b_lambda_b(model, settings=None, pv=None, *, grid_points: int = 600):
+    """Edge r_b of the scanned region where D(E) >= 0, lambda_b =
+    sqrt(r_b / sup ||D||) and a note on a truncated scan (see _d_scan)."""
+    return _d_scan(model, settings, pv, grid_points)[2:]
 
 
 def lambda_n(model, n, settings=None, pv=None, *, sup: float | None = None) -> float:
@@ -193,20 +169,18 @@ def lambda_n(model, n, settings=None, pv=None, *, sup: float | None = None) -> f
     return math.sqrt(gap / 3.0 / sup)
 
 
-def _sup_mod_sq_derivative(factor, *, grid_points: int = 10_000,
-                           refine_rel: float = 1e-8) -> float:
+def _sup_mod_sq_derivative(factor) -> float:
     """sup over omega >= 0 of |d|v|^2/domega|, deterministic grid + refinement."""
     scale = factor.scale
-    grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 1e3 * scale,
-                                               grid_points)))
-    return grid_max(lambda x: np.abs(factor.mod_sq_derivative(x)), grid,
-                    what="sup |d|v|^2/domega|", xrtol=refine_rel)[1]
+    grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 1e3 * scale, 10_000)))
+    f = lambda x: np.abs(factor.mod_sq_derivative(x))
+    return grid_max(f, grid, f(grid), what="sup |d|v|^2/domega|", xrtol=1e-8)[1]
 
 
-def _sup_mod_sq_window(factor, lo, hi, *, grid_points: int = 2001,
-                       refine_rel: float = 1e-8) -> float:
-    return grid_max(factor.mod_sq, np.linspace(lo, hi, grid_points),
-                    what="sup |v|^2", xrtol=refine_rel)[1]
+def _sup_mod_sq_window(factor, lo, hi) -> float:
+    grid = np.linspace(lo, hi, 2001)
+    return grid_max(factor.mod_sq, grid, factor.mod_sq(grid),
+                    what="sup |v|^2", xrtol=1e-8)[1]
 
 
 def alpha_beta_gamma(model, n, *, r_a_value: float | None = None):
@@ -262,15 +236,8 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
     return math.sqrt(lam_bar_sq)
 
 
-def lambda_bar(model, n, settings=None, pv=None, *, sup: float | None = None,
-               r_a_value: float | None = None) -> float:
-    lam_n = lambda_n(model, n, settings, pv, sup=sup)
-    alpha, beta, gamma = alpha_beta_gamma(model, n, r_a_value=r_a_value)
-    return lambda_bar_closed_form(lam_n, alpha, beta, gamma)
-
-
-def certificate(model, settings=None, pv=None, *, sup_grid_points: int = 400,
-                scan_points: int = 600) -> ThresholdReport:
+def certificate(model, settings=None, pv=None, *,
+                grid_points: int = 600) -> ThresholdReport:
     """Full no-embedded-eigenvalue certificate for the model.
 
     Computes the supremum of ||D||, the global and threshold-region bounds,
@@ -281,7 +248,7 @@ def certificate(model, settings=None, pv=None, *, sup_grid_points: int = 400,
     notes = []
     levels = model.level_array()
     n_pos = _n_plus(levels)
-    sup, e_star = sup_d_norm(model, settings, pv, grid_points=sup_grid_points)
+    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, settings, pv, grid_points)
 
     try:
         radius_a = r_a(model)
@@ -293,8 +260,6 @@ def certificate(model, settings=None, pv=None, *, sup_grid_points: int = 400,
                                float("nan"), "none", "inapplicable", n_pos,
                                model.coupling, tuple(notes))
 
-    radius_b, lam_b, note_b = r_b_lambda_b(model, settings, pv, sup=sup,
-                                           scan_points=scan_points)
     if note_b:
         notes.append(note_b)
 
@@ -312,13 +277,10 @@ def certificate(model, settings=None, pv=None, *, sup_grid_points: int = 400,
         per_level.append(LevelThreshold(n, lam_nn, alpha, beta, gamma, lam_bar))
 
     candidates = {"lambda_a": lam_a, "lambda_b": lam_b}
-    candidates_no_b = {"lambda_a": lam_a}
-    for lt in per_level:
-        candidates[f"lambda_bar_{lt.n}"] = lt.lambda_bar
-        candidates_no_b[f"lambda_bar_{lt.n}"] = lt.lambda_bar
+    candidates.update((f"lambda_bar_{lt.n}", lt.lambda_bar) for lt in per_level)
     binding = min(candidates, key=candidates.get)
     bound = candidates[binding]
-    bound_no_b = min(candidates_no_b.values())
+    bound_no_b = min(v for k, v in candidates.items() if k != "lambda_b")
 
     if not applicable:
         verdict = "inapplicable"

@@ -189,14 +189,30 @@ def test_bad_flags_exit_code(tmp_path):
 
 
 
-@pytest.mark.parametrize("path,value", [
-    (("levels", 0), math.nan),
-    (("form_factors", 1, "a"), math.nan),
-    (("form_factors", 1, "n_index"), 1.7),
-    (("form_factors", 1, "n_index"), 400),
-], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index"])
-def test_malformed_model_exit_code(tmp_path, capsys, path, value):
-    config = make_preset("three-level-fig").descriptor()
+_BIG = 10 ** 400  # a JSON integer beyond double range
+
+
+@pytest.mark.parametrize("preset,path,value", [
+    ("three-level-fig", ("levels", 0), math.nan),
+    ("three-level-fig", ("form_factors", 1, "a"), math.nan),
+    ("three-level-fig", ("form_factors", 1, "n_index"), 1.7),
+    ("three-level-fig", ("form_factors", 1, "n_index"), 400),
+    ("three-level-fig", ("lambda",), _BIG),
+    ("three-level-fig", ("levels", 0), _BIG),
+    ("three-level-fig", ("reference_cutoff",), _BIG),
+    ("three-level-fig", ("form_factors", 1, "cutoff"), _BIG),
+    ("hydrogen-4level", ("form_factors", 0, "lambda1"), _BIG),
+    ("three-level-fig", ("form_factors", 1, "n_index"), _BIG),
+    ("hydrogen-4level", ("form_factors", 0, "index"), 1.7),
+    ("hydrogen-4level", ("form_factors", 0, "index"), "2"),
+    ("hydrogen-4level", ("form_factors", 0, "index"), True),
+    ("three-level-fig", ("form_factors", 1, "n_index"), True),
+], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index",
+        "big-int-lambda", "big-int-level", "big-int-reference-cutoff",
+        "big-int-cutoff", "big-int-lambda1", "big-int-n-index",
+        "fractional-index", "string-index", "bool-index", "bool-n-index"])
+def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
+    config = make_preset(preset).descriptor()
     *head, last = path
     node = config
     for key in head:
@@ -207,6 +223,31 @@ def test_malformed_model_exit_code(tmp_path, capsys, path, value):
     rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--rel-tol", "0"],
+    ["analyze", "--abs-tol", "nan"],
+    ["oracle-check", "--grid", "5"],
+    ["kappa-curves", "--e-max", "nan"],
+], ids=["zero-rel-tol", "nan-abs-tol", "tiny-grid", "nan-e-max"])
+def test_bad_number_exit_code(tmp_path, capsys, argv):
+    rc = main(argv + ["--preset", "three-level-fig", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_narrow_form_factor(tmp_path):
+    # the quadrature tail reaches u = w/c ~ 1e19 on the narrow factor,
+    # where (1+u^2)^q overflows a double
+    config = {"levels": [-0.01, 0.02], "lambda": 0.7, "form_factors": [
+        {"family": "rational", "n_index": 11, "cutoff": 1e-4},
+        {"family": "rational", "n_index": 1, "cutoff": 1.0}]}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert "count: 2" in (tmp_path / "analyze_report.txt").read_text()
 
 
 def test_kappa_curves_tabulated_near_threshold(tmp_path, tabulated_two_level):

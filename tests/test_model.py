@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from friedrichs import (
     ConfigError,
@@ -78,6 +79,53 @@ def test_profile_derivative_central_difference():
             assert factor.profile_derivative_scalar(x) == pytest.approx(num, rel=1e-5)
 
 
+_POLYNOMIAL_FACTORS = (
+    [RationalFormFactor(n, a, c) for n in range(1, 12) for a in (0.0, 0.5, 2.0)
+     for c in (1e-4, 1.0)]
+    + [HydrogenFormFactor(i, 0.7) for i in (1, 2, 3)])
+
+
+def _direct(f, x):
+    """The factor's v/phase, |v|^2 and d|v|^2/dx written as the direct
+    quotients of Q(s) = Q(u^2) by powers of 1 + s, with the summed size of
+    the derivative's terms (its scale for a relative comparison)."""
+    u = x / f._c
+    s = u * u
+    qv, dq = np.polyval(f._desc, s), np.polyval(f._ddesc, s)
+    one, m = 1.0 + s, 2 * f._q
+    value = f._amp * np.sqrt(u) * qv / one ** f._q
+    mod_sq = f._amp ** 2 * u * qv * qv / one ** m
+    terms = (qv * qv * one, 4.0 * s * qv * dq * one, -2.0 * m * s * qv * qv)
+    pref = f._amp ** 2 / f._c / one ** (m + 1)
+    return value, mod_sq, pref * sum(terms), pref * sum(np.abs(t) for t in terms)
+
+
+def test_polynomial_factors_match_direct_quotient():
+    # where (1+s)^q does not overflow, every evaluator agrees with the
+    # direct quotient
+    for f in _POLYNOMIAL_FACTORS:
+        x = f.scale * np.geomspace(1e-6, 1e6, 401)
+        value, mod_sq, deriv, deriv_scale = _direct(f, x)
+        assert np.allclose(f.value(x) / f.common_phase, value, rtol=1e-14, atol=0.0)
+        assert np.allclose(f.mod_sq(x), mod_sq, rtol=1e-14, atol=0.0)
+        assert np.all(np.abs(f.mod_sq_derivative(x) - deriv) <= 1e-14 * deriv_scale)
+        for k in range(0, x.size, 20):
+            assert f.profile_scalar(x[k]) == pytest.approx(value[k], rel=1e-14)
+            assert f.mod_sq_scalar(x[k]) == pytest.approx(mod_sq[k], rel=1e-14)
+
+
+def test_polynomial_factors_finite_far_tail():
+    # the quadrature tail reaches u = x/c far beyond 1e6 for narrow factors
+    for f in _POLYNOMIAL_FACTORS:
+        x = f.scale * np.geomspace(1.0, 1e20, 81)
+        for vals in (f.value(x), f.mod_sq(x), f.mod_sq_derivative(x)):
+            assert np.all(np.isfinite(vals))
+        for xk in x:
+            assert math.isfinite(f.profile_scalar(xk))
+            assert math.isfinite(f.profile_derivative_scalar(xk))
+            assert math.isfinite(f.mod_sq_scalar(xk))
+
+
 def test_l2_norms_hydrogen(hydrogen):
     # exact values 1/6 and 243/5120; third frozen from
     # tests/oracles/gen_references.py
@@ -117,6 +165,7 @@ def test_hydrogen_validation():
         HydrogenFormFactor(4)
     with pytest.raises(ConfigError):
         HydrogenFormFactor(0)
+    assert HydrogenFormFactor(2.0).index == 2
 
 
 def test_tabulated_roundtrip_and_tails():
@@ -246,3 +295,59 @@ def test_eval_form_factor(three_level):
         eval_form_factor(three_level, 0, 0.5)
     with pytest.raises(ValueError):
         eval_form_factor(three_level, 4, 0.5)
+
+
+def _tabulated_descriptor():
+    grid = np.geomspace(0.1, 4.0, 4)
+    f = TabulatedFormFactor(grid, np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(0.3j),
+                            tail_exponent=-1.5)
+    return FriedrichsModel((-0.1, 0.2), 0.3, (f, RationalFormFactor(2)),
+                           UnitSystem(2.0)).descriptor()
+
+
+_VALID_MODELS = (make_preset("three-level-fig").descriptor(),
+                 make_preset("hydrogen-4level").descriptor(),
+                 _tabulated_descriptor())
+
+
+def _field_paths(node, prefix=()):
+    """Every field of a model description: each dict key and list entry,
+    containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+_MUTATION_SITES = [(i, path) for i, model in enumerate(_VALID_MODELS)
+                   for path in _field_paths(model)]
+_DELETE = object()
+_BAD_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024, 12, 1.5, -3]),
+    st.integers(),
+    st.lists(st.floats(allow_nan=True), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(site=st.sampled_from(_MUTATION_SITES), value=_BAD_VALUES)
+def test_model_from_dict_contract(site, value):
+    # a mutated description yields a model or a ConfigError, nothing else
+    i, path = site
+    config = json.loads(json.dumps(_VALID_MODELS[i]))
+    *head, last = path
+    node = config
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    try:
+        model = model_from_dict(config)
+    except ConfigError:
+        return
+    assert isinstance(model, FriedrichsModel)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import friedrichs.thresholds
 from friedrichs import (
     FriedrichsModel,
     HypothesisViolation,
@@ -13,6 +14,7 @@ from friedrichs import (
     lambda_bar_closed_form,
     pv_matrix,
     r_a,
+    r_b_lambda_b,
     sup_d_norm,
 )
 
@@ -50,6 +52,18 @@ def test_lambda_a_consistency(hydrogen_cert):
     want = math.sqrt(hydrogen_cert.r_a / hydrogen_cert.sup_d_norm)
     assert hydrogen_cert.lambda_a == pytest.approx(want, rel=1e-12)
     assert hydrogen_cert.lambda_a ** 2 == pytest.approx(4.871005e-5, rel=1e-5)
+
+
+def test_certificate_samples_d_once(hydrogen, monkeypatch):
+    # sup ||D|| and R_b read one scan: one D(E) per grid energy plus the
+    # refinements of the peak and of the R_b edge
+    calls = []
+    pv = friedrichs.thresholds.pv_matrix
+    monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
+                        lambda *a, **k: calls.append(1) or pv(*a, **k))
+    rep = certificate(hydrogen, grid_points=120)
+    assert rep.verdict == "true"
+    assert len(calls) <= 150
 
 
 def test_lambda_b_consistency(hydrogen_cert):
@@ -97,8 +111,7 @@ def test_certificate_verdict_true(hydrogen_cert):
 
 
 def test_certificate_verdict_false(hydrogen):
-    rep = certificate(hydrogen.with_coupling(0.01), sup_grid_points=60,
-                      scan_points=60)
+    rep = certificate(hydrogen.with_coupling(0.01), grid_points=60)
     assert rep.verdict == "false"
     assert rep.coupling ** 2 > rep.bound ** 2
 
@@ -107,7 +120,7 @@ def test_certificate_inapplicable_no_positive_levels():
     model = FriedrichsModel(
         (-0.02, -0.01), 0.5,
         (RationalFormFactor(1), RationalFormFactor(2)), UnitSystem(1.0))
-    rep = certificate(model, sup_grid_points=40, scan_points=40)
+    rep = certificate(model, grid_points=40)
     assert rep.verdict == "inapplicable"
     assert rep.notes
 
@@ -116,12 +129,16 @@ def test_certificate_inapplicable_degenerate_levels():
     model = FriedrichsModel(
         (0.01, 0.01), 0.5,
         (RationalFormFactor(1), RationalFormFactor(2)), UnitSystem(1.0))
-    rep = certificate(model, sup_grid_points=40, scan_points=40)
+    rep = certificate(model, grid_points=40)
     assert rep.verdict == "inapplicable"
 
 
 def test_certificate_three_level(three_level):
-    rep = certificate(three_level, sup_grid_points=80, scan_points=80)
+    rep = certificate(three_level, grid_points=80)
+    # the public scan functions project the certificate's one scan
+    assert sup_d_norm(three_level, grid_points=80) == (rep.sup_d_norm,
+                                                       rep.sup_d_argmax)
+    assert r_b_lambda_b(three_level, grid_points=80)[:2] == (rep.r_b, rep.lambda_b)
     assert rep.n_plus == 2
     assert len(rep.level_thresholds) == 2
     assert {lt.n for lt in rep.level_thresholds} == {2, 3}
