@@ -45,7 +45,7 @@ _HYDROGEN_POLY = ((1.0,), (1.0, 2.0), (45.0, 146.0, 125.0))
 _HYDROGEN_POLE_ORDER = (2, 3, 4)
 _HYDROGEN_CUTOFF_RATIO = (1.0, 8.0 / 9.0, 10.0 / 12.0)
 
-# Largest rational pole index; _DIRECT_MAX assumes pole orders n + 1 <= 12.
+# Largest rational pole index.
 _MAX_N_INDEX = 11
 
 
@@ -141,31 +141,18 @@ class FormFactor:
         raise NotImplementedError
 
 
-def _over_pole(desc, s, power):
-    """Q(s) / (1+s)**power for Q of degree d < power (coefficients in
-    descending order), on floats or arrays.  Evaluated as r**(power - d) *
-    sum_k Q_k t**k r**(d - k) with r = 1/(1+s) and t = s r, both in [0, 1],
-    so nothing overflows where (1+s)**power would."""
+def _over_pole(desc, s, gap):
+    """Q(s) / (1+s)**(d + gap) for Q of degree d (coefficients in descending
+    order) and gap >= 1, on floats or arrays.  Evaluated as r**gap * sum_k
+    Q_k t**k r**(d - k) with r = 1/(1+s) and t = s r, both in [0, 1], so
+    nothing overflows where (1+s)**(d + gap) would."""
     r = 1.0 / (1.0 + s)
     t = s * r
-    acc, rk = 0.0, 1.0
+    acc, rk = 0.0, r ** gap
     for coef in desc:
         acc = acc * t + coef * rk
         rk = rk * r
-    return acc * r ** (power - len(desc) + 1)
-
-
-def _horner(desc, s: float) -> float:
-    """Polynomial with coefficients in descending order at one abscissa."""
-    acc = 0.0
-    for coef in desc:
-        acc = acc * s + coef
     return acc
-
-
-# Up to this s = u**2 the direct quotients, Q(s)^2 / (1+s)**(2q) included,
-# stay finite for q <= 12; beyond it the scalar paths switch to _over_pole.
-_DIRECT_MAX = 1e12
 
 
 class _PolynomialFormFactor(FormFactor):
@@ -178,6 +165,8 @@ class _PolynomialFormFactor(FormFactor):
         dpoly = tuple(i * c for i, c in enumerate(poly))[1:] or (0.0,)
         self._desc, self._ddesc = poly[::-1], dpoly[::-1]    # Q and dQ/ds, descending
         self._q = int(pole_order)
+        # Q / (1+s)^q and Q' / (1+s)^(q-1) as _over_pole gaps
+        self._gap, self._dgap = self._q - len(poly) + 1, self._q - len(dpoly)
         self._c = float(width)
         self.scale = self._c
         self.p_exponent = 0.5
@@ -186,45 +175,33 @@ class _PolynomialFormFactor(FormFactor):
         if x < 0.0:
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        s = u * u
-        if s > _DIRECT_MAX:
-            return self._amp * math.sqrt(u) * _over_pole(self._desc, s, self._q)
-        return self._amp * math.sqrt(u) * _horner(self._desc, s) / (1.0 + s) ** self._q
+        return self._amp * math.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
 
     def profile_derivative_scalar(self, x: float) -> float:
-        # d/dx of amp * sqrt(u) Q(s) (1+s)^(-q), s = u^2, valid for x > 0.
+        # d/dx of amp * sqrt(u) Q(s) (1+s)^(-q), s = u^2, valid for x > 0:
+        # (amp/c) [Q r^q / (2 sqrt(u)) + 2 sqrt(u) u r (Q' r^(q-1) - q Q r^q)]
+        # with r = 1/(1+s).
         u = x / self._c
         s = u * u
-        if s > _DIRECT_MAX:
-            # (amp/c) [Q r^q / (2 sqrt(u)) + 2 sqrt(u) u r (Q' r^(q-1) - q Q r^q)]
-            qr = _over_pole(self._desc, s, self._q)
-            dqr = _over_pole(self._ddesc, s, self._q - 1)
-            root = math.sqrt(u)
-            inner = qr / (2.0 * root) + 2.0 * root * (u / (1.0 + s)) * (dqr - self._q * qr)
-            return self._amp * inner / self._c
-        qv = _horner(self._desc, s)
-        dq = _horner(self._ddesc, s)
-        one = 1.0 + s
-        inner = qv * one / (2.0 * math.sqrt(u)) + 2.0 * u * math.sqrt(u) * (dq * one - self._q * qv)
-        return self._amp * inner / (self._c * one ** (self._q + 1))
+        qr = _over_pole(self._desc, s, self._gap)
+        dqr = _over_pole(self._ddesc, s, self._dgap)
+        root = math.sqrt(u)
+        inner = qr / (2.0 * root) + 2.0 * root * (u / (1.0 + s)) * (dqr - self._q * qr)
+        return self._amp * inner / self._c
 
     def mod_sq_scalar(self, x: float) -> float:
         if x < 0.0:
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        s = u * u
-        if s > _DIRECT_MAX:
-            qr = _over_pole(self._desc, s, self._q)
-            return self._amp * self._amp * u * qr * qr
-        qv = _horner(self._desc, s)
-        return self._amp * self._amp * u * qv * qv / (1.0 + s) ** (2 * self._q)
+        qr = _over_pole(self._desc, u * u, self._gap)
+        return self._amp * self._amp * u * qr * qr
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        out = self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._q)
+        out = self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
         return self.common_phase * out
 
     def mod_sq(self, x):
@@ -232,7 +209,7 @@ class _PolynomialFormFactor(FormFactor):
         if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
         u = x / self._c
-        qr = _over_pole(self._desc, u * u, self._q)
+        qr = _over_pole(self._desc, u * u, self._gap)
         return self._amp * self._amp * u * qr * qr
 
     def mod_sq_derivative(self, x):
@@ -251,8 +228,8 @@ class _PolynomialFormFactor(FormFactor):
         u = x / self._c
         s = u * u
         t = s / (1.0 + s)
-        qr = _over_pole(self._desc, s, self._q)
-        dqr = _over_pole(self._ddesc, s, self._q - 1)
+        qr = _over_pole(self._desc, s, self._gap)
+        dqr = _over_pole(self._ddesc, s, self._dgap)
         num = qr * qr * (1.0 - 4.0 * self._q * t) + 4.0 * t * qr * dqr
         out = (self._amp * self._amp / self._c) * num
         return float(out[0]) if scalar else out

@@ -277,10 +277,13 @@ def certificate(model, settings=None, pv=None, *,
         per_level.append(LevelThreshold(n, lam_nn, alpha, beta, gamma, lam_bar))
 
     candidates = {"lambda_a": lam_a, "lambda_b": lam_b}
-    candidates.update((f"lambda_bar_{lt.n}", lt.lambda_bar) for lt in per_level)
+    candidates_no_b = {"lambda_a": lam_a}
+    for lt in per_level:
+        candidates[f"lambda_bar_{lt.n}"] = lt.lambda_bar
+        candidates_no_b[f"lambda_bar_{lt.n}"] = lt.lambda_bar
     binding = min(candidates, key=candidates.get)
     bound = candidates[binding]
-    bound_no_b = min(v for k, v in candidates.items() if k != "lambda_b")
+    bound_no_b = min(candidates_no_b.values())
 
     if not applicable:
         verdict = "inapplicable"

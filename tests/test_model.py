@@ -86,44 +86,59 @@ _POLYNOMIAL_FACTORS = (
 
 
 def _direct(f, x):
-    """The factor's v/phase, |v|^2 and d|v|^2/dx written as the direct
-    quotients of Q(s) = Q(u^2) by powers of 1 + s, with the summed size of
-    the derivative's terms (its scale for a relative comparison)."""
+    """The factor's v/phase, dv/dx/phase, |v|^2 and d|v|^2/dx written as the
+    direct quotients of Q(s) = Q(u^2) by powers of 1 + s.  Each derivative
+    comes with the summed size of its terms, its scale for a relative
+    comparison."""
     u = x / f._c
     s = u * u
     qv, dq = np.polyval(f._desc, s), np.polyval(f._ddesc, s)
-    one, m = 1.0 + s, 2 * f._q
-    value = f._amp * np.sqrt(u) * qv / one ** f._q
+    one, q, m = 1.0 + s, f._q, 2 * f._q
+    value = f._amp * np.sqrt(u) * qv / one ** q
+    terms = (qv * one / (2.0 * np.sqrt(u)), 2.0 * u * np.sqrt(u) * dq * one,
+             -2.0 * q * u * np.sqrt(u) * qv)
+    pref = f._amp / f._c / one ** (q + 1)
+    slope = (pref * sum(terms), pref * sum(np.abs(t) for t in terms))
     mod_sq = f._amp ** 2 * u * qv * qv / one ** m
     terms = (qv * qv * one, 4.0 * s * qv * dq * one, -2.0 * m * s * qv * qv)
     pref = f._amp ** 2 / f._c / one ** (m + 1)
-    return value, mod_sq, pref * sum(terms), pref * sum(np.abs(t) for t in terms)
+    deriv = (pref * sum(terms), pref * sum(np.abs(t) for t in terms))
+    return value, slope, mod_sq, deriv
 
 
 def test_polynomial_factors_match_direct_quotient():
-    # where (1+s)^q does not overflow, every evaluator agrees with the
-    # direct quotient
+    # out to where (1+s)^(2q+1) nears the double limit, or s = 1e20, every
+    # evaluator, scalar and vector, agrees with the direct quotient
     for f in _POLYNOMIAL_FACTORS:
-        x = f.scale * np.geomspace(1e-6, 1e6, 401)
-        value, mod_sq, deriv, deriv_scale = _direct(f, x)
+        u_max = min(1e10, 10.0 ** (150.0 / (2 * f._q + 1)))
+        x = f.scale * np.geomspace(1e-6, u_max, 401)
+        value, (slope, slope_scale), mod_sq, (deriv, deriv_scale) = _direct(f, x)
+        for direct in (value, slope, mod_sq, deriv):
+            assert np.all(np.isfinite(direct))
         assert np.allclose(f.value(x) / f.common_phase, value, rtol=1e-14, atol=0.0)
         assert np.allclose(f.mod_sq(x), mod_sq, rtol=1e-14, atol=0.0)
         assert np.all(np.abs(f.mod_sq_derivative(x) - deriv) <= 1e-14 * deriv_scale)
-        for k in range(0, x.size, 20):
+        for k in range(0, x.size, 10):
             assert f.profile_scalar(x[k]) == pytest.approx(value[k], rel=1e-14)
             assert f.mod_sq_scalar(x[k]) == pytest.approx(mod_sq[k], rel=1e-14)
+            assert abs(f.profile_derivative_scalar(x[k]) - slope[k]) <= 1e-14 * slope_scale[k]
 
 
 def test_polynomial_factors_finite_far_tail():
-    # the quadrature tail reaches u = x/c far beyond 1e6 for narrow factors
+    # the quadrature tail reaches u = x/c far beyond 1e6 for narrow factors;
+    # there the scalar callbacks agree with the vector evaluators, and
+    # 2 v v' with d|v|^2/dx
     for f in _POLYNOMIAL_FACTORS:
         x = f.scale * np.geomspace(1.0, 1e20, 81)
-        for vals in (f.value(x), f.mod_sq(x), f.mod_sq_derivative(x)):
+        value, mod_sq, deriv = f.value(x) / f.common_phase, f.mod_sq(x), f.mod_sq_derivative(x)
+        for vals in (value, mod_sq, deriv):
             assert np.all(np.isfinite(vals))
-        for xk in x:
-            assert math.isfinite(f.profile_scalar(xk))
-            assert math.isfinite(f.profile_derivative_scalar(xk))
-            assert math.isfinite(f.mod_sq_scalar(xk))
+        for k, xk in enumerate(x):
+            v, dv = f.profile_scalar(xk), f.profile_derivative_scalar(xk)
+            assert math.isfinite(dv)
+            assert v == pytest.approx(value[k].real, rel=1e-14, abs=1e-290)
+            assert f.mod_sq_scalar(xk) == pytest.approx(mod_sq[k], rel=1e-14, abs=1e-290)
+            assert 2.0 * v * dv == pytest.approx(deriv[k], rel=1e-13, abs=1e-290)
 
 
 def test_l2_norms_hydrogen(hydrogen):
