@@ -13,9 +13,9 @@ from .model import (ConfigError, FormFactor, FriedrichsModel,
                     TabulatedFormFactor, UnitSystem, eval_form_factor,
                     l2_norm_sq, load_model, make_preset, model_digest,
                     model_from_dict, PRESETS, total_l2_norm_sq)
-from .quad import (LevelShiftMatrix, NumericalError, PvSettings,
-                   QuadratureError, QuadratureSettings, gram_matrix,
-                   integrate_semiinf, pv_integral, pv_matrix, t_matrix)
+from .quad import (LevelShiftMatrix, NumericalError, QuadratureError,
+                   QuadratureSettings, gram_matrix, integrate_semiinf,
+                   pv_integral, pv_matrix, t_matrix)
 from .spectral import (DegeneracyError, EigenCurvePoint, eigh, k_matrix,
                        kappa_curve, projector, projector_series)
 from .solver import (BoundState, BracketError, CountResult,
@@ -37,7 +37,7 @@ __all__ = [
     "eval_form_factor", "l2_norm_sq", "load_model",
     "make_preset", "model_digest", "model_from_dict", "PRESETS",
     "total_l2_norm_sq",
-    "LevelShiftMatrix", "NumericalError", "PvSettings", "QuadratureError",
+    "LevelShiftMatrix", "NumericalError", "QuadratureError",
     "QuadratureSettings", "gram_matrix", "integrate_semiinf", "pv_integral",
     "pv_matrix", "t_matrix",
     "DegeneracyError", "EigenCurvePoint", "eigh", "k_matrix", "kappa_curve",

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
-from .quad import NumericalError, PvSettings, QuadratureSettings
+from .quad import NumericalError, QuadratureSettings, gram_matrix
 from .solver import CountResult, positive_candidate_scan, solve_model
-from .spectral import kappa_curve
+from .spectral import eigh, k_matrix, kappa_curve
 from .oracle import compare_negative_spectrum
 from .thresholds import certificate
 
@@ -97,8 +97,7 @@ def _settings(args) -> QuadratureSettings:
     rel = base.rel_tol if args.rel_tol is None else args.rel_tol
     abs_ = base.abs_tol if args.abs_tol is None else args.abs_tol
     try:
-        return QuadratureSettings(rel_tol=rel, abs_tol=abs_,
-                                  max_subdivisions=base.max_subdivisions)
+        return QuadratureSettings(rel_tol=rel, abs_tol=abs_)
     except ValueError as exc:
         raise ConfigError(f"--rel-tol/--abs-tol: {exc}") from exc
 
@@ -177,9 +176,6 @@ def cmd_sweep_lambda(args) -> int:
             if args.lambda_steps > 1 else np.array([args.lambda_min]))
     # kappa(0) depends on lambda only through the prefactor of S(0), so one
     # Gram matrix serves the whole sweep
-    from .quad import gram_matrix
-    from .spectral import eigh, k_matrix
-
     s0 = gram_matrix(model, 0.0, settings)
     top = model.levels[-1]
     n = model.n_levels

@@ -160,6 +160,8 @@ class _PolynomialFormFactor(FormFactor):
 
     def __init__(self, amplitude, phase, poly, pole_order, width):
         self._amp = float(amplitude)
+        if not math.isfinite(self._amp * self._amp):
+            raise ConfigError(f"form-factor amplitude {self._amp:.3g} overflows when squared")
         self.common_phase = complex(phase)
         poly = tuple(float(c) for c in poly)                 # Q in s = u**2, ascending
         dpoly = tuple(i * c for i, c in enumerate(poly))[1:] or (0.0,)
@@ -434,8 +436,8 @@ class FriedrichsModel:
             raise ConfigError("levels must be sorted ascending")
         if len(self.form_factors) != len(levels):
             raise ConfigError("need exactly one form factor per level")
-        if not math.isfinite(self.coupling):
-            raise ConfigError("coupling must be finite")
+        if not math.isfinite(self.coupling * self.coupling):
+            raise ConfigError("coupling must be finite and its square must not overflow")
 
     @property
     def n_levels(self) -> int:
@@ -561,8 +563,8 @@ def load_model(path) -> FriedrichsModel:
     """Read a model from a JSON config file.
 
     Expected keys: reference_cutoff (optional), levels, lambda,
-    form_factors (list of family descriptors).  Optional "quadrature" and
-    "pv" sections are read by the command-line layer, not here.
+    form_factors (list of family descriptors).  Quadrature tolerances come
+    from the command line, not from the file.
     """
     try:
         with open(path) as fh:

@@ -114,8 +114,7 @@ def from_arrays(levels, coupling, factor_values, nodes, weights) -> DiscretizedH
     return DiscretizedHamiltonian(h, nodes, weights, n, spec)
 
 
-def discretize(model, m: int, omega_max: float | None = None,
-               rule: str = "gauss-legendre") -> DiscretizedHamiltonian:
+def discretize(model, m: int, omega_max: float | None = None) -> DiscretizedHamiltonian:
     """Discretize the continuum with about m nodes.
 
     Composite Gauss-Legendre panels cover [0, omega_max] on geometric edges,
@@ -124,8 +123,6 @@ def discretize(model, m: int, omega_max: float | None = None,
     """
     if m < 10:
         raise ValueError("need at least 10 grid points")
-    if rule != "gauss-legendre":
-        raise ValueError(f"unknown rule {rule!r}")
     scale = model.max_scale()
     if omega_max is None:
         omega_max = 20.0 * scale
@@ -167,7 +164,7 @@ def discretize(model, m: int, omega_max: float | None = None,
     h[n:, n:] = np.diag(nodes)
     h[:n, n:] = block
     h[n:, :n] = block.conj().T if dtype is complex else block.T
-    spec = GridSpec(m, int(nodes.size), omega_max, rule, int(n_tail))
+    spec = GridSpec(m, int(nodes.size), omega_max, "gauss-legendre", int(n_tail))
     return DiscretizedHamiltonian(h, nodes, weights, n, spec)
 
 

@@ -19,12 +19,15 @@ where bump_delta(y) = exp(1 - 1/(1 - (y/delta)^2)) on |y| < delta and 0
 outside.  Because the bump is even and supported inside [E-delta, E+delta]
 with delta <= E/2, the subtracted term integrates to zero exactly and the
 result does not depend on delta; varying delta is therefore a consistency
-check, not a tuning knob.
+check, not a tuning knob.  delta = min(E/2, 1/2), and within 1e-8 max(E, 1)
+of w = E the integrand is replaced by its limit eta'(E).
 
 Integrals run over [0, split] with QUADPACK using explicit breakpoints, plus
-an algebraic tail w = split + t/(1-t), t in [0, 1).  Pair products of the
-built-in families reduce to real integrands times a constant phase, so the
-complex path is only taken for tabulated form factors.
+an algebraic tail w = split + t/(1-t), t in [0, 1).  Every matrix entry is a
+pair integral of conj(v_n) v_m against the matrix's kernel (`_pair`,
+`_level_shift`).  Pair products of the built-in families reduce to real
+integrands times a constant phase, so the complex path is only taken for
+tabulated form factors.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad as _quadpack
 
 __all__ = [
-    "QuadratureSettings", "PvSettings", "LevelShiftMatrix",
+    "QuadratureSettings", "LevelShiftMatrix",
     "NumericalError", "QuadratureError",
     "integrate_semiinf", "pv_integral", "gram_matrix", "t_matrix", "pv_matrix",
 ]
@@ -50,40 +53,25 @@ class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge within its subdivision budget."""
 
 
+# QUADPACK subdivision budget per interval
+_MAX_SUBDIVISIONS = 2000
+# principal value: bump half width min(E/2, _DELTA_CAP), and the half width
+# (relative to max(E, 1)) of the window around w = E patched by eta'(E)
+_DELTA_CAP = 0.5
+_ANALYTIC_WINDOW = 1e-8
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-@dataclass(frozen=True)
-class PvSettings:
-    """Controls the bump regularization of principal-value integrals.
-
-    delta = min(E/2, delta_cap) keeps the bump inside the half line;
-    analytic_window is the half width (relative to max(E, 1)) of the region
-    around w = E where the integrand is replaced by its limit eta'(E).
-    """
-
-    delta_cap: float = 0.5
-    analytic_window: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.delta_cap:
-            raise ValueError("delta_cap must be positive")
-        if not 0.0 < self.analytic_window < 1e-2:
-            raise ValueError("analytic_window must lie in (0, 1e-2)")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("quadrature tolerances must be finite and positive")
 
 
 DEFAULT_QUAD = QuadratureSettings()
-DEFAULT_PV = PvSettings()
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,7 @@ def bump(y, delta):
 
 def _run_quadpack(f, a, b, settings, points):
     kwargs = dict(epsabs=settings.abs_tol, epsrel=settings.rel_tol,
-                  limit=settings.max_subdivisions, full_output=1)
+                  limit=_MAX_SUBDIVISIONS, full_output=1)
     if points:
         kwargs["points"] = points
     res = _quadpack(f, a, b, **kwargs)
@@ -146,9 +134,16 @@ def integrate_semiinf(f, settings=None, *, breakpoints=(), split=10.0,
 
     The direct piece covers [0, split] with QUADPACK and the given interior
     breakpoints; the remainder uses the substitution w = split + t/(1-t).
+    A complex-valued f is integrated as its real and imaginary parts.
     Returns (value, error_estimate).  Raises QuadratureError when either
-    piece fails to converge within settings.max_subdivisions.
+    piece fails to converge within the subdivision budget.
     """
+    if complex_valued:
+        re, ere = integrate_semiinf(lambda w: f(w).real, settings,
+                                    breakpoints=breakpoints, split=split)
+        im, eim = integrate_semiinf(lambda w: f(w).imag, settings,
+                                    breakpoints=breakpoints, split=split)
+        return complex(re, im), ere + eim
     settings = settings or DEFAULT_QUAD
     split = float(split)
     if not (split > 0.0 and math.isfinite(split)):
@@ -161,41 +156,29 @@ def integrate_semiinf(f, settings=None, *, breakpoints=(), split=10.0,
         r = 1.0 / (1.0 - t)
         return f(split + t * r) * r * r
 
-    if complex_valued:
-        re, ere = _run_quadpack(lambda w: f(w).real, 0.0, split, settings, pts)
-        im, eim = _run_quadpack(lambda w: f(w).imag, 0.0, split, settings, pts)
-        tre, etre = _run_quadpack(lambda t: tail(t).real, 0.0, 1.0, settings, None)
-        tim, etim = _run_quadpack(lambda t: tail(t).imag, 0.0, 1.0, settings, None)
-        return complex(re + tre, im + tim), ere + eim + etre + etim
-
     main, emain = _run_quadpack(f, 0.0, split, settings, pts)
     tval, etail = _run_quadpack(tail, 0.0, 1.0, settings, None)
     return main + tval, emain + etail
 
 
-def pv_integral(eta, e, settings=None, pv=None, *, eta_at_e=None,
-                eta_prime_at_e=None, split=10.0, extra_breakpoints=(),
-                complex_valued=False):
+def pv_integral(eta, e, settings=None, *, eta_prime_at_e=None, split=10.0,
+                extra_breakpoints=(), complex_valued=False):
     """Principal value of integral eta(w)/(w - e) dw over [0, infinity), e > 0.
 
-    eta must be smooth near w = e.  eta_at_e and eta_prime_at_e may be
-    supplied when closed forms are available; otherwise eta is evaluated at e
-    and differenced with step min(1e-6 max(e, 1), e/2), which stays on the
-    half line.  Returns (value, error).
+    eta must be smooth near w = e.  eta_prime_at_e may be supplied when a
+    closed form is available; otherwise eta is differenced with step
+    min(1e-6 max(e, 1), e/2), which stays on the half line.  Returns
+    (value, error).
     """
-    settings = settings or DEFAULT_QUAD
-    pv = pv or DEFAULT_PV
     e = float(e)
     if not e > 0.0:
         raise ValueError("pv_integral requires e > 0")
-    delta = min(0.5 * e, pv.delta_cap)
-    window = pv.analytic_window * max(e, 1.0)
-    eta_e = eta(e) if eta_at_e is None else eta_at_e
-    if eta_prime_at_e is None:
+    delta = min(0.5 * e, _DELTA_CAP)
+    window = _ANALYTIC_WINDOW * max(e, 1.0)
+    eta_e, eta_p = eta(e), eta_prime_at_e
+    if eta_p is None:
         h = min(1e-6 * max(e, 1.0), 0.5 * e)
         eta_p = (eta(e + h) - eta(e - h)) / (2.0 * h)
-    else:
-        eta_p = eta_prime_at_e
     inv_delta_sq = 1.0 / (delta * delta)
 
     def integrand(w):
@@ -217,27 +200,40 @@ def pv_integral(eta, e, settings=None, pv=None, *, eta_at_e=None,
 # Matrix assembly
 
 
-def _pair_paths(fn, fm):
-    """Phase prefactor and real-profile flag for the product conj(v_n) v_m."""
+def _pair(fn, fm):
+    """(phase, a, b, a', b', complex_valued) with conj(v_n) v_m = phase * a * b.
+
+    For the built-in families a and b are the real profiles, a' and b' their
+    exact derivatives.  Otherwise a = conj(v_n), b = v_m and no derivatives
+    are known (None).
+    """
     if fn.common_phase is not None and fm.common_phase is not None:
-        return complex(np.conj(fn.common_phase) * fm.common_phase), True
-    return 1.0 + 0.0j, False
+        return (complex(np.conj(fn.common_phase) * fm.common_phase),
+                fn.profile_scalar, fm.profile_scalar,
+                fn.profile_derivative_scalar, fm.profile_derivative_scalar, False)
+    vn = fn.value_scalar
+    return 1.0, lambda w: np.conj(vn(w)), fm.value_scalar, None, None, True
 
 
-def _assemble(model, entry_fn):
-    """Build a Hermitian matrix entry by entry over the upper triangle."""
+def _level_shift(model, kind, e, integral, e2=None) -> LevelShiftMatrix:
+    """Hermitian matrix of pair integrals, built over the upper triangle and
+    mirrored, with the per-entry error estimates in err.  integral(a, b, a',
+    b', complex_valued) integrates one pair density a * b against the
+    matrix's kernel and returns (value, error estimate).
+    """
     n = model.n_levels
     entries = np.zeros((n, n), dtype=complex)
     err = np.zeros((n, n), dtype=float)
     for i in range(n):
         for j in range(i, n):
-            value, estimate = entry_fn(model.form_factors[i], model.form_factors[j])
-            entries[i, j] = value
+            phase, *pair = _pair(model.form_factors[i], model.form_factors[j])
+            value, estimate = integral(*pair)
+            entries[i, j] = phase * value
             err[i, j] = estimate
             if j != i:
-                entries[j, i] = np.conj(value)
+                entries[j, i] = np.conj(entries[i, j])
                 err[j, i] = estimate
-    return entries, err
+    return LevelShiftMatrix(entries, e, kind, err, e2)
 
 
 def _factor_breakpoints(model):
@@ -257,32 +253,17 @@ def _check_below_threshold(model, e, op):
 
 
 def gram_matrix(model, e, settings=None) -> LevelShiftMatrix:
-    """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0).
-
-    Entries are computed over the upper triangle and mirrored, so the result
-    is Hermitian by construction.  The per-entry quadrature error estimates
-    land in the err field.
-    """
+    """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0)."""
     e = float(e)
     _check_below_threshold(model, e, "gram_matrix")
-    settings = settings or DEFAULT_QUAD
-    split = 10.0 * model.max_scale()
-    scales = _factor_breakpoints(model)
+    split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
-    def entry(fn, fm):
-        pref, real_path = _pair_paths(fn, fm)
-        if real_path:
-            pn, pm = fn.profile_scalar, fm.profile_scalar
-            f = lambda w: pn(w) * pm(w) / (w - e)
-            v, est = integrate_semiinf(f, settings, breakpoints=scales, split=split)
-            return pref * v, est
-        vn, vm = fn.value_scalar, fm.value_scalar
-        f = lambda w: np.conj(vn(w)) * vm(w) / (w - e)
-        return integrate_semiinf(f, settings, breakpoints=scales, split=split,
-                                 complex_valued=True)
+    def integral(a, b, da, db, complex_valued):
+        return integrate_semiinf(lambda w: a(w) * b(w) / (w - e), settings,
+                                 breakpoints=pts, split=split,
+                                 complex_valued=complex_valued)
 
-    entries, err = _assemble(model, entry)
-    return LevelShiftMatrix(entries, e, "S", err)
+    return _level_shift(model, "S", e, integral)
 
 
 def t_matrix(model, e, e2, settings=None) -> LevelShiftMatrix:
@@ -294,27 +275,17 @@ def t_matrix(model, e, e2, settings=None) -> LevelShiftMatrix:
     e, e2 = float(e), float(e2)
     _check_below_threshold(model, e, "t_matrix")
     _check_below_threshold(model, e2, "t_matrix")
-    settings = settings or DEFAULT_QUAD
-    split = 10.0 * model.max_scale()
-    scales = _factor_breakpoints(model)
+    split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
-    def entry(fn, fm):
-        pref, real_path = _pair_paths(fn, fm)
-        if real_path:
-            pn, pm = fn.profile_scalar, fm.profile_scalar
-            f = lambda w: pn(w) * pm(w) / ((w - e) * (w - e2))
-            v, est = integrate_semiinf(f, settings, breakpoints=scales, split=split)
-            return pref * v, est
-        vn, vm = fn.value_scalar, fm.value_scalar
-        f = lambda w: np.conj(vn(w)) * vm(w) / ((w - e) * (w - e2))
-        return integrate_semiinf(f, settings, breakpoints=scales, split=split,
-                                 complex_valued=True)
+    def integral(a, b, da, db, complex_valued):
+        return integrate_semiinf(lambda w: a(w) * b(w) / ((w - e) * (w - e2)),
+                                 settings, breakpoints=pts, split=split,
+                                 complex_valued=complex_valued)
 
-    entries, err = _assemble(model, entry)
-    return LevelShiftMatrix(entries, e, "T", err, e2=e2)
+    return _level_shift(model, "T", e, integral, e2)
 
 
-def pv_matrix(model, e, settings=None, pv=None) -> LevelShiftMatrix:
+def pv_matrix(model, e, settings=None) -> LevelShiftMatrix:
     """Principal-value matrix D(E) for E >= 0.
 
     D(0) coincides with S(0).  For E > 0 each entry uses the bump-regularized
@@ -328,27 +299,12 @@ def pv_matrix(model, e, settings=None, pv=None) -> LevelShiftMatrix:
     if e == 0.0:
         s = gram_matrix(model, 0.0, settings)
         return LevelShiftMatrix(s.entries, 0.0, "D", s.err)
-    settings = settings or DEFAULT_QUAD
-    pv = pv or DEFAULT_PV
-    split = max(10.0 * model.max_scale(), 2.0 * e + 1.0)
-    scales = _factor_breakpoints(model)
+    split, pts = max(10.0 * model.max_scale(), 2.0 * e + 1.0), _factor_breakpoints(model)
 
-    def entry(fn, fm):
-        pref, real_path = _pair_paths(fn, fm)
-        if real_path:
-            pn, pm = fn.profile_scalar, fm.profile_scalar
-            eta = lambda w: pn(w) * pm(w)
-            eta_e = pn(e) * pm(e)
-            eta_p = (fn.profile_derivative_scalar(e) * pm(e)
-                     + pn(e) * fm.profile_derivative_scalar(e))
-            v, est = pv_integral(eta, e, settings, pv, eta_at_e=eta_e,
-                                 eta_prime_at_e=eta_p, split=split,
-                                 extra_breakpoints=scales)
-            return pref * v, est
-        vn, vm = fn.value_scalar, fm.value_scalar
-        eta = lambda w: np.conj(vn(w)) * vm(w)
-        return pv_integral(eta, e, settings, pv, split=split,
-                           extra_breakpoints=scales, complex_valued=True)
+    def integral(a, b, da, db, complex_valued):
+        eta_p = None if da is None else da(e) * b(e) + a(e) * db(e)
+        return pv_integral(lambda w: a(w) * b(w), e, settings, eta_prime_at_e=eta_p,
+                           split=split, extra_breakpoints=pts,
+                           complex_valued=complex_valued)
 
-    entries, err = _assemble(model, entry)
-    return LevelShiftMatrix(entries, e, "D", err)
+    return _level_shift(model, "D", e, integral)

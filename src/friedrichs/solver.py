@@ -23,7 +23,7 @@ import numpy as np
 
 from ._search import BracketError, bracketed_root
 from .model import total_l2_norm_sq
-from .quad import _factor_breakpoints, gram_matrix, integrate_semiinf
+from .quad import gram_matrix, t_matrix
 from .spectral import eigh, k_matrix, kappa_curve
 
 __all__ = [
@@ -151,8 +151,8 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
     """Assemble the normalized bound state on branch n.
 
     When e is omitted the branch energy is located first.  The level
-    amplitudes come from the eigenvector of K(E) on that branch; the
-    continuum weight is the adaptive quadrature of |f|^2.
+    amplitudes c come from the eigenvector of K(E) on that branch; the
+    continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
     """
     bracket = (float("nan"), float("nan"))
     if e is None:
@@ -168,25 +168,13 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
     c_raw = point.vectors[:, idx]
 
     lam = model.coupling
-    factors = model.form_factors
-
-    def level_sum(w):
-        return sum(ci * f.value_scalar(w) for ci, f in zip(c_raw, factors))
-
-    def density(w):
-        amp = level_sum(w)
-        d = w - e
-        return lam * lam * (amp.real ** 2 + amp.imag ** 2) / (d * d)
-
-    split = 10.0 * model.max_scale()
-    continuum_raw, _ = integrate_semiinf(density, settings,
-                                         breakpoints=_factor_breakpoints(model),
-                                         split=split)
+    t = t_matrix(model, e, e, settings).entries
+    continuum_raw = lam * lam * float(np.vdot(c_raw, t @ c_raw).real)
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
     cont = continuum_raw / total_raw
 
-    def f_descriptor(w, _c=c, _e=e, _lam=lam, _factors=factors):
+    def f_descriptor(w, _c=c, _e=e, _lam=lam, _factors=model.form_factors):
         amp = sum(ci * f.value_scalar(w) for ci, f in zip(_c, _factors))
         return -_lam * amp / (w - _e)
 
@@ -235,7 +223,7 @@ def independence_analysis(model, e_ref, settings=None, *,
     return IndependenceReport(rank, sigma, e_ref, rank_tol)
 
 
-def positive_candidate_scan(model, e_grid, settings=None, pv=None):
+def positive_candidate_scan(model, e_grid, settings=None):
     """Scan E > 0 for crossings kappa_n(E) = E and report their defects.
 
     Returns PositiveCandidate records: branch, refined crossing energy, and
@@ -246,11 +234,11 @@ def positive_candidate_scan(model, e_grid, settings=None, pv=None):
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
     if np.any(grid <= 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
-    points = kappa_curve(model, grid, kind="D", settings=settings, pv=pv)
+    points = kappa_curve(model, grid, kind="D", settings=settings)
     gaps = np.array([p.kappa - p.e for p in points])
 
     def point_at(e):
-        return kappa_curve(model, [e], kind="D", settings=settings, pv=pv)[0]
+        return kappa_curve(model, [e], kind="D", settings=settings)[0]
 
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search

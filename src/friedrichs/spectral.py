@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import (DEFAULT_PV, DEFAULT_QUAD, LevelShiftMatrix, NumericalError,
-                   gram_matrix, pv_matrix)
+from .quad import LevelShiftMatrix, NumericalError, gram_matrix, pv_matrix
 
 __all__ = [
     "EigenCurvePoint", "LevelShiftMatrix", "DegeneracyError",
@@ -55,11 +54,17 @@ class EigenCurvePoint:
 
 
 def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
-    """diag(levels) - lambda^2 * shift, as a complex Hermitian array."""
+    """diag(levels) - lambda^2 * shift, as a complex Hermitian array.
+
+    Raises NumericalError when an entry is not finite (an overflowing shift).
+    """
     if shift.n != model.n_levels:
         raise ValueError("shift matrix size does not match the model")
     k = np.diag(model.level_array()).astype(complex)
-    k -= model.coupling ** 2 * shift.entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        k -= model.coupling ** 2 * shift.entries
+    if not np.isfinite(k).all():
+        raise NumericalError(f"K(E) has a non-finite entry at E = {shift.e}")
     return k
 
 
@@ -69,19 +74,17 @@ def eigh(k: np.ndarray, e: float = float("nan")) -> EigenCurvePoint:
     return EigenCurvePoint(float(e), kappa, vectors)
 
 
-def _shift_for(model, e, kind, settings, pv):
+def _shift_for(model, e, kind, settings):
     if kind == "auto":
         kind = "S" if e < 0.0 else "D"
     if kind == "S":
         return gram_matrix(model, e, settings)
     if kind == "D":
-        if e < 0.0:
-            raise ValueError("kind 'D' requires E >= 0")
-        return pv_matrix(model, e, settings, pv)
+        return pv_matrix(model, e, settings)
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def kappa_curve(model, e_grid, kind: str = "auto", settings=None, pv=None):
+def kappa_curve(model, e_grid, kind: str = "auto", settings=None):
     """Eigencurve points along an energy grid.
 
     kind "auto" picks the Gram matrix for E < 0 and the principal-value
@@ -90,7 +93,7 @@ def kappa_curve(model, e_grid, kind: str = "auto", settings=None, pv=None):
     """
     points = []
     for e in np.atleast_1d(np.asarray(e_grid, dtype=float)):
-        shift = _shift_for(model, float(e), kind, settings, pv)
+        shift = _shift_for(model, float(e), kind, settings)
         points.append(eigh(k_matrix(model, shift), float(e)))
     return points
 
@@ -114,7 +117,7 @@ def projector(point: EigenCurvePoint, n: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def projector_series(model, e, n, order, settings=None, pv=None, *,
+def projector_series(model, e, n, order, settings=None, *,
                      contour_nodes: int = 256, lambda_n: float | None = None) -> np.ndarray:
     """Perturbative projector onto the branch continuing from level n.
 
@@ -148,8 +151,7 @@ def projector_series(model, e, n, order, settings=None, pv=None, *,
             f"{lambda_n!r} for level {n}; the projector series may diverge",
             RuntimeWarning, stacklevel=2)
 
-    shift = pv_matrix(model, e, settings, pv) if e >= 0.0 else gram_matrix(model, e, settings)
-    d = shift.entries
+    d = _shift_for(model, e, "auto", settings).entries
     radius = gap / 3.0
     m = int(contour_nodes)
     phase = np.exp(2j * np.pi * np.arange(m) / m)

@@ -74,7 +74,7 @@ class ThresholdReport:
     notes: tuple = ()
 
 
-def _d_scan(model, settings, pv, grid_points):
+def _d_scan(model, settings, grid_points):
     """(sup ||D||, argmax, r_b, lambda_b, note) from one sampled spectrum.
 
     eigvalsh(D(E)) is stored on a log grid over [1e-6, 100] times the largest
@@ -89,7 +89,7 @@ def _d_scan(model, settings, pv, grid_points):
     grid = np.geomspace(1e-6 * scale, 100.0 * scale, int(grid_points))
 
     def eigs(e):
-        return np.linalg.eigvalsh(pv_matrix(model, e, settings, pv).entries)
+        return np.linalg.eigvalsh(pv_matrix(model, e, settings).entries)
 
     spectra = np.array([eigs(e) for e in grid])
 
@@ -117,9 +117,9 @@ def _d_scan(model, settings, pv, grid_points):
     return sup, e_star, r_b, math.sqrt(r_b / sup), None
 
 
-def sup_d_norm(model, settings=None, pv=None, *, grid_points: int = 600):
+def sup_d_norm(model, settings=None, *, grid_points: int = 600):
     """Supremum of ||D(E)|| over E >= 0 and its argmax (see _d_scan)."""
-    return _d_scan(model, settings, pv, grid_points)[:2]
+    return _d_scan(model, settings, grid_points)[:2]
 
 
 def _n_plus(levels) -> int:
@@ -147,13 +147,13 @@ def r_a(model) -> float:
     return float(radius)
 
 
-def r_b_lambda_b(model, settings=None, pv=None, *, grid_points: int = 600):
+def r_b_lambda_b(model, settings=None, *, grid_points: int = 600):
     """Edge r_b of the scanned region where D(E) >= 0, lambda_b =
     sqrt(r_b / sup ||D||) and a note on a truncated scan (see _d_scan)."""
-    return _d_scan(model, settings, pv, grid_points)[2:]
+    return _d_scan(model, settings, grid_points)[2:]
 
 
-def lambda_n(model, n, settings=None, pv=None, *, sup: float | None = None) -> float:
+def lambda_n(model, n, settings=None, *, sup: float | None = None) -> float:
     """Per-level threshold sqrt((min gap to other levels / 3) / sup ||D||)."""
     levels = model.level_array()
     if not 1 <= n <= levels.size:
@@ -165,7 +165,7 @@ def lambda_n(model, n, settings=None, pv=None, *, sup: float | None = None) -> f
     if gap == 0.0:
         raise HypothesisViolation(f"level {n} is degenerate")
     if sup is None:
-        sup, _ = sup_d_norm(model, settings, pv)
+        sup, _ = sup_d_norm(model, settings)
     return math.sqrt(gap / 3.0 / sup)
 
 
@@ -236,7 +236,7 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
     return math.sqrt(lam_bar_sq)
 
 
-def certificate(model, settings=None, pv=None, *,
+def certificate(model, settings=None, *,
                 grid_points: int = 600) -> ThresholdReport:
     """Full no-embedded-eigenvalue certificate for the model.
 
@@ -248,7 +248,7 @@ def certificate(model, settings=None, pv=None, *,
     notes = []
     levels = model.level_array()
     n_pos = _n_plus(levels)
-    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, settings, pv, grid_points)
+    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, settings, grid_points)
 
     try:
         radius_a = r_a(model)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -190,6 +191,11 @@ def test_bad_flags_exit_code(tmp_path):
 
 
 _BIG = 10 ** 400  # a JSON integer beyond double range
+# one level below the continuum, so any valid model has a bound state
+_ONE_LEVEL = {"levels": [-0.1], "lambda": 1,
+              "form_factors": [{"family": "rational", "n_index": 1}]}
+_HUGE_PREFACTOR = {"levels": [-0.1], "lambda": 1, "form_factors": [
+    {"family": "rational", "n_index": 1, "prefactor": 1e300}]}
 
 
 @pytest.mark.parametrize("preset,path,value", [
@@ -207,12 +213,18 @@ _BIG = 10 ** 400  # a JSON integer beyond double range
     ("hydrogen-4level", ("form_factors", 0, "index"), "2"),
     ("hydrogen-4level", ("form_factors", 0, "index"), True),
     ("three-level-fig", ("form_factors", 1, "n_index"), True),
+    (_ONE_LEVEL, ("form_factors", 0, "prefactor"), 1e200),
+    (_HUGE_PREFACTOR, ("form_factors", 0, "cutoff"), 1e300),
+    (_ONE_LEVEL, ("lambda",), 1e160),
 ], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index",
         "big-int-lambda", "big-int-level", "big-int-reference-cutoff",
         "big-int-cutoff", "big-int-lambda1", "big-int-n-index",
-        "fractional-index", "string-index", "bool-index", "bool-n-index"])
+        "fractional-index", "string-index", "bool-index", "bool-n-index",
+        "amplitude-sq-overflow", "amplitude-overflow", "coupling-sq-overflow"])
 def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
-    config = make_preset(preset).descriptor()
+    # preset: a preset name or a model description to start from
+    config = (make_preset(preset).descriptor() if isinstance(preset, str)
+              else copy.deepcopy(preset))
     *head, last = path
     node = config
     for key in head:
@@ -230,7 +242,10 @@ def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
     ["analyze", "--abs-tol", "nan"],
     ["oracle-check", "--grid", "5"],
     ["kappa-curves", "--e-max", "nan"],
-], ids=["zero-rel-tol", "nan-abs-tol", "tiny-grid", "nan-e-max"])
+    ["analyze", "--rel-tol", "inf"],
+    ["analyze", "--abs-tol", "inf"],
+], ids=["zero-rel-tol", "nan-abs-tol", "tiny-grid", "nan-e-max",
+        "inf-rel-tol", "inf-abs-tol"])
 def test_bad_number_exit_code(tmp_path, capsys, argv):
     rc = main(argv + ["--preset", "three-level-fig", "--out", str(tmp_path)])
     assert rc == 2

@@ -63,8 +63,6 @@ def test_discretize_grid_quality(three_level):
 def test_discretize_validation(three_level):
     with pytest.raises(ValueError):
         discretize(three_level, 5)
-    with pytest.raises(ValueError):
-        discretize(three_level, 100, rule="monte-carlo")
 
 
 def test_negative_eigensystem_matches_solver(three_level):

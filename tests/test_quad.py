@@ -5,18 +5,20 @@ import pytest
 
 from friedrichs import (
     FriedrichsModel,
-    PvSettings,
+    HydrogenFormFactor,
     QuadratureError,
     QuadratureSettings,
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
+    discretize,
     gram_matrix,
     integrate_semiinf,
     pv_integral,
     pv_matrix,
     t_matrix,
 )
+from friedrichs import quad
 from friedrichs.quad import bump
 
 from _references import (
@@ -91,17 +93,18 @@ def test_pv_with_exact_derivative():
     e = 0.5
     eta = lambda w: 1.0 / (1.0 + w * w)
     eta_prime = lambda w: -2.0 * w / (1.0 + w * w) ** 2
-    v, _ = pv_integral(eta, e, eta_at_e=eta(e), eta_prime_at_e=eta_prime(e))
+    v, _ = pv_integral(eta, e, eta_prime_at_e=eta_prime(e))
     assert v == pytest.approx(closed_form_pv_even(e), rel=1e-12)
 
 
-def test_pv_delta_independence():
+def test_pv_delta_independence(monkeypatch):
     # the bump is even and supported inside the integration range, so the
     # regularized value cannot depend on the chosen half-width
     e = 0.8
     eta = lambda w: w / (1.0 + w * w)
-    v1, _ = pv_integral(eta, e, pv=PvSettings(delta_cap=0.5))
-    v2, _ = pv_integral(eta, e, pv=PvSettings(delta_cap=0.05))
+    v1, _ = pv_integral(eta, e)
+    monkeypatch.setattr(quad, "_DELTA_CAP", 0.05)
+    v2, _ = pv_integral(eta, e)
     assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-13)
 
 
@@ -200,6 +203,33 @@ def test_pv_matrix_hermitian_complex_path():
     assert np.allclose(s.entries, s.entries.conj().T, atol=1e-12)
 
 
+def _complex_tabulated():
+    grid = np.linspace(0.25, 6.0, 60)
+    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+    return TabulatedFormFactor(grid, vals, tail_exponent=-1.5)
+
+
+@pytest.mark.parametrize("first,tol", [
+    (lambda: HydrogenFormFactor(1), 1e-12),
+    (_complex_tabulated, 1e-5),
+], ids=["hydrogen-rational", "tabulated-rational"])
+def test_gram_matrix_pair_phase_convention(first, tol):
+    # S_nm = sum_j w_j conj(v_n(w_j)) v_m(w_j) / (w_j - E) on the oracle's
+    # nodes; the hydrogen-rational pair has phase i, the tabulated one a
+    # varying phase, so a conjugate on the wrong factor shows up off the
+    # diagonal.  The tabulated kinks limit the node sum to about 1e-6
+    # (entries are O(0.1), so the bound is absolute).
+    model = FriedrichsModel((0.1, 0.3), 0.5, (first(), RationalFormFactor(2)),
+                            UnitSystem(1.0))
+    e = -0.5
+    ham = discretize(model, 2000)
+    vals = np.array([f.value(ham.nodes) for f in model.form_factors])
+    direct = (np.conj(vals) * (ham.weights / (ham.nodes - e))) @ vals.T
+    s = gram_matrix(model, e).entries
+    assert abs(s[0, 1].imag) > 0.1 * abs(s[0, 1])
+    assert np.abs(s - direct).max() <= tol
+
+
 def test_level_shift_matrix_norm(three_level):
     m = gram_matrix(three_level, -1.0)
     direct = np.linalg.norm(m.entries, 2)
@@ -211,4 +241,4 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=-1.0)
     with pytest.raises(ValueError):
-        PvSettings(delta_cap=0.0)
+        QuadratureSettings(abs_tol=math.inf)

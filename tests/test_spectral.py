@@ -3,6 +3,8 @@ import pytest
 
 from friedrichs import (
     DegeneracyError,
+    LevelShiftMatrix,
+    NumericalError,
     eigh,
     gram_matrix,
     k_matrix,
@@ -48,6 +50,14 @@ def test_k_matrix_structure(three_level):
     k = k_matrix(model, shift)
     want = np.diag(model.level_array()) - 0.49 * shift.entries
     assert np.allclose(k, want, rtol=1e-14)
+
+
+def test_k_matrix_rejects_infinite_shift(three_level):
+    shift = gram_matrix(three_level, -0.5)
+    entries = shift.entries.copy()
+    entries[0, 0] = np.inf
+    with pytest.raises(NumericalError):
+        k_matrix(three_level, LevelShiftMatrix(entries, -0.5, "S", shift.err))
 
 
 def test_kappa_curve_kinds(three_level):
