@@ -14,8 +14,8 @@ from .model import (ConfigError, FormFactor, FriedrichsModel,
                     l2_norm_sq, load_model, make_preset, model_digest,
                     model_from_dict, PRESETS, total_l2_norm_sq)
 from .quad import (LevelShiftMatrix, NumericalError, QuadratureError,
-                   QuadratureSettings, gram_matrix, integrate_semiinf,
-                   pv_integral, pv_matrix, t_matrix)
+                   gram_matrix, integrate_semiinf, pv_integral, pv_matrix,
+                   t_matrix)
 from .spectral import (DegeneracyError, EigenCurvePoint, eigh, k_matrix,
                        kappa_curve, projector, projector_series)
 from .solver import (BoundState, BracketError, CountResult,
@@ -38,8 +38,7 @@ __all__ = [
     "make_preset", "model_digest", "model_from_dict", "PRESETS",
     "total_l2_norm_sq",
     "LevelShiftMatrix", "NumericalError", "QuadratureError",
-    "QuadratureSettings", "gram_matrix", "integrate_semiinf", "pv_integral",
-    "pv_matrix", "t_matrix",
+    "gram_matrix", "integrate_semiinf", "pv_integral", "pv_matrix", "t_matrix",
     "DegeneracyError", "EigenCurvePoint", "eigh", "k_matrix", "kappa_curve",
     "projector", "projector_series",
     "BoundState", "BracketError", "CountResult", "IndependenceReport",

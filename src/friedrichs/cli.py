@@ -11,10 +11,10 @@ Five subcommands cover the analysis workflows:
   oracle-check   discretized-Hamiltonian convergence study (CSV)
 
 Every command takes --preset NAME or --model FILE, writes into --out, and
-accepts --lambda to override the coupling plus --rel-tol/--abs-tol for the
-quadrature.  Exit codes: 0 success, 2 configuration problem, 3 numerical
-failure.  Output files carry '#'-prefixed metadata (model hash, tolerances)
-and are byte-identical across reruns of the same command.
+accepts --lambda to override the coupling.  Exit codes: 0 success, 2
+configuration problem, 3 numerical failure.  Output files carry '#'-prefixed
+metadata (model hash, the fixed quadrature tolerances) and are
+byte-identical across reruns of the same command.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
-from .quad import NumericalError, QuadratureSettings, gram_matrix
+from .quad import _ABS_TOL, _REL_TOL, NumericalError, gram_matrix
 from .solver import CountResult, positive_candidate_scan, solve_model
 from .spectral import eigh, k_matrix, kappa_curve
 from .oracle import compare_negative_spectrum
@@ -43,10 +43,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.add_argument("--lambda", dest="coupling", type=float, default=None,
                    help="override the coupling constant")
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="quadrature relative tolerance")
-    p.add_argument("--abs-tol", type=float, default=None,
-                   help="quadrature absolute tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,24 +88,14 @@ def _load(args) -> FriedrichsModel:
     return model
 
 
-def _settings(args) -> QuadratureSettings:
-    base = QuadratureSettings()
-    rel = base.rel_tol if args.rel_tol is None else args.rel_tol
-    abs_ = base.abs_tol if args.abs_tol is None else args.abs_tol
-    try:
-        return QuadratureSettings(rel_tol=rel, abs_tol=abs_)
-    except ValueError as exc:
-        raise ConfigError(f"--rel-tol/--abs-tol: {exc}") from exc
-
-
-def _metadata(args, model, settings) -> list:
+def _metadata(args, model) -> list:
     src = f"preset: {args.preset}" if args.preset else f"model-file: {args.model}"
     return [
         f"friedrichs {__version__}",
         src,
         f"model-hash: {model_digest(model)}",
         f"coupling: {_FMT.format(model.coupling)}",
-        f"rel-tol: {settings.rel_tol:g} abs-tol: {settings.abs_tol:g}",
+        f"rel-tol: {_REL_TOL:g} abs-tol: {_ABS_TOL:g}",
     ]
 
 
@@ -138,11 +124,10 @@ def _csv(header, metadata, rows) -> str:
 
 def cmd_analyze(args) -> int:
     model = _load(args)
-    settings = _settings(args)
-    report = solve_model(model, settings)
+    report = solve_model(model)
     out = _outdir(args)
     lines = ["schema: friedrichs-analyze-v1"]
-    lines += [f"# {m}" for m in _metadata(args, model, settings)]
+    lines += [f"# {m}" for m in _metadata(args, model)]
     lines.append(f"levels: {' '.join(_FMT.format(w) for w in model.levels)}")
     lines.append(f"count: {report.count}")
     lines.append("kappa_at_zero: "
@@ -167,7 +152,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     model = _load(args)
-    settings = _settings(args)
     if not (0 < args.lambda_min <= args.lambda_max):
         raise ConfigError("need 0 < --lambda-min <= --lambda-max")
     if args.lambda_steps < 1:
@@ -176,7 +160,7 @@ def cmd_sweep_lambda(args) -> int:
             if args.lambda_steps > 1 else np.array([args.lambda_min]))
     # kappa(0) depends on lambda only through the prefactor of S(0), so one
     # Gram matrix serves the whole sweep
-    s0 = gram_matrix(model, 0.0, settings)
+    s0 = gram_matrix(model, 0.0)
     top = model.levels[-1]
     n = model.n_levels
     rows = []
@@ -187,14 +171,13 @@ def cmd_sweep_lambda(args) -> int:
         rows.append(row)
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]
     out = _outdir(args)
-    _write(out / "sweep_lambda.csv", _csv(header, _metadata(args, model, settings), rows))
+    _write(out / "sweep_lambda.csv", _csv(header, _metadata(args, model), rows))
     sys.stdout.write(f"wrote {out / 'sweep_lambda.csv'} ({len(rows)} rows)\n")
     return 0
 
 
 def cmd_kappa_curves(args) -> int:
     model = _load(args)
-    settings = _settings(args)
     if args.e_steps < 2 or not -np.inf < args.e_min < args.e_max < np.inf:
         raise ConfigError("need finite --e-min < --e-max and --e-steps >= 2")
     grid = np.linspace(args.e_min, args.e_max, args.e_steps)
@@ -202,7 +185,7 @@ def cmd_kappa_curves(args) -> int:
         raise ConfigError("kind 'S' needs a nonpositive energy grid")
     if args.kind == "D" and grid[0] < 0:
         raise ConfigError("kind 'D' needs a nonnegative energy grid")
-    points = kappa_curve(model, grid, kind=args.kind, settings=settings)
+    points = kappa_curve(model, grid, kind=args.kind)
     n, top = model.n_levels, model.levels[-1]
     header = (["E"] + [f"kappa_{i}" for i in range(1, n + 1)]
               + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])
@@ -210,23 +193,23 @@ def cmd_kappa_curves(args) -> int:
             for p in points]
     out = _outdir(args)
     _write(out / "kappa_curves.csv",
-           _csv(header, _metadata(args, model, settings), rows))
+           _csv(header, _metadata(args, model), rows))
 
     # sidecar: diagonal intersections, bound states on the negative side and
     # embedded candidates with their defects on the positive side
     rows = []
     if grid[0] < 0.0:
-        report = solve_model(model, settings)
+        report = solve_model(model)
         for st in report.states:
             rows.append([str(st.branch_index), _FMT.format(st.energy), "bound", ""])
     pos = grid[grid > 0.0]
     if pos.size >= 2:
-        for cand in positive_candidate_scan(model, pos, settings):
+        for cand in positive_candidate_scan(model, pos):
             rows.append([str(cand.branch_index), _FMT.format(cand.energy),
                          "candidate", _FMT.format(cand.zero_defect)])
     header = ["branch", "energy", "kind", "zero_defect"]
     _write(out / "kappa_curves_intersections.csv",
-           _csv(header, _metadata(args, model, settings), rows))
+           _csv(header, _metadata(args, model), rows))
     sys.stdout.write(f"wrote {out / 'kappa_curves.csv'} and intersections "
                      f"({len(rows)} found)\n")
     return 0
@@ -234,11 +217,10 @@ def cmd_kappa_curves(args) -> int:
 
 def cmd_thresholds(args) -> int:
     model = _load(args)
-    settings = _settings(args)
-    rep = certificate(model, settings)
+    rep = certificate(model)
     out = _outdir(args)
     lines = ["schema: friedrichs-thresholds-v1"]
-    lines += [f"# {m}" for m in _metadata(args, model, settings)]
+    lines += [f"# {m}" for m in _metadata(args, model)]
     lines.append(f"sup_d_norm: {_FMT.format(rep.sup_d_norm)}")
     lines.append(f"sup_d_argmax: {_FMT.format(rep.sup_d_argmax)}")
     lines.append(f"r_a: {_FMT.format(rep.r_a)}")
@@ -267,18 +249,17 @@ def cmd_thresholds(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     model = _load(args)
-    settings = _settings(args)
     try:
         schedule = [int(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --grid list: {exc}") from exc
     if not schedule or min(schedule) < 10:
         raise ConfigError("--grid must name at least one size, each >= 10")
-    table = compare_negative_spectrum(model, schedule, settings)
+    table = compare_negative_spectrum(model, schedule)
     k = len(table.solver_energies)
     header = (["m", "count"] + [f"e_{i}" for i in range(1, k + 1)]
               + [f"delta_{i}" for i in range(1, k + 1)])
-    meta = _metadata(args, model, _settings(args))
+    meta = _metadata(args, model)
     meta.append("solver-energies: "
                 + " ".join(_FMT.format(e) for e in table.solver_energies))
     meta.append(f"solver-count: {table.solver_count}")

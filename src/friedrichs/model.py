@@ -476,20 +476,20 @@ def eval_form_factor(model: FriedrichsModel, n: int, omega) -> complex:
     return model.form_factors[n - 1].value(omega)
 
 
-def l2_norm_sq(model: FriedrichsModel, n: int, settings=None) -> float:
+def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
     """Integral of |v_n|^2 over the half line."""
     from .quad import integrate_semiinf
 
     if not 1 <= n <= model.n_levels:
         raise ValueError(f"level index {n} outside 1..{model.n_levels}")
     f = model.form_factors[n - 1]
-    value, _ = integrate_semiinf(f.mod_sq_scalar, settings, breakpoints=f.breakpoints(),
+    value, _ = integrate_semiinf(f.mod_sq_scalar, breakpoints=f.breakpoints(),
                                  split=10.0 * f.scale)
     return value
 
 
-def total_l2_norm_sq(model: FriedrichsModel, settings=None) -> float:
-    return sum(l2_norm_sq(model, n, settings) for n in range(1, model.n_levels + 1))
+def total_l2_norm_sq(model: FriedrichsModel) -> float:
+    return sum(l2_norm_sq(model, n) for n in range(1, model.n_levels + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +563,8 @@ def load_model(path) -> FriedrichsModel:
     """Read a model from a JSON config file.
 
     Expected keys: reference_cutoff (optional), levels, lambda,
-    form_factors (list of family descriptors).  Quadrature tolerances come
-    from the command line, not from the file.
+    form_factors (list of family descriptors).  The quadrature tolerances
+    are fixed, not read from the file.
     """
     try:
         with open(path) as fh:

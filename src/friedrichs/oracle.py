@@ -32,6 +32,9 @@ from .solver import solve_model
 __all__ = ["GridSpec", "DiscretizedHamiltonian", "ConvergenceRow",
            "ConvergenceTable", "discretize", "compare_negative_spectrum"]
 
+# eigenvalues at or above -_GAP_TOL count as continuum, not bound states
+_GAP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -56,19 +59,19 @@ class DiscretizedHamiltonian:
     def dimension(self) -> int:
         return self.h.shape[0]
 
-    def negative_eigenvalues(self, gap_tol: float = 1e-8) -> np.ndarray:
-        """Eigenvalues below -gap_tol, ascending."""
+    def negative_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues below -_GAP_TOL, ascending."""
         return scipy.linalg.eigh(self.h, eigvals_only=True,
-                                 subset_by_value=(-np.inf, -gap_tol))
+                                 subset_by_value=(-np.inf, -_GAP_TOL))
 
-    def negative_eigensystem(self, gap_tol: float = 1e-8):
-        """Eigenpairs below -gap_tol; returns (values, level-block vectors).
+    def negative_eigensystem(self):
+        """Eigenpairs below -_GAP_TOL; returns (values, level-block vectors).
 
         The level-block columns are renormalized to unit length so they can
         be compared directly with solver amplitudes.
         """
         vals, vecs = scipy.linalg.eigh(self.h,
-                                       subset_by_value=(-np.inf, -gap_tol))
+                                       subset_by_value=(-np.inf, -_GAP_TOL))
         blocks = vecs[:self.n_levels, :]
         norms = np.linalg.norm(blocks, axis=0)
         norms[norms == 0.0] = 1.0
@@ -114,19 +117,17 @@ def from_arrays(levels, coupling, factor_values, nodes, weights) -> DiscretizedH
     return DiscretizedHamiltonian(h, nodes, weights, n, spec)
 
 
-def discretize(model, m: int, omega_max: float | None = None) -> DiscretizedHamiltonian:
+def discretize(model, m: int) -> DiscretizedHamiltonian:
     """Discretize the continuum with about m nodes.
 
     Composite Gauss-Legendre panels cover [0, omega_max] on geometric edges,
-    plus a mapped tail omega = omega_max + t/(1-t) carrying a small share of
-    the nodes.  The actual node count lands within a few percent of m.
+    with omega_max 20 times the widest form factor, plus a mapped tail
+    omega = omega_max + t/(1-t) carrying a small share of the nodes.  The
+    actual node count lands within a few percent of m.
     """
     if m < 10:
         raise ValueError("need at least 10 grid points")
-    scale = model.max_scale()
-    if omega_max is None:
-        omega_max = 20.0 * scale
-    omega_max = float(omega_max)
+    omega_max = 20.0 * model.max_scale()
 
     positive = [abs(w) for w in model.levels if w != 0.0]
     s_ref = min([f.scale for f in model.form_factors] + positive + [omega_max])
@@ -181,13 +182,10 @@ class ConvergenceTable:
     rows: tuple
     solver_count: int
     solver_energies: tuple
-    gap_tol: float
     non_cauchy: bool
 
 
-def compare_negative_spectrum(model, m_schedule, settings=None, *,
-                              gap_tol: float = 1e-8,
-                              omega_max: float | None = None) -> ConvergenceTable:
+def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     """Discrete negative spectra along a grid schedule, against the solver.
 
     Each row records the count, the energies, and (when the counts agree)
@@ -195,14 +193,13 @@ def compare_negative_spectrum(model, m_schedule, settings=None, *,
     that grow between consecutive grids raise the non_cauchy flag; a clean
     refinement study should shrink monotonically.
     """
-    report = solve_model(model, settings)
+    report = solve_model(model)
     solver_e = tuple(s.energy for s in report.states)
     rows = []
     prev = None
     non_cauchy = False
     for m in m_schedule:
-        disc = discretize(model, int(m), omega_max)
-        vals = disc.negative_eigenvalues(gap_tol)
+        vals = discretize(model, int(m)).negative_eigenvalues()
         count = int(vals.size)
         if count == len(solver_e):
             deltas = tuple(abs(float(v) - e) for v, e in zip(vals, solver_e))
@@ -217,5 +214,4 @@ def compare_negative_spectrum(model, m_schedule, settings=None, *,
             prev = deltas
         rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals),
                                    deltas))
-    return ConvergenceTable(tuple(rows), report.count, solver_e, gap_tol,
-                            non_cauchy)
+    return ConvergenceTable(tuple(rows), report.count, solver_e, non_cauchy)

@@ -38,8 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad as _quadpack
 
+from .model import ConfigError
+
 __all__ = [
-    "QuadratureSettings", "LevelShiftMatrix",
+    "LevelShiftMatrix",
     "NumericalError", "QuadratureError",
     "integrate_semiinf", "pv_integral", "gram_matrix", "t_matrix", "pv_matrix",
 ]
@@ -53,25 +55,15 @@ class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge within its subdivision budget."""
 
 
-# QUADPACK subdivision budget per interval
+# QUADPACK accuracy contract (recorded in every CLI output's metadata) and
+# subdivision budget per interval
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-13
 _MAX_SUBDIVISIONS = 2000
 # principal value: bump half width min(E/2, _DELTA_CAP), and the half width
 # (relative to max(E, 1)) of the window around w = E patched by eta'(E)
 _DELTA_CAP = 0.5
 _ANALYTIC_WINDOW = 1e-8
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("quadrature tolerances must be finite and positive")
-
-
-DEFAULT_QUAD = QuadratureSettings()
 
 
 @dataclass(frozen=True)
@@ -109,8 +101,8 @@ def bump(y, delta):
     return out if out.ndim else float(out)
 
 
-def _run_quadpack(f, a, b, settings, points):
-    kwargs = dict(epsabs=settings.abs_tol, epsrel=settings.rel_tol,
+def _run_quadpack(f, a, b, points):
+    kwargs = dict(epsabs=_ABS_TOL, epsrel=_REL_TOL,
                   limit=_MAX_SUBDIVISIONS, full_output=1)
     if points:
         kwargs["points"] = points
@@ -120,7 +112,7 @@ def _run_quadpack(f, a, b, settings, points):
         # QUADPACK flagged trouble; accept only if the reported error still
         # meets the contract with some slack (benign roundoff flags happen
         # at very tight tolerances).
-        tol = 10.0 * max(settings.abs_tol, settings.rel_tol * abs(value))
+        tol = 10.0 * max(_ABS_TOL, _REL_TOL * abs(value))
         if not (abserr <= tol):
             raise QuadratureError(
                 f"integral did not converge on [{a}, {b}]: {res[3]} "
@@ -128,8 +120,7 @@ def _run_quadpack(f, a, b, settings, points):
     return value, abserr
 
 
-def integrate_semiinf(f, settings=None, *, breakpoints=(), split=10.0,
-                      complex_valued=False):
+def integrate_semiinf(f, *, breakpoints=(), split=10.0, complex_valued=False):
     """Integrate f over [0, infinity).
 
     The direct piece covers [0, split] with QUADPACK and the given interior
@@ -139,12 +130,11 @@ def integrate_semiinf(f, settings=None, *, breakpoints=(), split=10.0,
     piece fails to converge within the subdivision budget.
     """
     if complex_valued:
-        re, ere = integrate_semiinf(lambda w: f(w).real, settings,
+        re, ere = integrate_semiinf(lambda w: f(w).real,
                                     breakpoints=breakpoints, split=split)
-        im, eim = integrate_semiinf(lambda w: f(w).imag, settings,
+        im, eim = integrate_semiinf(lambda w: f(w).imag,
                                     breakpoints=breakpoints, split=split)
         return complex(re, im), ere + eim
-    settings = settings or DEFAULT_QUAD
     split = float(split)
     if not (split > 0.0 and math.isfinite(split)):
         raise ValueError("split must be positive and finite")
@@ -156,12 +146,12 @@ def integrate_semiinf(f, settings=None, *, breakpoints=(), split=10.0,
         r = 1.0 / (1.0 - t)
         return f(split + t * r) * r * r
 
-    main, emain = _run_quadpack(f, 0.0, split, settings, pts)
-    tval, etail = _run_quadpack(tail, 0.0, 1.0, settings, None)
+    main, emain = _run_quadpack(f, 0.0, split, pts)
+    tval, etail = _run_quadpack(tail, 0.0, 1.0, None)
     return main + tval, emain + etail
 
 
-def pv_integral(eta, e, settings=None, *, eta_prime_at_e=None, split=10.0,
+def pv_integral(eta, e, *, eta_prime_at_e=None, split=10.0,
                 extra_breakpoints=(), complex_valued=False):
     """Principal value of integral eta(w)/(w - e) dw over [0, infinity), e > 0.
 
@@ -192,8 +182,8 @@ def pv_integral(eta, e, settings=None, *, eta_prime_at_e=None, split=10.0,
 
     split_eff = max(split, 2.0 * (e + delta))
     pts = [e - delta, e, e + delta, *extra_breakpoints]
-    return integrate_semiinf(integrand, settings, breakpoints=pts,
-                             split=split_eff, complex_valued=complex_valued)
+    return integrate_semiinf(integrand, breakpoints=pts, split=split_eff,
+                             complex_valued=complex_valued)
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +237,26 @@ def _check_below_threshold(model, e, op):
     if e == 0.0:
         for k, f in enumerate(model.form_factors, start=1):
             if not f.p_exponent > 0.0:
-                raise ValueError(
+                raise ConfigError(
                     f"{op} at E = 0 needs a positive threshold exponent, "
                     f"form factor {k} has p = {f.p_exponent}")
 
 
-def gram_matrix(model, e, settings=None) -> LevelShiftMatrix:
+def gram_matrix(model, e) -> LevelShiftMatrix:
     """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0)."""
     e = float(e)
     _check_below_threshold(model, e, "gram_matrix")
     split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
     def integral(a, b, da, db, complex_valued):
-        return integrate_semiinf(lambda w: a(w) * b(w) / (w - e), settings,
+        return integrate_semiinf(lambda w: a(w) * b(w) / (w - e),
                                  breakpoints=pts, split=split,
                                  complex_valued=complex_valued)
 
     return _level_shift(model, "S", e, integral)
 
 
-def t_matrix(model, e, e2, settings=None) -> LevelShiftMatrix:
+def t_matrix(model, e, e2) -> LevelShiftMatrix:
     """Difference-kernel matrix T(E, E') with kernel 1/((w-E)(w-E')).
 
     Satisfies S(E) - S(E') = (E - E') T(E, E'); at E' = E it equals dS/dE.
@@ -279,13 +269,13 @@ def t_matrix(model, e, e2, settings=None) -> LevelShiftMatrix:
 
     def integral(a, b, da, db, complex_valued):
         return integrate_semiinf(lambda w: a(w) * b(w) / ((w - e) * (w - e2)),
-                                 settings, breakpoints=pts, split=split,
+                                 breakpoints=pts, split=split,
                                  complex_valued=complex_valued)
 
     return _level_shift(model, "T", e, integral, e2)
 
 
-def pv_matrix(model, e, settings=None) -> LevelShiftMatrix:
+def pv_matrix(model, e) -> LevelShiftMatrix:
     """Principal-value matrix D(E) for E >= 0.
 
     D(0) coincides with S(0).  For E > 0 each entry uses the bump-regularized
@@ -297,13 +287,13 @@ def pv_matrix(model, e, settings=None) -> LevelShiftMatrix:
     if e < 0.0:
         raise ValueError(f"pv_matrix requires E >= 0, got E = {e}")
     if e == 0.0:
-        s = gram_matrix(model, 0.0, settings)
+        s = gram_matrix(model, 0.0)
         return LevelShiftMatrix(s.entries, 0.0, "D", s.err)
     split, pts = max(10.0 * model.max_scale(), 2.0 * e + 1.0), _factor_breakpoints(model)
 
     def integral(a, b, da, db, complex_valued):
         eta_p = None if da is None else da(e) * b(e) + a(e) * db(e)
-        return pv_integral(lambda w: a(w) * b(w), e, settings, eta_prime_at_e=eta_p,
+        return pv_integral(lambda w: a(w) * b(w), e, eta_prime_at_e=eta_p,
                            split=split, extra_breakpoints=pts,
                            complex_valued=complex_valued)
 

@@ -33,6 +33,12 @@ __all__ = [
     "independence_analysis", "positive_candidate_scan",
 ]
 
+# |kappa_n(0)| at or below this is indeterminate (neither counted nor ruled
+# out), and a bound-state root search stops once its bracket is narrower
+# than _ROOT_TOL
+_TOL_ZERO = 1e-12
+_ROOT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -41,15 +47,15 @@ class CountResult:
     indeterminate: tuple = ()
 
     @classmethod
-    def from_kappa(cls, kappa, tol_zero: float = 1e-12) -> "CountResult":
-        """Count the branches with kappa_n(0) < -tol_zero.
+    def from_kappa(cls, kappa) -> "CountResult":
+        """Count the branches with kappa_n(0) < -_TOL_ZERO.
 
-        Branches with |kappa_n(0)| <= tol_zero are flagged indeterminate and
+        Branches with |kappa_n(0)| <= _TOL_ZERO are flagged indeterminate and
         not counted; they sit within numerical resolution of the continuum
         edge.
         """
-        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= tol_zero)[0])
-        return cls(int(np.count_nonzero(kappa < -tol_zero)), kappa, indeterminate)
+        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= _TOL_ZERO)[0])
+        return cls(int(np.count_nonzero(kappa < -_TOL_ZERO)), kappa, indeterminate)
 
 
 @dataclass(frozen=True)
@@ -109,45 +115,45 @@ class PositiveCandidate:
     zero_defect: float
 
 
-def count_negative(model, settings=None, tol_zero: float = 1e-12) -> CountResult:
+def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    point = eigh(k_matrix(model, gram_matrix(model, 0.0, settings)), 0.0)
-    return CountResult.from_kappa(point.kappa, tol_zero)
+    point = eigh(k_matrix(model, gram_matrix(model, 0.0)), 0.0)
+    return CountResult.from_kappa(point.kappa)
 
 
-def _branch_gap(model, e, n, settings):
+def _branch_gap(model, e, n):
     """kappa_n(E) - E, the root objective for branch n (1-based)."""
-    point = eigh(k_matrix(model, gram_matrix(model, e, settings)), e)
+    point = eigh(k_matrix(model, gram_matrix(model, e)), e)
     return float(point.kappa[n - 1]) - e
 
 
-def _find_root_bracketed(model, n, settings, tol):
+def _find_root_bracketed(model, n):
     # kappa_n >= omega_1 - lambda^2 tr S(E) and tr S(E) <= sum_n l2 / |E|
     # make this seed a guaranteed positive end once |E_lo| >= 1.
     lam_sq = model.coupling ** 2
-    e_lo = min(model.levels[0], 0.0) - 1.0 - lam_sq * total_l2_norm_sq(model, settings)
-    gap = np.vectorize(lambda e: _branch_gap(model, e, n, settings), otypes=[float])
+    e_lo = min(model.levels[0], 0.0) - 1.0 - lam_sq * total_l2_norm_sq(model)
+    gap = np.vectorize(lambda e: _branch_gap(model, e, n), otypes=[float])
     res = bracketed_root(gap, e_lo, 0.0, what=f"branch {n}, kappa_{n}(E) - E",
-                         xatol=tol, xrtol=0.0)
+                         xatol=_ROOT_TOL, xrtol=0.0)
     if not res.x < 0.0:
         raise BracketError(f"branch {n} touches the diagonal at E = 0")
     return float(res.x), (float(res.bracket[0]), float(res.bracket[1]))
 
 
-def find_root(model, n, settings=None, *, tol: float = 1e-12) -> float:
+def find_root(model, n) -> float:
     """Bound-state energy on branch n (1-based).
 
     Chandrupatla's bracketing method on kappa_n(E) - E over the bracket
     [min(omega_1, 0) - 1 - lambda^2 sum_n |v_n|^2, 0], whose left end is
     provably above the diagonal; converges once the bracket is narrower
-    than tol.
+    than 1e-12.
     """
-    root, _ = _find_root_bracketed(model, n, settings, tol)
+    root, _ = _find_root_bracketed(model, n)
     return root
 
 
-def bound_state(model, n, e=None, settings=None) -> BoundState:
+def bound_state(model, n, e=None) -> BoundState:
     """Assemble the normalized bound state on branch n.
 
     When e is omitted the branch energy is located first.  The level
@@ -156,11 +162,11 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
     """
     bracket = (float("nan"), float("nan"))
     if e is None:
-        e, bracket = _find_root_bracketed(model, n, settings, 1e-12)
+        e, bracket = _find_root_bracketed(model, n)
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
-    point = eigh(k_matrix(model, gram_matrix(model, e, settings)), e)
+    point = eigh(k_matrix(model, gram_matrix(model, e)), e)
     idx = n - 1
     scale = max(point.operator_norm(), 1e-300)
     partners = tuple(int(m) + 1 for m in range(point.n)
@@ -168,7 +174,7 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
     c_raw = point.vectors[:, idx]
 
     lam = model.coupling
-    t = t_matrix(model, e, e, settings).entries
+    t = t_matrix(model, e, e).entries
     continuum_raw = lam * lam * float(np.vdot(c_raw, t @ c_raw).real)
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
@@ -182,13 +188,10 @@ def bound_state(model, n, e=None, settings=None) -> BoundState:
                       n, bracket, partners)
 
 
-def residual(model, state: BoundState, settings=None) -> float:
-    """Norm of (K(E) - E) c, recomputed from scratch at the state's energy.
-
-    Useful with independent (typically tighter) quadrature settings as an
-    end-to-end consistency check of a solved state.
-    """
-    k = k_matrix(model, gram_matrix(model, state.energy, settings))
+def residual(model, state: BoundState) -> float:
+    """Norm of (K(E) - E) c, recomputed from scratch at the state's energy:
+    an end-to-end consistency check of a solved state."""
+    k = k_matrix(model, gram_matrix(model, state.energy))
     c = state.c
     nrm = np.linalg.norm(c)
     if nrm == 0.0:
@@ -196,34 +199,27 @@ def residual(model, state: BoundState, settings=None) -> float:
     return float(np.linalg.norm(k @ c - state.energy * c) / nrm)
 
 
-def solve_model(model, settings=None, *, with_states: bool = True) -> SolveReport:
-    """Count and (optionally) solve every bound state of the model."""
-    counted = count_negative(model, settings)
-    states = []
-    brackets = []
-    if with_states:
-        for n in range(1, counted.count + 1):
-            st = bound_state(model, n, None, settings)
-            states.append(st)
-            brackets.append(st.bracket)
-    return SolveReport(counted.count, tuple(states), counted.kappa_at_zero,
-                       tuple(brackets), counted.indeterminate)
+def solve_model(model) -> SolveReport:
+    """Count and solve every bound state of the model."""
+    counted = count_negative(model)
+    states = tuple(bound_state(model, n) for n in range(1, counted.count + 1))
+    return SolveReport(counted.count, states, counted.kappa_at_zero,
+                       tuple(st.bracket for st in states), counted.indeterminate)
 
 
-def independence_analysis(model, e_ref, settings=None, *,
-                          rank_tol: float = 1e-10) -> IndependenceReport:
+def independence_analysis(model, e_ref, *, rank_tol: float = 1e-10) -> IndependenceReport:
     """Numerical rank of the Gram matrix at a reference energy E_ref < 0."""
     e_ref = float(e_ref)
     if e_ref >= 0.0:
         raise ValueError("independence analysis needs E_ref < 0")
-    s = gram_matrix(model, e_ref, settings)
+    s = gram_matrix(model, e_ref)
     sigma = np.linalg.eigvalsh(s.entries)
     top = float(sigma[-1]) if sigma.size else 0.0
     rank = int(np.count_nonzero(sigma > rank_tol * max(top, 0.0)))
     return IndependenceReport(rank, sigma, e_ref, rank_tol)
 
 
-def positive_candidate_scan(model, e_grid, settings=None):
+def positive_candidate_scan(model, e_grid):
     """Scan E > 0 for crossings kappa_n(E) = E and report their defects.
 
     Returns PositiveCandidate records: branch, refined crossing energy, and
@@ -234,11 +230,11 @@ def positive_candidate_scan(model, e_grid, settings=None):
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
     if np.any(grid <= 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
-    points = kappa_curve(model, grid, kind="D", settings=settings)
+    points = kappa_curve(model, grid, kind="D")
     gaps = np.array([p.kappa - p.e for p in points])
 
     def point_at(e):
-        return kappa_curve(model, [e], kind="D", settings=settings)[0]
+        return kappa_curve(model, [e], kind="D")[0]
 
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search

@@ -74,17 +74,17 @@ def eigh(k: np.ndarray, e: float = float("nan")) -> EigenCurvePoint:
     return EigenCurvePoint(float(e), kappa, vectors)
 
 
-def _shift_for(model, e, kind, settings):
+def _shift_for(model, e, kind):
     if kind == "auto":
         kind = "S" if e < 0.0 else "D"
     if kind == "S":
-        return gram_matrix(model, e, settings)
+        return gram_matrix(model, e)
     if kind == "D":
-        return pv_matrix(model, e, settings)
+        return pv_matrix(model, e)
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
-def kappa_curve(model, e_grid, kind: str = "auto", settings=None):
+def kappa_curve(model, e_grid, kind: str = "auto"):
     """Eigencurve points along an energy grid.
 
     kind "auto" picks the Gram matrix for E < 0 and the principal-value
@@ -93,7 +93,7 @@ def kappa_curve(model, e_grid, kind: str = "auto", settings=None):
     """
     points = []
     for e in np.atleast_1d(np.asarray(e_grid, dtype=float)):
-        shift = _shift_for(model, float(e), kind, settings)
+        shift = _shift_for(model, float(e), kind)
         points.append(eigh(k_matrix(model, shift), float(e)))
     return points
 
@@ -117,8 +117,8 @@ def projector(point: EigenCurvePoint, n: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def projector_series(model, e, n, order, settings=None, *,
-                     contour_nodes: int = 256, lambda_n: float | None = None) -> np.ndarray:
+def projector_series(model, e, n, order, *, contour_nodes: int = 256,
+                     lambda_n: float | None = None) -> np.ndarray:
     """Perturbative projector onto the branch continuing from level n.
 
     Sums the resolvent contour series through the given order in lambda^2:
@@ -151,7 +151,7 @@ def projector_series(model, e, n, order, settings=None, *,
             f"{lambda_n!r} for level {n}; the projector series may diverge",
             RuntimeWarning, stacklevel=2)
 
-    d = _shift_for(model, e, "auto", settings).entries
+    d = _shift_for(model, e, "auto").entries
     radius = gap / 3.0
     m = int(contour_nodes)
     phase = np.exp(2j * np.pi * np.arange(m) / m)

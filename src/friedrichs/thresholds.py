@@ -74,7 +74,7 @@ class ThresholdReport:
     notes: tuple = ()
 
 
-def _d_scan(model, settings, grid_points):
+def _d_scan(model, grid_points):
     """(sup ||D||, argmax, r_b, lambda_b, note) from one sampled spectrum.
 
     eigvalsh(D(E)) is stored on a log grid over [1e-6, 100] times the largest
@@ -85,11 +85,13 @@ def _d_scan(model, settings, grid_points):
     ||D||: the top grid energy if no sample drops below, 0 if the first one
     does (each with a note).
     """
+    # ||D(0)|| = ||S(0)|| first: a model without S(0) fails before the scan
+    at_zero = gram_matrix(model, 0.0).norm()
     scale = model.max_scale()
     grid = np.geomspace(1e-6 * scale, 100.0 * scale, int(grid_points))
 
     def eigs(e):
-        return np.linalg.eigvalsh(pv_matrix(model, e, settings).entries)
+        return np.linalg.eigvalsh(pv_matrix(model, e).entries)
 
     spectra = np.array([eigs(e) for e in grid])
 
@@ -97,7 +99,6 @@ def _d_scan(model, settings, grid_points):
     t, sup = grid_max(norm_at, np.log(grid), np.abs(spectra).max(axis=1),
                       what="sup ||D(E)||", xatol=1e-4)
     e_star = math.exp(t)
-    at_zero = gram_matrix(model, 0.0, settings).norm()
     if at_zero > sup:
         sup, e_star = at_zero, 0.0
 
@@ -117,9 +118,9 @@ def _d_scan(model, settings, grid_points):
     return sup, e_star, r_b, math.sqrt(r_b / sup), None
 
 
-def sup_d_norm(model, settings=None, *, grid_points: int = 600):
+def sup_d_norm(model, *, grid_points: int = 600):
     """Supremum of ||D(E)|| over E >= 0 and its argmax (see _d_scan)."""
-    return _d_scan(model, settings, grid_points)[:2]
+    return _d_scan(model, grid_points)[:2]
 
 
 def _n_plus(levels) -> int:
@@ -147,13 +148,13 @@ def r_a(model) -> float:
     return float(radius)
 
 
-def r_b_lambda_b(model, settings=None, *, grid_points: int = 600):
+def r_b_lambda_b(model, *, grid_points: int = 600):
     """Edge r_b of the scanned region where D(E) >= 0, lambda_b =
     sqrt(r_b / sup ||D||) and a note on a truncated scan (see _d_scan)."""
-    return _d_scan(model, settings, grid_points)[2:]
+    return _d_scan(model, grid_points)[2:]
 
 
-def lambda_n(model, n, settings=None, *, sup: float | None = None) -> float:
+def lambda_n(model, n, *, sup: float | None = None) -> float:
     """Per-level threshold sqrt((min gap to other levels / 3) / sup ||D||)."""
     levels = model.level_array()
     if not 1 <= n <= levels.size:
@@ -165,7 +166,7 @@ def lambda_n(model, n, settings=None, *, sup: float | None = None) -> float:
     if gap == 0.0:
         raise HypothesisViolation(f"level {n} is degenerate")
     if sup is None:
-        sup, _ = sup_d_norm(model, settings)
+        sup, _ = sup_d_norm(model)
     return math.sqrt(gap / 3.0 / sup)
 
 
@@ -183,7 +184,7 @@ def _sup_mod_sq_window(factor, lo, hi) -> float:
                     what="sup |v|^2", xrtol=1e-8)[1]
 
 
-def alpha_beta_gamma(model, n, *, r_a_value: float | None = None):
+def alpha_beta_gamma(model, n):
     """The three local certificate constants for level n (1-based).
 
     alpha is the channel weight |v_n(omega_n)|^2, beta the maximal drift
@@ -209,7 +210,7 @@ def alpha_beta_gamma(model, n, *, r_a_value: float | None = None):
         raise HypothesisViolation(f"level {n} is degenerate")
     beta = (gap / 3.0) * _sup_mod_sq_derivative(factor)
 
-    radius = r_a(model) if r_a_value is None else float(r_a_value)
+    radius = r_a(model)
     lo, hi = max(0.0, w - radius), w + radius
     gamma = sum(_sup_mod_sq_window(f, lo, hi) for f in model.form_factors)
     return alpha, beta, float(gamma)
@@ -236,8 +237,7 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
     return math.sqrt(lam_bar_sq)
 
 
-def certificate(model, settings=None, *,
-                grid_points: int = 600) -> ThresholdReport:
+def certificate(model, *, grid_points: int = 600) -> ThresholdReport:
     """Full no-embedded-eigenvalue certificate for the model.
 
     Computes the supremum of ||D||, the global and threshold-region bounds,
@@ -248,7 +248,7 @@ def certificate(model, settings=None, *,
     notes = []
     levels = model.level_array()
     n_pos = _n_plus(levels)
-    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, settings, grid_points)
+    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, grid_points)
 
     try:
         radius_a = r_a(model)
@@ -268,7 +268,7 @@ def certificate(model, settings=None, *,
     for n in range(levels.size - n_pos + 1, levels.size + 1):
         try:
             lam_nn = lambda_n(model, n, sup=sup)
-            alpha, beta, gamma = alpha_beta_gamma(model, n, r_a_value=radius_a)
+            alpha, beta, gamma = alpha_beta_gamma(model, n)
             lam_bar = lambda_bar_closed_form(lam_nn, alpha, beta, gamma)
         except HypothesisViolation as exc:
             notes.append(f"level {n}: {exc}")

@@ -38,6 +38,7 @@ def test_analyze(tmp_path, capsys):
     assert "count: 3" in text
     assert text.count("state branch=") == 3
     assert "model-hash" in text
+    assert "# rel-tol: 1e-10 abs-tol: 1e-13" in text.splitlines()
     # three energies, ascending, matching the frozen references loosely
     energies = [float(ln.split("energy=")[1].split()[0])
                 for ln in text.splitlines() if ln.startswith("state branch=")]
@@ -183,10 +184,14 @@ def test_missing_model_file_exit_code(tmp_path, capsys):
 
 
 def test_bad_flags_exit_code(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--preset", "three-level-fig",
-              "--model", "also.json", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    # the quadrature tolerances are fixed: the former --rel-tol/--abs-tol
+    # flags are rejected, not silently ignored
+    for extra in (["--model", "also.json"], ["--rel-tol", "1e-8"],
+                  ["--abs-tol", "1e-14"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--preset", "three-level-fig", *extra,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2, extra
 
 
 
@@ -196,6 +201,9 @@ _ONE_LEVEL = {"levels": [-0.1], "lambda": 1,
               "form_factors": [{"family": "rational", "n_index": 1}]}
 _HUGE_PREFACTOR = {"levels": [-0.1], "lambda": 1, "form_factors": [
     {"family": "rational", "n_index": 1, "prefactor": 1e300}]}
+_TABULATED = {"levels": [-0.1], "lambda": 0.5, "form_factors": [
+    {"family": "tabulated", "grid": [0.1, 0.5, 1.0, 2.0],
+     "values_re": [0.3, 0.5, 0.4, 0.2], "tail_exponent": -1.5}]}
 
 
 @pytest.mark.parametrize("preset,path,value", [
@@ -216,11 +224,13 @@ _HUGE_PREFACTOR = {"levels": [-0.1], "lambda": 1, "form_factors": [
     (_ONE_LEVEL, ("form_factors", 0, "prefactor"), 1e200),
     (_HUGE_PREFACTOR, ("form_factors", 0, "cutoff"), 1e300),
     (_ONE_LEVEL, ("lambda",), 1e160),
+    (_TABULATED, ("form_factors", 0, "p_exponent"), 0.0),
 ], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index",
         "big-int-lambda", "big-int-level", "big-int-reference-cutoff",
         "big-int-cutoff", "big-int-lambda1", "big-int-n-index",
         "fractional-index", "string-index", "bool-index", "bool-n-index",
-        "amplitude-sq-overflow", "amplitude-overflow", "coupling-sq-overflow"])
+        "amplitude-sq-overflow", "amplitude-overflow", "coupling-sq-overflow",
+        "zero-p-exponent"])
 def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
     # preset: a preset name or a model description to start from
     config = (make_preset(preset).descriptor() if isinstance(preset, str)
@@ -235,17 +245,18 @@ def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
     rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    if last == "p_exponent":
+        # S(0) is undefined without a positive threshold exponent, but a
+        # D-only run that stays inside the continuum is still valid
+        assert main(["kappa-curves", "--model", str(cfg), "--kind", "D",
+                     "--e-min", "0.1", "--e-max", "0.3", "--e-steps", "2",
+                     "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--rel-tol", "0"],
-    ["analyze", "--abs-tol", "nan"],
     ["oracle-check", "--grid", "5"],
     ["kappa-curves", "--e-max", "nan"],
-    ["analyze", "--rel-tol", "inf"],
-    ["analyze", "--abs-tol", "inf"],
-], ids=["zero-rel-tol", "nan-abs-tol", "tiny-grid", "nan-e-max",
-        "inf-rel-tol", "inf-abs-tol"])
+], ids=["tiny-grid", "nan-e-max"])
 def test_bad_number_exit_code(tmp_path, capsys, argv):
     rc = main(argv + ["--preset", "three-level-fig", "--out", str(tmp_path)])
     assert rc == 2

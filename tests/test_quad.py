@@ -7,7 +7,6 @@ from friedrichs import (
     FriedrichsModel,
     HydrogenFormFactor,
     QuadratureError,
-    QuadratureSettings,
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
@@ -235,10 +234,3 @@ def test_level_shift_matrix_norm(three_level):
     direct = np.linalg.norm(m.entries, 2)
     assert m.norm() == pytest.approx(direct, rel=1e-13)
     assert m.n == 3
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=math.inf)
