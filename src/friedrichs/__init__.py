@@ -27,8 +27,7 @@ from .thresholds import (HypothesisViolation, LevelThreshold, ThresholdReport,
                          alpha_beta_gamma, certificate, lambda_bar_closed_form,
                          lambda_n, r_a, r_b_lambda_b, sup_d_norm)
 from .oracle import (ConvergenceRow, ConvergenceTable, DiscretizedHamiltonian,
-                     GridSpec, compare_negative_spectrum, discretize,
-                     from_arrays)
+                     GridSpec, compare_negative_spectrum, discretize)
 
 __all__ = [
     "__version__",
@@ -49,5 +48,5 @@ __all__ = [
     "alpha_beta_gamma", "certificate", "lambda_bar_closed_form", "lambda_n",
     "r_a", "r_b_lambda_b", "sup_d_norm",
     "ConvergenceRow", "ConvergenceTable", "DiscretizedHamiltonian", "GridSpec",
-    "compare_negative_spectrum", "discretize", "from_arrays",
+    "compare_negative_spectrum", "discretize",
 ]

@@ -1,33 +1,38 @@
-"""Brute-force check: diagonalize the model on a finite continuum grid.
+"""Brute-force check: the model on a finite continuum grid.
 
-The continuum is replaced by M quadrature nodes omega_j with weights w_j,
-giving the (N + M) dimensional Hermitian matrix
+M quadrature nodes omega_j with weights w_j replace the continuum, giving
+the (N + M) dimensional Hermitian arrowhead matrix
 
-    H = [ diag(omega_n)            lambda conj(v_n(omega_j)) sqrt(w_j) ]
-        [ (adjoint)                diag(omega_j)                       ]
+    H = [ diag(omega_n)   B             ]    B_nj = lambda conj(v_n(omega_j))
+        [ B^dagger        diag(omega_j) ]           * sqrt(w_j)
 
-Eliminating the grid block at energy E reproduces exactly
-diag(omega) - lambda^2 S_M(E) with S_M the quadrature approximation of the
-Gram matrix, so the discrete negative spectrum converges to the true bound
-states as the grid refines.  This module exists to cross-check the solver;
+For E < 0 the grid block minus E is positive definite, so by Haynsworth
+inertia additivity H has as many eigenvalues below E as the Schur
+complement K_M(E) - E has negative ones.  K_M(E) = diag(omega_n) -
+B diag(1/(omega_j - E)) B^dagger is the solver's K(E) with the Gram matrix
+replaced by its node sum, so the discrete negative spectrum converges to the
+bound states as the grid refines, and it comes from the solver's own count
+and bracketed roots on K_M at O(N^2 M) per energy; the level block of each
+eigenvector of H is the kernel vector of K_M(E) - E at its root.  The dense
+H is built only on request.  This module exists to cross-check the solver;
 it is a test dependency, not part of the public computational path.
 
 Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
-(dense near threshold, where the kernels vary fastest) plus an algebraic
-tail beyond omega_max.  When all form factors share a global phase times a
-sign, the coupling block is built real; the discrete spectrum is unchanged
-and the level-block eigenvectors stay directly comparable to the solver's.
+(dense near threshold, where the kernels vary fastest) and on every
+form-factor breakpoint, plus an algebraic tail beyond omega_max.  When all
+form factors share a global phase times a sign, B is built real; the
+discrete spectrum is unchanged and the level-block eigenvectors stay
+directly comparable to the solver's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .solver import solve_model
+from .solver import _find_root_bracketed, _seed, solve_model
+from .spectral import eigh
 
 __all__ = ["GridSpec", "DiscretizedHamiltonian", "ConvergenceRow",
            "ConvergenceTable", "discretize", "compare_negative_spectrum"]
@@ -47,9 +52,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiscretizedHamiltonian:
-    """The assembled (N + M) x (N + M) matrix with its grid."""
+    """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
+    the levels, the coupling block b (N x M) and the grid."""
 
-    h: np.ndarray
+    levels: np.ndarray
+    b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     n_levels: int
@@ -57,25 +64,35 @@ class DiscretizedHamiltonian:
 
     @property
     def dimension(self) -> int:
-        return self.h.shape[0]
+        return self.n_levels + self.nodes.size
+
+    @property
+    def h(self) -> np.ndarray:
+        """The dense matrix, assembled on each access (for tests and tracing)."""
+        return np.block([[np.diag(self.levels), self.b],
+                         [self.b.conj().T, np.diag(self.nodes)]])
+
+    def _k(self, e):
+        """K_M(E) = diag(omega) - b diag(1/(omega_j - E)) b^dagger."""
+        return np.diag(self.levels) - (self.b / (self.nodes - e)) @ self.b.conj().T
+
+    def _roots(self):
+        # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g
+        kappa = eigh(self._k(-_GAP_TOL)).kappa
+        e_lo = _seed(self.levels, float(np.sum(np.abs(self.b) ** 2)))
+        return [_find_root_bracketed(self._k, e_lo, n, -_GAP_TOL)[0]
+                for n in range(1, int(np.count_nonzero(kappa < -_GAP_TOL)) + 1)]
 
     def negative_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues below -_GAP_TOL, ascending."""
-        return scipy.linalg.eigh(self.h, eigvals_only=True,
-                                 subset_by_value=(-np.inf, -_GAP_TOL))
+        """Eigenvalues of h below -_GAP_TOL, ascending."""
+        return np.array(self._roots())
 
     def negative_eigensystem(self):
-        """Eigenpairs below -_GAP_TOL; returns (values, level-block vectors).
-
-        The level-block columns are renormalized to unit length so they can
-        be compared directly with solver amplitudes.
-        """
-        vals, vecs = scipy.linalg.eigh(self.h,
-                                       subset_by_value=(-np.inf, -_GAP_TOL))
-        blocks = vecs[:self.n_levels, :]
-        norms = np.linalg.norm(blocks, axis=0)
-        norms[norms == 0.0] = 1.0
-        return vals, blocks / norms
+        """Eigenpairs of h below -_GAP_TOL: (values, level blocks), the
+        blocks normalized to unit columns like solver amplitudes."""
+        vals = self._roots()
+        blocks = [eigh(self._k(e)).vectors[:, i] for i, e in enumerate(vals)]
+        return np.array(vals), np.array(blocks).reshape(len(vals), self.n_levels).T
 
 
 def _coupling_block(model, nodes, weights):
@@ -94,36 +111,15 @@ def _coupling_block(model, nodes, weights):
     return np.array(rows)
 
 
-def from_arrays(levels, coupling, factor_values, nodes, weights) -> DiscretizedHamiltonian:
-    """Assemble a discretized Hamiltonian from explicit grid data.
-
-    factor_values[n, j] holds v_n(omega_j).  Intended for hand-built checks;
-    `discretize` is the production constructor.
-    """
-    levels = np.asarray(levels, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    vals = np.asarray(factor_values)
-    n, m = vals.shape
-    coupling_block = coupling * np.conj(vals) * np.sqrt(weights)[None, :]
-    real = np.isrealobj(coupling_block) or np.allclose(coupling_block.imag, 0.0)
-    dtype = float if real else complex
-    h = np.zeros((n + m, n + m), dtype=dtype)
-    h[:n, :n] = np.diag(levels)
-    h[n:, n:] = np.diag(nodes)
-    h[:n, n:] = coupling_block.real if dtype is float else coupling_block
-    h[n:, :n] = h[:n, n:].conj().T
-    spec = GridSpec(m, m, float(nodes[-1]) if m else 0.0, "explicit", 0)
-    return DiscretizedHamiltonian(h, nodes, weights, n, spec)
-
-
 def discretize(model, m: int) -> DiscretizedHamiltonian:
     """Discretize the continuum with about m nodes.
 
     Composite Gauss-Legendre panels cover [0, omega_max] on geometric edges,
     with omega_max 20 times the widest form factor, plus a mapped tail
-    omega = omega_max + t/(1-t) carrying a small share of the nodes.  The
-    actual node count lands within a few percent of m.
+    omega = omega_max + t/(1-t) carrying a small share of the nodes.  Every
+    form-factor breakpoint inside (0, omega_max) is one more edge, taken out
+    of the geometric budget, so the node count lands within a few percent of
+    m unless the breakpoints outnumber m / 12.  Nodes come out ascending.
     """
     if m < 10:
         raise ValueError("need at least 10 grid points")
@@ -135,9 +131,11 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     n_tail = max(8, m // 50)
     m_main = m - n_tail
     degree = 12
-    n_panels = max(2, m_main // degree)
-    edges = np.concatenate(([0.0],
-                            np.geomspace(1e-7 * s_ref, omega_max, n_panels)))
+    kinks = [x for f in model.form_factors for x in f.breakpoints()
+             if 0.0 < x < omega_max]
+    n_panels = max(2, m_main // degree - len(set(kinks)))
+    edges = np.unique(np.concatenate((
+        [0.0], np.geomspace(1e-7 * s_ref, omega_max, n_panels), kinks)))
     base_x, base_w = np.polynomial.legendre.leggauss(degree)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -153,20 +151,11 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
 
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    nodes, weights = nodes[order], weights[order]
 
-    n = model.n_levels
-    block = _coupling_block(model, nodes, weights)
-    dtype = float if np.isrealobj(block) else complex
-    dim = n + nodes.size
-    h = np.zeros((dim, dim), dtype=dtype)
-    h[:n, :n] = np.diag(model.level_array())
-    h[n:, n:] = np.diag(nodes)
-    h[:n, n:] = block
-    h[n:, :n] = block.conj().T if dtype is complex else block.T
     spec = GridSpec(m, int(nodes.size), omega_max, "gauss-legendre", int(n_tail))
-    return DiscretizedHamiltonian(h, nodes, weights, n, spec)
+    return DiscretizedHamiltonian(model.level_array(),
+                                  _coupling_block(model, nodes, weights),
+                                  nodes, weights, model.n_levels, spec)
 
 
 @dataclass(frozen=True)
@@ -206,8 +195,8 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
         else:
             deltas = ()
         if prev and deltas and len(prev) == len(deltas):
-            # factor-2 slack plus an absolute floor so eigh noise near
-            # convergence does not raise the flag
+            # factor-2 slack plus an absolute floor so root-search noise
+            # (1e-12 brackets) near convergence does not raise the flag
             if any(d > 2.0 * p + 1e-11 for d, p in zip(deltas, prev)):
                 non_cauchy = True
         if deltas:

@@ -17,7 +17,7 @@ and their defects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,26 +118,35 @@ class PositiveCandidate:
 def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    point = eigh(k_matrix(model, gram_matrix(model, 0.0)), 0.0)
-    return CountResult.from_kappa(point.kappa)
+    return CountResult.from_kappa(eigh(_gram_k(model)(0.0), 0.0).kappa)
 
 
-def _branch_gap(model, e, n):
-    """kappa_n(E) - E, the root objective for branch n (1-based)."""
-    point = eigh(k_matrix(model, gram_matrix(model, e)), e)
-    return float(point.kappa[n - 1]) - e
+def _gram_k(model):
+    """K(E) on the QUADPACK Gram matrix; oracle.DiscretizedHamiltonian._k is
+    its node-sum twin."""
+    return lambda e: k_matrix(model, gram_matrix(model, e))
 
 
-def _find_root_bracketed(model, n):
+def _seed(levels, coupled_norm_sq):
+    """Lower bracket end for every branch, given lambda^2 sum_n ||v_n||^2."""
     # kappa_n >= omega_1 - lambda^2 tr S(E) and tr S(E) <= sum_n l2 / |E|
     # make this seed a guaranteed positive end once |E_lo| >= 1.
-    lam_sq = model.coupling ** 2
-    e_lo = min(model.levels[0], 0.0) - 1.0 - lam_sq * total_l2_norm_sq(model)
-    gap = np.vectorize(lambda e: _branch_gap(model, e, n), otypes=[float])
-    res = bracketed_root(gap, e_lo, 0.0, what=f"branch {n}, kappa_{n}(E) - E",
+    return min(levels[0], 0.0) - 1.0 - coupled_norm_sq
+
+
+def _model_seed(model):
+    return _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
+
+
+def _find_root_bracketed(k_at, e_lo, n, e_hi=0.0):
+    """Root of kappa_n(E) - E on [e_lo, e_hi], kappa_n the n-th (1-based)
+    eigenvalue of the Hermitian family k_at(E)."""
+    gap = np.vectorize(lambda e: float(eigh(k_at(e), e).kappa[n - 1]) - e,
+                       otypes=[float])
+    res = bracketed_root(gap, e_lo, e_hi, what=f"branch {n}, kappa_{n}(E) - E",
                          xatol=_ROOT_TOL, xrtol=0.0)
-    if not res.x < 0.0:
-        raise BracketError(f"branch {n} touches the diagonal at E = 0")
+    if not res.x < e_hi:
+        raise BracketError(f"branch {n} touches the diagonal at E = {e_hi:g}")
     return float(res.x), (float(res.bracket[0]), float(res.bracket[1]))
 
 
@@ -149,8 +158,7 @@ def find_root(model, n) -> float:
     provably above the diagonal; converges once the bracket is narrower
     than 1e-12.
     """
-    root, _ = _find_root_bracketed(model, n)
-    return root
+    return _find_root_bracketed(_gram_k(model), _model_seed(model), n)[0]
 
 
 def bound_state(model, n, e=None) -> BoundState:
@@ -162,7 +170,7 @@ def bound_state(model, n, e=None) -> BoundState:
     """
     bracket = (float("nan"), float("nan"))
     if e is None:
-        e, bracket = _find_root_bracketed(model, n)
+        e, bracket = _find_root_bracketed(_gram_k(model), _model_seed(model), n)
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
@@ -202,7 +210,11 @@ def residual(model, state: BoundState) -> float:
 def solve_model(model) -> SolveReport:
     """Count and solve every bound state of the model."""
     counted = count_negative(model)
-    states = tuple(bound_state(model, n) for n in range(1, counted.count + 1))
+    e_lo = _model_seed(model) if counted.count else None
+    roots = (_find_root_bracketed(_gram_k(model), e_lo, n)
+             for n in range(1, counted.count + 1))
+    states = tuple(replace(bound_state(model, n, e), bracket=bracket)
+                   for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        tuple(st.bracket for st in states), counted.indeterminate)
 

@@ -1,32 +1,74 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from friedrichs import (
+    DiscretizedHamiltonian,
     FriedrichsModel,
+    GridSpec,
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
     bound_state,
     compare_negative_spectrum,
     discretize,
-    from_arrays,
     l2_norm_sq,
 )
+from friedrichs.oracle import _GAP_TOL
 
 from _references import THREE_LEVEL_ROOTS
+from test_quad import _complex_tabulated
 
 
-def test_from_arrays_hand_case():
+def test_hand_built_hamiltonian():
     # one level at -1, two continuum nodes with unit weights and values:
     # H = [[-1, 1, 1], [1, 1, 0], [1, 0, 3]], whose characteristic
     # polynomial is x^3 - 3x^2 - 3x + 7
-    ham = from_arrays([-1.0], 1.0, [[1.0, 1.0]], [1.0, 3.0], [1.0, 1.0])
+    ham = DiscretizedHamiltonian(np.array([-1.0]), np.array([[1.0, 1.0]]),
+                                 np.array([1.0, 3.0]), np.array([1.0, 1.0]), 1,
+                                 GridSpec(2, 2, 3.0, "explicit", 0))
     want = np.sort(np.roots([1.0, -3.0, -3.0, 7.0]).real)
-    got = np.linalg.eigvalsh(ham.h)
-    assert np.allclose(got, want, atol=1e-12)
+    assert ham.dimension == 3
+    assert np.allclose(np.linalg.eigvalsh(ham.h), want, atol=1e-12)
     neg = ham.negative_eigenvalues()
     assert len(neg) == 1
     assert neg[0] == pytest.approx(want[0], abs=1e-12)
+
+
+def _tabulated_rational(lam):
+    return FriedrichsModel((0.1, 0.3), lam,
+                           (_complex_tabulated(), RationalFormFactor(2)),
+                           UnitSystem(1.0))
+
+
+@pytest.mark.parametrize("make,lam,m", [
+    ("three-level", 0.1, 500), ("three-level", 0.7, 500),
+    ("three-level", 10.0, 500), ("tabulated-rational", 2.0, 400),
+    ("tabulated-rational", 5.0, 400),
+])
+def test_node_sum_matches_dense_eigh(three_level, make, lam, m):
+    # the count and roots on K_M(E) against LAPACK on the assembled matrix
+    model = (three_level.with_coupling(lam) if make == "three-level"
+             else _tabulated_rational(lam))
+    ham = discretize(model, m)
+    want, vecs = scipy.linalg.eigh(ham.h, subset_by_value=(-np.inf, -_GAP_TOL))
+    got, blocks = ham.negative_eigensystem()
+    assert got.size == want.size > 0
+    assert np.array_equal(ham.negative_eigenvalues(), got)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+    ref = vecs[:model.n_levels] / np.linalg.norm(vecs[:model.n_levels], axis=0)
+    overlaps = np.abs(np.sum(ref.conj() * blocks, axis=0))
+    assert np.allclose(overlaps, 1.0, rtol=0.0, atol=1e-8)
+
+
+def test_compare_negative_spectrum_large_grid(three_level):
+    # H would be a 100003^2 dense matrix (80 GB); the node sum needs 3 x M
+    model = three_level.with_coupling(0.7)
+    table = compare_negative_spectrum(model, (100000,))
+    row = table.rows[0]
+    assert table.solver_count == row.count == 2
+    for e, delta in zip(table.solver_energies, row.deltas):
+        assert delta <= 1e-6 * abs(e)
 
 
 def test_real_gauge_for_common_phase_families(hydrogen, three_level):

@@ -210,14 +210,15 @@ def _complex_tabulated():
 
 @pytest.mark.parametrize("first,tol", [
     (lambda: HydrogenFormFactor(1), 1e-12),
-    (_complex_tabulated, 1e-5),
+    (_complex_tabulated, 1e-9),
 ], ids=["hydrogen-rational", "tabulated-rational"])
 def test_gram_matrix_pair_phase_convention(first, tol):
     # S_nm = sum_j w_j conj(v_n(w_j)) v_m(w_j) / (w_j - E) on the oracle's
     # nodes; the hydrogen-rational pair has phase i, the tabulated one a
     # varying phase, so a conjugate on the wrong factor shows up off the
-    # diagonal.  The tabulated kinks limit the node sum to about 1e-6
-    # (entries are O(0.1), so the bound is absolute).
+    # diagonal.  The oracle's panels end on the tabulated nodes, so the
+    # kinks do not limit the node sum (entries are O(0.1), so the bound is
+    # absolute).
     model = FriedrichsModel((0.1, 0.3), 0.5, (first(), RationalFormFactor(2)),
                             UnitSystem(1.0))
     e = -0.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import friedrichs.model
 import friedrichs.solver
 from friedrichs import (
     BracketError,
@@ -170,6 +171,17 @@ def test_find_root_gram_budget(three_level, lam, monkeypatch):
         calls.clear()
         find_root(model, n)
         assert len(calls) <= 15
+
+
+def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
+    # one l2 integral per level seeds every branch's bracket
+    calls = []
+    l2 = friedrichs.model.l2_norm_sq
+    monkeypatch.setattr(friedrichs.model, "l2_norm_sq",
+                        lambda *a: calls.append(1) or l2(*a))
+    rep = solve_model(three_level.with_coupling(10.0))
+    assert rep.count == 3
+    assert len(calls) == 3
 
 
 def test_solve_tabulated_bound_state(tabulated_two_level):
