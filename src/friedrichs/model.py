@@ -8,8 +8,8 @@ omega**p (p > 0) at threshold and decays at large omega.
 
 Everything numerical runs in a dimensionless internal unit system: energies
 are stored as (physical energy) / reference_cutoff and form-factor values as
-(physical value) / sqrt(reference_cutoff).  `UnitSystem` converts the
-energies; all other modules see only internal quantities.
+(physical value) / sqrt(reference_cutoff).  `UnitSystem` records the
+reference cutoff; all other modules see only internal quantities.
 
 Built-in form-factor families share one algebraic shape,
 
@@ -82,12 +82,6 @@ class UnitSystem:
         if not (self.reference_cutoff > 0.0 and math.isfinite(self.reference_cutoff)):
             raise ConfigError("reference_cutoff must be finite and positive")
 
-    def energy_to_internal(self, e):
-        return np.asarray(e, dtype=float) / self.reference_cutoff if np.ndim(e) else float(e) / self.reference_cutoff
-
-    def energy_to_physical(self, e):
-        return np.asarray(e, dtype=float) * self.reference_cutoff if np.ndim(e) else float(e) * self.reference_cutoff
-
 
 class FormFactor:
     """Base class for coupling functions v(omega) on the half line.
@@ -132,10 +126,6 @@ class FormFactor:
     def breakpoints(self) -> tuple:
         """Abscissas where the factor is not smooth, for adaptive quadrature."""
         return (self.scale,)
-
-    def scaled(self, factor: float) -> "FormFactor":
-        """Return a copy with the overall amplitude multiplied by `factor`."""
-        raise NotImplementedError
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -260,9 +250,6 @@ class RationalFormFactor(_PolynomialFormFactor):
         self.cutoff = float(cutoff)
         self.prefactor = float(prefactor)
 
-    def scaled(self, factor: float) -> "RationalFormFactor":
-        return RationalFormFactor(self.n_index, self.a, self.cutoff, self.prefactor * factor)
-
     def descriptor(self) -> dict:
         return {"family": "rational", "n_index": self.n_index, "a": self.a,
                 "cutoff": self.cutoff, "prefactor": self.prefactor}
@@ -289,9 +276,6 @@ class HydrogenFormFactor(_PolynomialFormFactor):
         self.index = index
         self.lambda1 = float(lambda1)
         self.prefactor = float(prefactor)
-
-    def scaled(self, factor: float) -> "HydrogenFormFactor":
-        return HydrogenFormFactor(self.index, self.lambda1, self.prefactor * factor)
 
     def descriptor(self) -> dict:
         return {"family": "hydrogen", "index": self.index, "lambda1": self.lambda1,
@@ -401,9 +385,6 @@ class TabulatedFormFactor(FormFactor):
             out[hi] = self._msq[-1] * e * x[hi] ** (e - 1.0) / gn ** e
         return float(out[0]) if scalar else out
 
-    def scaled(self, factor: float) -> "TabulatedFormFactor":
-        return TabulatedFormFactor(self.grid, self.values * factor, self.tail_exponent, self.p_exponent)
-
     def descriptor(self) -> dict:
         return {"family": "tabulated", "grid": self.grid.tolist(),
                 "values_re": self.values.real.tolist(), "values_im": self.values.imag.tolist(),
@@ -465,15 +446,6 @@ def model_digest(model: FriedrichsModel) -> str:
     """Short stable hash of the model description, for output metadata."""
     payload = json.dumps(model.descriptor(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def eval_form_factor(model: FriedrichsModel, n: int, omega) -> complex:
-    """Value of v_n at omega (level index n is 1-based)."""
-    if not 1 <= n <= model.n_levels:
-        raise ValueError(f"level index {n} outside 1..{model.n_levels}")
-    if np.any(np.asarray(omega) < 0.0):
-        raise ValueError("form factors are defined for omega >= 0")
-    return model.form_factors[n - 1].value(omega)
 
 
 def l2_norm_sq(model: FriedrichsModel, n: int) -> float:

@@ -12,10 +12,10 @@ complement K_M(E) - E has negative ones.  K_M(E) = diag(omega_n) -
 B diag(1/(omega_j - E)) B^dagger is the solver's K(E) with the Gram matrix
 replaced by its node sum, so the discrete negative spectrum converges to the
 bound states as the grid refines, and it comes from the solver's own count
-and bracketed roots on K_M at O(N^2 M) per energy; the level block of each
-eigenvector of H is the kernel vector of K_M(E) - E at its root.  The dense
-H is built only on request.  This module exists to cross-check the solver;
-it is a test dependency, not part of the public computational path.
+and branch-root search on K_M at O(N^2 M) per energy; the level block of
+each eigenvector of H is the kernel vector of K_M(E) - E at its root.  The
+dense H is built only on request.  This brute-force model is an independent
+check of the solver: `oracle-check` and the acceptance gate compare the two.
 
 Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 (dense near threshold, where the kernels vary fastest) and on every
@@ -31,23 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _find_root_bracketed, _seed, solve_model
+from .solver import _branch_roots, _seed, solve_model
 from .spectral import eigh
 
-__all__ = ["GridSpec", "DiscretizedHamiltonian", "ConvergenceRow",
-           "ConvergenceTable", "discretize", "compare_negative_spectrum"]
+__all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
+           "discretize", "compare_negative_spectrum"]
 
 # eigenvalues at or above -_GAP_TOL count as continuum, not bound states
 _GAP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    m_requested: int
-    m_actual: int
-    omega_max: float
-    rule: str
-    n_tail: int
 
 
 @dataclass(frozen=True)
@@ -59,12 +50,10 @@ class DiscretizedHamiltonian:
     b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    n_levels: int
-    spec: GridSpec
 
     @property
     def dimension(self) -> int:
-        return self.n_levels + self.nodes.size
+        return self.levels.size + self.nodes.size
 
     @property
     def h(self) -> np.ndarray:
@@ -79,9 +68,9 @@ class DiscretizedHamiltonian:
     def _roots(self):
         # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g
         kappa = eigh(self._k(-_GAP_TOL)).kappa
+        count = int(np.count_nonzero(kappa < -_GAP_TOL))
         e_lo = _seed(self.levels, float(np.sum(np.abs(self.b) ** 2)))
-        return [_find_root_bracketed(self._k, e_lo, n, -_GAP_TOL)[0]
-                for n in range(1, int(np.count_nonzero(kappa < -_GAP_TOL)) + 1)]
+        return [e for e, _ in _branch_roots(self._k, count, e_lo, -_GAP_TOL)]
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -_GAP_TOL, ascending."""
@@ -92,7 +81,7 @@ class DiscretizedHamiltonian:
         blocks normalized to unit columns like solver amplitudes."""
         vals = self._roots()
         blocks = [eigh(self._k(e)).vectors[:, i] for i, e in enumerate(vals)]
-        return np.array(vals), np.array(blocks).reshape(len(vals), self.n_levels).T
+        return np.array(vals), np.array(blocks).reshape(len(vals), self.levels.size).T
 
 
 def _coupling_block(model, nodes, weights):
@@ -151,11 +140,9 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
 
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-
-    spec = GridSpec(m, int(nodes.size), omega_max, "gauss-legendre", int(n_tail))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights, model.n_levels, spec)
+                                  nodes, weights)
 
 
 @dataclass(frozen=True)

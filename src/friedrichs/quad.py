@@ -91,16 +91,6 @@ class LevelShiftMatrix:
         return float(np.linalg.norm(self.entries, 2))
 
 
-def bump(y, delta):
-    """The even C-infinity bump with support (-delta, delta), value 1 at 0."""
-    y = np.asarray(y, dtype=float)
-    t = (y / delta) ** 2
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside]))
-    return out if out.ndim else float(out)
-
-
 def _run_quadpack(f, a, b, points):
     kwargs = dict(epsabs=_ABS_TOL, epsrel=_REL_TOL,
                   limit=_MAX_SUBDIVISIONS, full_output=1)

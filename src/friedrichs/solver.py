@@ -5,7 +5,9 @@ kappa_n(E) = E.  Since every kappa_n is nonincreasing on the negative half
 axis while the identity grows, each branch crosses the diagonal at most once,
 and the number of bound states equals the number of eigencurves that are
 still negative at E = 0.  Counting therefore needs a single Gram matrix at
-the threshold; locating the energies is a bracketed root search per branch.
+the threshold; locating the energies is one elementwise bracketed root
+search over all counted branches, which share their bracket ends and every
+K(E) they evaluate at a common energy.
 
 Embedded (positive-energy) candidates are handled separately: crossings of
 kappa_n(E) = E on the principal-value family are reported together with the
@@ -27,10 +29,9 @@ from .quad import gram_matrix, t_matrix
 from .spectral import eigh, k_matrix, kappa_curve
 
 __all__ = [
-    "BoundState", "SolveReport", "CountResult", "IndependenceReport",
-    "PositiveCandidate", "BracketError",
-    "count_negative", "find_root", "bound_state", "solve_model", "residual",
-    "independence_analysis", "positive_candidate_scan",
+    "BoundState", "SolveReport", "CountResult", "PositiveCandidate",
+    "BracketError", "count_negative", "bound_state", "solve_model", "residual",
+    "positive_candidate_scan",
 ]
 
 # |kappa_n(0)| at or below this is indeterminate (neither counted nor ruled
@@ -65,9 +66,8 @@ class BoundState:
     energy: the eigenvalue E < 0.
     c: level amplitudes (length N), normalized together with the continuum
        part so that |c|^2 + continuum_norm_sq = 1.
-    f_descriptor: callable giving the continuum amplitude
-       f(omega) = -lambda * sum_n c_n v_n(omega) / (omega - E).
-    continuum_norm_sq: integral of |f|^2 over the half line.
+    continuum_norm_sq: integral of |f|^2 over the half line, f(omega) =
+       -lambda * sum_n c_n v_n(omega) / (omega - E) the continuum amplitude.
     total_norm_sq: |c|^2 + continuum_norm_sq (1 by construction).
     branch_index: which eigencurve produced the state (1-based).
     bracket: final bracket of the root search, enclosing energy.
@@ -76,7 +76,6 @@ class BoundState:
 
     energy: float
     c: np.ndarray
-    f_descriptor: object
     continuum_norm_sq: float
     total_norm_sq: float
     branch_index: int
@@ -89,23 +88,7 @@ class SolveReport:
     count: int
     states: tuple
     kappa_at_zero: np.ndarray
-    brackets: tuple
     indeterminate: tuple = ()
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Effective number of independent form factors at a reference energy.
-
-    n_independent is the numerical rank of the Gram matrix; at most this many
-    eigencurves can be pushed below the bare spectrum no matter how large the
-    coupling grows.
-    """
-
-    n_independent: int
-    gram_eigenvalues: np.ndarray
-    e_ref: float
-    rank_tol: float
 
 
 @dataclass(frozen=True)
@@ -134,43 +117,39 @@ def _seed(levels, coupled_norm_sq):
     return min(levels[0], 0.0) - 1.0 - coupled_norm_sq
 
 
-def _model_seed(model):
-    return _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
+def _branch_roots(k_at, count, e_lo, e_hi=0.0):
+    """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, kappa_n the
+    n-th (1-based) eigenvalue of the Hermitian family k_at(E).
 
+    One elementwise search refines every branch; each call of the objective
+    builds K(E) once per distinct energy, so the shared bracket ends cost one
+    K each.  Returns [(root, final bracket)] in branch order.
+    """
+    if not count:
+        return []
 
-def _find_root_bracketed(k_at, e_lo, n, e_hi=0.0):
-    """Root of kappa_n(E) - E on [e_lo, e_hi], kappa_n the n-th (1-based)
-    eigenvalue of the Hermitian family k_at(E)."""
-    gap = np.vectorize(lambda e: float(eigh(k_at(e), e).kappa[n - 1]) - e,
-                       otypes=[float])
-    res = bracketed_root(gap, e_lo, e_hi, what=f"branch {n}, kappa_{n}(E) - E",
+    def gap(e, n):
+        uniq, inv = np.unique(e, return_inverse=True)
+        kappa = np.array([eigh(k_at(x), x).kappa for x in uniq])
+        return kappa[inv, n - 1] - e
+
+    branch = np.arange(1, count + 1)
+    res = bracketed_root(gap, np.full(count, e_lo), np.full(count, e_hi),
+                         args=(branch,), what="branch roots, kappa_n(E) - E",
                          xatol=_ROOT_TOL, xrtol=0.0)
-    if not res.x < e_hi:
-        raise BracketError(f"branch {n} touches the diagonal at E = {e_hi:g}")
-    return float(res.x), (float(res.bracket[0]), float(res.bracket[1]))
+    touching = branch[~(res.x < e_hi)]
+    if touching.size:
+        raise BracketError(f"branches {touching.tolist()} touch the diagonal "
+                           f"at E = {e_hi:g}")
+    return [(float(x), (float(lo), float(hi))) for x, lo, hi in zip(res.x, *res.bracket)]
 
 
-def find_root(model, n) -> float:
-    """Bound-state energy on branch n (1-based).
+def bound_state(model, n, e) -> BoundState:
+    """Assemble the normalized bound state on branch n at its energy e < 0.
 
-    Chandrupatla's bracketing method on kappa_n(E) - E over the bracket
-    [min(omega_1, 0) - 1 - lambda^2 sum_n |v_n|^2, 0], whose left end is
-    provably above the diagonal; converges once the bracket is narrower
-    than 1e-12.
+    The level amplitudes c come from the eigenvector of K(E) on that branch;
+    the continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
     """
-    return _find_root_bracketed(_gram_k(model), _model_seed(model), n)[0]
-
-
-def bound_state(model, n, e=None) -> BoundState:
-    """Assemble the normalized bound state on branch n.
-
-    When e is omitted the branch energy is located first.  The level
-    amplitudes c come from the eigenvector of K(E) on that branch; the
-    continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
-    """
-    bracket = (float("nan"), float("nan"))
-    if e is None:
-        e, bracket = _find_root_bracketed(_gram_k(model), _model_seed(model), n)
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
@@ -187,13 +166,8 @@ def bound_state(model, n, e=None) -> BoundState:
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
     cont = continuum_raw / total_raw
-
-    def f_descriptor(w, _c=c, _e=e, _lam=lam, _factors=model.form_factors):
-        amp = sum(ci * f.value_scalar(w) for ci, f in zip(_c, _factors))
-        return -_lam * amp / (w - _e)
-
-    return BoundState(e, c, f_descriptor, cont, float(np.vdot(c, c).real) + cont,
-                      n, bracket, partners)
+    return BoundState(e, c, cont, float(np.vdot(c, c).real) + cont, n,
+                      degenerate_partners=partners)
 
 
 def residual(model, state: BoundState) -> float:
@@ -208,27 +182,18 @@ def residual(model, state: BoundState) -> float:
 
 
 def solve_model(model) -> SolveReport:
-    """Count and solve every bound state of the model."""
+    """Count every bound state of the model, then locate all of them in one
+    search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
+    |v_n|^2, 0] down to a bracket narrower than 1e-12."""
     counted = count_negative(model)
-    e_lo = _model_seed(model) if counted.count else None
-    roots = (_find_root_bracketed(_gram_k(model), e_lo, n)
-             for n in range(1, counted.count + 1))
-    states = tuple(replace(bound_state(model, n, e), bracket=bracket)
-                   for n, (e, bracket) in enumerate(roots, 1))
+    states = ()
+    if counted.count:
+        seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
+        roots = _branch_roots(_gram_k(model), counted.count, seed)
+        states = tuple(replace(bound_state(model, n, e), bracket=bracket)
+                       for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
-                       tuple(st.bracket for st in states), counted.indeterminate)
-
-
-def independence_analysis(model, e_ref, *, rank_tol: float = 1e-10) -> IndependenceReport:
-    """Numerical rank of the Gram matrix at a reference energy E_ref < 0."""
-    e_ref = float(e_ref)
-    if e_ref >= 0.0:
-        raise ValueError("independence analysis needs E_ref < 0")
-    s = gram_matrix(model, e_ref)
-    sigma = np.linalg.eigvalsh(s.entries)
-    top = float(sigma[-1]) if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > rank_tol * max(top, 0.0)))
-    return IndependenceReport(rank, sigma, e_ref, rank_tol)
+                       counted.indeterminate)
 
 
 def positive_candidate_scan(model, e_grid):
@@ -251,8 +216,9 @@ def positive_candidate_scan(model, e_grid):
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search
     cells = [(n, i) for n in range(1, model.n_levels + 1)
-             for i in range(len(grid) - 1)
-             if gaps[i, n - 1] == 0.0 or gaps[i, n - 1] * gaps[i + 1, n - 1] < 0.0]
+             for i in range(len(grid))
+             if gaps[i, n - 1] == 0.0
+             or i + 1 < len(grid) and gaps[i, n - 1] * gaps[i + 1, n - 1] < 0.0]
     refine = [(n, i) for n, i in cells if gaps[i, n - 1] != 0.0]
     roots = {}
     if refine:

@@ -35,13 +35,14 @@ from .quad import gram_matrix, pv_matrix
 
 __all__ = [
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
-    "sup_d_norm", "r_a", "r_b_lambda_b", "lambda_n",
-    "alpha_beta_gamma", "lambda_bar_closed_form", "certificate",
+    "r_a", "lambda_n", "alpha_beta_gamma", "lambda_bar_closed_form",
+    "certificate",
 ]
 
 class HypothesisViolation(ValueError):
     """A certificate hypothesis fails for this model (degenerate levels,
-    no positive level, or a form factor vanishing at its own level)."""
+    no positive level, a form factor vanishing at its own level, or
+    sup ||D|| = 0)."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ThresholdReport:
 
 
 def _d_scan(model, grid_points):
-    """(sup ||D||, argmax, r_b, lambda_b, note) from one sampled spectrum.
+    """(sup ||D||, argmax, r_b, note) from one sampled spectrum.
 
     eigvalsh(D(E)) is stored on a log grid over [1e-6, 100] times the largest
     form-factor width.  sup ||D|| is the largest |eigenvalue| there, refined
@@ -106,21 +107,15 @@ def _d_scan(model, grid_points):
     bad = np.flatnonzero(spectra[:, 0] < -tol)
     if bad.size == 0:
         e_hi = float(grid[-1])
-        return sup, e_star, e_hi, math.sqrt(e_hi / sup), (
+        return sup, e_star, e_hi, (
             f"positive semidefinite over the whole scan up to {e_hi:.6g}")
     if bad[0] == 0:
-        return sup, e_star, 0.0, 0.0, (
+        return sup, e_star, 0.0, (
             f"not positive semidefinite at the smallest scanned energy {grid[0]:.6g}")
     margin = np.vectorize(lambda e: eigs(e)[0] + tol, otypes=[float])
     res = bracketed_root(margin, grid[bad[0] - 1], grid[bad[0]], what="R_b edge",
                          xatol=0.0, xrtol=1e-4)
-    r_b = float(res.bracket[0])
-    return sup, e_star, r_b, math.sqrt(r_b / sup), None
-
-
-def sup_d_norm(model, *, grid_points: int = 600):
-    """Supremum of ||D(E)|| over E >= 0 and its argmax (see _d_scan)."""
-    return _d_scan(model, grid_points)[:2]
+    return sup, e_star, float(res.bracket[0]), None
 
 
 def _n_plus(levels) -> int:
@@ -148,13 +143,7 @@ def r_a(model) -> float:
     return float(radius)
 
 
-def r_b_lambda_b(model, *, grid_points: int = 600):
-    """Edge r_b of the scanned region where D(E) >= 0, lambda_b =
-    sqrt(r_b / sup ||D||) and a note on a truncated scan (see _d_scan)."""
-    return _d_scan(model, grid_points)[2:]
-
-
-def lambda_n(model, n, *, sup: float | None = None) -> float:
+def lambda_n(model, n, *, sup: float) -> float:
     """Per-level threshold sqrt((min gap to other levels / 3) / sup ||D||)."""
     levels = model.level_array()
     if not 1 <= n <= levels.size:
@@ -165,8 +154,6 @@ def lambda_n(model, n, *, sup: float | None = None) -> float:
     gap = float(np.min(np.abs(others - levels[n - 1])))
     if gap == 0.0:
         raise HypothesisViolation(f"level {n} is degenerate")
-    if sup is None:
-        sup, _ = sup_d_norm(model)
     return math.sqrt(gap / 3.0 / sup)
 
 
@@ -248,11 +235,16 @@ def certificate(model, *, grid_points: int = 600) -> ThresholdReport:
     notes = []
     levels = model.level_array()
     n_pos = _n_plus(levels)
-    sup, e_star, radius_b, lam_b, note_b = _d_scan(model, grid_points)
+    sup, e_star, radius_b, note_b = _d_scan(model, grid_points)
 
     try:
+        if not sup > 0.0:
+            raise HypothesisViolation(
+                "sup ||D|| = 0: every form factor vanishes, no coupling "
+                "threshold to certify")
         radius_a = r_a(model)
         lam_a = math.sqrt(radius_a / sup)
+        lam_b = math.sqrt(radius_b / sup)
     except HypothesisViolation as exc:
         notes.append(str(exc))
         return ThresholdReport(sup, e_star, float("nan"), float("nan"),

@@ -139,6 +139,24 @@ def test_thresholds_false_branch(tmp_path):
     assert "verdict: false" in text
 
 
+def test_thresholds_vanishing_form_factors(tmp_path):
+    # sup ||D|| = 0 leaves no threshold to divide by: the certificate does
+    # not apply, and the report says why
+    config = {
+        "levels": [-0.01, 0.01, 0.02],
+        "lambda": 0.7,
+        "form_factors": [{"family": "rational", "n_index": n, "prefactor": 0.0}
+                         for n in (1, 2, 3)],
+    }
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["thresholds", "--model", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "thresholds_report.txt").read_text()
+    assert "verdict: inapplicable" in text
+    assert "note: sup ||D|| = 0" in text
+
+
 def test_oracle_check(tmp_path):
     rc = main(["oracle-check", "--preset", "three-level-fig",
                "--lambda", "0.7", "--grid", "300,600",

@@ -13,7 +13,6 @@ from friedrichs import (
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
-    eval_form_factor,
     l2_norm_sq,
     load_model,
     make_preset,
@@ -157,15 +156,6 @@ def test_l2_norms_three_level(three_level):
     assert total_l2_norm_sq(three_level) == pytest.approx(sum(want), rel=1e-12)
 
 
-def test_scaled_factor():
-    f = RationalFormFactor(2, 1.0, 0.5, prefactor=1.0)
-    g = f.scaled(3.0)
-    assert g.prefactor == pytest.approx(3.0)
-    assert g.cutoff == f.cutoff
-    x = np.array([0.3, 1.2])
-    assert np.allclose(g.value(x), 3.0 * f.value(x), rtol=1e-14)
-
-
 def test_rational_validation():
     with pytest.raises(ConfigError):
         RationalFormFactor(0)
@@ -236,8 +226,7 @@ def test_presets(hydrogen, three_level):
 
 
 def test_unit_system():
-    u = UnitSystem(8.498e18)
-    assert u.energy_to_physical(u.energy_to_internal(3.1e15)) == pytest.approx(3.1e15)
+    assert UnitSystem(8.498e18).reference_cutoff == 8.498e18
     with pytest.raises(ConfigError):
         UnitSystem(0.0)
 
@@ -300,16 +289,6 @@ def test_load_model_errors(tmp_path):
         "form_factors": [{"family": "mystery"}]}))
     with pytest.raises(ConfigError):
         load_model(unknown)
-
-
-def test_eval_form_factor(three_level):
-    v = eval_form_factor(three_level, 2, 0.5)
-    f = three_level.form_factors[1]
-    assert v == pytest.approx(f.value_scalar(0.5), rel=1e-14)
-    with pytest.raises(ValueError):
-        eval_form_factor(three_level, 0, 0.5)
-    with pytest.raises(ValueError):
-        eval_form_factor(three_level, 4, 0.5)
 
 
 def _tabulated_descriptor():

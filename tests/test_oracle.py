@@ -5,11 +5,9 @@ import scipy.linalg
 from friedrichs import (
     DiscretizedHamiltonian,
     FriedrichsModel,
-    GridSpec,
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
-    bound_state,
     compare_negative_spectrum,
     discretize,
     l2_norm_sq,
@@ -25,8 +23,7 @@ def test_hand_built_hamiltonian():
     # H = [[-1, 1, 1], [1, 1, 0], [1, 0, 3]], whose characteristic
     # polynomial is x^3 - 3x^2 - 3x + 7
     ham = DiscretizedHamiltonian(np.array([-1.0]), np.array([[1.0, 1.0]]),
-                                 np.array([1.0, 3.0]), np.array([1.0, 1.0]), 1,
-                                 GridSpec(2, 2, 3.0, "explicit", 0))
+                                 np.array([1.0, 3.0]), np.array([1.0, 1.0]))
     want = np.sort(np.roots([1.0, -3.0, -3.0, 7.0]).real)
     assert ham.dimension == 3
     assert np.allclose(np.linalg.eigvalsh(ham.h), want, atol=1e-12)
@@ -90,11 +87,10 @@ def test_complex_gauge_for_tabulated():
 
 def test_discretize_grid_quality(three_level):
     ham = discretize(three_level, 400)
-    assert ham.spec.m_requested == 400
-    assert ham.nodes.size == ham.weights.size == ham.spec.m_actual
+    assert ham.nodes.size == ham.weights.size
     assert np.all(ham.weights > 0.0)
     assert np.all(np.diff(ham.nodes) > 0.0)
-    assert ham.n_levels == 3
+    assert ham.dimension == 3 + ham.nodes.size
     # the grid must integrate the form-factor moduli to quadrature accuracy
     for n in (1, 2, 3):
         f = three_level.form_factors[n - 1]
@@ -107,13 +103,12 @@ def test_discretize_validation(three_level):
         discretize(three_level, 5)
 
 
-def test_negative_eigensystem_matches_solver(three_level):
-    model = three_level.with_coupling(0.7)
-    ham = discretize(model, 800)
+def test_negative_eigensystem_matches_solver(three_level, three_level_reports):
+    ham = discretize(three_level.with_coupling(0.7), 800)
     energies, vectors = ham.negative_eigensystem()
     assert len(energies) == 2
     for k, e in enumerate(energies):
-        st = bound_state(model, k + 1)
+        st = three_level_reports[0.7].states[k]
         assert e == pytest.approx(st.energy, abs=1e-9)
         # level-space blocks agree up to a global sign
         block = vectors[: 3, k]

@@ -18,7 +18,6 @@ from friedrichs import (
     t_matrix,
 )
 from friedrichs import quad
-from friedrichs.quad import bump
 
 from _references import (
     HYDROGEN_GRAM_MINUS1,
@@ -53,14 +52,6 @@ def test_integrate_semiinf_complex():
 def test_integrate_semiinf_divergent_raises():
     with pytest.raises(QuadratureError):
         integrate_semiinf(lambda w: 1.0 / w if w > 0.0 else 0.0)
-
-
-def test_bump_shape():
-    assert bump(0.0, 0.5) == pytest.approx(1.0)
-    assert bump(0.5, 0.5) == 0.0
-    assert bump(0.7, 0.5) == 0.0
-    assert bump(-0.2, 0.5) == bump(0.2, 0.5)
-    assert 0.0 < bump(0.3, 0.5) < 1.0
 
 
 def closed_form_pv_even(e):

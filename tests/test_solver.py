@@ -4,14 +4,11 @@ import pytest
 import friedrichs.model
 import friedrichs.solver
 from friedrichs import (
-    BracketError,
     FriedrichsModel,
     RationalFormFactor,
     UnitSystem,
     bound_state,
     count_negative,
-    find_root,
-    independence_analysis,
     l2_norm_sq,
     positive_candidate_scan,
     residual,
@@ -37,35 +34,30 @@ def test_count_negative_decoupled(three_level):
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
-def test_find_root_against_reference(three_level, lam):
+def test_find_root_against_reference(three_level_reports, lam):
     # frozen by tests/oracles/gen_references.py
-    model = three_level.with_coupling(lam)
-    for n, want in enumerate(THREE_LEVEL_ROOTS[lam], start=1):
-        got = find_root(model, n)
-        assert got == pytest.approx(want, abs=2e-10)
+    rep = three_level_reports[lam]
+    assert rep.count == len(THREE_LEVEL_ROOTS[lam])
+    for st, want in zip(rep.states, THREE_LEVEL_ROOTS[lam]):
+        assert st.energy == pytest.approx(want, abs=2e-10)
 
 
-def test_find_root_needs_negative_branch(three_level):
-    with pytest.raises(BracketError):
-        find_root(three_level.with_coupling(0.1), 2)
-
-
-def test_bound_state_fields(three_level):
-    model = three_level.with_coupling(0.7)
-    st = bound_state(model, 1)
+def test_bound_state_fields(three_level, three_level_reports):
+    st = three_level_reports[0.7].states[0]
     assert st.branch_index == 1
     assert st.bracket[0] <= st.energy <= st.bracket[1]
     assert st.bracket[1] - st.bracket[0] < 1e-12
     assert st.total_norm_sq == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(st.c, st.c) + st.continuum_norm_sq - 1.0) <= 1e-10
     assert st.degenerate_partners == ()
-    # the continuum amplitude closure evaluates -lam sum_n c_n v_n / (w - E)
-    w = 0.7
-    lam = model.coupling
-    manual = -lam * sum(
-        st.c[i] * model.form_factors[i].value_scalar(w) for i in range(3))
-    manual /= (w - st.energy)
-    assert st.f_descriptor(w) == pytest.approx(manual, rel=1e-12)
+    # assembled alone at the same energy, the state differs only in its
+    # bracket, which only the root search knows
+    alone = bound_state(three_level.with_coupling(0.7), 1, st.energy)
+    assert np.isnan(alone.bracket).all()
+    assert np.array_equal(alone.c, st.c)
+    assert alone.continuum_norm_sq == st.continuum_norm_sq
+    with pytest.raises(ValueError):
+        bound_state(three_level, 1, 0.0)
 
 
 def test_bound_state_residual(three_level):
@@ -90,7 +82,6 @@ def test_solve_model_report(three_level):
     rep = solve_model(model)
     assert rep.count == 2
     assert len(rep.states) == 2
-    assert len(rep.brackets) == 2
     energies = [st.energy for st in rep.states]
     assert energies == sorted(energies)
     assert rep.indeterminate == ()
@@ -100,21 +91,6 @@ def test_solve_energy_ordering_matches_reference(three_level):
     rep = solve_model(three_level.with_coupling(10.0))
     got = [st.energy for st in rep.states]
     assert got == pytest.approx(list(THREE_LEVEL_ROOTS[10.0]), abs=2e-9)
-
-
-def test_independence_full_rank(three_level):
-    rep = independence_analysis(three_level, -1.0)
-    assert rep.n_independent == 3
-    assert rep.e_ref == -1.0
-    assert np.all(np.diff(rep.gram_eigenvalues) >= 0.0)
-    assert rep.gram_eigenvalues[0] > 0.0
-
-
-def test_independence_detects_dependence():
-    f = RationalFormFactor(1, 0.0, 1.0)
-    model = FriedrichsModel((-0.1, 0.1), 1.0, (f, f), UnitSystem(1.0))
-    rep = independence_analysis(model, -1.0)
-    assert rep.n_independent == 1
 
 
 def test_positive_scan_decoupled(three_level):
@@ -129,6 +105,14 @@ def test_positive_scan_decoupled(three_level):
     assert energies[1] == pytest.approx(0.02, abs=1e-6)
     for c in cands:
         assert c.zero_defect > 1e-2
+
+
+def test_positive_scan_keeps_zero_on_last_grid_energy(three_level):
+    # decoupled, each positive level is an exact zero of kappa_n(E) - E on
+    # the grid; the one on the last grid energy counts like any other
+    model = three_level.with_coupling(0.0)
+    cands = positive_candidate_scan(model, np.linspace(5e-3, 0.02, 16))
+    assert [(c.branch_index, c.energy) for c in cands] == [(2, 0.01), (3, 0.02)]
 
 
 def test_positive_scan_finds_vanishing_defect():
@@ -148,29 +132,28 @@ def test_positive_scan_rejects_nonpositive_grid(three_level):
         positive_candidate_scan(three_level, np.array([-0.1, 0.5]))
 
 
-def test_seed_energy_covers_strong_coupling(three_level):
+def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
     # the deepest root at lam = 10 sits near -6.8; the bracket search must
     # reach it from the documented seed without manual hints
     model = three_level.with_coupling(10.0)
     seed = min(model.levels[0], 0.0) - 1.0 - model.coupling ** 2 * sum(
         l2_norm_sq(model, n) for n in (1, 2, 3))
     assert seed < THREE_LEVEL_ROOTS[10.0][0]
-    assert find_root(model, 1) > seed
+    assert three_level_reports[10.0].states[0].energy > seed
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
 def test_find_root_gram_budget(three_level, lam, monkeypatch):
-    # the bracketed root search needs far fewer Gram matrices than bisection
-    # to reach the 1e-12 bracket
+    # every Gram matrix of a solve: S(0) for the count, the branch search to
+    # the 1e-12 bracket (the shared bracket ends built once for all branches)
+    # and S(E) at each root for its state
     calls = []
     gram = friedrichs.solver.gram_matrix
     monkeypatch.setattr(friedrichs.solver, "gram_matrix",
                         lambda *a, **k: calls.append(1) or gram(*a, **k))
-    model = three_level.with_coupling(lam)
-    for n in range(1, len(THREE_LEVEL_ROOTS[lam]) + 1):
-        calls.clear()
-        find_root(model, n)
-        assert len(calls) <= 15
+    rep = solve_model(three_level.with_coupling(lam))
+    assert rep.count == len(THREE_LEVEL_ROOTS[lam])
+    assert len(calls) <= {0.1: 10, 0.7: 16, 10.0: 29}[lam]
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from friedrichs import (
-    DegeneracyError,
     LevelShiftMatrix,
     NumericalError,
     eigh,
     gram_matrix,
     k_matrix,
     kappa_curve,
-    projector,
-    projector_series,
     pv_matrix,
 )
 
@@ -94,44 +91,3 @@ def test_kappa_perturbation_bound_at_one(hydrogen):
     lam_sq = hydrogen.coupling ** 2
     dev = np.abs(point.kappa - hydrogen.level_array())
     assert np.all(dev <= lam_sq * d.norm() * (1.0 + 1e-12))
-
-
-def test_projector_properties(three_level):
-    model = three_level.with_coupling(0.7)
-    point = kappa_curve(model, [-0.3])[0]
-    for n in (1, 2, 3):
-        p = projector(point, n)
-        assert np.allclose(p @ p, p, atol=1e-13)
-        assert np.allclose(p, p.conj().T, atol=1e-14)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-13)
-        v = point.vectors[:, n - 1]
-        assert np.allclose(p @ v, v, atol=1e-13)
-    with pytest.raises(ValueError):
-        projector(point, 0)
-    with pytest.raises(ValueError):
-        projector(point, 4)
-
-
-def test_projector_degenerate():
-    point = eigh(np.eye(2), 0.0)
-    with pytest.raises(DegeneracyError):
-        projector(point, 1)
-
-
-def test_projector_series_converges(three_level):
-    model = three_level.with_coupling(0.02)
-    e = -0.5
-    point = kappa_curve(model, [e])[0]
-    exact = projector(point, 2)
-    bare = projector_series(model, e, 2, order=0)
-    assert np.allclose(bare, np.diag([0.0, 1.0, 0.0]), atol=1e-10)
-    errs = [np.linalg.norm(projector_series(model, e, 2, order=k) - exact, 2)
-            for k in (0, 2, 6)]
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] <= 1e-10
-
-
-def test_projector_series_warns_outside_radius(three_level):
-    model = three_level.with_coupling(2.0)
-    with pytest.warns(RuntimeWarning):
-        projector_series(model, -0.5, 2, order=2, lambda_n=0.5)

@@ -14,8 +14,6 @@ from friedrichs import (
     lambda_bar_closed_form,
     pv_matrix,
     r_a,
-    r_b_lambda_b,
-    sup_d_norm,
 )
 
 from _references import HYDROGEN_R_B, HYDROGEN_SUP_D, HYDROGEN_SUP_D_E_STAR
@@ -135,10 +133,6 @@ def test_certificate_inapplicable_degenerate_levels():
 
 def test_certificate_three_level(three_level):
     rep = certificate(three_level, grid_points=80)
-    # the public scan functions project the certificate's one scan
-    assert sup_d_norm(three_level, grid_points=80) == (rep.sup_d_norm,
-                                                       rep.sup_d_argmax)
-    assert r_b_lambda_b(three_level, grid_points=80)[:2] == (rep.r_b, rep.lambda_b)
     assert rep.n_plus == 2
     assert len(rep.level_thresholds) == 2
     assert {lt.n for lt in rep.level_thresholds} == {2, 3}
@@ -187,7 +181,8 @@ def test_lambda_bar_closed_form_solves_quadratic():
 
 
 def test_sup_d_norm_returns_location(three_level):
-    val, e_star = sup_d_norm(three_level, grid_points=60)
+    rep = certificate(three_level, grid_points=60)
+    val, e_star = rep.sup_d_norm, rep.sup_d_argmax
     assert val > 0.0
     assert e_star > 0.0
     for e in (0.05, 0.3, 1.0):
