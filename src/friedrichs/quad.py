@@ -13,14 +13,12 @@ and for E inside the continuum (E >= 0) the principal-value matrix
 
 The principal value is computed from the absolutely integrable rewrite
 
-    PV int eta(w)/(w-E) dw = int [eta(w) - eta(E) bump_delta(w-E)] / (w-E) dw,
+    PV int eta(w)/(w-E) dw = int [eta(w) - eta(E) 1{w < 2E}] / (w-E) dw,
 
-where bump_delta(y) = exp(1 - 1/(1 - (y/delta)^2)) on |y| < delta and 0
-outside.  Because the bump is even and supported inside [E-delta, E+delta]
-with delta <= E/2, the subtracted term integrates to zero exactly and the
-result does not depend on delta; varying delta is therefore a consistency
-check, not a tuning knob.  delta = min(E/2, 1/2), and within 1e-8 max(E, 1)
-of w = E the integrand is replaced by its limit eta'(E).
+which is exact because PV int_0^{2E} dw/(w-E) = 0.  E and 2E are quadrature
+breakpoints: QUADPACK never evaluates the integrand at a breakpoint, so the
+removable point w = E is never a node, and the difference quotient stays
+bounded on both sides of it (also where E sits on a kink of eta).
 
 Integrals run over [0, split] with QUADPACK using explicit breakpoints, plus
 an algebraic tail w = split + t/(1-t), t in [0, 1).  Every matrix entry is a
@@ -60,10 +58,6 @@ class QuadratureError(NumericalError):
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-13
 _MAX_SUBDIVISIONS = 2000
-# principal value: bump half width min(E/2, _DELTA_CAP), and the half width
-# (relative to max(E, 1)) of the window around w = E patched by eta'(E)
-_DELTA_CAP = 0.5
-_ANALYTIC_WINDOW = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,38 +135,24 @@ def integrate_semiinf(f, *, breakpoints=(), split=10.0, complex_valued=False):
     return main + tval, emain + etail
 
 
-def pv_integral(eta, e, *, eta_prime_at_e=None, split=10.0,
-                extra_breakpoints=(), complex_valued=False):
+def pv_integral(eta, e, *, split=10.0, extra_breakpoints=(),
+                complex_valued=False):
     """Principal value of integral eta(w)/(w - e) dw over [0, infinity), e > 0.
 
-    eta must be smooth near w = e.  eta_prime_at_e may be supplied when a
-    closed form is available; otherwise eta is differenced with step
-    min(1e-6 max(e, 1), e/2), which stays on the half line.  Returns
-    (value, error).
+    Integrates [eta(w) - eta(e) 1{w < 2e}] / (w - e) with breakpoints at e
+    and 2e and the direct piece extended to at least 4e (module docstring);
+    eta must be Lipschitz on each side of w = e.  Returns (value, error).
     """
     e = float(e)
     if not e > 0.0:
         raise ValueError("pv_integral requires e > 0")
-    delta = min(0.5 * e, _DELTA_CAP)
-    window = _ANALYTIC_WINDOW * max(e, 1.0)
-    eta_e, eta_p = eta(e), eta_prime_at_e
-    if eta_p is None:
-        h = min(1e-6 * max(e, 1.0), 0.5 * e)
-        eta_p = (eta(e + h) - eta(e - h)) / (2.0 * h)
-    inv_delta_sq = 1.0 / (delta * delta)
+    eta_e, two_e = eta(e), 2.0 * e
 
     def integrand(w):
-        d = w - e
-        if abs(d) < window:
-            return eta_p
-        t = d * d * inv_delta_sq
-        if t < 1.0:
-            return (eta(w) - eta_e * math.exp(1.0 - 1.0 / (1.0 - t))) / d
-        return eta(w) / d
+        return (eta(w) - eta_e if w < two_e else eta(w)) / (w - e)
 
-    split_eff = max(split, 2.0 * (e + delta))
-    pts = [e - delta, e, e + delta, *extra_breakpoints]
-    return integrate_semiinf(integrand, breakpoints=pts, split=split_eff,
+    return integrate_semiinf(integrand, breakpoints=[e, two_e, *extra_breakpoints],
+                             split=max(split, 4.0 * e),
                              complex_valued=complex_valued)
 
 
@@ -181,25 +161,23 @@ def pv_integral(eta, e, *, eta_prime_at_e=None, split=10.0,
 
 
 def _pair(fn, fm):
-    """(phase, a, b, a', b', complex_valued) with conj(v_n) v_m = phase * a * b.
+    """(phase, a, b, complex_valued) with conj(v_n) v_m = phase * a * b.
 
-    For the built-in families a and b are the real profiles, a' and b' their
-    exact derivatives.  Otherwise a = conj(v_n), b = v_m and no derivatives
-    are known (None).
+    For the built-in families a and b are the real profiles; otherwise
+    a = conj(v_n) and b = v_m.
     """
     if fn.common_phase is not None and fm.common_phase is not None:
         return (complex(np.conj(fn.common_phase) * fm.common_phase),
-                fn.profile_scalar, fm.profile_scalar,
-                fn.profile_derivative_scalar, fm.profile_derivative_scalar, False)
+                fn.profile_scalar, fm.profile_scalar, False)
     vn = fn.value_scalar
-    return 1.0, lambda w: np.conj(vn(w)), fm.value_scalar, None, None, True
+    return 1.0, lambda w: np.conj(vn(w)), fm.value_scalar, True
 
 
 def _level_shift(model, kind, e, integral, e2=None) -> LevelShiftMatrix:
     """Hermitian matrix of pair integrals, built over the upper triangle and
-    mirrored, with the per-entry error estimates in err.  integral(a, b, a',
-    b', complex_valued) integrates one pair density a * b against the
-    matrix's kernel and returns (value, error estimate).
+    mirrored, with the per-entry error estimates in err.  integral(a, b,
+    complex_valued) integrates one pair density a * b against the matrix's
+    kernel (a principal value for D) and returns (value, error estimate).
     """
     n = model.n_levels
     entries = np.zeros((n, n), dtype=complex)
@@ -238,7 +216,7 @@ def gram_matrix(model, e) -> LevelShiftMatrix:
     _check_below_threshold(model, e, "gram_matrix")
     split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
-    def integral(a, b, da, db, complex_valued):
+    def integral(a, b, complex_valued):
         return integrate_semiinf(lambda w: a(w) * b(w) / (w - e),
                                  breakpoints=pts, split=split,
                                  complex_valued=complex_valued)
@@ -257,7 +235,7 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     _check_below_threshold(model, e2, "t_matrix")
     split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
-    def integral(a, b, da, db, complex_valued):
+    def integral(a, b, complex_valued):
         return integrate_semiinf(lambda w: a(w) * b(w) / ((w - e) * (w - e2)),
                                  breakpoints=pts, split=split,
                                  complex_valued=complex_valued)
@@ -268,10 +246,8 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
 def pv_matrix(model, e) -> LevelShiftMatrix:
     """Principal-value matrix D(E) for E >= 0.
 
-    D(0) coincides with S(0).  For E > 0 each entry uses the bump-regularized
-    rewrite described in the module docstring, with the removable point at
-    w = E patched by the exact product-rule derivative of the pair density
-    for the built-in families (central differences for tabulated data).
+    D(0) coincides with S(0).  For E > 0 each entry is pv_integral of the
+    pair density: eta(E) subtracted on [0, 2E], as in the module docstring.
     """
     e = float(e)
     if e < 0.0:
@@ -279,12 +255,10 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     if e == 0.0:
         s = gram_matrix(model, 0.0)
         return LevelShiftMatrix(s.entries, 0.0, "D", s.err)
-    split, pts = max(10.0 * model.max_scale(), 2.0 * e + 1.0), _factor_breakpoints(model)
+    split, pts = 10.0 * model.max_scale(), _factor_breakpoints(model)
 
-    def integral(a, b, da, db, complex_valued):
-        eta_p = None if da is None else da(e) * b(e) + a(e) * db(e)
-        return pv_integral(lambda w: a(w) * b(w), e, eta_prime_at_e=eta_p,
-                           split=split, extra_breakpoints=pts,
-                           complex_valued=complex_valued)
+    def integral(a, b, complex_valued):
+        return pv_integral(lambda w: a(w) * b(w), e, split=split,
+                           extra_breakpoints=pts, complex_valued=complex_valued)
 
     return _level_shift(model, "D", e, integral)

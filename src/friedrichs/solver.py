@@ -105,9 +105,17 @@ def count_negative(model) -> CountResult:
 
 
 def _gram_k(model):
-    """K(E) on the QUADPACK Gram matrix; oracle.DiscretizedHamiltonian._k is
-    its node-sum twin."""
-    return lambda e: k_matrix(model, gram_matrix(model, e))
+    """K(E) on the QUADPACK Gram matrix, built once per energy, so that a solve
+    shares the count's K(0) with the branch search;
+    oracle.DiscretizedHamiltonian._k is its node-sum twin."""
+    built = {}
+
+    def k_at(e):
+        if e not in built:
+            built[e] = k_matrix(model, gram_matrix(model, e))
+        return built[e]
+
+    return k_at
 
 
 def _seed(levels, coupled_norm_sq):
@@ -185,11 +193,12 @@ def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
     search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
     |v_n|^2, 0] down to a bracket narrower than 1e-12."""
-    counted = count_negative(model)
+    k_at = _gram_k(model)
+    counted = CountResult.from_kappa(eigh(k_at(0.0), 0.0).kappa)
     states = ()
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
-        roots = _branch_roots(_gram_k(model), counted.count, seed)
+        roots = _branch_roots(k_at, counted.count, seed)
         states = tuple(replace(bound_state(model, n, e), bracket=bracket)
                        for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,

@@ -41,8 +41,8 @@ __all__ = [
 
 class HypothesisViolation(ValueError):
     """A certificate hypothesis fails for this model (degenerate levels,
-    no positive level, a form factor vanishing at its own level, or
-    sup ||D|| = 0)."""
+    no positive level, a form factor vanishing at its own level or with an
+    unbounded slope of |v|^2, or sup ||D|| = 0)."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,9 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
 
     lambda_bar^2 = lambda_n^2 / (2 beta) * (A - sqrt(A^2 - 4 alpha beta)),
     A = alpha + beta + gamma.  The discriminant is nonnegative for any
-    positive inputs; alpha -> 0 or beta -> 0 degenerate the quadratic and
-    raise HypothesisViolation.
+    positive inputs; alpha -> 0 or beta -> 0 degenerate the quadratic, and
+    beta = inf (a threshold exponent below 1/2) leaves it undefined: all
+    three raise HypothesisViolation.
     """
     if not alpha > 0.0:
         raise HypothesisViolation(
@@ -218,6 +219,10 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
             "the local certificate does not apply")
     if not beta > 0.0:
         raise HypothesisViolation("flat modulus (beta = 0), quadratic degenerates")
+    if not math.isfinite(beta):
+        raise HypothesisViolation(
+            "unbounded d|v|^2/domega (beta = inf), the local certificate "
+            "does not apply")
     a_tot = alpha + beta + gamma
     disc = max(a_tot * a_tot - 4.0 * alpha * beta, 0.0)
     lam_bar_sq = lam_n ** 2 / (2.0 * beta) * (a_tot - math.sqrt(disc))

@@ -2,9 +2,11 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
-from friedrichs import __version__, kappa_curve, make_preset
+import friedrichs
+from friedrichs import LevelShiftMatrix, __version__, kappa_curve, make_preset
 from friedrichs.cli import main
 
 
@@ -157,6 +159,35 @@ def test_thresholds_vanishing_form_factors(tmp_path):
     assert "note: sup ||D|| = 0" in text
 
 
+def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
+    # p_exponent < 1/2 makes d|v|^2/domega unbounded at 0, so beta = inf and
+    # the local quadratic has no finite solution: the level's threshold must
+    # not silently drop out of the bound (it printed lambda_bar=nan with
+    # verdict true).  The D(E) scan (about 600 complex-path D(E), a minute)
+    # is irrelevant to beta and is replaced by a constant D = 1.
+    config = {
+        "levels": [0.1, 0.3],
+        "lambda": 0.01,
+        "form_factors": [
+            {"family": "tabulated", "grid": [0.1, 0.5, 1.0, 2.0, 4.0],
+             "values_re": [0.3, 0.5, 0.4, 0.2, 0.1], "tail_exponent": -1.5,
+             "p_exponent": 0.3},
+            {"family": "rational", "n_index": 2}],
+    }
+    monkeypatch.setattr(
+        friedrichs.thresholds, "pv_matrix",
+        lambda model, e: LevelShiftMatrix(np.eye(2, dtype=complex), e, "D",
+                                          np.zeros((2, 2))))
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["thresholds", "--model", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "thresholds_report.txt").read_text()
+    assert "nan" not in text
+    assert "verdict: inapplicable" in text
+    assert "note: level 1: unbounded d|v|^2/domega (beta = inf)" in text
+
+
 def test_oracle_check(tmp_path):
     rc = main(["oracle-check", "--preset", "three-level-fig",
                "--lambda", "0.7", "--grid", "300,600",
@@ -295,8 +326,8 @@ def test_analyze_narrow_form_factor(tmp_path):
 
 
 def test_kappa_curves_tabulated_near_threshold(tmp_path, tabulated_two_level):
-    # the principal value's difference step must stay on the half line
-    # for 0 < E < 1e-6
+    # the principal value's subtraction interval [0, 2E] must stay on the
+    # half line for 0 < E < 1e-6
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(tabulated_two_level.descriptor()))
     rc = main(["kappa-curves", "--model", str(cfg), "--kind", "D",

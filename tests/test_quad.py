@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from friedrichs import (
     FriedrichsModel,
@@ -13,11 +14,11 @@ from friedrichs import (
     discretize,
     gram_matrix,
     integrate_semiinf,
+    make_preset,
     pv_integral,
     pv_matrix,
     t_matrix,
 )
-from friedrichs import quad
 
 from _references import (
     HYDROGEN_GRAM_MINUS1,
@@ -77,25 +78,6 @@ def test_pv_closed_form_odd(e):
     eta = lambda w: w / (1.0 + w * w)
     v, _ = pv_integral(eta, e)
     assert v == pytest.approx(closed_form_pv_odd(e), rel=1e-11)
-
-
-def test_pv_with_exact_derivative():
-    e = 0.5
-    eta = lambda w: 1.0 / (1.0 + w * w)
-    eta_prime = lambda w: -2.0 * w / (1.0 + w * w) ** 2
-    v, _ = pv_integral(eta, e, eta_prime_at_e=eta_prime(e))
-    assert v == pytest.approx(closed_form_pv_even(e), rel=1e-12)
-
-
-def test_pv_delta_independence(monkeypatch):
-    # the bump is even and supported inside the integration range, so the
-    # regularized value cannot depend on the chosen half-width
-    e = 0.8
-    eta = lambda w: w / (1.0 + w * w)
-    v1, _ = pv_integral(eta, e)
-    monkeypatch.setattr(quad, "_DELTA_CAP", 0.05)
-    v2, _ = pv_integral(eta, e)
-    assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-13)
 
 
 def test_gram_matrix_hydrogen(hydrogen):
@@ -181,11 +163,7 @@ def test_pv_matrix_at_zero_matches_gram(three_level):
 
 
 def test_pv_matrix_hermitian_complex_path():
-    grid = np.linspace(0.25, 6.0, 60)
-    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
-    f1 = TabulatedFormFactor(grid, vals, tail_exponent=-1.5)
-    f2 = RationalFormFactor(2, 1.0, 1.0)
-    model = FriedrichsModel((0.1, 0.3), 0.5, (f1, f2), UnitSystem(1.0))
+    model = _tabulated_rational()
     m = pv_matrix(model, 0.9)
     assert np.iscomplexobj(m.entries)
     assert np.allclose(m.entries, m.entries.conj().T, atol=1e-12)
@@ -197,6 +175,72 @@ def _complex_tabulated():
     grid = np.linspace(0.25, 6.0, 60)
     vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
     return TabulatedFormFactor(grid, vals, tail_exponent=-1.5)
+
+
+def _tabulated_rational():
+    return FriedrichsModel((0.1, 0.3), 0.5,
+                           (_complex_tabulated(), RationalFormFactor(2, 1.0, 1.0)),
+                           UnitSystem(1.0))
+
+
+def _cauchy_reference(model, e):
+    """D(E) without the 2E subtraction: the Cauchy-weighted rule (QAWC) on
+    the breakpoint cell [lo, hi] that contains E, QAGP with the kinks as
+    points on [0, lo] and [hi, top], and QAGI on [top, infinity)."""
+    kinks = sorted({float(b) for f in model.form_factors for b in f.breakpoints()})
+    lo = max([0.0] + [b for b in kinks if b < e])
+    hi = min([b for b in kinks if b > e] or [2.0 * e])
+    top = max(kinks[-1], hi)
+    tol = dict(epsabs=1e-15, epsrel=1e-12, limit=5000)
+
+    def piece(f, a, b):
+        inner = [k for k in kinks if a < k < b]
+        return integrate.quad(f, a, b, points=inner or None, **tol)[0] if b > a else 0.0
+
+    n = model.n_levels
+    out = np.zeros((n, n), dtype=complex)
+    for i, fi in enumerate(model.form_factors):
+        for j, fj in enumerate(model.form_factors):
+            for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+                eta = lambda w: part(np.conj(fi.value(w)) * fj.value(w))
+                over = lambda w: eta(w) / (w - e)
+                cell = integrate.quad(eta, lo, hi, weight="cauchy", wvar=e, **tol)[0]
+                tail = integrate.quad(over, top, np.inf, **tol)[0]
+                out[i, j] += unit * (cell + piece(over, 0.0, lo) + piece(over, hi, top) + tail)
+    return out
+
+
+_PV_MODELS = {
+    "hydrogen-4level": lambda: make_preset("hydrogen-4level"),
+    "three-level-fig": lambda: make_preset("three-level-fig"),
+    "tabulated-rational": _tabulated_rational,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PV_MODELS))
+def test_pv_matrix_matches_cauchy_reference(name):
+    # the 2E subtraction against an independent principal value; every
+    # energy lies strictly between tabulated nodes
+    model = _PV_MODELS[name]()
+    for e in (1e-6 * model.max_scale(), 0.0813, 0.5, 90.0):
+        d = pv_matrix(model, e).entries
+        ref = _cauchy_reference(model, e)
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max(), e
+
+
+@pytest.mark.parametrize("where", ["on-node", "half-node"])
+def test_pv_matrix_on_tabulated_kink(where):
+    # E on a node puts the kink at w = E, E at half a node puts it at w = 2E;
+    # both are breakpoints, so D stays finite, Hermitian and continuous
+    model = _tabulated_rational()
+    node = float(model.form_factors[0].grid[7])
+    e = node if where == "on-node" else 0.5 * node
+    d = pv_matrix(model, e).entries
+    assert np.isfinite(d).all()
+    assert np.array_equal(d, d.conj().T)
+    mean = 0.5 * (pv_matrix(model, e * (1.0 - 1e-9)).entries
+                  + pv_matrix(model, e * (1.0 + 1e-9)).entries)
+    assert np.abs(d - mean).max() <= 1e-9 * np.abs(mean).max()
 
 
 @pytest.mark.parametrize("first,tol", [

@@ -144,16 +144,17 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
 
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
 def test_find_root_gram_budget(three_level, lam, monkeypatch):
-    # every Gram matrix of a solve: S(0) for the count, the branch search to
-    # the 1e-12 bracket (the shared bracket ends built once for all branches)
-    # and S(E) at each root for its state
+    # every Gram matrix of a solve: S(0) for the count, which also serves as
+    # the branch search's upper bracket end, the search to the 1e-12 bracket
+    # (the shared lower end built once for all branches) and S(E) at each
+    # root for its state
     calls = []
     gram = friedrichs.solver.gram_matrix
     monkeypatch.setattr(friedrichs.solver, "gram_matrix",
                         lambda *a, **k: calls.append(1) or gram(*a, **k))
     rep = solve_model(three_level.with_coupling(lam))
     assert rep.count == len(THREE_LEVEL_ROOTS[lam])
-    assert len(calls) <= {0.1: 10, 0.7: 16, 10.0: 29}[lam]
+    assert len(calls) <= {0.1: 9, 0.7: 15, 10.0: 28}[lam]
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
