@@ -17,15 +17,19 @@ Built-in form-factor families share one algebraic shape,
 
 with a real polynomial Q, integer pole order q and width c.  This makes
 closed-form modulus-squared derivatives available, which the threshold
-certificates need as exact suprema rather than sampled estimates.
+certificates need as exact suprema rather than sampled estimates, and makes
+every pair density conj(v_n) v_m rational, which the level-shift matrices
+integrate as node sums on a rotated ray (`quad`).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,10 +94,10 @@ class FormFactor:
     scalar fast paths for quadrature callbacks, a characteristic width
     `scale`, the threshold exponent `p_exponent`, and `common_phase`: a unit
     complex number phi with v(x) = phi * profile(x) for a real signed profile,
-    or None when no such global phase exists.  Pairwise products
-    conj(v_n) v_m then reduce to real integrands whenever both phases are
-    known, which keeps all built-in matrix elements on the real quadrature
-    path.
+    or None when no such global phase exists.  A factor with a common phase
+    is one of the rational built-ins and also provides `rational_part`; the
+    level-shift matrices of pairs of such factors are node sums on a rotated
+    ray (see `quad`), all others are integrated with QUADPACK.
     """
 
     p_exponent: float = 0.5
@@ -110,9 +114,6 @@ class FormFactor:
         raise NotImplementedError
 
     def profile_scalar(self, x: float) -> float:
-        raise NotImplementedError
-
-    def profile_derivative_scalar(self, x: float) -> float:
         raise NotImplementedError
 
     def mod_sq_scalar(self, x: float) -> float:
@@ -162,6 +163,19 @@ class _PolynomialFormFactor(FormFactor):
         self._c = float(width)
         self.scale = self._c
         self.p_exponent = 0.5
+        # quad's node tables of the pairs (self, other), keyed by other: they
+        # die with either factor
+        self._pair_tables = weakref.WeakKeyDictionary()
+
+    def rational_part(self, z):
+        """r(z) with v(x) = common_phase * sqrt(x) * r(x) for x >= 0.
+
+        r = (amp / sqrt(c)) Q(s) / (1+s)**q, s = (z/c)**2, is even and
+        rational with poles at +-i c only, so it is evaluated at complex z
+        as well as on the half line.
+        """
+        return self._amp / math.sqrt(self._c) * _over_pole(self._desc, (z / self._c) ** 2,
+                                                           self._gap)
 
     def profile_scalar(self, x: float) -> float:
         if x < 0.0:
@@ -316,6 +330,9 @@ class TabulatedFormFactor(FormFactor):
         self.common_phase = None
         self._msq = np.abs(values) ** 2
         self._dmsq = np.gradient(self._msq, grid)
+        # Python lists for value_scalar, which QUADPACK calls point by point
+        self._grid_list = grid.tolist()
+        self._values_list = values.tolist()
 
     def breakpoints(self) -> tuple:
         # the interpolant has a kink at every node
@@ -339,7 +356,18 @@ class TabulatedFormFactor(FormFactor):
         return out[0] if scalar else out
 
     def value_scalar(self, x: float) -> complex:
-        return complex(self.value(x))
+        """`value` at one point: bisection and the same linear interpolation
+        and power-law ends, on Python floats."""
+        if x < 0.0:
+            raise ValueError("form factors are defined for omega >= 0")
+        grid, values = self._grid_list, self._values_list
+        if x < grid[0]:
+            return values[0] * (x / grid[0]) ** self.p_exponent
+        if x >= grid[-1]:
+            return values[-1] * (x / grid[-1]) ** self.tail_exponent
+        j = bisect.bisect_right(grid, x)
+        x0, x1, v0, v1 = grid[j - 1], grid[j], values[j - 1], values[j]
+        return (v1 - v0) / (x1 - x0) * (x - x0) + v0
 
     def mod_sq(self, x):
         scalar = np.ndim(x) == 0
@@ -449,15 +477,13 @@ def model_digest(model: FriedrichsModel) -> str:
 
 
 def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
-    """Integral of |v_n|^2 over the half line."""
-    from .quad import integrate_semiinf
+    """Integral of |v_n|^2 over the half line: a node sum for the built-in
+    families, QUADPACK for tabulated factors (`quad._norm_sq`)."""
+    from .quad import _norm_sq
 
     if not 1 <= n <= model.n_levels:
         raise ValueError(f"level index {n} outside 1..{model.n_levels}")
-    f = model.form_factors[n - 1]
-    value, _ = integrate_semiinf(f.mod_sq_scalar, breakpoints=f.breakpoints(),
-                                 split=10.0 * f.scale)
-    return value
+    return _norm_sq(model.form_factors[n - 1])
 
 
 def total_l2_norm_sq(model: FriedrichsModel) -> float:

@@ -105,9 +105,9 @@ def count_negative(model) -> CountResult:
 
 
 def _gram_k(model):
-    """K(E) on the QUADPACK Gram matrix, built once per energy, so that a solve
-    shares the count's K(0) with the branch search;
-    oracle.DiscretizedHamiltonian._k is its node-sum twin."""
+    """K(E) on the Gram matrix `gram_matrix`, built once per energy, so that
+    a solve shares the count's K(0) with the branch search;
+    oracle.DiscretizedHamiltonian._k is its node-sum twin on real nodes."""
     built = {}
 
     def k_at(e):

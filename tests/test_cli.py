@@ -163,7 +163,7 @@ def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
     # p_exponent < 1/2 makes d|v|^2/domega unbounded at 0, so beta = inf and
     # the local quadratic has no finite solution: the level's threshold must
     # not silently drop out of the bound (it printed lambda_bar=nan with
-    # verdict true).  The D(E) scan (about 600 complex-path D(E), a minute)
+    # verdict true).  The D(E) scan (about 600 complex-path D(E), 3-4 s)
     # is irrelevant to beta and is replaced by a constant D = 1.
     config = {
         "levels": [0.1, 0.3],
@@ -186,6 +186,19 @@ def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
     assert "nan" not in text
     assert "verdict: inapplicable" in text
     assert "note: level 1: unbounded d|v|^2/domega (beta = inf)" in text
+
+
+@pytest.mark.parametrize("preset", ["three-level-fig", "hydrogen-4level"])
+@pytest.mark.parametrize("command", ["analyze", "sweep-lambda", "kappa-curves",
+                                     "thresholds"])
+def test_builtin_presets_need_no_quadpack(tmp_path, monkeypatch, preset, command):
+    # every S, T, D and norm of a built-in pair is a node sum; QUADPACK is
+    # left to pairs with a tabulated factor
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called on a built-in model")
+
+    monkeypatch.setattr(friedrichs.quad, "_quadpack", refuse)
+    assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
 
 
 def test_oracle_check(tmp_path):

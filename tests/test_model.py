@@ -185,6 +185,25 @@ def test_tabulated_roundtrip_and_tails():
     assert f.mod_sq_scalar(0.0) == 0.0
 
 
+@pytest.mark.parametrize("p_exponent", [0.5, 0.0])
+def test_tabulated_value_scalar_matches_value(p_exponent):
+    # the scalar path (bisection on lists) against the vectorized one
+    # (np.interp): nodes, mid-cells, both ends of the grid, below and above
+    # it, and x = 0
+    grid = np.geomspace(0.05, 6.0, 17)
+    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5, p_exponent=p_exponent)
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    xs = np.concatenate((grid, mids, [0.0, 0.01, 0.049, 6.5, 1e3]))
+    for x in xs:
+        want = f.value(float(x))
+        assert abs(f.value_scalar(float(x)) - want) <= 1e-15 * abs(want), x
+    assert f.value_scalar(float(grid[0])) == vals[0]
+    assert f.value_scalar(float(grid[-1])) == vals[-1]
+    with pytest.raises(ValueError):
+        f.value_scalar(-1e-3)
+
+
 def test_tabulated_validation():
     grid = np.array([1.0, 2.0])
     with pytest.raises(ConfigError):

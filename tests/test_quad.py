@@ -1,4 +1,6 @@
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from friedrichs import (
     discretize,
     gram_matrix,
     integrate_semiinf,
+    l2_norm_sq,
     make_preset,
     pv_integral,
     pv_matrix,
@@ -139,6 +142,15 @@ def test_t_matrix_psd(three_level):
     t = t_matrix(three_level, -0.7, -0.7)
     evals = np.linalg.eigvalsh(t.entries)
     assert evals.min() >= -1e-13 * max(evals.max(), 1.0)
+
+
+def test_t_matrix_domain(three_level):
+    # T(0, 0) = integral |v|^2 / w^2 diverges at the built-in exponent 1/2
+    with pytest.raises(ValueError):
+        t_matrix(three_level, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        t_matrix(three_level, -0.1, 0.1)
+    assert np.isfinite(t_matrix(three_level, -1e-9, 0.0).entries).all()
 
 
 def test_pv_matrix_hydrogen(hydrogen):
@@ -270,3 +282,88 @@ def test_level_shift_matrix_norm(three_level):
     direct = np.linalg.norm(m.entries, 2)
     assert m.norm() == pytest.approx(direct, rel=1e-13)
     assert m.n == 3
+
+
+def _kernel_reference(model, kernel, points=()):
+    """integral conj(v_i) v_j kernel(w) dw over [0, infinity) by QUADPACK:
+    QAGP on [0, top] with the widths and the given points as breakpoints,
+    QAGI beyond."""
+    kinks = sorted({f.scale for f in model.form_factors} | {p for p in points if p > 0.0})
+    top = 10.0 * kinks[-1]
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=5000)
+    n = model.n_levels
+    out = np.zeros((n, n), dtype=complex)
+    for i, fi in enumerate(model.form_factors):
+        for j, fj in enumerate(model.form_factors):
+            for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+                f = lambda w: part(np.conj(fi.value(w)) * fj.value(w)) * kernel(w)
+                out[i, j] += unit * (integrate.quad(f, 0.0, top, points=kinks, **tol)[0]
+                                     + integrate.quad(f, top, np.inf, **tol)[0])
+    return out
+
+
+def _ray_models():
+    """Seeded two-level built-in models: rational factors with n_index 1..11
+    and random a, the second a rational or hydrogen factor of width
+    ratio * the first's (a narrow factor next to a wide one at 1e4)."""
+    rng = np.random.default_rng(20261018)
+    for ratio in (1.0, 1.2, 2.0, 2.5, 3.0, 4.0, 8.0, 1e4):
+        c = float(rng.uniform(0.5, 2.0))
+        first = RationalFormFactor(int(rng.integers(1, 12)), float(rng.uniform(-2, 2)), c)
+        if rng.random() < 0.5:
+            second = RationalFormFactor(int(rng.integers(1, 12)),
+                                        float(rng.uniform(-2, 2)), ratio * c)
+        else:
+            index = int(rng.integers(1, 4))
+            width = [1.0, 8.0 / 9.0, 10.0 / 12.0][index - 1]
+            second = HydrogenFormFactor(index, lambda1=ratio * c / width)
+        yield ratio, FriedrichsModel((-0.1, 0.2), 0.5, (first, second), UnitSystem(1.0))
+
+
+_RAY_MODELS = list(_ray_models())
+
+
+@pytest.mark.parametrize("model", [m for _, m in _RAY_MODELS],
+                         ids=[f"ratio{r:g}" for r, _ in _RAY_MODELS])
+def test_ray_kernel_matches_quadpack(model):
+    # S, T(E, E), T(E, E(1 + 1e-8)), D and the norms against QUADPACK, to
+    # 1e-10 of the largest entry, from E = -3 c to -1e-9 c and 0, and from
+    # 1e-6 c to 100 c; err is a positive rounding bound, not an estimate
+    lo, hi = sorted(f.scale for f in model.form_factors)
+
+    def close(got, ref):
+        assert np.abs(got.entries - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.all(got.err > 0.0) and np.all(got.err <= 1e-12 * np.abs(ref).max())
+
+    for e in (-3.0 * hi, -lo, -1e-9 * lo, 0.0):
+        close(gram_matrix(model, e), _kernel_reference(model, lambda w: 1.0 / (w - e), [-e]))
+        if e < 0.0:
+            for e2 in (e, e * (1.0 + 1e-8)):
+                close(t_matrix(model, e, e2),
+                      _kernel_reference(model, lambda w: 1.0 / ((w - e) * (w - e2)), [-e]))
+    for e in (1e-6 * lo, 0.5 * lo, hi, 100.0 * hi):
+        with warnings.catch_warnings():
+            # at ratio 1e4 QUADPACK flags the reference's tail beyond
+            # 2E = 200 c_hi (below 1e-17, entries are O(1)) as slowly
+            # convergent; the comparison still holds
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            ref = _cauchy_reference(model, e)
+        close(pv_matrix(model, e), ref)
+    for n, f in enumerate(model.form_factors, 1):
+        want = integrate.quad(f.mod_sq, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=5000)[0]
+        assert l2_norm_sq(model, n) == pytest.approx(want, rel=1e-10)
+
+
+def test_ray_tables_die_with_the_model():
+    # the node tables live on the form factors, not in a module cache, so
+    # dropping the model frees them
+    model = make_preset("three-level-fig")
+    gram_matrix(model, -0.3)
+    pv_matrix(model, 0.5)
+    tables = model.form_factors[0]._pair_tables
+    assert len(tables) == 3
+    factor = weakref.ref(model.form_factors[0])
+    nodes = weakref.ref(tables[model.form_factors[1]][0])
+    del model, tables
+    assert factor() is None
+    assert nodes() is None
