@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quadpack
 
 from .model import ConfigError
 
@@ -109,6 +108,14 @@ class LevelShiftMatrix:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries, 2))
+
+
+def _quadpack(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: only tabulated pairs
+    need it, and the import costs more than a built-in model's whole run."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def _run_quadpack(f, a, b, points):

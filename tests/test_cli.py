@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,24 @@ def test_builtin_presets_need_no_quadpack(tmp_path, monkeypatch, preset, command
 
     monkeypatch.setattr(friedrichs.quad, "_quadpack", refuse)
     assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+
+
+def test_builtin_presets_load_no_scipy(tmp_path):
+    # a built-in model needs numpy only: the searches are numpy ports and
+    # QUADPACK is imported on the first tabulated pair
+    src = str(Path(friedrichs.__file__).resolve().parents[1])
+    runs = [["analyze", "--preset", "three-level-fig", "--lambda", "10"],
+            ["thresholds", "--preset", "hydrogen-4level"]]
+    code = ("import sys\n"
+            "from friedrichs.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_oracle_check(tmp_path):

@@ -4,8 +4,14 @@ The files under tests/golden/ were written by tests/golden/regenerate.py;
 each case reruns its command into tmp_path and compares the bytes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import friedrichs
 from golden.regenerate import CASES, GOLDEN, run
 
 
@@ -15,3 +21,16 @@ def test_golden_output(case, tmp_path):
     assert names == sorted(p.name for p in (GOLDEN / case).iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+def test_tabulated_golden_in_fresh_process(tmp_path):
+    # a process that has not imported scipy loads QUADPACK on the first
+    # tabulated pair and writes the same bytes
+    src = str(Path(friedrichs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "friedrichs", *CASES["analyze-tabulated"],
+                           "--out", str(tmp_path)],
+                          cwd=GOLDEN, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    name = "analyze_report.txt"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze-tabulated" / name).read_bytes()
