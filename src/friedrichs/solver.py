@@ -234,6 +234,7 @@ def positive_candidate_scan(model, e_grid):
         branch, cell = np.array(refine).T
         gap = np.vectorize(lambda e, n: point_at(e).kappa[n - 1] - e, otypes=[float])
         res = bracketed_root(gap, grid[cell], grid[cell + 1], args=(branch,),
+                             f_bracket=(gaps[cell, branch - 1], gaps[cell + 1, branch - 1]),
                              what="positive crossing search", xatol=1e-11,
                              xrtol=1e-11)
         roots = dict(zip(refine, res.x))

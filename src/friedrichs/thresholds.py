@@ -113,8 +113,9 @@ def _d_scan(model, grid_points):
         return sup, e_star, 0.0, (
             f"not positive semidefinite at the smallest scanned energy {grid[0]:.6g}")
     margin = np.vectorize(lambda e: eigs(e)[0] + tol, otypes=[float])
-    res = bracketed_root(margin, grid[bad[0] - 1], grid[bad[0]], what="R_b edge",
-                         xatol=0.0, xrtol=1e-4)
+    edge = slice(bad[0] - 1, bad[0] + 1)
+    res = bracketed_root(margin, *grid[edge], f_bracket=spectra[edge, 0] + tol,
+                         what="R_b edge", xatol=0.0, xrtol=1e-4)
     return sup, e_star, float(res.bracket[0]), None
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import friedrichs.model
 import friedrichs.solver
+import friedrichs.spectral
 from friedrichs import (
     FriedrichsModel,
     RationalFormFactor,
@@ -125,6 +126,25 @@ def test_positive_scan_finds_vanishing_defect():
     assert len(cands) == 1
     assert cands[0].energy == pytest.approx(0.5, abs=1e-4)
     assert cands[0].zero_defect <= 1e-5
+
+
+def test_positive_scan_reuses_grid_gaps(hydrogen, monkeypatch):
+    # each refined cell hands kappa_n(E) - E at its two grid energies to the
+    # crossing search: two D(E) fewer per cell, the same crossings
+    calls = []
+    pv = friedrichs.spectral.pv_matrix
+    monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
+                        lambda *a, **k: calls.append(1) or pv(*a, **k))
+    grid = np.linspace(1e-4, 0.5, 50)
+    cands = positive_candidate_scan(hydrogen, grid)
+    with_ends = len(calls)
+    search = friedrichs.solver.bracketed_root
+    monkeypatch.setattr(friedrichs.solver, "bracketed_root",
+                        lambda *a, f_bracket=None, **k: search(*a, **k))
+    calls.clear()
+    assert positive_candidate_scan(hydrogen, grid) == cands
+    assert len(cands) == 3
+    assert len(calls) - with_ends == 2 * len(cands)
 
 
 def test_positive_scan_rejects_nonpositive_grid(three_level):

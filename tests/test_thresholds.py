@@ -64,6 +64,24 @@ def test_certificate_samples_d_once(hydrogen, monkeypatch):
     assert len(calls) <= 150
 
 
+def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
+    # the two scanned energies around the R_b edge hand min eig D(E) to the
+    # root search, which then builds two D(E) fewer and ends where it did
+    calls = []
+    pv = friedrichs.thresholds.pv_matrix
+    monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
+                        lambda *a, **k: calls.append(1) or pv(*a, **k))
+    rep = certificate(hydrogen)
+    with_ends = len(calls)
+    search = friedrichs.thresholds.bracketed_root
+    monkeypatch.setattr(friedrichs.thresholds, "bracketed_root",
+                        lambda *a, f_bracket=None, **k: search(*a, **k))
+    calls.clear()
+    rep_without = certificate(hydrogen)
+    assert len(calls) - with_ends == 2
+    assert rep.r_b == rep_without.r_b == hydrogen_cert.r_b
+
+
 def test_lambda_b_consistency(hydrogen_cert):
     want = math.sqrt(hydrogen_cert.r_b / hydrogen_cert.sup_d_norm)
     assert hydrogen_cert.lambda_b == pytest.approx(want, rel=1e-12)
