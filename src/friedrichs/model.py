@@ -330,9 +330,11 @@ class TabulatedFormFactor(FormFactor):
         self.common_phase = None
         self._msq = np.abs(values) ** 2
         self._dmsq = np.gradient(self._msq, grid)
-        # Python lists for value_scalar, which QUADPACK calls point by point
+        # Python lists for value_scalar and mod_sq_scalar, which QUADPACK
+        # calls point by point
         self._grid_list = grid.tolist()
         self._values_list = values.tolist()
+        self._msq_list = self._msq.tolist()
 
     def breakpoints(self) -> tuple:
         # the interpolant has a kink at every node
@@ -385,7 +387,17 @@ class TabulatedFormFactor(FormFactor):
         return float(out[0]) if scalar else out
 
     def mod_sq_scalar(self, x: float) -> float:
-        return float(self.mod_sq(x))
+        """`mod_sq` at one point, on Python floats as in `value_scalar`."""
+        if x < 0.0:
+            raise ValueError("form factors are defined for omega >= 0")
+        grid, msq = self._grid_list, self._msq_list
+        if x < grid[0]:
+            return msq[0] * (x / grid[0]) ** (2.0 * self.p_exponent)
+        if x >= grid[-1]:
+            return msq[-1] * (x / grid[-1]) ** (2.0 * self.tail_exponent)
+        j = bisect.bisect_right(grid, x)
+        x0, x1, m0, m1 = grid[j - 1], grid[j], msq[j - 1], msq[j]
+        return (m1 - m0) / (x1 - x0) * (x - x0) + m0
 
     def mod_sq_derivative(self, x):
         scalar = np.ndim(x) == 0
