@@ -16,6 +16,7 @@ can refine many brackets at once.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,7 @@ from .quad import NumericalError
 _CONVERGED, _SIGN_ERROR, _MAXITER, _VALUE_ERROR = 0, -1, -2, -3
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_normal
+_POINTS = itemgetter("x1", "x2", "x3", "f1", "f2", "f3")
 
 
 class BracketError(NumericalError):
@@ -135,7 +137,7 @@ def _find_root(f, lo, hi, *, args=(), f_bracket=None, xatol=None, xrtol=None,
         if w["x3"] is not None:
             # inverse quadratic interpolation where Chandrupatla's test
             # admits it, bisection elsewhere, kept tol/2 inside the bracket
-            x1, x2, x3, f1, f2, f3 = (w[k] for k in ("x1", "x2", "x3", "f1", "f2", "f3"))
+            x1, x2, x3, f1, f2, f3 = _POINTS(w)
             xi1 = (x1 - x2) / (x3 - x2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 phi1 = (f1 - f2) / (f3 - f2)
@@ -198,7 +200,8 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
                 status=np.full(x1.size, 1, dtype=np.int32))
 
     def step(w):
-        x1, x2, x3, f1, f2, f3, xtol = (w[k] for k in ("x1", "x2", "x3", "f1", "f2", "f3", "xtol"))
+        x1, x2, x3, f1, f2, f3 = _POINTS(w)
+        xtol = w["xtol"]
         x21, x32 = x2 - x1, x3 - x2
         a = x21 * (f3 - f2)
         b = x32 * (f1 - f2)
@@ -212,7 +215,7 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
         return np.where(fit, q, x2 + (2 - golden) * x32)
 
     def absorb(w, x, fx):
-        x1, x2, x3, f1, f2, f3 = (w[k] for k in ("x1", "x2", "x3", "f1", "f2", "f3"))
+        x1, x2, x3, f1, f2, f3 = _POINTS(w)
         outer = np.sign(x - x2) == np.sign(x3 - x2)  # x lies towards x3
         up = fx > f2
         w["x1"] = np.where(outer, np.where(up, x1, x2), np.where(up, x, x1))
@@ -222,12 +225,13 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
         w["x2"], w["f2"] = np.where(up, x2, x), np.where(up, f2, fx)
 
     def check(w):
-        x1, x2, x3, f1, f2, f3, status = (w[k] for k in ("x1", "x2", "x3", "f1", "f2", "f3", "status"))
+        x1, x2, x3, f1, f2, f3 = _POINTS(w)
+        status = w["status"]
         stop = (f2 > f1) | (f2 > f3)
         x2[stop], f2[stop], status[stop] = np.nan, np.nan, _SIGN_ERROR
         bad = ~(np.isfinite(x1 + x2 + x3 + f1 + f2 + f3) | stop)
         x2[bad], f2[bad], status[bad], stop[bad] = np.nan, np.nan, _VALUE_ERROR, True
-        # x1 is the far end of the bracket from x2
+        # x3 becomes the end farther from x2, where a golden section goes
         near = np.abs(x3 - x2) < np.abs(x2 - x1)
         w["x1"], w["x3"] = np.where(near, x3, x1), np.where(near, x1, x3)
         w["f1"], w["f3"] = np.where(near, f3, f1), np.where(near, f1, f3)

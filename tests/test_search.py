@@ -91,7 +91,8 @@ def test_known_ends_are_not_evaluated():
         seen.extend(np.atleast_1d(x).tolist())
         return np.cos(x) - x
 
-    res = bracketed_root(f, np.zeros(3), np.ones(3), f_bracket=(np.ones(3), np.cos(1.0) - np.ones(3)))
+    known = (np.ones(3), np.full(3, np.cos(1.0) - 1.0))
+    res = bracketed_root(f, np.zeros(3), np.ones(3), f_bracket=known)
     assert 0.0 not in seen and 1.0 not in seen
     assert np.all(np.abs(np.cos(res.x) - res.x) < 1e-14)
 
