@@ -165,7 +165,7 @@ def _find_root(f, lo, hi, *, args=(), f_bracket=None, xatol=None, xrtol=None,
         xmin, fmin = np.where(first, x1, x2), np.where(first, f1, f2)
         stop = np.abs(fmin) <= fatol + w["frtol"]
         status[stop] = _CONVERGED
-        for bad, code in (((np.sign(f1) == np.sign(f2)), _SIGN_ERROR),
+        for bad, code in ((np.sign(f1) == np.sign(f2), _SIGN_ERROR),
                           (~(np.isfinite(x1) & np.isfinite(x2))
                            | np.isnan(f1) & np.isnan(f2), _VALUE_ERROR)):
             bad &= ~stop

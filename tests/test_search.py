@@ -29,8 +29,11 @@ def recording(f):
     return g, calls
 
 
-def assert_same(mine, ref, fields):
-    for name in fields:
+FIELDS = ("x", "f_x", "bracket", "f_bracket", "status", "success")
+
+
+def assert_same(mine, ref):
+    for name in FIELDS:
         got, want = getattr(mine, name), getattr(ref, name)
         if isinstance(want, tuple):
             assert len(got) == len(want), name
@@ -39,8 +42,6 @@ def assert_same(mine, ref, fields):
         else:
             assert bits(got) == bits(want), name
 
-
-FIELDS = ("x", "f_x", "bracket", "f_bracket", "status", "success")
 
 # the tolerances every caller passes, and the defaults
 ROOT_TOLERANCES = [{}, dict(xatol=1e-12, xrtol=0.0), dict(xatol=1e-11, xrtol=1e-11),
@@ -68,7 +69,7 @@ def test_find_root_matches_scipy(tolerances, maxiter):
     mine = _find_root(f_mine, lo, hi, args=(c, s), **tolerances, **extra)
     ref = elementwise.find_root(f_ref, (lo, hi), args=(c, s),
                                 tolerances=tolerances, **extra)
-    assert_same(mine, ref, FIELDS)
+    assert_same(mine, ref)
     assert mine_calls == ref_calls
     assert mine.status[5] == -1
     if maxiter is not None:
@@ -80,7 +81,7 @@ def test_find_root_scalar_bracket_and_known_ends():
     ref = elementwise.find_root(f, (0.0, 1.0), tolerances=dict(xatol=0.0, xrtol=1e-4))
     for known in (None, (f(0.0), f(1.0))):
         mine = _find_root(f, 0.0, 1.0, f_bracket=known, xatol=0.0, xrtol=1e-4)
-        assert_same(mine, ref, FIELDS)
+        assert_same(mine, ref)
         assert np.ndim(mine.x) == 0
 
 
@@ -126,7 +127,7 @@ def test_find_minimum_matches_scipy(tolerances, maxiter):
     mine = _find_minimum(f_mine, (x1, x2, x3), maxiter=maxiter, **tolerances)
     ref = elementwise.find_minimum(f_ref, (x1, x2, x3), tolerances=tolerances,
                                    maxiter=maxiter)
-    assert_same(mine, ref, FIELDS)
+    assert_same(mine, ref)
     assert mine_calls == ref_calls
     assert mine.status[3] == -1
     if maxiter == 2:
