@@ -13,8 +13,7 @@ from .model import (ConfigError, FormFactor, FriedrichsModel,
                     TabulatedFormFactor, UnitSystem, l2_norm_sq, load_model,
                     make_preset, model_digest, model_from_dict, PRESETS,
                     total_l2_norm_sq)
-from .quad import (LevelShiftMatrix, NumericalError, QuadratureError,
-                   gram_matrix, integrate_semiinf, pv_integral, pv_matrix,
+from .quad import (LevelShiftMatrix, NumericalError, gram_matrix, pv_matrix,
                    t_matrix)
 from .spectral import EigenCurvePoint, eigh, k_matrix, kappa_curve
 from .solver import (BoundState, BracketError, CountResult, PositiveCandidate,
@@ -32,8 +31,8 @@ __all__ = [
     "RationalFormFactor", "TabulatedFormFactor", "UnitSystem",
     "l2_norm_sq", "load_model", "make_preset", "model_digest",
     "model_from_dict", "PRESETS", "total_l2_norm_sq",
-    "LevelShiftMatrix", "NumericalError", "QuadratureError",
-    "gram_matrix", "integrate_semiinf", "pv_integral", "pv_matrix", "t_matrix",
+    "LevelShiftMatrix", "NumericalError",
+    "gram_matrix", "pv_matrix", "t_matrix",
     "EigenCurvePoint", "eigh", "k_matrix", "kappa_curve",
     "BoundState", "BracketError", "CountResult", "PositiveCandidate",
     "SolveReport", "bound_state", "count_negative", "positive_candidate_scan",

@@ -24,7 +24,6 @@ integrate as node sums on a rotated ray (`quad`).
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -90,17 +89,19 @@ class UnitSystem:
 class FormFactor:
     """Base class for coupling functions v(omega) on the half line.
 
-    Subclasses provide `value`, `mod_sq` and `mod_sq_derivative` (vectorized),
-    scalar fast paths for quadrature callbacks, a characteristic width
-    `scale`, the threshold exponent `p_exponent`, and `common_phase`: a unit
-    complex number phi with v(x) = phi * profile(x) for a real signed profile,
-    or None when no such global phase exists.  A factor with a common phase
-    is one of the rational built-ins and also provides `rational_part`; the
-    level-shift matrices of pairs of such factors are node sums on a rotated
-    ray (see `quad`), all others are integrated with QUADPACK.
+    Subclasses provide `value`, `mod_sq` and `mod_sq_derivative`
+    (vectorized), a characteristic width `scale`, the exponents of the
+    leading powers v ~ x^p_exponent at 0 and v ~ x^tail_exponent at
+    infinity, and `common_phase`: a unit complex number phi with
+    v(x) = phi * profile(x) for a real signed profile, or None when no such
+    global phase exists.  A factor with a common phase is one of the
+    rational built-ins and also provides `rational_part`; the level-shift
+    matrices of pairs of such factors are node sums on a rotated ray, all
+    others are integrated piece by piece (see `quad`).
     """
 
     p_exponent: float = 0.5
+    tail_exponent: float = -1.5
     scale: float = 1.0
     common_phase: complex | None = None
 
@@ -113,19 +114,9 @@ class FormFactor:
     def mod_sq_derivative(self, x):
         raise NotImplementedError
 
-    def profile_scalar(self, x: float) -> float:
-        raise NotImplementedError
-
-    def mod_sq_scalar(self, x: float) -> float:
-        raise NotImplementedError
-
-    def value_scalar(self, x: float) -> complex:
-        if self.common_phase is None:
-            raise NotImplementedError
-        return self.common_phase * self.profile_scalar(x)
-
     def breakpoints(self) -> tuple:
-        """Abscissas where the factor is not smooth, for adaptive quadrature."""
+        """Abscissas where the factor is not smooth, where `quad` splits its
+        panels."""
         return (self.scale,)
 
     def descriptor(self) -> dict:
@@ -163,6 +154,8 @@ class _PolynomialFormFactor(FormFactor):
         self._c = float(width)
         self.scale = self._c
         self.p_exponent = 0.5
+        # sqrt(u) Q(u^2) / (1 + u^2)^q ~ u^(1/2 - 2 (q - deg Q)) at infinity
+        self.tail_exponent = 0.5 - 2.0 * self._gap
         # quad's node tables of the pairs (self, other), keyed by other: they
         # die with either factor
         self._pair_tables = weakref.WeakKeyDictionary()
@@ -328,13 +321,14 @@ class TabulatedFormFactor(FormFactor):
         self.p_exponent = float(p_exponent)
         self.scale = float(grid[-1])
         self.common_phase = None
-        self._msq = np.abs(values) ** 2
-        self._dmsq = np.gradient(self._msq, grid)
-        # Python lists for value_scalar and mod_sq_scalar, which QUADPACK
-        # calls point by point
-        self._grid_list = grid.tolist()
-        self._values_list = values.tolist()
-        self._msq_list = self._msq.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._msq = np.abs(values) ** 2
+            self._dmsq = np.gradient(self._msq, grid)
+        if not (np.all(np.isfinite(self._msq)) and np.all(np.isfinite(self._dmsq))):
+            raise ConfigError("tabulated |v|^2 or its slope overflows")
+        # quad's tables of the pairs (self, other), keyed by other: they die
+        # with either factor
+        self._pair_tables = weakref.WeakKeyDictionary()
 
     def breakpoints(self) -> tuple:
         # the interpolant has a kink at every node
@@ -357,20 +351,6 @@ class TabulatedFormFactor(FormFactor):
             out[hi] = self.values[-1] * (x[hi] / gn) ** self.tail_exponent
         return out[0] if scalar else out
 
-    def value_scalar(self, x: float) -> complex:
-        """`value` at one point: bisection and the same linear interpolation
-        and power-law ends, on Python floats."""
-        if x < 0.0:
-            raise ValueError("form factors are defined for omega >= 0")
-        grid, values = self._grid_list, self._values_list
-        if x < grid[0]:
-            return values[0] * (x / grid[0]) ** self.p_exponent
-        if x >= grid[-1]:
-            return values[-1] * (x / grid[-1]) ** self.tail_exponent
-        j = bisect.bisect_right(grid, x)
-        x0, x1, v0, v1 = grid[j - 1], grid[j], values[j - 1], values[j]
-        return (v1 - v0) / (x1 - x0) * (x - x0) + v0
-
     def mod_sq(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -385,19 +365,6 @@ class TabulatedFormFactor(FormFactor):
         if np.any(hi):
             out[hi] = self._msq[-1] * (x[hi] / gn) ** (2.0 * self.tail_exponent)
         return float(out[0]) if scalar else out
-
-    def mod_sq_scalar(self, x: float) -> float:
-        """`mod_sq` at one point, on Python floats as in `value_scalar`."""
-        if x < 0.0:
-            raise ValueError("form factors are defined for omega >= 0")
-        grid, msq = self._grid_list, self._msq_list
-        if x < grid[0]:
-            return msq[0] * (x / grid[0]) ** (2.0 * self.p_exponent)
-        if x >= grid[-1]:
-            return msq[-1] * (x / grid[-1]) ** (2.0 * self.tail_exponent)
-        j = bisect.bisect_right(grid, x)
-        x0, x1, m0, m1 = grid[j - 1], grid[j], msq[j - 1], msq[j]
-        return (m1 - m0) / (x1 - x0) * (x - x0) + m0
 
     def mod_sq_derivative(self, x):
         scalar = np.ndim(x) == 0
@@ -490,7 +457,8 @@ def model_digest(model: FriedrichsModel) -> str:
 
 def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
     """Integral of |v_n|^2 over the half line: a node sum for the built-in
-    families, QUADPACK for tabulated factors (`quad._norm_sq`)."""
+    families, exact cells and power-law ends for tabulated factors
+    (`quad._norm_sq`)."""
     from .quad import _norm_sq
 
     if not 1 <= n <= model.n_levels:

@@ -161,7 +161,12 @@ def bound_state(model, n, e) -> BoundState:
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
-    point = eigh(k_matrix(model, gram_matrix(model, e)), e)
+    return _bound_state(model, n, e, k_matrix(model, gram_matrix(model, e)))
+
+
+def _bound_state(model, n, e, k) -> BoundState:
+    """`bound_state` from K(E) already built."""
+    point = eigh(k, e)
     idx = n - 1
     scale = max(point.operator_norm(), 1e-300)
     partners = tuple(int(m) + 1 for m in range(point.n)
@@ -199,7 +204,7 @@ def solve_model(model) -> SolveReport:
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
         roots = _branch_roots(k_at, counted.count, seed)
-        states = tuple(replace(bound_state(model, n, e), bracket=bracket)
+        states = tuple(replace(_bound_state(model, n, e, k_at(e)), bracket=bracket)
                        for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        counted.indeterminate)
@@ -218,9 +223,17 @@ def positive_candidate_scan(model, e_grid):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
     points = kappa_curve(model, grid, kind="D")
     gaps = np.array([p.kappa - p.e for p in points])
+    # the crossing search's eigencurve points, one D(E) per distinct energy;
+    # its roots are points it evaluated
+    built = {}
 
-    def point_at(e):
-        return kappa_curve(model, [e], kind="D")[0]
+    def gap(e, n):
+        uniq, inv = np.unique(e, return_inverse=True)
+        for x in uniq:
+            if x not in built:
+                built[x] = kappa_curve(model, [x], kind="D")[0]
+        kappa = np.array([built[x].kappa for x in uniq])
+        return kappa[inv, n - 1] - e
 
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search
@@ -232,7 +245,6 @@ def positive_candidate_scan(model, e_grid):
     roots = {}
     if refine:
         branch, cell = np.array(refine).T
-        gap = np.vectorize(lambda e, n: point_at(e).kappa[n - 1] - e, otypes=[float])
         res = bracketed_root(gap, grid[cell], grid[cell + 1], args=(branch,),
                              f_bracket=(gaps[cell, branch - 1], gaps[cell + 1, branch - 1]),
                              what="positive crossing search", xatol=1e-11,
@@ -242,10 +254,10 @@ def positive_candidate_scan(model, e_grid):
     for n, i in cells:
         if (n, i) in roots:
             e_star = float(roots[n, i])
-            pt = point_at(e_star)
+            pt = built.get(e_star) or kappa_curve(model, [e_star], kind="D")[0]
         else:
             e_star, pt = float(grid[i]), points[i]
         c = pt.vectors[:, n - 1]
-        amp = sum(ci * f.value_scalar(e_star) for ci, f in zip(c, model.form_factors))
+        amp = sum(ci * complex(f.value(e_star)) for ci, f in zip(c, model.form_factors))
         out.append(PositiveCandidate(n, e_star, abs(amp)))
     return out

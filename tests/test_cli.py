@@ -1,17 +1,23 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import friedrichs
-from friedrichs import LevelShiftMatrix, __version__, kappa_curve, make_preset
+from friedrichs import ConfigError, __version__, kappa_curve, make_preset, model_from_dict
 from friedrichs.cli import main
+
+from test_model import _BAD_VALUES, _DELETE, _MUTATION_SITES, _VALID_MODELS
 
 
 def read_csv(path):
@@ -163,12 +169,12 @@ def test_thresholds_vanishing_form_factors(tmp_path):
     assert "note: sup ||D|| = 0" in text
 
 
-def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
+def test_thresholds_unbounded_slope_is_inapplicable(tmp_path):
     # p_exponent < 1/2 makes d|v|^2/domega unbounded at 0, so beta = inf and
     # the local quadratic has no finite solution: the level's threshold must
     # not silently drop out of the bound (it printed lambda_bar=nan with
-    # verdict true).  The D(E) scan (about 600 complex-path D(E), 3-4 s)
-    # is irrelevant to beta and is replaced by a constant D = 1.
+    # verdict true).  The whole certificate runs, its D(E) scan included
+    # (about 600 D(E) of a tabulated-rational pair), within a second.
     config = {
         "levels": [0.1, 0.3],
         "lambda": 0.01,
@@ -178,13 +184,11 @@ def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
              "p_exponent": 0.3},
             {"family": "rational", "n_index": 2}],
     }
-    monkeypatch.setattr(
-        friedrichs.thresholds, "pv_matrix",
-        lambda model, e: LevelShiftMatrix(np.eye(2, dtype=complex), e, "D",
-                                          np.zeros((2, 2))))
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(config))
+    t0 = time.perf_counter()
     rc = main(["thresholds", "--model", str(cfg), "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 1.0
     assert rc == 0
     text = (tmp_path / "thresholds_report.txt").read_text()
     assert "nan" not in text
@@ -196,21 +200,24 @@ def test_thresholds_unbounded_slope_is_inapplicable(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["analyze", "sweep-lambda", "kappa-curves",
                                      "thresholds"])
 def test_builtin_presets_need_no_quadpack(tmp_path, monkeypatch, preset, command):
-    # every S, T, D and norm of a built-in pair is a node sum; QUADPACK is
-    # left to pairs with a tabulated factor
-    def refuse(*args, **kwargs):
-        raise AssertionError("QUADPACK called on a built-in model")
-
-    monkeypatch.setattr(friedrichs.quad, "_quadpack", refuse)
+    # every command runs with scipy unimportable: no S, T, D or norm, and no
+    # search, calls into scipy
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"] + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
     assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
 
 
 def test_builtin_presets_load_no_scipy(tmp_path):
-    # a built-in model needs numpy only: the searches are numpy ports and
-    # QUADPACK is imported on the first tabulated pair
+    # a fresh process loads numpy only, for the built-in presets and for the
+    # tabulated golden model alike: the searches are numpy ports and every
+    # pair integral is numpy
     src = str(Path(friedrichs.__file__).resolve().parents[1])
+    tabulated = str(Path(__file__).resolve().parent / "golden" / "tabulated.json")
     runs = [["analyze", "--preset", "three-level-fig", "--lambda", "10"],
-            ["thresholds", "--preset", "hydrogen-4level"]]
+            ["thresholds", "--preset", "hydrogen-4level"],
+            ["analyze", "--model", tabulated],
+            ["kappa-curves", "--model", tabulated, "--kind", "D",
+             "--e-min=1e-3", "--e-max=0.4", "--e-steps", "12"]]
     code = ("import sys\n"
             "from friedrichs.cli import main\n"
             f"for argv in {runs!r}:\n"
@@ -309,12 +316,13 @@ _TABULATED = {"levels": [-0.1], "lambda": 0.5, "form_factors": [
     (_HUGE_PREFACTOR, ("form_factors", 0, "cutoff"), 1e300),
     (_ONE_LEVEL, ("lambda",), 1e160),
     (_TABULATED, ("form_factors", 0, "p_exponent"), 0.0),
+    (_TABULATED, ("form_factors", 0, "values_re", 1), 1e155),
 ], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index",
         "big-int-lambda", "big-int-level", "big-int-reference-cutoff",
         "big-int-cutoff", "big-int-lambda1", "big-int-n-index",
         "fractional-index", "string-index", "bool-index", "bool-n-index",
         "amplitude-sq-overflow", "amplitude-overflow", "coupling-sq-overflow",
-        "zero-p-exponent"])
+        "zero-p-exponent", "tabulated-square-overflow"])
 def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
     # preset: a preset name or a model description to start from
     config = (make_preset(preset).descriptor() if isinstance(preset, str)
@@ -335,6 +343,78 @@ def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
         assert main(["kappa-curves", "--model", str(cfg), "--kind", "D",
                      "--e-min", "0.1", "--e-max", "0.3", "--e-steps", "2",
                      "--out", str(tmp_path)]) == 0
+
+
+def _run_analyze(config):
+    """(exit code, stderr) of analyze on a model file holding config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "model.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["analyze", "--model", str(cfg), "--out", tmp])
+    return rc, err.getvalue()
+
+
+@st.composite
+def _malformed_tabulated(draw):
+    """_TABULATED with one malformed field of its factor: a non-increasing
+    or non-positive grid, a NaN sample, tail_exponent >= -1/2, or lists of
+    different lengths."""
+    config = copy.deepcopy(_TABULATED)
+    f = config["form_factors"][0]
+    f["values_im"] = [0.1, -0.2, 0.05, 0.0]
+    n = len(f["grid"])
+    kind = draw(st.sampled_from(["order", "sign", "nan", "tail", "length"]))
+    if kind == "order":
+        i = draw(st.integers(0, n - 2))
+        f["grid"][i + 1] = f["grid"][i] - draw(st.floats(0.0, 1.0))
+    elif kind == "sign":
+        f["grid"][0] = -draw(st.floats(0.0, 1e3))
+    elif kind == "nan":
+        key = draw(st.sampled_from(["grid", "values_re", "values_im"]))
+        f[key][draw(st.integers(0, n - 1))] = math.nan
+    elif kind == "tail":
+        f["tail_exponent"] = draw(st.floats(-0.5, 1e6))
+    else:
+        key = draw(st.sampled_from(["grid", "values_re", "values_im"]))
+        f[key] = f[key][:-1] if draw(st.booleans()) else f[key] + [0.1]
+    return config
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(config=_malformed_tabulated())
+def test_malformed_tabulated_factor_exits_2(config):
+    # every malformed tabulated factor fails with exit 2 and a message
+    rc, err = _run_analyze(config)
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(site=st.sampled_from(_MUTATION_SITES), value=_BAD_VALUES)
+def test_malformed_model_exits_2(site, value):
+    # every mutated description that model_from_dict rejects (as
+    # test_model_from_dict_contract draws them) fails through a model file
+    # with exit 2 and a message, never a traceback
+    i, path = site
+    config = json.loads(json.dumps(_VALID_MODELS[i]))
+    *head, last = path
+    node = config
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    try:
+        model_from_dict(json.loads(json.dumps(config)))
+    except ConfigError:
+        rc, err = _run_analyze(config)
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+    else:
+        assume(False)
 
 
 @pytest.mark.parametrize("argv", [

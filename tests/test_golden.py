@@ -24,8 +24,7 @@ def test_golden_output(case, tmp_path):
 
 
 def test_tabulated_golden_in_fresh_process(tmp_path):
-    # a process that has not imported scipy loads QUADPACK on the first
-    # tabulated pair and writes the same bytes
+    # a fresh process, which imports no scipy module, writes the same bytes
     src = str(Path(friedrichs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "friedrichs", *CASES["analyze-tabulated"],

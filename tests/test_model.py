@@ -27,13 +27,13 @@ from _references import L2_HYDROGEN, L2_THREE_LEVEL
 def test_rational_value_anchor():
     # sqrt(1) * 1 / (1+1)^2 with unit cutoff and no polynomial part
     f = RationalFormFactor(1, 0.0, 1.0)
-    assert f.value_scalar(1.0) == pytest.approx(0.25, rel=1e-15)
+    assert f.value(1.0) == pytest.approx(0.25, rel=1e-15)
     assert f.mod_sq_scalar(1.0) == pytest.approx(0.0625, rel=1e-15)
 
 
 def test_hydrogen_value_anchor():
     f = HydrogenFormFactor(1)
-    v = f.value_scalar(1.0)
+    v = f.value(1.0)
     assert v == pytest.approx(-0.25j, rel=1e-15)
     assert f.common_phase == pytest.approx(-1j)
 
@@ -179,47 +179,10 @@ def test_tabulated_roundtrip_and_tails():
     f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5, p_exponent=0.5)
     assert np.allclose(f.value(grid), vals, rtol=1e-14)
     # below the grid: v(g0) (x/g0)^p
-    assert f.value_scalar(0.25) == pytest.approx(vals[0] * (0.25 / 0.5) ** 0.5, rel=1e-13)
+    assert f.value(0.25) == pytest.approx(vals[0] * (0.25 / 0.5) ** 0.5, rel=1e-13)
     # above the grid: v(gN) (x/gN)^tail
-    assert f.value_scalar(8.0) == pytest.approx(vals[-1] * 2.0 ** -1.5, rel=1e-13)
-    assert f.mod_sq_scalar(0.0) == 0.0
-
-
-@pytest.mark.parametrize("p_exponent", [0.5, 0.0])
-def test_tabulated_value_scalar_matches_value(p_exponent):
-    # the scalar path (bisection on lists) against the vectorized one
-    # (np.interp): nodes, mid-cells, both ends of the grid, below and above
-    # it, and x = 0
-    grid = np.geomspace(0.05, 6.0, 17)
-    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
-    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5, p_exponent=p_exponent)
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    xs = np.concatenate((grid, mids, [0.0, 0.01, 0.049, 6.5, 1e3]))
-    for x in xs:
-        want = f.value(float(x))
-        assert abs(f.value_scalar(float(x)) - want) <= 1e-15 * abs(want), x
-    assert f.value_scalar(float(grid[0])) == vals[0]
-    assert f.value_scalar(float(grid[-1])) == vals[-1]
-    with pytest.raises(ValueError):
-        f.value_scalar(-1e-3)
-
-
-@pytest.mark.parametrize("p_exponent", [0.5, 0.0, 1.0, 0.3])
-def test_tabulated_mod_sq_scalar_matches_mod_sq(p_exponent):
-    # bit for bit: nodes, mid-cells, x = 0, below the first node, at and
-    # above the last
-    grid = np.geomspace(0.05, 6.0, 17)
-    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
-    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.7, p_exponent=p_exponent)
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    rng = np.random.default_rng(3)
-    inside = rng.uniform(grid[0], grid[-1], 200)
-    xs = np.concatenate((grid, mids, inside, [0.0, 1e-300, 0.01, 0.049, 6.5, 1e3]))
-    want = f.mod_sq(xs)
-    got = np.array([f.mod_sq_scalar(float(x)) for x in xs])
-    assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        f.mod_sq_scalar(-1e-3)
+    assert f.value(8.0) == pytest.approx(vals[-1] * 2.0 ** -1.5, rel=1e-13)
+    assert f.mod_sq(0.0) == 0.0
 
 
 def test_tabulated_validation():

@@ -10,14 +10,14 @@ PUBLIC = [
     "ConvergenceTable", "CountResult", "DiscretizedHamiltonian",
     "EigenCurvePoint", "FormFactor", "FriedrichsModel", "HydrogenFormFactor",
     "HypothesisViolation", "LevelShiftMatrix", "LevelThreshold",
-    "NumericalError", "PRESETS", "PositiveCandidate", "QuadratureError",
+    "NumericalError", "PRESETS", "PositiveCandidate",
     "RationalFormFactor", "SolveReport", "TabulatedFormFactor",
     "ThresholdReport", "UnitSystem", "__version__", "alpha_beta_gamma",
     "bound_state", "certificate", "compare_negative_spectrum",
-    "count_negative", "discretize", "eigh", "gram_matrix", "integrate_semiinf",
+    "count_negative", "discretize", "eigh", "gram_matrix",
     "k_matrix", "kappa_curve", "l2_norm_sq", "lambda_bar_closed_form",
     "lambda_n", "load_model", "make_preset", "model_digest", "model_from_dict",
-    "positive_candidate_scan", "pv_integral", "pv_matrix", "r_a", "residual",
+    "positive_candidate_scan", "pv_matrix", "r_a", "residual",
     "solve_model", "t_matrix", "total_l2_norm_sq",
 ]
 

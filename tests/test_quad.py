@@ -1,6 +1,8 @@
+import bisect
 import math
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +11,14 @@ from scipy import integrate
 from friedrichs import (
     FriedrichsModel,
     HydrogenFormFactor,
-    QuadratureError,
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
     discretize,
     gram_matrix,
-    integrate_semiinf,
     l2_norm_sq,
+    load_model,
     make_preset,
-    pv_integral,
     pv_matrix,
     t_matrix,
 )
@@ -28,59 +28,6 @@ from _references import (
     HYDROGEN_PV_HALF,
     THREE_LEVEL_GRAM_ZERO,
 )
-
-
-def test_integrate_semiinf_exponential():
-    v, err = integrate_semiinf(lambda w: math.exp(-w))
-    assert v == pytest.approx(1.0, rel=1e-12)
-    assert err < 1e-8
-
-
-def test_integrate_semiinf_lorentzian_tail():
-    # slow 1/w^2 falloff exercises the algebraic tail map
-    v, _ = integrate_semiinf(lambda w: 1.0 / (1.0 + w * w))
-    assert v == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_integrate_semiinf_moment():
-    v, _ = integrate_semiinf(lambda w: w / (1.0 + w * w) ** 4)
-    assert v == pytest.approx(1.0 / 6.0, rel=1e-12)
-
-
-def test_integrate_semiinf_complex():
-    v, _ = integrate_semiinf(lambda w: (1.0 + 2.0j) * math.exp(-w),
-                             complex_valued=True)
-    assert v == pytest.approx(1.0 + 2.0j, rel=1e-12)
-
-
-def test_integrate_semiinf_divergent_raises():
-    with pytest.raises(QuadratureError):
-        integrate_semiinf(lambda w: 1.0 / w if w > 0.0 else 0.0)
-
-
-def closed_form_pv_even(e):
-    # P int_0^inf dw / ((1+w^2)(w-E)) = -(ln E + pi E / 2) / (1 + E^2)
-    return -(math.log(e) + math.pi * e / 2.0) / (1.0 + e * e)
-
-
-def closed_form_pv_odd(e):
-    # P int_0^inf w dw / ((1+w^2)(w-E)) = pi/2 + E * (even form)
-    return math.pi / 2.0 + e * closed_form_pv_even(e)
-
-
-@pytest.mark.parametrize("e", [0.3, 0.5, 2.0])
-def test_pv_closed_form_even(e):
-    eta = lambda w: 1.0 / (1.0 + w * w)
-    v, err = pv_integral(eta, e)
-    assert v == pytest.approx(closed_form_pv_even(e), rel=1e-11)
-    assert err < 1e-7
-
-
-@pytest.mark.parametrize("e", [0.3, 0.5, 2.0])
-def test_pv_closed_form_odd(e):
-    eta = lambda w: w / (1.0 + w * w)
-    v, _ = pv_integral(eta, e)
-    assert v == pytest.approx(closed_form_pv_odd(e), rel=1e-11)
 
 
 def test_gram_matrix_hydrogen(hydrogen):
@@ -242,8 +189,9 @@ def test_pv_matrix_matches_cauchy_reference(name):
 
 @pytest.mark.parametrize("where", ["on-node", "half-node"])
 def test_pv_matrix_on_tabulated_kink(where):
-    # E on a node puts the kink at w = E, E at half a node puts it at w = 2E;
-    # both are breakpoints, so D stays finite, Hermitian and continuous
+    # E on a node puts the kink at w = E, where the two cells' logarithms
+    # cancel by parts; E at half a node puts it at w = 2E.  D stays finite,
+    # Hermitian and continuous
     model = _tabulated_rational()
     node = float(model.form_factors[0].grid[7])
     e = node if where == "on-node" else 0.5 * node
@@ -367,3 +315,153 @@ def test_ray_tables_die_with_the_model():
     del model, tables
     assert factor() is None
     assert nodes() is None
+
+
+# ---------------------------------------------------------------------------
+# Pairs with a tabulated factor against an independent QUADPACK reference
+
+
+def _two_grids():
+    """Two complex tabulated factors on different grids, with non-integer
+    threshold and tail exponents (p = 0.3 and 0.6, tau = -1.7 and -1.2)."""
+    ga = np.geomspace(0.05, 6.0, 12)
+    gb = np.linspace(0.1, 5.0, 9)
+    fa = TabulatedFormFactor(ga, ga ** 0.3 / (1.0 + ga ** 2) * np.exp(0.4j * np.log(ga)),
+                             tail_exponent=-1.7, p_exponent=0.3)
+    fb = TabulatedFormFactor(gb, np.sqrt(gb) / (1.0 + 0.5 * gb ** 2) * np.exp(1j * np.tanh(gb)),
+                             tail_exponent=-1.2, p_exponent=0.6)
+    return FriedrichsModel((-0.1, 0.2), 0.5, (fa, fb), UnitSystem(1.0))
+
+
+def _pointwise(f):
+    """v(w) at one point on Python floats: bisection, the linear
+    interpolant and the power-law ends of a tabulated factor (what
+    `TabulatedFormFactor.value` computes, much faster at one point)."""
+    if f.common_phase is not None:
+        return lambda w: complex(f.value(w))
+    grid, values = f.grid.tolist(), f.values.tolist()
+
+    def value(w):
+        if w <= grid[0]:
+            return values[0] * (w / grid[0]) ** f.p_exponent
+        if w >= grid[-1]:
+            return values[-1] * (w / grid[-1]) ** f.tail_exponent
+        j = bisect.bisect_right(grid, w)
+        x0, x1, v0, v1 = grid[j - 1], grid[j], values[j - 1], values[j]
+        return v0 + (v1 - v0) * ((w - x0) / (x1 - x0))
+
+    return value
+
+
+def _quadpack(model, energies):
+    """The matrix against prod_e 1/(w - e) by QUADPACK, independently of
+    friedrichs.quad: QAGS between the factors' breakpoints (and E/2, 2E for
+    E > 0), QAWC (weight "cauchy") on the piece that holds E inside, eta(E)
+    subtracted on the two pieces that meet at E when E is a node, and QAGI
+    beyond the last breakpoint."""
+    e = energies[0] if len(energies) == 1 and energies[0] > 0.0 else None
+    edges = {0.0} | {float(b) for f in model.form_factors for b in f.breakpoints()}
+    edges = sorted(edges | ({0.5 * e, 2.0 * e} if e else set()))
+    tol = dict(epsabs=0.0, epsrel=2e-14, limit=1000)
+
+    def kernel(w):
+        out = 1.0
+        for x in energies:
+            out = out / (w - x)
+        return out
+
+    n = model.n_levels
+    out = np.zeros((n, n), dtype=complex)
+    with warnings.catch_warnings():
+        # QUADPACK flags its roundoff at epsrel 2e-14; the estimates stay
+        # far below the 1e-12 compared
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        values = [_pointwise(f) for f in model.form_factors]
+        for i, vi in enumerate(values):
+            for j, vj in enumerate(values[i:], start=i):
+                for part in ("real", "imag"):
+                    eta = lambda w: getattr(vi(w).conjugate() * vj(w), part)
+                    f = lambda w: eta(w) * kernel(w)
+                    total = integrate.quad(f, edges[-1], np.inf, **tol)[0]
+                    for a, b in zip(edges[:-1], edges[1:]):
+                        if e and a < e < b:
+                            total += integrate.quad(eta, a, b, weight="cauchy", wvar=e,
+                                                    **tol)[0]
+                        elif e in (a, b):
+                            at = eta(e)
+                            total += integrate.quad(lambda w: (eta(w) - at) / (w - e),
+                                                    a, b, **tol)[0]
+                            total += at * (math.log(b - e) if a == e else -math.log(e - a))
+                        else:
+                            total += integrate.quad(f, a, b, **tol)[0]
+                    out[i, j] += total if part == "real" else 1j * total
+                out[j, i] = np.conj(out[i, j])
+    return out
+
+
+def _tabulated_cases():
+    """name -> (model, energies): E < 0, E = 0, E in the head, in a cell, on
+    a node, in the strips where one factor is on its power law, near the
+    last node and in the tail."""
+    two = _two_grids()
+    ga, gb = (f.grid for f in two.form_factors)
+    mixed = FriedrichsModel((-0.1, 0.2), 0.5,
+                            (two.form_factors[0], RationalFormFactor(2, 1.0, 0.7)),
+                            UnitSystem(1.0))
+    golden = load_model(Path(__file__).resolve().parent / "golden" / "tabulated.json")
+    g = golden.form_factors[0].grid
+    wide = (-0.7, -1e-3, 0.0, 0.02, 0.06, 0.07, 1.2345, float(ga[6]), float(gb[4]),
+            5.5, 7.0, 20.0)
+    return {
+        "two-grids": (two, wide),
+        "tabulated-rational": (mixed, wide),
+        "shared-grid": (golden, (-0.7, -1e-3, 0.0, 0.001, 0.015, float(g[0]), float(g[5]),
+                                 0.5, float(g[-1]), 9.0, 40.0)),
+    }
+
+
+_TABULATED_CASES = _tabulated_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_TABULATED_CASES))
+def test_tabulated_pairs_match_quadpack(name):
+    # S, T(E, E), T(E, E(1 + 1e-8)), T(E, 0), D and the norms against
+    # QUADPACK to 1e-12 of the matrix 2-norm; err is a positive rounding
+    # bound below that
+    model, energies = _TABULATED_CASES[name]
+
+    def close(got, energies):
+        ref = _quadpack(model, energies)
+        scale = np.linalg.norm(ref, 2)
+        assert np.linalg.norm(got.entries - ref, 2) <= 1e-12 * scale, energies
+        assert np.all(got.err > 0.0) and got.err.max() <= 1e-12 * scale, energies
+
+    for e in energies:
+        close(gram_matrix(model, e) if e <= 0.0 else pv_matrix(model, e), (e,))
+        if e < 0.0:
+            for e2 in (e, e * (1.0 + 1e-8), 0.0):
+                close(t_matrix(model, e, e2), (e, e2))
+    for n, f in enumerate(model.form_factors, 1):
+        if f.common_phase is None:
+            # the kernel 1 on the factor alone: |v|^2 of the interpolant,
+            # quadratic on each cell (mod_sq interpolates the sampled |v|^2)
+            single = FriedrichsModel((0.0,), 1.0, (f,), UnitSystem(1.0))
+            want = _quadpack(single, ())[0, 0].real
+            assert l2_norm_sq(model, n) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_TABULATED_CASES))
+def test_tabulated_t_matrix_is_ds_de(name):
+    # T(E, E) against a fourth-order central difference of S (panels
+    # against exact cells and ends), and T(E, E') as E' -> E without
+    # cancellation: it moves by about (E' - E) dT/dE, down to E' - E = 1e-14 E
+    model, _ = _TABULATED_CASES[name]
+    for e in (-0.7, -0.01):
+        t = t_matrix(model, e, e).entries
+        h = 1e-3 * abs(e)
+        s = {k: gram_matrix(model, e + k * h).entries for k in (-2, -1, 1, 2)}
+        ds = (8.0 * (s[1] - s[-1]) - (s[2] - s[-2])) / (12.0 * h)
+        assert np.linalg.norm(t - ds, 2) <= 1e-9 * np.linalg.norm(t, 2)
+        for delta in (1e-6, 1e-10, 1e-14):
+            near = t_matrix(model, e, e * (1.0 + delta)).entries
+            assert np.linalg.norm(near - t, 2) <= (1e-13 + 10.0 * delta) * np.linalg.norm(t, 2)

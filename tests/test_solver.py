@@ -120,7 +120,7 @@ def test_positive_scan_finds_vanishing_defect():
     # a factor that vanishes at w = 1/2 supports a numerical embedded-
     # eigenvalue candidate there: Q(s) = 1 - 4s has a root at u = 1/2
     f = RationalFormFactor(2, -4.0, 1.0)
-    assert abs(f.value_scalar(0.5)) <= 1e-15
+    assert abs(f.value(0.5)) <= 1e-15
     model = FriedrichsModel((0.5,), 1e-3, (f,), UnitSystem(1.0))
     cands = positive_candidate_scan(model, np.linspace(0.3, 0.8, 21))
     assert len(cands) == 1
@@ -130,7 +130,9 @@ def test_positive_scan_finds_vanishing_defect():
 
 def test_positive_scan_reuses_grid_gaps(hydrogen, monkeypatch):
     # each refined cell hands kappa_n(E) - E at its two grid energies to the
-    # crossing search: two D(E) fewer per cell, the same crossings
+    # crossing search: the search then builds no D(E) at a cell end, two
+    # fewer per distinct cell, with the same crossings (all three crossings
+    # share the first cell here)
     calls = []
     pv = friedrichs.spectral.pv_matrix
     monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
@@ -144,7 +146,21 @@ def test_positive_scan_reuses_grid_gaps(hydrogen, monkeypatch):
     calls.clear()
     assert positive_candidate_scan(hydrogen, grid) == cands
     assert len(cands) == 3
-    assert len(calls) - with_ends == 2 * len(cands)
+    cells = {int(np.searchsorted(grid, c.energy)) for c in cands}
+    assert len(calls) - with_ends == 2 * len(cells)
+
+
+def test_positive_scan_builds_each_energy_once(hydrogen, monkeypatch):
+    # one D(E) per distinct energy: the grid, then the crossing search's
+    # points, shared by the branches refined in one cell, and the crossings
+    # themselves taken from the search (62 D(E) for 57 energies before)
+    energies = []
+    pv = friedrichs.spectral.pv_matrix
+    monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
+                        lambda model, e: energies.append(e) or pv(model, e))
+    cands = positive_candidate_scan(hydrogen, np.linspace(1e-4, 0.5, 50))
+    assert len(cands) == 3
+    assert len(energies) == len(set(energies)) <= 57
 
 
 def test_positive_scan_rejects_nonpositive_grid(three_level):
@@ -165,16 +181,16 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
 def test_find_root_gram_budget(three_level, lam, monkeypatch):
     # every Gram matrix of a solve: S(0) for the count, which also serves as
-    # the branch search's upper bracket end, the search to the 1e-12 bracket
-    # (the shared lower end built once for all branches) and S(E) at each
-    # root for its state
+    # the branch search's upper bracket end, and the search to the 1e-12
+    # bracket (the shared lower end built once for all branches); each
+    # state reuses the S(E) the search built at its root
     calls = []
     gram = friedrichs.solver.gram_matrix
     monkeypatch.setattr(friedrichs.solver, "gram_matrix",
                         lambda *a, **k: calls.append(1) or gram(*a, **k))
     rep = solve_model(three_level.with_coupling(lam))
     assert rep.count == len(THREE_LEVEL_ROOTS[lam])
-    assert len(calls) <= {0.1: 9, 0.7: 15, 10.0: 28}[lam]
+    assert len(calls) <= {0.1: 8, 0.7: 13, 10.0: 25}[lam]
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
@@ -186,6 +202,18 @@ def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
     rep = solve_model(three_level.with_coupling(10.0))
     assert rep.count == 3
     assert len(calls) == 3
+
+
+def test_solve_model_builds_each_gram_once(three_level, monkeypatch):
+    # each state's K(E) comes from the branch search's memo: one S(E) per
+    # distinct energy (28 S(E) for 25 energies before)
+    energies = []
+    gram = friedrichs.solver.gram_matrix
+    monkeypatch.setattr(friedrichs.solver, "gram_matrix",
+                        lambda model, e: energies.append(e) or gram(model, e))
+    rep = solve_model(three_level.with_coupling(10.0))
+    assert rep.count == 3
+    assert len(energies) == len(set(energies)) <= 25
 
 
 def test_solve_tabulated_bound_state(tabulated_two_level):
