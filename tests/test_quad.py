@@ -465,3 +465,79 @@ def test_tabulated_t_matrix_is_ds_de(name):
         for delta in (1e-6, 1e-10, 1e-14):
             near = t_matrix(model, e, e * (1.0 + delta)).entries
             assert np.linalg.norm(near - t, 2) <= (1e-13 + 10.0 * delta) * np.linalg.norm(t, 2)
+
+
+def _random_tabulated_model(rng):
+    """A seeded two-level model: a complex tabulated factor on 2-8 random or
+    geometric nodes, with p in {0, 1/2, 1, U(0.05, 2)} and tau in {-1, -3/2,
+    U(-3, -0.55)}, against a second such factor or a rational one."""
+    factors = []
+    for k in range(2):
+        if k == 1 and rng.random() < 0.3:
+            factors.append(RationalFormFactor(int(rng.integers(1, 5)), float(rng.uniform(-1, 2)),
+                                              float(rng.uniform(0.3, 3.0))))
+            continue
+        n = int(rng.integers(2, 9))
+        grid = (np.sort(rng.uniform(0.01, 5.0, n)) if rng.random() < 0.5
+                else np.geomspace(rng.uniform(0.005, 0.2), rng.uniform(1.0, 10.0), n))
+        values = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        p = float(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.05, 2.0)]))
+        tau = float(rng.choice([-1.0, -1.5, rng.uniform(-3.0, -0.55)]))
+        factors.append(TabulatedFormFactor(grid, values, tail_exponent=tau, p_exponent=p))
+    return FriedrichsModel((-0.1, 0.2), 0.5, tuple(factors), UnitSystem(1.0))
+
+
+def test_random_tabulated_pairs_match_quadpack():
+    # seeded models and energies: below 0, at 0 (when every p > 0), on a
+    # random node, anywhere in (0, 12), around the first and the last node;
+    # S, D and T(E, E) to 1e-12 of the matrix 2-norm.  An energy within 1e-6
+    # of a node but not on it is redrawn: there the reference's QAWC, with
+    # its pole next to an end of its interval, loses digits (checked against
+    # 40-digit mpmath at E = node (1 + 1e-9))
+    rng = np.random.default_rng(20261019)
+    for _ in range(12):
+        model = _random_tabulated_model(rng)
+        nodes = np.array(sorted({float(b) for f in model.form_factors for b in f.breakpoints()}))
+        energies = [-float(rng.uniform(1e-3, 3.0)), float(rng.choice(nodes))]
+        while len(energies) < 5:
+            e = float(rng.choice([rng.uniform(1e-3, 12.0), nodes[0] * rng.uniform(0.3, 1.9),
+                                  nodes[-1] * rng.uniform(0.3, 3.0)]))
+            if np.abs(nodes - e).min() > 1e-6 * e:
+                energies.append(e)
+        if all(f.p_exponent > 0.0 for f in model.form_factors):
+            energies.append(0.0)
+        for e in energies:
+            got = gram_matrix(model, e) if e <= 0.0 else pv_matrix(model, e)
+            ref = _quadpack(model, (e,))
+            assert np.linalg.norm(got.entries - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2), e
+            if e < 0.0:
+                ref = _quadpack(model, (e, e))
+                assert (np.linalg.norm(t_matrix(model, e, e).entries - ref, 2)
+                        <= 1e-12 * np.linalg.norm(ref, 2))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 1.0, 1.05, 1.7, 2.0, 2.95])
+def test_power_end_integral_matches_mpmath(s):
+    # J_s(z) = PV int_0^1 u^s/(u - z) du in all its regimes (the series for
+    # |z| >= 2, the recurrence for |z| <= 1/2 with s' = 0 and s' > -0.9, its
+    # split fallback for s' = -0.95, the split in between), less
+    # z^s log|1 - z| for 1/2 < z < 2, against 30-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    from friedrichs.quad import _j
+
+    mpmath.mp.dps = 30
+    for z in (1e-6, -1e-6, 0.05, -0.4, 0.3, 0.5, -0.5, 0.7, -0.7, 0.999, 1.0, 1.001, 1.3,
+              -1.5, 1.9, 2.0, -2.0, 2.5, -3.0, 40.0):
+        zm, sm = mpmath.mpf(z), mpmath.mpf(s)
+        if z > 0.0:
+            # the pole subtracted: int (u^s - z^s)/(u - z) + z^s log|(1 - z)/z|
+            want = (mpmath.quad(lambda u: (u ** sm - zm ** sm) / (u - zm),
+                                [0, zm, 1] if z < 1.0 else [0, 1])
+                    - zm ** sm * mpmath.log(zm))
+            if not 0.5 < z < 2.0:
+                want += zm ** sm * mpmath.log(abs(1 - zm))
+        else:
+            want = mpmath.quad(lambda u: u ** sm / (u - zm), [0, 1])
+        want = float(want)
+        assert math.isfinite(want)
+        assert abs(_j(s, z) - want) <= 1e-14 * max(1.0, abs(want)), z
