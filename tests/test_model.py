@@ -185,6 +185,45 @@ def test_tabulated_roundtrip_and_tails():
     assert f.mod_sq(0.0) == 0.0
 
 
+@pytest.mark.parametrize("p_exponent", [0.5, 0.0])
+def test_tabulated_value_scalar_matches_value(p_exponent):
+    # value at a float argument against value on the whole array: nodes,
+    # mid-cells, both ends of the grid, below and above it, and x = 0
+    grid = np.geomspace(0.05, 6.0, 17)
+    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5, p_exponent=p_exponent)
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    xs = np.concatenate((grid, mids, [0.0, 0.01, 0.049, 6.5, 1e3]))
+    want = f.value(xs)
+    for x, w in zip(xs, want):
+        got = f.value(float(x))
+        assert np.ndim(got) == 0
+        assert abs(got - w) <= 1e-15 * abs(w), x
+    assert f.value(float(grid[0])) == vals[0]
+    assert f.value(float(grid[-1])) == vals[-1]
+    with pytest.raises(ValueError):
+        f.value(-1e-3)
+
+
+@pytest.mark.parametrize("p_exponent", [0.5, 0.0, 1.0, 0.3])
+def test_tabulated_mod_sq_scalar_matches_mod_sq(p_exponent):
+    # mod_sq at a float argument against mod_sq on the whole array, bit for
+    # bit: nodes, mid-cells, x = 0, below the first node, at and above the last
+    grid = np.geomspace(0.05, 6.0, 17)
+    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.7, p_exponent=p_exponent)
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(grid[0], grid[-1], 200)
+    xs = np.concatenate((grid, mids, inside, [0.0, 1e-300, 0.01, 0.049, 6.5, 1e3]))
+    want = f.mod_sq(xs)
+    got = np.array([f.mod_sq(float(x)) for x in xs])
+    assert all(type(f.mod_sq(float(x))) is float for x in xs[:3])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        f.mod_sq(-1e-3)
+
+
 def test_tabulated_validation():
     grid = np.array([1.0, 2.0])
     with pytest.raises(ConfigError):

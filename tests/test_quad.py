@@ -114,6 +114,61 @@ def test_pv_matrix_domain(hydrogen):
         pv_matrix(hydrogen, -0.2)
 
 
+def _pv_poly(coef, a, b, e):
+    """P int_a^b P(w) / (w - E) dw for P with ascending coefficients coef:
+    the polynomial quotient (P(w) - P(E)) / (w - E) integrated exactly plus
+    P(E) log|(b - E)/(a - E)|."""
+    p = np.polynomial.Polynomial(coef)
+    quot, rem = divmod(p, np.polynomial.Polynomial([-e, 1.0]))
+    smooth = quot.integ()
+    return smooth(b) - smooth(a) + rem(e) * math.log(abs((b - e) / (a - e)))
+
+
+def _closed_form_pv_tabulated(f, e):
+    """P int_0^inf |v|^2 / (w - E) dw of a one-level tabulated factor whose
+    head power 2 p and tail power -2 tail_exponent are integers: w^n on the
+    head, |a + d w|^2 on every cell, and w^-m on the tail, mapped by t = 1/w
+    to -(1/E) P int_0^(1/gN) t^(m-1) / (t - 1/E) dt."""
+    g, v = f.grid, f.values
+    n, m = round(2.0 * f.p_exponent), round(-2.0 * f.tail_exponent)
+    total = abs(v[0]) ** 2 / g[0] ** n * _pv_poly([0.0] * n + [1.0], 0.0, g[0], e)
+    for k in range(len(g) - 1):
+        d = (v[k + 1] - v[k]) / (g[k + 1] - g[k])
+        a = v[k] - d * g[k]
+        coef = [abs(a) ** 2, 2.0 * (np.conj(a) * d).real, abs(d) ** 2]
+        total += _pv_poly(coef, g[k], g[k + 1], e)
+    tail = -_pv_poly([0.0] * (m - 1) + [1.0], 0.0, 1.0 / g[-1], 1.0 / e) / e
+    return total + abs(v[-1]) ** 2 * g[-1] ** m * tail
+
+
+def _one_level_tabulated(p_exponent, tail_exponent):
+    # E = 0.3 falls on the head, 0.5 inside the first cell, 2.0 on the tail
+    grid = np.array([0.4, 0.7, 1.0, 1.5])
+    vals = np.array([0.8, 0.5 + 0.6j, 0.3 - 0.2j, 0.25j])
+    f = TabulatedFormFactor(grid, vals, tail_exponent=tail_exponent, p_exponent=p_exponent)
+    return FriedrichsModel((0.1,), 0.5, (f,), UnitSystem(1.0))
+
+
+@pytest.mark.parametrize("e", [0.3, 0.5, 2.0])
+def test_pv_closed_form_even(e):
+    # |v|^2 ~ w^2 on the head and w^-2 on the tail
+    model = _one_level_tabulated(1.0, -1.0)
+    m = pv_matrix(model, e)
+    want = _closed_form_pv_tabulated(model.form_factors[0], e)
+    assert m.entries[0, 0].real == pytest.approx(want, rel=1e-12)
+    assert m.entries[0, 0].imag == 0.0
+    assert m.err[0, 0] < 1e-12
+
+
+@pytest.mark.parametrize("e", [0.3, 0.5, 2.0])
+def test_pv_closed_form_odd(e):
+    # |v|^2 ~ w on the head and w^-3 on the tail
+    model = _one_level_tabulated(0.5, -1.5)
+    m = pv_matrix(model, e)
+    want = _closed_form_pv_tabulated(model.form_factors[0], e)
+    assert m.entries[0, 0].real == pytest.approx(want, rel=1e-12)
+
+
 def test_pv_matrix_at_zero_matches_gram(three_level):
     d = pv_matrix(three_level, 0.0)
     s = gram_matrix(three_level, 0.0)
