@@ -146,6 +146,11 @@ class _PolynomialFormFactor(FormFactor):
             raise ConfigError(f"form-factor amplitude {self._amp:.3g} overflows when squared")
         self.common_phase = complex(phase)
         poly = tuple(float(c) for c in poly)                 # Q in s = u**2, ascending
+        # _over_pole keeps r and t in [0, 1], so |v|^2 / u <= (amp sum_k |Q_k|)^2
+        bound = self._amp * math.fsum(abs(c) for c in poly)
+        if not math.isfinite(bound * bound):
+            raise ConfigError(f"form-factor coefficients {poly} with amplitude "
+                              f"{self._amp:.3g} overflow |v|^2")
         dpoly = tuple(i * c for i, c in enumerate(poly))[1:] or (0.0,)
         self._desc, self._ddesc = poly[::-1], dpoly[::-1]    # Q and dQ/ds, descending
         self._q = int(pole_order)

@@ -19,19 +19,25 @@ check of the solver: `oracle-check` and the acceptance gate compare the two.
 
 Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 (dense near threshold, where the kernels vary fastest) and on every
-form-factor breakpoint, plus an algebraic tail beyond omega_max.  When all
-form factors share a global phase times a sign, B is built real; the
-discrete spectrum is unchanged and the level-block eigenvectors stay
-directly comparable to the solver's.
+form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
+panels come from the kernels' own routine `quad._panel_nodes` and both rules
+from its cache `quad._gauss_legendre`, so a schedule of grids builds each
+rule once.  K_M(E) is built once per energy and grid: the count's K_M(-g)
+is the search's upper bracket end, and each root's K_M gives its level
+block.  When all form factors share a global phase times a sign, B is built
+real; the discrete spectrum is unchanged and the level-block eigenvectors
+stay directly comparable to the solver's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _branch_roots, _seed, solve_model
+from .quad import _gauss_legendre, _panel_nodes
+from .solver import _branch_roots, _count_and_roots, _seed
 from .spectral import eigh
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
@@ -59,28 +65,37 @@ class DiscretizedHamiltonian:
     def h(self) -> np.ndarray:
         """The dense matrix, assembled on each access (for tests and tracing)."""
         return np.block([[np.diag(self.levels), self.b],
-                         [self.b.conj().T, np.diag(self.nodes)]])
+                         [self._b_dagger, np.diag(self.nodes)]])
+
+    @functools.cached_property
+    def _b_dagger(self):
+        """b^dagger, conjugated once per grid."""
+        return self.b.conj().T
 
     def _k(self, e):
         """K_M(E) = diag(omega) - b diag(1/(omega_j - E)) b^dagger."""
-        return np.diag(self.levels) - (self.b / (self.nodes - e)) @ self.b.conj().T
+        return np.diag(self.levels) - (self.b / (self.nodes - e)) @ self._b_dagger
 
     def _roots(self):
-        # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g
-        kappa = eigh(self._k(-_GAP_TOL)).kappa
+        """The eigenvalues of h below -_GAP_TOL, ascending, and the K_M(E)
+        they were found on, built once per energy like solver._gram_k."""
+        k_at = functools.cache(self._k)
+        # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
+        # that K_M(-g) is also the search's upper bracket end
+        kappa = eigh(k_at(-_GAP_TOL)).kappa
         count = int(np.count_nonzero(kappa < -_GAP_TOL))
         e_lo = _seed(self.levels, float(np.sum(np.abs(self.b) ** 2)))
-        return [e for e, _ in _branch_roots(self._k, count, e_lo, -_GAP_TOL)]
+        return [e for e, _ in _branch_roots(k_at, count, e_lo, -_GAP_TOL)], k_at
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -_GAP_TOL, ascending."""
-        return np.array(self._roots())
+        return np.array(self._roots()[0])
 
     def negative_eigensystem(self):
         """Eigenpairs of h below -_GAP_TOL: (values, level blocks), the
         blocks normalized to unit columns like solver amplitudes."""
-        vals = self._roots()
-        blocks = [eigh(self._k(e)).vectors[:, i] for i, e in enumerate(vals)]
+        vals, k_at = self._roots()
+        blocks = [eigh(k_at(e)).vectors[:, i] for i, e in enumerate(vals)]
         return np.array(vals), np.array(blocks).reshape(len(vals), self.levels.size).T
 
 
@@ -125,21 +140,13 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     n_panels = max(2, m_main // degree - len(set(kinks)))
     edges = np.unique(np.concatenate((
         [0.0], np.geomspace(1e-7 * s_ref, omega_max, n_panels), kinks)))
-    base_x, base_w = np.polynomial.legendre.leggauss(degree)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * base_x)
-        weights.append(half * base_w)
+    _, panel_x, panel_w = _panel_nodes(edges, degree)
 
-    tx, tw = np.polynomial.legendre.leggauss(n_tail)
+    tx, tw = _gauss_legendre(n_tail)
     t = 0.5 + 0.5 * tx
     jac = 1.0 / (1.0 - t) ** 2
-    nodes.append(omega_max + t / (1.0 - t))
-    weights.append(0.5 * tw * jac)
-
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    nodes = np.concatenate((panel_x.ravel(), omega_max + t / (1.0 - t)))
+    weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
                                   nodes, weights)
@@ -169,8 +176,8 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     that grow between consecutive grids raise the non_cauchy flag; a clean
     refinement study should shrink monotonically.
     """
-    report = solve_model(model)
-    solver_e = tuple(s.energy for s in report.states)
+    counted, roots, _ = _count_and_roots(model)
+    solver_e = tuple(e for e, _ in roots)
     rows = []
     prev = None
     non_cauchy = False
@@ -190,4 +197,4 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
             prev = deltas
         rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals),
                                    deltas))
-    return ConvergenceTable(tuple(rows), report.count, solver_e, non_cauchy)
+    return ConvergenceTable(tuple(rows), counted.count, solver_e, non_cauchy)

@@ -18,6 +18,7 @@ and their defects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,9 +37,12 @@ __all__ = [
 
 # |kappa_n(0)| at or below this is indeterminate (neither counted nor ruled
 # out), and a bound-state root search stops once its bracket is narrower
-# than _ROOT_TOL
+# than _ROOT_TOL plus _ROOT_RTOL |E|: the relative term, a few ulps, lets a
+# deep root converge where adjacent doubles lie more than 1e-12 apart
+# (|E| > 8192)
 _TOL_ZERO = 1e-12
 _ROOT_TOL = 1e-12
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,9 @@ def count_negative(model) -> CountResult:
 def _gram_k(model):
     """K(E) on the Gram matrix `gram_matrix`, built once per energy, so that
     a solve shares the count's K(0) with the branch search;
-    oracle.DiscretizedHamiltonian._k is its node-sum twin on real nodes."""
-    built = {}
-
-    def k_at(e):
-        if e not in built:
-            built[e] = k_matrix(model, gram_matrix(model, e))
-        return built[e]
-
-    return k_at
+    oracle.DiscretizedHamiltonian._roots caches its node-sum twin K_M(E)
+    the same way."""
+    return functools.cache(lambda e: k_matrix(model, gram_matrix(model, e)))
 
 
 def _seed(levels, coupled_norm_sq):
@@ -144,7 +142,7 @@ def _branch_roots(k_at, count, e_lo, e_hi=0.0):
     branch = np.arange(1, count + 1)
     res = bracketed_root(gap, np.full(count, e_lo), np.full(count, e_hi),
                          args=(branch,), what="branch roots, kappa_n(E) - E",
-                         xatol=_ROOT_TOL, xrtol=0.0)
+                         xatol=_ROOT_TOL, xrtol=_ROOT_RTOL)
     touching = branch[~(res.x < e_hi)]
     if touching.size:
         raise BracketError(f"branches {touching.tolist()} touch the diagonal "
@@ -194,18 +192,26 @@ def residual(model, state: BoundState) -> float:
     return float(np.linalg.norm(k @ c - state.energy * c) / nrm)
 
 
-def solve_model(model) -> SolveReport:
-    """Count every bound state of the model, then locate all of them in one
-    search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
-    |v_n|^2, 0] down to a bracket narrower than 1e-12."""
+def _count_and_roots(model):
+    """The count at E = 0 and the roots [(energy, bracket)] of the counted
+    branches, with the K(E) family they were found on: `solve_model` without
+    its states, for callers that need only the energies."""
     k_at = _gram_k(model)
     counted = CountResult.from_kappa(eigh(k_at(0.0), 0.0).kappa)
-    states = ()
+    roots = []
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
         roots = _branch_roots(k_at, counted.count, seed)
-        states = tuple(replace(_bound_state(model, n, e, k_at(e)), bracket=bracket)
-                       for n, (e, bracket) in enumerate(roots, 1))
+    return counted, roots, k_at
+
+
+def solve_model(model) -> SolveReport:
+    """Count every bound state of the model, then locate all of them in one
+    search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
+    |v_n|^2, 0] down to a bracket narrower than 1e-12 + 4 eps |E|."""
+    counted, roots, k_at = _count_and_roots(model)
+    states = tuple(replace(_bound_state(model, n, e, k_at(e)), bracket=bracket)
+                   for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        counted.indeterminate)
 

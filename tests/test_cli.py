@@ -231,6 +231,33 @@ def test_builtin_presets_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_skips_numpy_polynomial():
+    # the Gauss-Legendre rules load numpy.polynomial on first use, not at
+    # import: every CLI command imports the oracle
+    src = str(Path(friedrichs.__file__).resolve().parents[1])
+    code = "import sys, friedrichs.cli\nprint('numpy.polynomial' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("site,value", [((1, "a"), 3.4e8), ((0, "cutoff"), 5.5e9)],
+                         ids=["a", "cutoff"])
+def test_analyze_deep_bound_state(tmp_path, site, value):
+    # the first root lies below -8192, where adjacent doubles are farther
+    # apart than the root search's absolute 1e-12
+    config = make_preset("three-level-fig").descriptor()
+    config["form_factors"][site[0]][site[1]] = value
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["analyze", "--model", str(cfg), "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "analyze_report.txt").read_text()
+    energy = float(report.split("state branch=1 energy=")[1].split()[0])
+    assert energy < -1e7
+
+
 def test_oracle_check(tmp_path):
     rc = main(["oracle-check", "--preset", "three-level-fig",
                "--lambda", "0.7", "--grid", "300,600",
@@ -318,12 +345,13 @@ _TABULATED = {"levels": [-0.1], "lambda": 0.5, "form_factors": [
     (_ONE_LEVEL, ("lambda",), 1e160),
     (_TABULATED, ("form_factors", 0, "p_exponent"), 0.0),
     (_TABULATED, ("form_factors", 0, "values_re", 1), 1e155),
+    ("three-level-fig", ("form_factors", 2, "a"), 1.3e155),
 ], ids=["nan-level", "nan-a", "fractional-n-index", "huge-n-index",
         "big-int-lambda", "big-int-level", "big-int-reference-cutoff",
         "big-int-cutoff", "big-int-lambda1", "big-int-n-index",
         "fractional-index", "string-index", "bool-index", "bool-n-index",
         "amplitude-sq-overflow", "amplitude-overflow", "coupling-sq-overflow",
-        "zero-p-exponent", "tabulated-square-overflow"])
+        "zero-p-exponent", "tabulated-square-overflow", "poly-overflow"])
 def test_malformed_model_exit_code(tmp_path, capsys, preset, path, value):
     # preset: a preset name or a model description to start from
     config = (make_preset(preset).descriptor() if isinstance(preset, str)

@@ -1,7 +1,12 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import friedrichs.quad
+import friedrichs.solver
 from friedrichs import (
     DiscretizedHamiltonian,
     FriedrichsModel,
@@ -11,8 +16,10 @@ from friedrichs import (
     compare_negative_spectrum,
     discretize,
     l2_norm_sq,
+    load_model,
+    make_preset,
 )
-from friedrichs.oracle import _GAP_TOL
+from friedrichs.oracle import _GAP_TOL, _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
 from test_quad import _complex_tabulated
@@ -129,3 +136,89 @@ def test_compare_negative_spectrum(three_level, lam, count):
         assert len(row.energies) == count
         for e_ref, delta in zip(THREE_LEVEL_ROOTS[lam], row.deltas):
             assert delta <= 1e-8 * max(1.0, abs(e_ref))
+
+
+def _panel_loop_grid(model, m):
+    """discretize's nodes and weights, one 12-point panel at a time with
+    fresh Gauss-Legendre rules: the reference for the shared panel routine."""
+    omega_max = 20.0 * model.max_scale()
+    positive = [abs(w) for w in model.levels if w != 0.0]
+    s_ref = min([f.scale for f in model.form_factors] + positive + [omega_max])
+    n_tail = max(8, m // 50)
+    kinks = [x for f in model.form_factors for x in f.breakpoints()
+             if 0.0 < x < omega_max]
+    n_panels = max(2, (m - n_tail) // 12 - len(set(kinks)))
+    edges = np.unique(np.concatenate((
+        [0.0], np.geomspace(1e-7 * s_ref, omega_max, n_panels), kinks)))
+    base_x, base_w = np.polynomial.legendre.leggauss(12)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * base_x)
+        weights.append(half * base_w)
+    tx, tw = np.polynomial.legendre.leggauss(n_tail)
+    t = 0.5 + 0.5 * tx
+    nodes.append(omega_max + t / (1.0 - t))
+    weights.append(0.5 * tw * (1.0 / (1.0 - t) ** 2))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("m", [10, 137, 4000])
+@pytest.mark.parametrize("name", ["three-level-fig", "hydrogen-4level", "tabulated"])
+def test_discretize_matches_panel_loop(name, m):
+    # bit for bit: the same elementwise operations, batched over panels;
+    # the tabulated model puts a kink edge at each of its 16 nodes
+    model = (load_model(Path(__file__).parent / "golden" / "tabulated.json")
+             if name == "tabulated" else make_preset(name))
+    ham = discretize(model, m)
+    nodes, weights = _panel_loop_grid(model, m)
+    assert ham.nodes.tobytes() == nodes.tobytes()
+    assert ham.weights.tobytes() == weights.tobytes()
+    assert ham.b.tobytes() == _coupling_block(model, nodes, weights).tobytes()
+
+
+def test_schedule_builds_each_rule_once(three_level, monkeypatch):
+    # the panels' 12-point rule and the tails' 10..80-point rules come from
+    # one cache shared with the kernels, across grids and across calls
+    degrees = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: degrees.update([n]) or leggauss(n))
+    friedrichs.quad._gauss_legendre.cache_clear()
+    try:
+        for lam in (0.7, 10.0):
+            compare_negative_spectrum(three_level.with_coupling(lam),
+                                      (500, 1000, 2000, 4000))
+    finally:
+        friedrichs.quad._gauss_legendre.cache_clear()
+    assert {12, 10, 20, 40, 80} <= set(degrees)
+    assert max(degrees.values()) == 1
+    x, w = friedrichs.quad._gauss_legendre(12)
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+def test_negative_spectrum_builds_each_k_once(three_level, monkeypatch):
+    # the count's K_M(-g) is the search's upper end, and each root's level
+    # block reads the K_M its search built there
+    energies = []
+    build = DiscretizedHamiltonian._k
+    monkeypatch.setattr(DiscretizedHamiltonian, "_k",
+                        lambda self, e: energies.append(e) or build(self, e))
+    ham = discretize(three_level.with_coupling(10.0), 1000)
+    assert ham.negative_eigenvalues().size == 3
+    assert len(energies) == len(set(energies))
+    n_search = len(energies)
+    energies.clear()
+    vals, _ = ham.negative_eigensystem()
+    assert vals.size == 3
+    assert len(energies) == len(set(energies)) == n_search
+
+
+def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch):
+    # the comparison prints counts and energies: no T(E, E) and no states
+    calls = []
+    monkeypatch.setattr(friedrichs.solver, "t_matrix",
+                        lambda *a: calls.append(a))
+    table = compare_negative_spectrum(three_level.with_coupling(0.7), (400,))
+    assert table.solver_count == 2
+    assert calls == []

@@ -216,6 +216,22 @@ def test_solve_model_builds_each_gram_once(three_level, monkeypatch):
     assert len(energies) == len(set(energies)) <= 25
 
 
+@pytest.mark.parametrize("site,value", [((1, "a"), 3.4e8), ((0, "cutoff"), 5.5e9)],
+                         ids=["a", "cutoff"])
+def test_deep_root_converges_to_relative_bracket(three_level, site, value):
+    # below -8192 no bracket is 1e-12 wide: the search stops at a few ulps
+    # of |E|, and the root solves (K(E) - E) c = 0 to rounding
+    config = three_level.descriptor()
+    config["form_factors"][site[0]][site[1]] = value
+    model = friedrichs.model.model_from_dict(config)
+    deep = solve_model(model).states[0]
+    lo, hi = deep.bracket
+    assert deep.energy < -1e7
+    assert lo <= deep.energy <= hi
+    assert hi - lo <= 1e-12 + 4.0 * np.finfo(float).eps * abs(deep.energy)
+    assert residual(model, deep) <= 1e-14 * abs(deep.energy)
+
+
 def test_solve_tabulated_bound_state(tabulated_two_level):
     # the interpolant's kinks must reach the quadrature as breakpoints, both
     # in the l2 norm that seeds the bracket and in the continuum weight
