@@ -20,6 +20,7 @@ byte-identical across reruns of the same command.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,7 +46,10 @@ def _add_common(p: argparse.ArgumentParser):
                    help="override the coupling constant")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond per call."""
     ap = argparse.ArgumentParser(prog="friedrichs",
                                  description="bound states and embedded-eigenvalue "
                                              "thresholds of N-level Friedrichs models")

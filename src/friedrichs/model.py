@@ -24,6 +24,7 @@ integrate as node sums on a rotated ray (`quad`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -161,9 +162,6 @@ class _PolynomialFormFactor(FormFactor):
         self.p_exponent = 0.5
         # sqrt(u) Q(u^2) / (1 + u^2)^q ~ u^(1/2 - 2 (q - deg Q)) at infinity
         self.tail_exponent = 0.5 - 2.0 * self._gap
-        # quad's node tables of the pairs (self, other), keyed by other: they
-        # die with either factor
-        self._pair_tables = weakref.WeakKeyDictionary()
 
     def rational_part(self, z):
         """r(z) with v(x) = common_phase * sqrt(x) * r(x) for x >= 0.
@@ -331,8 +329,9 @@ class TabulatedFormFactor(FormFactor):
             self._dmsq = np.gradient(self._msq, grid)
         if not (np.all(np.isfinite(self._msq)) and np.all(np.isfinite(self._dmsq))):
             raise ConfigError("tabulated |v|^2 or its slope overflows")
-        # quad's tables of the pairs (self, other), keyed by other: they die
-        # with either factor
+        # quad's exact-cell tables of the tabulated pairs (self, other),
+        # keyed by other: they die with either factor (the built-in pairs'
+        # ray table lives on the model, `FriedrichsModel._ray_rows`)
         self._pair_tables = weakref.WeakKeyDictionary()
 
     def breakpoints(self) -> tuple:
@@ -439,6 +438,14 @@ class FriedrichsModel:
     def level_array(self) -> np.ndarray:
         return np.asarray(self.levels, dtype=float)
 
+    @functools.cached_property
+    def _ray_rows(self):
+        """quad's ray table of the built-in pairs (`quad._ray_rows`), built
+        on first use and kept on the model, so it dies with it."""
+        from .quad import _ray_rows
+
+        return _ray_rows(self.form_factors)
+
     def max_scale(self) -> float:
         return max(f.scale for f in self.form_factors)
 
@@ -468,7 +475,7 @@ def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
 
     if not 1 <= n <= model.n_levels:
         raise ValueError(f"level index {n} outside 1..{model.n_levels}")
-    return _norm_sq(model.form_factors[n - 1])
+    return _norm_sq(model, n - 1)
 
 
 def total_l2_norm_sq(model: FriedrichsModel) -> float:

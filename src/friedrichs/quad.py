@@ -26,7 +26,7 @@ alpha) the trapezoid rule in x converges geometrically (Trefethen and
 Weideman, SIAM Rev. 56, 2014): in x every singularity sits a fixed distance
 from the real axis, pi/6 for z = E and pi/3 for the poles +-i c, whatever
 the widths.  Hence, with nodes w_k and coefficients c_k = h w_k^2 r_n(w_k)
-r_m(w_k) built once per pair,
+r_m(w_k) built once per model, one ray and one row of c_k per built-in pair,
 
     S(E) = Re sum_k c_k / (w_k - E)                     (E <= 0),
     D(E) = Re sum_k c_k / (w_k - E) = Re F(E + i0)      (E > 0),
@@ -35,11 +35,13 @@ r_m(w_k) built once per pair,
 
 The terms are of the size of the integrand (no cancellation near a pole),
 and E' -> E needs no difference quotient.  h = 1/16 and the range
-exp(-48) c_lo .. exp(8) c_hi (c_lo <= c_hi the pair's widths) hold S, D
-and the norms to rounding at every E.  T(E, E') omits the head
+exp(-48) c_lo .. exp(8) c_hi (c_lo <= c_hi the smallest and largest
+built-in widths) hold S, D and the norms to rounding at every E.  The
+kernel is evaluated once per energy for all pairs, and each pair's row is
+summed on its own, in the order of a single sum.  T(E, E') omits the head
 [0, t0 = exp(-48) c_lo) of relative size t0^2 / (2 |E E'|), below 1e-16
 for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).  err is the rounding
-bound 24 eps sum_k |term_k|.
+bound 24 eps sum_k |c_k| |kernel(w_k)|.
 
 Pairs with a tabulated factor.  A tabulated factor is linear in v between
 its nodes, v(g0) (x/g0)^p below the grid and v(gN) (x/gN)^tau above it.
@@ -114,10 +116,11 @@ _ABS_TOL = 1e-13
 
 @dataclass(frozen=True)
 class LevelShiftMatrix:
-    """A Gram, difference-kernel or principal-value matrix at one energy.
+    """A Gram, difference-kernel or principal-value matrix at one energy, or
+    a stack of them over an array of energies.
 
-    entries: N x N complex Hermitian array.
-    e: evaluation energy (internal units).
+    entries: N x N complex Hermitian array (e.shape + (N, N) for a stack).
+    e: evaluation energy (internal units), or the array of them.
     kind: "S", "T" or "D".
     err: per-entry absolute rounding bounds, 24 eps sum |term| over the
          terms of the entry (module docstring).
@@ -132,17 +135,19 @@ class LevelShiftMatrix:
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
+    def norm(self):
+        """The spectral norm, or the array of them for a stack."""
+        norms = np.linalg.norm(self.entries, 2, axis=(-2, -1))
+        return float(norms) if norms.ndim == 0 else norms
 
 
 # ---------------------------------------------------------------------------
 # Built-in pairs: node sums on a rotated ray
 
-# The rotated ray w = c_lo * exp(k h - i alpha) of every built-in pair: step
-# h = 1/16 (k h is exact), alpha = pi/6, k from -48/h to (ln(c_hi/c_lo) + 8)/h.
+# The rotated ray w = c_lo exp(k h - i alpha) of a model's built-in pairs:
+# h = 1/16 (k h exact), alpha = pi/6, k from -48/h to (ln(c_hi/c_lo) + 8)/h.
 _RAY_STEP = 1.0 / 16.0
 _RAY_TURN = complex(math.cos(math.pi / 6.0), -math.sin(math.pi / 6.0))
 _RAY_BELOW, _RAY_ABOVE = 48.0, 8.0
@@ -151,18 +156,28 @@ _RAY_BELOW, _RAY_ABOVE = 48.0, 8.0
 _SUM_ERR = 24.0 * np.finfo(float).eps
 
 
-def _ray_table(fn, fm):
-    """Nodes w_k and coefficients c_k = h w_k^2 r_n(w_k) r_m(w_k) of the pair,
-    built once and kept in fn._pair_tables (module docstring)."""
-    table = fn._pair_tables.get(fm)
-    if table is None:
-        lo, hi = sorted((fn.scale, fm.scale))
-        k = np.arange(-_RAY_BELOW / _RAY_STEP,
-                      (math.log(hi / lo) + _RAY_ABOVE) / _RAY_STEP + 1.0)
-        w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
-        table = (w, _RAY_STEP * w * w * fn.rational_part(w) * fm.rational_part(w))
-        fn._pair_tables[fm] = table
-    return table
+def _ray_rows(factors):
+    """Nodes w_k of the factors' built-in pairs n <= m, a row c_k = h w_k^2
+    r_n(w_k) r_m(w_k) per pair, |c_k|, the phases conj(phi_n) phi_m and the
+    indices n, m (module docstring); None without built-in factors."""
+    built = [i for i, f in enumerate(factors) if f.common_phase is not None]
+    if not built:
+        return None
+    lo, hi = min(factors[i].scale for i in built), max(factors[i].scale for i in built)
+    k = np.arange(-_RAY_BELOW / _RAY_STEP,
+                  (math.log(hi / lo) + _RAY_ABOVE) / _RAY_STEP + 1.0)
+    w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
+    r = {i: factors[i].rational_part(w) for i in built}
+    pairs = [(i, j) for i in built for j in built if j >= i]
+    c = np.array([_RAY_STEP * w * w * r[i] * r[j] for i, j in pairs])
+    phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
+                      for i, j in pairs])
+    return w, c, np.abs(c), phase, *np.array(pairs).T
+
+
+def _kernel(w, e, e2=None):
+    """1/(w - e), or 1/((w - e)(w - e2)), at the ray nodes: once per energy."""
+    return 1.0 / (w - e) if e2 is None else 1.0 / ((w - e) * (w - e2))
 
 
 # ---------------------------------------------------------------------------
@@ -436,53 +451,65 @@ def _tabulated_pair(fa, fb, energies):
 # Matrix assembly
 
 
-def _pair(fn, fm, kernel, energies):
-    """(value, error bound) of the pair density conj(v_n) v_m against the
-    kernel prod_e 1/(w - e) (1 for no energies).  A pair of built-in factors
-    is the real part of the node sum sum_k c_k kernel(w_k) times the pair's
-    phase; a pair with a tabulated factor goes to `_tabulated_pair`.
-    """
-    if fn.common_phase is None or fm.common_phase is None:
-        return _tabulated_pair(fn, fm, energies)
-    w, c = _ray_table(fn, fm)
-    terms = c * kernel(w)
-    phase = np.conj(fn.common_phase) * fm.common_phase
-    return phase * terms.sum().real, _SUM_ERR * float(np.abs(terms).sum())
+@functools.cache
+def _triangles(n):
+    """Index arrays of an n x n diagonal, strict lower triangle and its mirror."""
+    return np.arange(n), *np.tril_indices(n, -1)
 
 
-def _level_shift(model, kind, energies, kernel) -> LevelShiftMatrix:
-    """Hermitian matrix of pair integrals (`_pair`) against prod_e 1/(w - e),
-    built over the upper triangle and mirrored, with the per-entry error
-    bounds in err.  kernel(w) is that kernel at the complex ray nodes.
-    """
+def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
+    """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
+    1/((w - E)(w - e2))) and their error bounds, shaped e.shape + (N, N) for
+    E in e: built-in pairs are phase * Re sum_k c_k kernel(w_k) on the
+    model's ray table, the others `_tabulated_pair`; the upper triangle is
+    mirrored."""
+    energies = np.ravel(e).tolist()
     n = model.n_levels
-    entries = np.zeros((n, n), dtype=complex)
-    err = np.zeros((n, n), dtype=float)
+    entries = np.zeros((len(energies), n, n), dtype=complex)
+    err = np.zeros((len(energies), n, n), dtype=float)
+    table = model._ray_rows
+    if table is not None:
+        w, c, c_abs, phase, rows, cols = table
+        sums = np.empty((len(energies), rows.size), dtype=complex)
+        bounds = np.empty((len(energies), rows.size), dtype=float)
+        # one energy at a time, so no (energies, pairs, nodes) temporary; the
+        # values are row sums, not a matrix product, which keeps each pair's
+        # summation order (the bounds need no such care)
+        for b, x in enumerate(energies):
+            kernel = _kernel(w, x, e2)
+            sums[b] = np.add.reduce(c * kernel, axis=-1)
+            bounds[b] = c_abs @ np.abs(kernel)
+        entries[:, rows, cols] = phase * sums.real
+        err[:, rows, cols] = _SUM_ERR * bounds
+    factors = model.form_factors
     for i in range(n):
         for j in range(i, n):
-            value, estimate = _pair(model.form_factors[i], model.form_factors[j],
-                                    kernel, energies)
-            # a Hermitian matrix has a real diagonal
-            entries[i, j] = value if j != i else value.real
-            err[i, j] = estimate
-            if j != i:
-                entries[j, i] = np.conj(value)
-                err[j, i] = estimate
-    return LevelShiftMatrix(entries, energies[0], kind, err,
-                            energies[1] if kind == "T" else None)
+            if factors[i].common_phase is None or factors[j].common_phase is None:
+                for b, x in enumerate(energies):
+                    entries[b, i, j], err[b, i, j] = _tabulated_pair(
+                        factors[i], factors[j], (x,) if e2 is None else (x, e2))
+    # a Hermitian matrix has a real diagonal
+    diag, low, up = _triangles(n)
+    entries[:, diag, diag] = entries[:, diag, diag].real
+    entries[:, low, up] = np.conj(entries[:, up, low])
+    err[:, low, up] = err[:, up, low]
+    shape = np.shape(e) + (n, n)
+    return LevelShiftMatrix(entries.reshape(shape), e, kind, err.reshape(shape), e2)
 
 
-def _norm_sq(f) -> float:
-    """Integral of |v|^2 over the half line (the kernel 1)."""
+def _norm_sq(model, n) -> float:
+    """Integral of |v_n|^2 over the half line (the kernel 1), n 0-based."""
+    f = model.form_factors[n]
     if f.common_phase is None:
         return float(_tabulated_pair(f, f, ())[0].real)
-    return float(_ray_table(f, f)[1].sum().real)
+    _, c, _, _, rows, cols = model._ray_rows
+    return float(c[np.flatnonzero((rows == n) & (cols == n))[0]].sum().real)
 
 
 def _check_below_threshold(model, e, op):
-    if e > 0.0:
-        raise ValueError(f"{op} requires E <= 0, got E = {e}")
-    if e == 0.0:
+    if np.any(np.greater(e, 0.0)):
+        raise ValueError(f"{op} requires E <= 0, got E = {np.max(e)}")
+    if np.any(np.equal(e, 0.0)):
         for k, f in enumerate(model.form_factors, start=1):
             if not f.p_exponent > 0.0:
                 raise ConfigError(
@@ -491,14 +518,15 @@ def _check_below_threshold(model, e, op):
 
 
 def gram_matrix(model, e) -> LevelShiftMatrix:
-    """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0).
+    """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0),
+    or the stack of them over an array of energies.
 
     Built-in pairs: Re sum_k c_k / (w_k - E) on the rotated ray; pairs with
     a tabulated factor: exact cells and power-law ends, or panels.
     """
-    e = float(e)
+    e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     _check_below_threshold(model, e, "gram_matrix")
-    return _level_shift(model, "S", (e,), lambda w: 1.0 / (w - e))
+    return _level_shift(model, "S", e)
 
 
 def t_matrix(model, e, e2) -> LevelShiftMatrix:
@@ -516,21 +544,21 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     _check_below_threshold(model, e2, "t_matrix")
     if e == 0.0 and e2 == 0.0:
         raise ValueError("t_matrix requires E < 0 or E' < 0")
-    return _level_shift(model, "T", (e, e2), lambda w: 1.0 / ((w - e) * (w - e2)))
+    return _level_shift(model, "T", e, e2)
 
 
 def pv_matrix(model, e) -> LevelShiftMatrix:
-    """Principal-value matrix D(E) for E >= 0.
+    """Principal-value matrix D(E) for E >= 0, or the stack of them over an
+    array of energies, each bit for bit D(E) at its energy alone.
 
     D(0) coincides with S(0).  For E > 0 a built-in pair is
     Re sum_k c_k / (w_k - E), the real part of F(E + i0); a pair with a
     tabulated factor is the principal value of its exact cells and ends, or
     of its panels with the piece at E subtracted near E.
     """
-    e = float(e)
-    if e < 0.0:
-        raise ValueError(f"pv_matrix requires E >= 0, got E = {e}")
-    if e == 0.0:
-        s = gram_matrix(model, 0.0)
-        return LevelShiftMatrix(s.entries, 0.0, "D", s.err)
-    return _level_shift(model, "D", (e,), lambda w: 1.0 / (w - e))
+    e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
+    if np.any(np.less(e, 0.0)):
+        raise ValueError(f"pv_matrix requires E >= 0, got E = {np.min(e)}")
+    if np.any(np.equal(e, 0.0)):
+        _check_below_threshold(model, 0.0, "gram_matrix")
+    return _level_shift(model, "D", e)

@@ -129,7 +129,8 @@ def _branch_roots(k_at, count, e_lo, e_hi=0.0):
 
     One elementwise search refines every branch; each call of the objective
     builds K(E) once per distinct energy, so the shared bracket ends cost one
-    K each.  Returns [(root, final bracket)] in branch order.
+    K each.  Returns [(root, final bracket)] in branch order; where the gap
+    is exactly 0 the root is exact and its bracket is [root, root].
     """
     if not count:
         return []
@@ -147,7 +148,9 @@ def _branch_roots(k_at, count, e_lo, e_hi=0.0):
     if touching.size:
         raise BracketError(f"branches {touching.tolist()} touch the diagonal "
                            f"at E = {e_hi:g}")
-    return [(float(x), (float(lo), float(hi))) for x, lo, hi in zip(res.x, *res.bracket)]
+    exact = res.f_x == 0.0
+    return [(float(x), (float(lo), float(hi))) for x, lo, hi in
+            zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]
 
 
 def bound_state(model, n, e) -> BoundState:
@@ -235,9 +238,8 @@ def positive_candidate_scan(model, e_grid):
 
     def gap(e, n):
         uniq, inv = np.unique(e, return_inverse=True)
-        for x in uniq:
-            if x not in built:
-                built[x] = kappa_curve(model, [x], kind="D")[0]
+        new = [x for x in uniq if x not in built]
+        built.update(zip(new, kappa_curve(model, new, kind="D")))
         kappa = np.array([built[x].kappa for x in uniq])
         return kappa[inv, n - 1] - e
 

@@ -44,15 +44,14 @@ class EigenCurvePoint:
 
 
 def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
-    """diag(levels) - lambda^2 * shift, as a complex Hermitian array.
+    """diag(levels) - lambda^2 * shift, a complex Hermitian array or stack.
 
     Raises NumericalError when an entry is not finite (an overflowing shift).
     """
     if shift.n != model.n_levels:
         raise ValueError("shift matrix size does not match the model")
-    k = np.diag(model.level_array()).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        k -= model.coupling ** 2 * shift.entries
+        k = np.diag(model.level_array()) - model.coupling ** 2 * shift.entries
     if not np.isfinite(k).all():
         raise NumericalError(f"K(E) has a non-finite entry at E = {shift.e}")
     return k
@@ -64,25 +63,21 @@ def eigh(k: np.ndarray, e: float = float("nan")) -> EigenCurvePoint:
     return EigenCurvePoint(float(e), kappa, vectors)
 
 
-def _shift_for(model, e, kind):
-    if kind == "auto":
-        kind = "S" if e < 0.0 else "D"
-    if kind == "S":
-        return gram_matrix(model, e)
-    if kind == "D":
-        return pv_matrix(model, e)
-    raise ValueError(f"unknown shift kind {kind!r}")
-
-
 def kappa_curve(model, e_grid, kind: str = "auto"):
     """Eigencurve points along an energy grid.
 
     kind "auto" picks the Gram matrix for E < 0 and the principal-value
     matrix for E >= 0; "S" or "D" force one family (with the corresponding
-    domain restriction).
+    domain restriction).  Each family is built as one stack over its
+    energies and diagonalized in one call.
     """
-    points = []
-    for e in np.atleast_1d(np.asarray(e_grid, dtype=float)):
-        shift = _shift_for(model, float(e), kind)
-        points.append(eigh(k_matrix(model, shift), float(e)))
-    return points
+    grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
+    if kind not in ("auto", "S", "D"):
+        raise ValueError(f"unknown shift kind {kind!r}")
+    below = grid < 0.0 if kind == "auto" else np.full(grid.shape, kind == "S")
+    k = np.empty(grid.shape + (model.n_levels,) * 2, dtype=complex)
+    for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
+        if part.any():
+            k[part] = k_matrix(model, shift(model, grid[part]))
+    kappa, vectors = np.linalg.eigh(k)
+    return [EigenCurvePoint(float(e), a, v) for e, a, v in zip(grid, kappa, vectors)]

@@ -92,13 +92,14 @@ def _d_scan(model, grid_points):
     grid = np.geomspace(1e-6 * scale, 100.0 * scale, int(grid_points))
 
     def eigs(e):
+        # eigvalsh(D(E)) at every energy of an array: one stack of D(E), one
+        # stacked eigvalsh, so the scan's and the searches' values agree
         return np.linalg.eigvalsh(pv_matrix(model, e).entries)
 
-    spectra = np.array([eigs(e) for e in grid])
-
-    norm_at = np.vectorize(lambda t: np.abs(eigs(math.exp(t))).max(), otypes=[float])
-    t, sup = grid_max(norm_at, np.log(grid), np.abs(spectra).max(axis=1),
-                      what="sup ||D(E)||", xatol=1e-4)
+    spectra = eigs(grid)
+    exp = np.vectorize(math.exp, otypes=[float])     # rounds as the scalar math.exp
+    t, sup = grid_max(lambda t: np.abs(eigs(exp(t))).max(axis=-1), np.log(grid),
+                      np.abs(spectra).max(axis=1), what="sup ||D(E)||", xatol=1e-4)
     e_star = math.exp(t)
     if at_zero > sup:
         sup, e_star = at_zero, 0.0
@@ -112,10 +113,10 @@ def _d_scan(model, grid_points):
     if bad[0] == 0:
         return sup, e_star, 0.0, (
             f"not positive semidefinite at the smallest scanned energy {grid[0]:.6g}")
-    margin = np.vectorize(lambda e: eigs(e)[0] + tol, otypes=[float])
     edge = slice(bad[0] - 1, bad[0] + 1)
-    res = bracketed_root(margin, *grid[edge], f_bracket=spectra[edge, 0] + tol,
-                         what="R_b edge", xatol=0.0, xrtol=1e-4)
+    res = bracketed_root(lambda e: eigs(e)[..., 0] + tol, *grid[edge],
+                         f_bracket=spectra[edge, 0] + tol, what="R_b edge",
+                         xatol=0.0, xrtol=1e-4)
     return sup, e_star, float(res.bracket[0]), None
 
 

@@ -5,7 +5,12 @@ tests/golden/<case>/ and compared byte for byte by tests/test_golden.py.
 A change that moves a printed digit reruns this script and lists every moved
 digit in CHANGES.md.  Run from the repository root:
 
-    python3 tests/golden/regenerate.py
+    python3 tests/golden/regenerate.py          # rewrite every case
+    python3 tests/golden/regenerate.py --diff   # list moved numbers only
+
+--diff reruns every case into a temporary directory and prints each number
+that differs from the stored file as old -> new with its relative change;
+it writes nothing here.
 
 The commands run with this directory as the working directory, so the
 tabulated model is named by the relative path that its metadata records.
@@ -16,8 +21,11 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shutil
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
@@ -66,7 +74,52 @@ def run(case: str, out: Path) -> list:
     return sorted(p.name for p in out.iterdir())
 
 
-def main():
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def moved(old: str, new: str) -> list:
+    """The changes from the text old to new, one string per moved number
+    ("line 3, number 2: 1.0e-01 -> 1.5e-01 (rel +5.0e-01)", counting the
+    numbers of the line from 1), or per changed line where
+    the two lines differ in more than their numbers."""
+    out = []
+    lines = zip_longest(old.splitlines(), new.splitlines(), fillvalue=None)
+    for i, (a, b) in enumerate(lines, 1):
+        if a == b:
+            continue
+        if a is None or b is None or _NUMBER.split(a) != _NUMBER.split(b):
+            out.append(f"line {i}: {a!r} -> {b!r}")
+            continue
+        for k, (x, y) in enumerate(zip(_NUMBER.findall(a), _NUMBER.findall(b)), 1):
+            if x != y:
+                rel = (float(y) - float(x)) / abs(float(x)) if float(x) else float("inf")
+                out.append(f"line {i}, number {k}: {x} -> {y} (rel {rel:+.1e})")
+    return out
+
+
+def diff() -> int:
+    """Rerun every case into a temporary directory and print what moved
+    against the stored files; returns the number of changes."""
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            out = Path(tmp) / case
+            names = set(run(case, out))
+            for name in sorted(names | {p.name for p in (GOLDEN / case).iterdir()}):
+                old, new = (d / name for d in (GOLDEN / case, out))
+                changes = moved(old.read_text() if old.exists() else "",
+                                new.read_text() if name in names else "")
+                count += len(changes)
+                for change in changes:
+                    print(f"{case}/{name} {change}")
+    print(f"{count} change(s)")
+    return count
+
+
+def main(argv=()):
+    if "--diff" in argv:
+        diff()
+        return
     for case in CASES:
         out = GOLDEN / case
         shutil.rmtree(out, ignore_errors=True)
@@ -76,4 +129,4 @@ def main():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
-    main()
+    main(sys.argv[1:])

@@ -68,6 +68,26 @@ def test_analyze_deterministic(tmp_path):
         (b / "analyze_report.txt").read_bytes()
 
 
+def test_parser_reused_after_error_exit(tmp_path, capsys):
+    # the parser is built once per process: a call that argparse rejects
+    # (exit 2) leaves it as it was, and the next call writes what a fresh
+    # process writes
+    argv = ["analyze", "--preset", "three-level-fig", "--lambda", "0.7"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-1] + ["x"])
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    src = str(Path(friedrichs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "friedrichs", *argv,
+                           "--out", str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    name = "analyze_report.txt"
+    assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_sweep_lambda(tmp_path):
     rc = main(["sweep-lambda", "--preset", "three-level-fig",
                "--lambda-min", "0.1", "--lambda-max", "10",

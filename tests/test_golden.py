@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import friedrichs
-from golden.regenerate import CASES, GOLDEN, run
+from golden.regenerate import CASES, GOLDEN, moved, run
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -33,3 +33,13 @@ def test_tabulated_golden_in_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     name = "analyze_report.txt"
     assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze-tabulated" / name).read_bytes()
+
+
+def test_diff_lists_moved_numbers():
+    # regenerate.py --diff: one line per moved number, one per line that
+    # changes in more than its numbers
+    old = "# model 0123\nE,kappa_1\n1.0e-01,-2.50e-01\n"
+    new = "# model 0123\nE,kappa_1\n1.0e-01,-2.51e-01\nstate\n"
+    assert moved(old, old) == []
+    assert moved(old, new) == ["line 3, number 2: -2.50e-01 -> -2.51e-01 (rel -4.0e-03)",
+                               "line 4: None -> 'state'"]

@@ -285,6 +285,9 @@ def test_level_shift_matrix_norm(three_level):
     direct = np.linalg.norm(m.entries, 2)
     assert m.norm() == pytest.approx(direct, rel=1e-13)
     assert m.n == 3
+    stack = gram_matrix(three_level, [-1.0, -0.5])
+    assert stack.n == 3
+    assert stack.norm().tolist() == [m.norm(), gram_matrix(three_level, -0.5).norm()]
 
 
 def _kernel_reference(model, kernel, points=()):
@@ -358,18 +361,77 @@ def test_ray_kernel_matches_quadpack(model):
 
 
 def test_ray_tables_die_with_the_model():
-    # the node tables live on the form factors, not in a module cache, so
-    # dropping the model frees them
+    # the node table lives on the model, not in a module cache or on the
+    # factors, so dropping the model frees it
     model = make_preset("three-level-fig")
     gram_matrix(model, -0.3)
     pv_matrix(model, 0.5)
-    tables = model.form_factors[0]._pair_tables
-    assert len(tables) == 3
+    w, c, _, _, rows, cols = model._ray_rows
+    assert c.shape == (6, w.size)
+    assert sorted(zip(rows.tolist(), cols.tolist())) == [
+        (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     factor = weakref.ref(model.form_factors[0])
-    nodes = weakref.ref(tables[model.form_factors[1]][0])
-    del model, tables
+    nodes = weakref.ref(w)
+    del model, w, c, rows, cols
     assert factor() is None
     assert nodes() is None
+
+
+def _mixed(first):
+    return FriedrichsModel((0.1, 0.3), 0.5, (first, RationalFormFactor(2)),
+                           UnitSystem(1.0))
+
+
+_STACK_MODELS = {
+    "hydrogen": lambda: make_preset("hydrogen-4level"),
+    "three-level": lambda: make_preset("three-level-fig"),
+    "golden-tabulated": lambda: load_model(
+        Path(__file__).resolve().parent / "golden" / "tabulated.json"),
+    "hydrogen-rational": lambda: _mixed(HydrogenFormFactor(1)),
+    "tabulated-rational": lambda: _mixed(_complex_tabulated()),
+}
+
+
+@pytest.mark.parametrize("name", _STACK_MODELS)
+def test_stacked_matrices_match_single_energies(name):
+    # a stack over an array of energies holds, bit for bit, the matrix of
+    # each energy alone, E = 0 and the tabulated nodes included
+    model = _STACK_MODELS[name]()
+    scale = model.max_scale()
+    nodes = [g for f in model.form_factors if f.common_phase is None for g in f.grid[::4]]
+    grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 100.0 * scale, 23 - len(nodes)),
+                           nodes))
+    stack = pv_matrix(model, grid)
+    assert stack.entries.shape == stack.err.shape == (grid.size, model.n_levels,
+                                                      model.n_levels)
+    for e, entries, err in zip(grid, stack.entries, stack.err):
+        one = pv_matrix(model, e)
+        assert np.array_equal(entries, one.entries) and np.array_equal(err, one.err), e
+    below = -grid[::-1].reshape(4, 6)
+    stack = gram_matrix(model, below)
+    assert stack.entries.shape == (4, 6, model.n_levels, model.n_levels)
+    for e, entries in zip(below.ravel(), stack.entries.reshape(24, *stack.entries.shape[2:])):
+        assert np.array_equal(entries, gram_matrix(model, e).entries), e
+
+
+def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
+    # one kernel 1/(w - E) on the ray per energy serves all six built-in
+    # pairs, and a tabulated-only model does no ray work at all
+    import friedrichs.quad as quad
+
+    calls = []
+    kernel = quad._kernel
+    monkeypatch.setattr(quad, "_kernel", lambda *a: calls.append(a[1:]) or kernel(*a))
+    pv_matrix(hydrogen, np.linspace(0.01, 1.0, 7))
+    assert len(calls) == 7
+    calls.clear()
+    t_matrix(hydrogen, -0.5, -0.25)
+    gram_matrix(hydrogen, -0.5)
+    assert calls == [(-0.5, -0.25), (-0.5, None)]
+    calls.clear()
+    tabulated = _STACK_MODELS["golden-tabulated"]()
+    pv_matrix(tabulated, np.linspace(0.01, 1.0, 7))
+    assert tabulated._ray_rows is None and calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_positive_scan_builds_each_energy_once(hydrogen, monkeypatch):
     energies = []
     pv = friedrichs.spectral.pv_matrix
     monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
-                        lambda model, e: energies.append(e) or pv(model, e))
+                        lambda model, e: energies.extend(np.ravel(e)) or pv(model, e))
     cands = positive_candidate_scan(hydrogen, np.linspace(1e-4, 0.5, 50))
     assert len(cands) == 3
     assert len(energies) == len(set(energies)) <= 57
@@ -230,6 +230,14 @@ def test_deep_root_converges_to_relative_bracket(three_level, site, value):
     assert lo <= deep.energy <= hi
     assert hi - lo <= 1e-12 + 4.0 * np.finfo(float).eps * abs(deep.energy)
     assert residual(model, deep) <= 1e-14 * abs(deep.energy)
+
+
+def test_exact_zero_gap_reports_its_point_as_bracket():
+    # kappa_1(E) - E = -1 - E vanishes exactly at E = -1, which the search
+    # evaluates; the reported bracket is that point, not the search's last
+    # bracket (-2, -1)
+    roots = friedrichs.solver._branch_roots(lambda e: np.array([[-1.0 + 0j]]), 1, -2.0)
+    assert roots == [(-1.0, (-1.0, -1.0))]
 
 
 def test_solve_tabulated_bound_state(tabulated_two_level):

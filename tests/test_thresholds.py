@@ -54,14 +54,14 @@ def test_lambda_a_consistency(hydrogen_cert):
 
 def test_certificate_samples_d_once(hydrogen, monkeypatch):
     # sup ||D|| and R_b read one scan: one D(E) per grid energy plus the
-    # refinements of the peak and of the R_b edge
-    calls = []
+    # refinements of the peak and of the R_b edge, each built as a stack
+    energies = []
     pv = friedrichs.thresholds.pv_matrix
     monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
-                        lambda *a, **k: calls.append(1) or pv(*a, **k))
+                        lambda model, e: energies.append(np.size(e)) or pv(model, e))
     rep = certificate(hydrogen, grid_points=120)
     assert rep.verdict == "true"
-    assert len(calls) <= 150
+    assert energies[0] == 120 and sum(energies) <= 150
 
 
 def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
