@@ -22,8 +22,9 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  K_M(E) is built once per energy and grid: the count's K_M(-g)
-is the search's upper bracket end, and each root's K_M gives its level
+rule once.  The search runs on one eigencurve family of K_M(E), which
+builds and diagonalizes each energy once per grid: the count's point at -g
+is the search's upper bracket end, and each root's point gives its level
 block.  When all form factors share a global phase times a sign, B is built
 real; the discrete spectrum is unchanged and the level-block eigenvectors
 stay directly comparable to the solver's.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .quad import _gauss_legendre, _panel_nodes
 from .solver import _branch_roots, _count_and_roots, _seed
-from .spectral import eigh
+from .spectral import _EigenCurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
@@ -77,15 +78,15 @@ class DiscretizedHamiltonian:
         return np.diag(self.levels) - (self.b / (self.nodes - e)) @ self._b_dagger
 
     def _roots(self):
-        """The eigenvalues of h below -_GAP_TOL, ascending, and the K_M(E)
-        they were found on, built once per energy like solver._gram_k."""
-        k_at = functools.cache(self._k)
+        """The eigenvalues of h below -_GAP_TOL, ascending, and the
+        eigencurve family of K_M(E) they were found on."""
+        curves = _EigenCurves(lambda es: np.array([self._k(e) for e in es]))
         # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
-        # that K_M(-g) is also the search's upper bracket end
-        kappa = eigh(k_at(-_GAP_TOL)).kappa
-        count = int(np.count_nonzero(kappa < -_GAP_TOL))
+        # that point is also the search's upper bracket end
+        (top,) = curves([-_GAP_TOL])
+        count = int(np.count_nonzero(top.kappa < -_GAP_TOL))
         e_lo = _seed(self.levels, float(np.sum(np.abs(self.b) ** 2)))
-        return [e for e, _ in _branch_roots(k_at, count, e_lo, -_GAP_TOL)], k_at
+        return [e for e, _ in _branch_roots(curves, count, e_lo, -_GAP_TOL)], curves
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -_GAP_TOL, ascending."""
@@ -94,8 +95,8 @@ class DiscretizedHamiltonian:
     def negative_eigensystem(self):
         """Eigenpairs of h below -_GAP_TOL: (values, level blocks), the
         blocks normalized to unit columns like solver amplitudes."""
-        vals, k_at = self._roots()
-        blocks = [eigh(k_at(e)).vectors[:, i] for i, e in enumerate(vals)]
+        vals, curves = self._roots()
+        blocks = [p.vectors[:, i] for i, p in enumerate(curves(vals))]
         return np.array(vals), np.array(blocks).reshape(len(vals), self.levels.size).T
 
 

@@ -6,19 +6,20 @@ axis while the identity grows, each branch crosses the diagonal at most once,
 and the number of bound states equals the number of eigencurves that are
 still negative at E = 0.  Counting therefore needs a single Gram matrix at
 the threshold; locating the energies is one elementwise bracketed root
-search over all counted branches, which share their bracket ends and every
-K(E) they evaluate at a common energy.
+search over all counted branches.
 
-Embedded (positive-energy) candidates are handled separately: crossings of
-kappa_n(E) = E on the principal-value family are reported together with the
-modulus of sum_n c_n v_n(E*), which must vanish for a genuine embedded
-eigenvector.  The scan never certifies anything, it only reports candidates
-and their defects.
+Embedded (positive-energy) candidates are crossings of kappa_n(E) = E on
+the principal-value family, reported together with the modulus of sum_n
+c_n v_n(E*), which must vanish for a genuine embedded eigenvector.  The
+scan never certifies anything, it only reports candidates and defects.
+
+Both searches, and the oracle's on its node-sum K_M(E), are one objective
+kappa_n(E) - E on an eigencurve family that diagonalizes each energy once:
+the count, the states and the defects read the points the search holds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ import numpy as np
 from ._search import BracketError, bracketed_root
 from .model import total_l2_norm_sq
 from .quad import gram_matrix, t_matrix
-from .spectral import eigh, k_matrix, kappa_curve
+from .spectral import _eigencurves, k_matrix
 
 __all__ = [
     "BoundState", "SolveReport", "CountResult", "PositiveCandidate",
@@ -35,11 +36,11 @@ __all__ = [
     "positive_candidate_scan",
 ]
 
-# |kappa_n(0)| at or below this is indeterminate (neither counted nor ruled
-# out), and a bound-state root search stops once its bracket is narrower
-# than _ROOT_TOL plus _ROOT_RTOL |E|: the relative term, a few ulps, lets a
-# deep root converge where adjacent doubles lie more than 1e-12 apart
-# (|E| > 8192)
+# |kappa_n(0)| at or below this (or N eps max_n |kappa_n(0)|) is
+# indeterminate (neither counted nor ruled out), and a bound-state root
+# search stops once its bracket is narrower than _ROOT_TOL plus _ROOT_RTOL
+# |E|: the relative term, a few ulps, lets a deep root converge where
+# adjacent doubles lie more than 1e-12 apart (|E| > 8192)
 _TOL_ZERO = 1e-12
 _ROOT_TOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -53,14 +54,16 @@ class CountResult:
 
     @classmethod
     def from_kappa(cls, kappa) -> "CountResult":
-        """Count the branches with kappa_n(0) < -_TOL_ZERO.
+        """Count the branches with kappa_n(0) below minus the band
+        max(_TOL_ZERO, N eps max_n |kappa_n(0)|).
 
-        Branches with |kappa_n(0)| <= _TOL_ZERO are flagged indeterminate and
-        not counted; they sit within numerical resolution of the continuum
-        edge.
+        Branches with |kappa_n(0)| inside the band are flagged indeterminate
+        and not counted; they sit within the rounding of K(0) of the
+        continuum edge.
         """
-        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= _TOL_ZERO)[0])
-        return cls(int(np.count_nonzero(kappa < -_TOL_ZERO)), kappa, indeterminate)
+        band = max(_TOL_ZERO, kappa.size * np.finfo(float).eps * np.abs(kappa).max())
+        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= band)[0])
+        return cls(int(np.count_nonzero(kappa < -band)), kappa, indeterminate)
 
 
 @dataclass(frozen=True)
@@ -105,15 +108,7 @@ class PositiveCandidate:
 def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    return CountResult.from_kappa(eigh(_gram_k(model)(0.0), 0.0).kappa)
-
-
-def _gram_k(model):
-    """K(E) on the Gram matrix `gram_matrix`, built once per energy, so that
-    a solve shares the count's K(0) with the branch search;
-    oracle.DiscretizedHamiltonian._roots caches its node-sum twin K_M(E)
-    the same way."""
-    return functools.cache(lambda e: k_matrix(model, gram_matrix(model, e)))
+    return CountResult.from_kappa(_eigencurves(model, "S")([0.0])[0].kappa)
 
 
 def _seed(levels, coupled_norm_sq):
@@ -123,25 +118,24 @@ def _seed(levels, coupled_norm_sq):
     return min(levels[0], 0.0) - 1.0 - coupled_norm_sq
 
 
-def _branch_roots(k_at, count, e_lo, e_hi=0.0):
-    """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, kappa_n the
-    n-th (1-based) eigenvalue of the Hermitian family k_at(E).
+def _gap(curves):
+    """The objective kappa_n(E) - E, elementwise over energies e and branches
+    n (1-based) of the eigencurve family curves: bracket ends shared by
+    several branches, or met again, are built once."""
+    return lambda e, n: np.array([p.kappa[m - 1] for p, m in zip(curves(e), n)]) - e
 
-    One elementwise search refines every branch; each call of the objective
-    builds K(E) once per distinct energy, so the shared bracket ends cost one
-    K each.  Returns [(root, final bracket)] in branch order; where the gap
-    is exactly 0 the root is exact and its bracket is [root, root].
+
+def _branch_roots(curves, count, e_lo, e_hi=0.0):
+    """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
+    search on the eigencurve family curves.
+
+    Returns [(root, final bracket)] in branch order; where the gap is
+    exactly 0 the root is exact and its bracket is [root, root].
     """
     if not count:
         return []
-
-    def gap(e, n):
-        uniq, inv = np.unique(e, return_inverse=True)
-        kappa = np.array([eigh(k_at(x), x).kappa for x in uniq])
-        return kappa[inv, n - 1] - e
-
     branch = np.arange(1, count + 1)
-    res = bracketed_root(gap, np.full(count, e_lo), np.full(count, e_hi),
+    res = bracketed_root(_gap(curves), np.full(count, e_lo), np.full(count, e_hi),
                          args=(branch,), what="branch roots, kappa_n(E) - E",
                          xatol=_ROOT_TOL, xrtol=_ROOT_RTOL)
     touching = branch[~(res.x < e_hi)]
@@ -162,13 +156,12 @@ def bound_state(model, n, e) -> BoundState:
     e = float(e)
     if e >= 0.0:
         raise ValueError("bound states require E < 0")
-    return _bound_state(model, n, e, k_matrix(model, gram_matrix(model, e)))
+    return _bound_state(model, n, _eigencurves(model, "S")([e])[0])
 
 
-def _bound_state(model, n, e, k) -> BoundState:
-    """`bound_state` from K(E) already built."""
-    point = eigh(k, e)
-    idx = n - 1
+def _bound_state(model, n, point) -> BoundState:
+    """`bound_state` from the eigencurve point of K(E) at its energy."""
+    e, idx = point.e, n - 1
     scale = max(point.operator_norm(), 1e-300)
     partners = tuple(int(m) + 1 for m in range(point.n)
                      if m != idx and abs(point.kappa[m] - point.kappa[idx]) <= 1e-12 * scale)
@@ -197,23 +190,23 @@ def residual(model, state: BoundState) -> float:
 
 def _count_and_roots(model):
     """The count at E = 0 and the roots [(energy, bracket)] of the counted
-    branches, with the K(E) family they were found on: `solve_model` without
-    its states, for callers that need only the energies."""
-    k_at = _gram_k(model)
-    counted = CountResult.from_kappa(eigh(k_at(0.0), 0.0).kappa)
+    branches, with the eigencurve family they were found on: `solve_model`
+    without its states, for callers that need only the energies."""
+    curves = _eigencurves(model, "S")
+    counted = CountResult.from_kappa(curves([0.0])[0].kappa)
     roots = []
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
-        roots = _branch_roots(k_at, counted.count, seed)
-    return counted, roots, k_at
+        roots = _branch_roots(curves, counted.count, seed)
+    return counted, roots, curves
 
 
 def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
     search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
     |v_n|^2, 0] down to a bracket narrower than 1e-12 + 4 eps |E|."""
-    counted, roots, k_at = _count_and_roots(model)
-    states = tuple(replace(_bound_state(model, n, e, k_at(e)), bracket=bracket)
+    counted, roots, curves = _count_and_roots(model)
+    states = tuple(replace(_bound_state(model, n, curves([e])[0]), bracket=bracket)
                    for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        counted.indeterminate)
@@ -230,19 +223,8 @@ def positive_candidate_scan(model, e_grid):
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
     if np.any(grid <= 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
-    points = kappa_curve(model, grid, kind="D")
-    gaps = np.array([p.kappa - p.e for p in points])
-    # the crossing search's eigencurve points, one D(E) per distinct energy;
-    # its roots are points it evaluated
-    built = {}
-
-    def gap(e, n):
-        uniq, inv = np.unique(e, return_inverse=True)
-        new = [x for x in uniq if x not in built]
-        built.update(zip(new, kappa_curve(model, new, kind="D")))
-        kappa = np.array([built[x].kappa for x in uniq])
-        return kappa[inv, n - 1] - e
-
+    curves = _eigencurves(model, "D")
+    gaps = np.array([p.kappa - p.e for p in curves(grid)])
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search
     cells = [(n, i) for n in range(1, model.n_levels + 1)
@@ -253,19 +235,13 @@ def positive_candidate_scan(model, e_grid):
     roots = {}
     if refine:
         branch, cell = np.array(refine).T
-        res = bracketed_root(gap, grid[cell], grid[cell + 1], args=(branch,),
-                             f_bracket=(gaps[cell, branch - 1], gaps[cell + 1, branch - 1]),
-                             what="positive crossing search", xatol=1e-11,
-                             xrtol=1e-11)
-        roots = dict(zip(refine, res.x))
+        res = bracketed_root(_gap(curves), grid[cell], grid[cell + 1], args=(branch,),
+                             what="positive crossing search", xatol=1e-11, xrtol=1e-11)
+        roots = dict(zip(refine, res.x.tolist()))
     out = []
     for n, i in cells:
-        if (n, i) in roots:
-            e_star = float(roots[n, i])
-            pt = built.get(e_star) or kappa_curve(model, [e_star], kind="D")[0]
-        else:
-            e_star, pt = float(grid[i]), points[i]
-        c = pt.vectors[:, n - 1]
+        e_star = roots.get((n, i), float(grid[i]))
+        c = curves([e_star])[0].vectors[:, n - 1]
         amp = sum(ci * complex(f.value(e_star)) for ci, f in zip(c, model.form_factors))
         out.append(PositiveCandidate(n, e_star, abs(amp)))
     return out

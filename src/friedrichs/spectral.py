@@ -68,16 +68,44 @@ def kappa_curve(model, e_grid, kind: str = "auto"):
 
     kind "auto" picks the Gram matrix for E < 0 and the principal-value
     matrix for E >= 0; "S" or "D" force one family (with the corresponding
-    domain restriction).  Each family is built as one stack over its
-    energies and diagonalized in one call.
+    domain restriction).  The grid is built as one stack and diagonalized in
+    one call.
     """
-    grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
+    return _eigencurves(model, kind)(np.atleast_1d(np.asarray(e_grid, dtype=float)))
+
+
+def _eigencurves(model, kind):
+    """The eigencurve family of K(E) on the shift kind ("auto", "S" or "D",
+    as for `kappa_curve`), remembered per energy (see `_EigenCurves`)."""
     if kind not in ("auto", "S", "D"):
         raise ValueError(f"unknown shift kind {kind!r}")
-    below = grid < 0.0 if kind == "auto" else np.full(grid.shape, kind == "S")
-    k = np.empty(grid.shape + (model.n_levels,) * 2, dtype=complex)
-    for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
-        if part.any():
-            k[part] = k_matrix(model, shift(model, grid[part]))
-    kappa, vectors = np.linalg.eigh(k)
-    return [EigenCurvePoint(float(e), a, v) for e, a, v in zip(grid, kappa, vectors)]
+
+    def build(e):
+        below = e < 0.0 if kind == "auto" else np.full(e.shape, kind == "S")
+        k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
+        for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
+            if part.any():
+                k[part] = k_matrix(model, shift(model, e[part]))
+        return k
+
+    return _EigenCurves(build)
+
+
+class _EigenCurves:
+    """A family K(E) of Hermitian matrices, remembered as one EigenCurvePoint
+    per energy: each call builds the energies not seen before as one stack,
+    build(array of energies), and diagonalizes it with one stacked eigh,
+    which gives every point bit for bit as one energy alone."""
+
+    def __init__(self, build):
+        self._build, self._points = build, {}
+
+    def __call__(self, energies) -> list:
+        """The points at the energies, flattened, in their order."""
+        es = np.ravel(energies).tolist()
+        new = list(dict.fromkeys(e for e in es if e not in self._points))
+        if new:
+            kappa, vectors = np.linalg.eigh(self._build(np.array(new)))
+            self._points.update((e, EigenCurvePoint(e, a, v))
+                                for e, a, v in zip(new, kappa, vectors))
+        return [self._points[e] for e in es]

@@ -75,21 +75,21 @@ class ThresholdReport:
     notes: tuple = ()
 
 
-def _d_scan(model, grid_points):
+def _d_scan(model):
     """(sup ||D||, argmax, r_b, note) from one sampled spectrum.
 
-    eigvalsh(D(E)) is stored on a log grid over [1e-6, 100] times the largest
-    form-factor width.  sup ||D|| is the largest |eigenvalue| there, refined
-    in log energy to 1e-4 around the best sample; ||D(0)|| = ||S(0)||
-    competes.  r_b is the lower end of the final bracket, of relative width
-    1e-4, around the edge where min eig D(E) first drops below -1e-10 sup
-    ||D||: the top grid energy if no sample drops below, 0 if the first one
-    does (each with a note).
+    eigvalsh(D(E)) is stored on a 600-point log grid over [1e-6, 100] times
+    the largest form-factor width.  sup ||D|| is the largest |eigenvalue|
+    there, refined in log energy to 1e-4 around the best sample; ||D(0)|| =
+    ||S(0)|| competes.  r_b is the lower end of the final bracket, of
+    relative width 1e-4, around the edge where min eig D(E) first drops
+    below -1e-10 sup ||D||: the top grid energy if no sample drops below, 0
+    if the first one does (each with a note).
     """
     # ||D(0)|| = ||S(0)|| first: a model without S(0) fails before the scan
     at_zero = gram_matrix(model, 0.0).norm()
     scale = model.max_scale()
-    grid = np.geomspace(1e-6 * scale, 100.0 * scale, int(grid_points))
+    grid = np.geomspace(1e-6 * scale, 100.0 * scale, 600)
 
     def eigs(e):
         # eigvalsh(D(E)) at every energy of an array: one stack of D(E), one
@@ -231,7 +231,7 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
     return math.sqrt(lam_bar_sq)
 
 
-def certificate(model, *, grid_points: int = 600) -> ThresholdReport:
+def certificate(model) -> ThresholdReport:
     """Full no-embedded-eigenvalue certificate for the model.
 
     Computes the supremum of ||D||, the global and threshold-region bounds,
@@ -242,7 +242,7 @@ def certificate(model, *, grid_points: int = 600) -> ThresholdReport:
     notes = []
     levels = model.level_array()
     n_pos = _n_plus(levels)
-    sup, e_star, radius_b, note_b = _d_scan(model, grid_points)
+    sup, e_star, radius_b, note_b = _d_scan(model)
 
     try:
         if not sup > 0.0:

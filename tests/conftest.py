@@ -20,7 +20,7 @@ def three_level():
 
 @pytest.fixture(scope="session")
 def hydrogen_cert(hydrogen):
-    # ~5 s; shared by the threshold regression tests and the acceptance gate
+    # about 25 ms; shared by the threshold regression tests and the acceptance gate
     return certificate(hydrogen)
 
 

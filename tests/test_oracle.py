@@ -214,6 +214,20 @@ def test_negative_spectrum_builds_each_k_once(three_level, monkeypatch):
     assert len(energies) == len(set(energies)) == n_search
 
 
+def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeypatch):
+    # each level block is the eigenvector the search's point at its root
+    # already holds (3 K_M(E) were diagonalized twice before)
+    energies, matrices = [], []
+    build, eigh = DiscretizedHamiltonian._k, np.linalg.eigh
+    monkeypatch.setattr(DiscretizedHamiltonian, "_k",
+                        lambda self, e: energies.append(e) or build(self, e))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: matrices.append(np.size(a) // a.shape[-1] ** 2) or eigh(a))
+    vals, blocks = discretize(three_level.with_coupling(10.0), 1000).negative_eigensystem()
+    assert vals.size == 3 and blocks.shape == (3, 3)
+    assert 0 < sum(matrices) == len(energies) == len(set(energies))
+
+
 def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch):
     # the comparison prints counts and energies: no T(E, E) and no states
     calls = []

@@ -128,32 +128,11 @@ def test_positive_scan_finds_vanishing_defect():
     assert cands[0].zero_defect <= 1e-5
 
 
-def test_positive_scan_reuses_grid_gaps(hydrogen, monkeypatch):
-    # each refined cell hands kappa_n(E) - E at its two grid energies to the
-    # crossing search: the search then builds no D(E) at a cell end, two
-    # fewer per distinct cell, with the same crossings (all three crossings
-    # share the first cell here)
-    calls = []
-    pv = friedrichs.spectral.pv_matrix
-    monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
-                        lambda *a, **k: calls.append(1) or pv(*a, **k))
-    grid = np.linspace(1e-4, 0.5, 50)
-    cands = positive_candidate_scan(hydrogen, grid)
-    with_ends = len(calls)
-    search = friedrichs.solver.bracketed_root
-    monkeypatch.setattr(friedrichs.solver, "bracketed_root",
-                        lambda *a, f_bracket=None, **k: search(*a, **k))
-    calls.clear()
-    assert positive_candidate_scan(hydrogen, grid) == cands
-    assert len(cands) == 3
-    cells = {int(np.searchsorted(grid, c.energy)) for c in cands}
-    assert len(calls) - with_ends == 2 * len(cells)
-
-
 def test_positive_scan_builds_each_energy_once(hydrogen, monkeypatch):
     # one D(E) per distinct energy: the grid, then the crossing search's
     # points, shared by the branches refined in one cell, and the crossings
-    # themselves taken from the search (62 D(E) for 57 energies before)
+    # themselves taken from the search; the search reads kappa_n(E) - E at
+    # the cell ends from the grid's points, so no grid energy comes twice
     energies = []
     pv = friedrichs.spectral.pv_matrix
     monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
@@ -178,19 +157,25 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
     assert three_level_reports[10.0].states[0].energy > seed
 
 
+def _record_grams(monkeypatch):
+    """Every energy at which the eigencurve family builds an S(E)."""
+    energies = []
+    gram = friedrichs.spectral.gram_matrix
+    monkeypatch.setattr(friedrichs.spectral, "gram_matrix",
+                        lambda model, e: energies.extend(np.ravel(e)) or gram(model, e))
+    return energies
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
 def test_find_root_gram_budget(three_level, lam, monkeypatch):
     # every Gram matrix of a solve: S(0) for the count, which also serves as
     # the branch search's upper bracket end, and the search to the 1e-12
     # bracket (the shared lower end built once for all branches); each
     # state reuses the S(E) the search built at its root
-    calls = []
-    gram = friedrichs.solver.gram_matrix
-    monkeypatch.setattr(friedrichs.solver, "gram_matrix",
-                        lambda *a, **k: calls.append(1) or gram(*a, **k))
+    energies = _record_grams(monkeypatch)
     rep = solve_model(three_level.with_coupling(lam))
     assert rep.count == len(THREE_LEVEL_ROOTS[lam])
-    assert len(calls) <= {0.1: 8, 0.7: 13, 10.0: 25}[lam]
+    assert 0 < len(energies) <= {0.1: 8, 0.7: 13, 10.0: 25}[lam]
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
@@ -207,13 +192,41 @@ def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
 def test_solve_model_builds_each_gram_once(three_level, monkeypatch):
     # each state's K(E) comes from the branch search's memo: one S(E) per
     # distinct energy (28 S(E) for 25 energies before)
-    energies = []
-    gram = friedrichs.solver.gram_matrix
-    monkeypatch.setattr(friedrichs.solver, "gram_matrix",
-                        lambda model, e: energies.append(e) or gram(model, e))
+    energies = _record_grams(monkeypatch)
     rep = solve_model(three_level.with_coupling(10.0))
     assert rep.count == 3
-    assert len(energies) == len(set(energies)) <= 25
+    assert 0 < len(energies) == len(set(energies)) <= 25
+
+
+def test_solve_model_diagonalizes_each_energy_once(three_level, monkeypatch):
+    # the count, the branch search and the states read one eigendecomposition
+    # per distinct energy (28 for 25 energies before: each state's K(E) was
+    # diagonalized again)
+    energies = _record_grams(monkeypatch)
+    matrices = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: matrices.append(np.size(a) // a.shape[-1] ** 2) or eigh(a))
+    rep = solve_model(three_level.with_coupling(10.0))
+    assert rep.count == 3
+    assert 0 < sum(matrices) == len(energies) == len(set(energies))
+
+
+def test_count_band_scales_with_k_at_zero(three_level):
+    # a coefficient of 3.4e8 makes ||K(0)|| = 2.1e15, where rounding alone
+    # moves kappa_n(0) by about 1: kappa_2(0) = -0.46 and kappa_3(0) = 0.17
+    # are inside the band, so neither is a bound state (the second one
+    # solved with a residual of 0.2 before)
+    config = three_level.descriptor()
+    config["form_factors"][1]["a"] = 3.4e8
+    model = friedrichs.model.model_from_dict(config)
+    res = count_negative(model)
+    assert res.kappa_at_zero[0] < -1e15
+    assert -1.0 < res.kappa_at_zero[1] < 0.0 < res.kappa_at_zero[2] < 1.0
+    assert (res.count, res.indeterminate) == (1, (2, 3))
+    rep = solve_model(model)
+    assert rep.count == len(rep.states) == 1
+    assert rep.indeterminate == (2, 3)
 
 
 @pytest.mark.parametrize("site,value", [((1, "a"), 3.4e8), ((0, "cutoff"), 5.5e9)],
@@ -236,7 +249,8 @@ def test_exact_zero_gap_reports_its_point_as_bracket():
     # kappa_1(E) - E = -1 - E vanishes exactly at E = -1, which the search
     # evaluates; the reported bracket is that point, not the search's last
     # bracket (-2, -1)
-    roots = friedrichs.solver._branch_roots(lambda e: np.array([[-1.0 + 0j]]), 1, -2.0)
+    curves = friedrichs.spectral._EigenCurves(lambda e: np.full((e.size, 1, 1), -1.0 + 0j))
+    roots = friedrichs.solver._branch_roots(curves, 1, -2.0)
     assert roots == [(-1.0, (-1.0, -1.0))]
 
 

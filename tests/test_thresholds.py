@@ -59,9 +59,9 @@ def test_certificate_samples_d_once(hydrogen, monkeypatch):
     pv = friedrichs.thresholds.pv_matrix
     monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
                         lambda model, e: energies.append(np.size(e)) or pv(model, e))
-    rep = certificate(hydrogen, grid_points=120)
+    rep = certificate(hydrogen)
     assert rep.verdict == "true"
-    assert energies[0] == 120 and sum(energies) <= 150
+    assert energies[0] == 600 and sum(energies) <= 630
 
 
 def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
@@ -127,7 +127,7 @@ def test_certificate_verdict_true(hydrogen_cert):
 
 
 def test_certificate_verdict_false(hydrogen):
-    rep = certificate(hydrogen.with_coupling(0.01), grid_points=60)
+    rep = certificate(hydrogen.with_coupling(0.01))
     assert rep.verdict == "false"
     assert rep.coupling ** 2 > rep.bound ** 2
 
@@ -136,7 +136,7 @@ def test_certificate_inapplicable_no_positive_levels():
     model = FriedrichsModel(
         (-0.02, -0.01), 0.5,
         (RationalFormFactor(1), RationalFormFactor(2)), UnitSystem(1.0))
-    rep = certificate(model, grid_points=40)
+    rep = certificate(model)
     assert rep.verdict == "inapplicable"
     assert rep.notes
 
@@ -145,12 +145,12 @@ def test_certificate_inapplicable_degenerate_levels():
     model = FriedrichsModel(
         (0.01, 0.01), 0.5,
         (RationalFormFactor(1), RationalFormFactor(2)), UnitSystem(1.0))
-    rep = certificate(model, grid_points=40)
+    rep = certificate(model)
     assert rep.verdict == "inapplicable"
 
 
 def test_certificate_three_level(three_level):
-    rep = certificate(three_level, grid_points=80)
+    rep = certificate(three_level)
     assert rep.n_plus == 2
     assert len(rep.level_thresholds) == 2
     assert {lt.n for lt in rep.level_thresholds} == {2, 3}
@@ -199,7 +199,7 @@ def test_lambda_bar_closed_form_solves_quadratic():
 
 
 def test_sup_d_norm_returns_location(three_level):
-    rep = certificate(three_level, grid_points=60)
+    rep = certificate(three_level)
     val, e_star = rep.sup_d_norm, rep.sup_d_argmax
     assert val > 0.0
     assert e_star > 0.0
