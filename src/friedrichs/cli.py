@@ -196,8 +196,8 @@ def cmd_kappa_curves(args) -> int:
     rows = [[_FMT.format(x) for x in (p.e, *p.kappa, *(top - p.kappa), top - p.e)]
             for p in points]
     out = _outdir(args)
-    _write(out / "kappa_curves.csv",
-           _csv(header, _metadata(args, model), rows))
+    meta = _metadata(args, model)
+    _write(out / "kappa_curves.csv", _csv(header, meta, rows))
 
     # sidecar: diagonal intersections, bound states on the negative side and
     # embedded candidates with their defects on the positive side
@@ -212,8 +212,7 @@ def cmd_kappa_curves(args) -> int:
             rows.append([str(cand.branch_index), _FMT.format(cand.energy),
                          "candidate", _FMT.format(cand.zero_defect)])
     header = ["branch", "energy", "kind", "zero_defect"]
-    _write(out / "kappa_curves_intersections.csv",
-           _csv(header, _metadata(args, model), rows))
+    _write(out / "kappa_curves_intersections.csv", _csv(header, meta, rows))
     sys.stdout.write(f"wrote {out / 'kappa_curves.csv'} and intersections "
                      f"({len(rows)} found)\n")
     return 0

@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,7 +97,7 @@ class FormFactor:
     global phase exists.  A factor with a common phase is one of the
     rational built-ins and also provides `rational_part`; the level-shift
     matrices of pairs of such factors are node sums on a rotated ray, all
-    others are integrated piece by piece (see `quad`).
+    others are sums on a table of panels (see `quad`).
     """
 
     p_exponent: float = 0.5
@@ -329,10 +328,6 @@ class TabulatedFormFactor(FormFactor):
             self._dmsq = np.gradient(self._msq, grid)
         if not (np.all(np.isfinite(self._msq)) and np.all(np.isfinite(self._dmsq))):
             raise ConfigError("tabulated |v|^2 or its slope overflows")
-        # quad's exact-cell tables of the tabulated pairs (self, other),
-        # keyed by other: they die with either factor (the built-in pairs'
-        # ray table lives on the model, `FriedrichsModel._ray_rows`)
-        self._pair_tables = weakref.WeakKeyDictionary()
 
     def breakpoints(self) -> tuple:
         # the interpolant has a kink at every node
@@ -446,6 +441,14 @@ class FriedrichsModel:
 
         return _ray_rows(self.form_factors)
 
+    @functools.cached_property
+    def _panel_rows(self):
+        """quad's panel table of the pairs with a tabulated factor
+        (`quad._panel_rows`), kept like `_ray_rows`."""
+        from .quad import _panel_rows
+
+        return _panel_rows(self.form_factors)
+
     def max_scale(self) -> float:
         return max(f.scale for f in self.form_factors)
 
@@ -469,7 +472,7 @@ def model_digest(model: FriedrichsModel) -> str:
 
 def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
     """Integral of |v_n|^2 over the half line: a node sum for the built-in
-    families, exact cells and power-law ends for tabulated factors
+    families, the panel table and power-law ends for tabulated factors
     (`quad._norm_sq`)."""
     from .quad import _norm_sq
 

@@ -1,5 +1,5 @@
-"""Level-shift matrices: node sums for the built-in families, exact piecewise
-Cauchy integrals and Gauss-Legendre panels for pairs with a tabulated factor.
+"""Level-shift matrices: node sums on a rotated ray for the built-in families
+and on a table of Gauss-Legendre panels for pairs with a tabulated factor.
 
 Three Hermitian N x N matrices summarize how the continuum acts back on the
 levels.  For energies E below the continuum (E < 0, or E = 0 when every form
@@ -13,7 +13,7 @@ and for E inside the continuum (E >= 0) the principal-value matrix
     D_nm(E)    = PV integral  conj(v_n(w)) v_m(w) / (w - E)  dw.
 
 Every entry is a pair integral of conj(v_n) v_m against the matrix's kernel
-(`_pair`, `_level_shift`).
+(`_level_shift`).
 
 Built-in families.  v(x) = phase * sqrt(x) * r(x) with r even and rational,
 poles at +-i c only (`rational_part`), so the pair density is
@@ -44,53 +44,36 @@ for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).  err is the rounding
 bound 24 eps sum_k |c_k| |kernel(w_k)|.
 
 Pairs with a tabulated factor.  A tabulated factor is linear in v between
-its nodes, v(g0) (x/g0)^p below the grid and v(gN) (x/gN)^tau above it.
-Every entry is then a regular part plus logarithms collected by parts at
-the nodes: a piece eta_k of the density on [x0, x1] leaves
-eta_k(E) log|x1 - E| - eta_k(E) log|x0 - E|, so the node x_j carries
-(eta_{j-1}(E) - eta_j(E)) log|x_j - E|.  The pieces meeting at a node agree
-there, so a node at E contributes 0, and D(E) stays finite with E on a node.
-
-Two tabulated factors: on every cell of the union of both grids where both
-are linear, the pair density is a quadratic q(t) = A + B t + C t^2 in
-t = (w - x0)/h, and with zeta = (E - x0)/h
-
-    int_cell eta(w)/(w - E) dw = B + C (zeta + 1/2) + q(zeta) log|(x1 - E)/(x0 - E)|,
-
-exact, and a principal value when E lies in the cell.  A cell farther than
-four widths from E is summed as -sum_k zeta^(-k-1) int_0^1 t^k q(t) dt
-instead, where the closed form would cancel.  Below and above both grids
-the density is a power c w^s, and with w = g0 u (head) or w = X/u (tail,
-s = -beta - 1 for the pair's tail exponent beta) both ends reduce to
-
-    J_s(zeta) = PV int_0^1 u^s/(u - zeta) du,
-
-summed as -sum_k zeta^(-k-1)/(s + k + 1) for |zeta| >= 2; for
-|zeta| <= 1/2 by the downward recurrence J_s = 1/s + zeta J_(s-1) to
-s' in (-1, 0] and the closed form of PV int_0^infinity u^s'/(u - zeta) du
-(pi/sin, pi cot; log|(1 - zeta)/zeta| at s' = 0) less
-sum_k zeta^k/(k - s'); in between (and for s' < -0.9, where the
-recurrence would cancel), by that series on [0, |zeta|/2] plus
-Gauss-Legendre on geometric panels of [|zeta|/2, 1] with the pole
-subtracted.  The logarithm
-of J_s at zeta = 1 (E on an end node) joins the node sum.
-
-Everything else with a tabulated factor (a built-in partner, cells where
-one factor is already on its power law, and every T(E, E')) is
-Gauss-Legendre with 16 nodes on panels split at every node and graded
-geometrically (ratio 2) from w1 to W, where below w1 and above W each factor
-is its leading power (exactly for a tabulated factor, to (w1/c)^2 and
-(c/W)^2 for a built-in one of width c) and |E| / w1, W / |E| >= 2.  The two
-ends integrate that power exactly, as the series of J_s.  For D(E) the
-panels also split at E, and every panel nearer to E than half its width
-integrates [eta_k(w) - eta_k(E)]/(w - E), eta_k its own piece continued to
-E, leaving eta_k(E) log|(x1 - E)/(x0 - E)| to the node sum.  The terms are
-of the size of the integrand, so T(E, E') as E' -> E needs no difference
-quotient.  As for the built-ins, err is 24 eps sum |term| over every term.
+its nodes, v(g0) (x/g0)^p below the grid and v(gN) (x/gN)^tau above it; a
+built-in factor of width c is its leading power below 1e-6 c and above
+1e6 c, to a relative 1e-12.  So below w1 and above W, the least and the
+greatest of these ends, each pair density is a power.  In between, one
+table per model holds 16-point Gauss-Legendre panels graded geometrically
+(ratio 2) and split at every breakpoint of every factor, and one row of
+weighted densities d_k = wts_k conj(v_n(w_k)) v_m(w_k) per pair with a
+tabulated factor: S, D and T are sum_k d_k times the kernel at w_k, one
+kernel per energy and one row sum per pair, plus the ends.  For D(E) each
+panel [x0, x1] nearer to E than half its width integrates
+[eta_k(w) - eta_k(E)]/(w - E), eta_k its own piece continued to E, and
+leaves eta_k(E) log|(x1 - E)/(x0 - E)|; the pieces meeting at a node agree
+there, so a node at E contributes 0.  The panel that holds E is split at E
+unless E is within 2^-10 of its width of an edge, and panels thinner than
+2^-30 of their edge merge: no panel degenerates, no node comes within ulps
+of E.  With s the exponent of the power, the head is eta(w1) J_s(E/w1) and
+the tail eta(W) sum_k (E/W)^k/(s + k + 1), or -eta(W) (W/E) J_s(W/E) for
+|E| > W/2, where J_s(z) = PV int_0^1 u^s/(u - z) du is that series in 1/z
+for |z| >= 2; the series on [0, 1/4] and Gauss-Legendre on [1/4, 1] with
+the pole subtracted as z^s expm1(s log1p((u - z)/z))/(u - z), which no node
+next to z cancels, for 1/2 <= |z| < 2; and (2|z|)^s J_s(+-1/2) plus a
+series for |z| < 1/2.  T(E, E') (E, E' <= 0) integrates the powers in
+closed form below min(w1, |E|/2) and above max(W, 2|E|) and on geometric
+panels between.  The terms are of the size of the integrand, so T(E, E')
+as E' -> E needs no difference quotient; err is 24 eps sum |term|.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -181,27 +164,25 @@ def _kernel(w, e, e2=None):
 
 
 # ---------------------------------------------------------------------------
-# Pairs with a tabulated factor
+# Pairs with a tabulated factor: one panel table per model
 
 # exponents of a power series in a ratio of modulus <= 1/2: 2^-64 < eps/1000
 _SERIES = np.arange(64)
-# a cell at least _FAR_CELL widths from E is summed as a series in 1/zeta
-# of modulus <= 1/4: 4^-30 < eps/100
-_FAR_CELL = 4.0
-_CELL_SERIES = np.arange(1.0, 31.0)
 # a built-in factor of width c is its leading power below _END_RATIO c and
 # above c / _END_RATIO, to a relative (_END_RATIO)^2
 _END_RATIO = 1e-6
+# a panel thinner than _MERGE times its right edge merges into its neighbour,
+# and E splits the panel that holds it only farther than _SPLIT of its width
+# from both ends (module docstring)
+_MERGE, _SPLIT = 2.0 ** -30, 2.0 ** -10
+# terms per block of energies in the panel sums (a megabyte of them)
+_BLOCK = 2 ** 16
 
 
-def _moments(s, ys):
-    """int_0^1 u^s prod_i 1/(1 - u y_i) du = sum_k h_k(y) / (s + k + 1) for
-    s > -1 and |y_i| <= 1/2, h_k the complete homogeneous polynomials of the
-    y_i (the power series of the kernel about w = 0 or w = infinity)."""
-    h = 1.0
-    for y in ys:
-        h = np.convolve(h, y ** _SERIES)[:_SERIES.size]
-    return float(np.sum(h / (s + 1.0 + _SERIES[:np.size(h)])))
+def _series(s, h):
+    """sum_k h_k / (s + k + 1) = int_0^1 u^s sum_k h_k u^k du, over the
+    last axis of h."""
+    return np.add.reduce(h / (s + 1.0 + _SERIES), axis=-1)
 
 
 def _geometric_edges(lo, hi, *points):
@@ -226,57 +207,87 @@ def _gauss_legendre(n=16):
 
 def _panel_nodes(edges, n=16):
     """Midpoints, n-point Gauss-Legendre nodes and weights of the panels
-    between consecutive edges, one row per panel.  The kernels' panels and
-    the oracle's continuum grid both come from here."""
+    between consecutive edges (along the last axis), one row per panel.  The
+    kernels' panels and the oracle's continuum grid both come from here."""
     x, w = _gauss_legendre(n)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return mid, mid[:, None] + half * x, half * w
-
-
-def _near_one(z):
-    """Whether J_s(z) leaves its logarithm at z = 1 to the node sum."""
-    return 0.5 < z < 2.0
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    return mid, mid[..., None] + half * x, half * w
 
 
 def _j(s, z):
-    """J_s(z) = PV int_0^1 u^s / (u - z) du for real z and s > -1 (s > 0 at
-    z = 0), less z^s log|1 - z| where `_near_one(z)`: that logarithm of an
-    end node near E belongs to the node sum (module docstring)."""
-    if z == 0.0:
-        return 1.0 / s
-    m = math.ceil(s)
-    r = s - m                     # in (-1, 0]
-    if abs(z) >= 2.0:
-        y = 1.0 / z
-        return -y * _moments(s, (y,))
-    if abs(z) <= 0.5 and (r == 0.0 or r > -0.9):
-        # below r = -0.9 the recurrence would cancel to 1/(r + 1)
-        if r == 0.0:
-            base = math.log1p(-z) - math.log(abs(z))
-        else:
-            pole = (math.pi * (-z) ** r / math.sin(math.pi * (r + 1.0)) if z < 0.0
-                    else -math.pi * z ** r / math.tan(math.pi * (r + 1.0)))
-            base = pole - float(np.sum(z ** _SERIES / (_SERIES - r)))
-        return sum(z ** i / (s - i) for i in range(m)) + z ** m * base
-    a = 0.5 * abs(z)
-    _, u, wts = _panel_nodes(_geometric_edges(a, 1.0))
-    if z < 0.0:
-        return a ** s * _j(s, -2.0) + float(np.sum(wts * u ** s / (u - z)))
-    zs = z ** s
-    value = (a ** s * _j(s, 2.0) + float(np.sum(wts * (u ** s - zs) / (u - z)))
-             - zs * math.log(z - a))
-    return value if _near_one(z) else value + zs * math.log1p(-z)
+    """J_s(z) = PV int_0^1 u^s / (u - z) du for real z (an array) and s > -1
+    (s > 0 at z = 0), less z^s log|1 - z| for 1/2 < z < 2: that logarithm
+    of an end node near E belongs to the node's logarithms."""
+    z = np.asarray(z, dtype=float)
+    a = np.abs(z)
+    out = np.empty(z.shape)
+    for part, value in ((z == 0.0, lambda z: 1.0 / s),
+                        (a >= 2.0, lambda z: -_series(s, (1.0 / z[:, None]) ** _SERIES) / z),
+                        ((a >= 0.5) & (a < 2.0), lambda z: _j_mid(s, z)),
+                        ((a < 0.5) & (z != 0.0), lambda z: _j_small(s, z))):
+        if part.any():
+            out[part] = value(z[part])
+    return out
 
 
-def _piece(f, mid, x):
+def _j_mid(s, z):
+    """`_j` for 1/2 <= |z| < 2: the series on [0, 1/4] and the quarter rule
+    on [1/4, 1], where for z > 0 the pole goes as z^s log|(1 - z)/(1/4 - z)|
+    and the rest is the divided difference z^s expm1(s log1p(g/z)) / g,
+    g = u - z, which no node next to z can cancel."""
+    _, u, w = _panel_nodes(np.array([0.25, 0.5, 1.0]))
+    u, w, pos = u.ravel(), w.ravel(), z > 0.0
+    zp = np.where(pos, z, 1.0)[:, None]
+    g = u - z[:, None]
+    g0 = np.where(g == 0.0, 1.0, g)
+    f = np.where(g == 0.0, s * zp ** (s - 1.0), zp ** s * np.expm1(s * np.log1p(g / zp)) / g0)
+    f = np.where(pos[:, None], f, u ** s / g0)
+    out = (-0.25 ** (s + 1.0) / z * _series(s, (0.25 / z[:, None]) ** _SERIES)
+           + np.add.reduce(w * f, axis=-1))
+    zs = np.where(pos, zp[:, 0] ** s, 0.0)
+    # log|1 - z| stays in at z = 1/2
+    return out - zs * np.log(np.abs(z - 0.25)) + np.where(z == 0.5, zs * math.log(0.5), 0.0)
+
+
+def _j_small(s, z):
+    """`_j` for 0 < |z| < 1/2: (2|z|)^s J_s(+-1/2) on [0, 2|z|], and on
+    [2|z|, 1] the series of u^(s-1) / (1 - z/u) term by term,
+    z^k (1 - (2|z|)^(s-k)) / (s - k), the term with |s - k| <= 1/2 through
+    expm1, where the difference would cancel."""
+    two = 2.0 * np.abs(z)
+    lg = np.log(two)
+    k, near = _SERIES, int(round(s))
+    c = 1.0 / np.where(k == near, 1.0, s - k)
+    sign = np.where(z < 0.0, -0.5, 0.5)
+    terms = (z[:, None] ** k - (two ** s)[:, None] * sign[:, None] ** k) * c
+    if near < k.size:
+        terms[:, near] = z ** near * (-lg if s == near else -np.expm1((s - near) * lg) / (s - near))
+    half = _j_mid(s, np.array([-0.5, 0.5]))
+    return two ** s * np.where(z < 0.0, half[0], half[1]) + np.add.reduce(terms, axis=-1)
+
+
+def _j_end(s, z, gap, r):
+    """J_s(z) at an end node x, z = E/x (head, r = x) or x/E (tail, r = E),
+    with the logarithm that `_j` leaves restored from gap = |x - E| as
+    log|1 - z| = log(gap) - log(r), less log(gap) with E on the node, where
+    the pieces meeting there cancel it."""
+    out = _j(s, z)
+    back = (z > 0.5) & (z < 2.0)
+    if back.any():
+        gap, r = gap[back], np.broadcast_to(r, z.shape)[back]
+        out[back] += z[back] ** s * (np.log(np.where(gap > 0.0, gap, 1.0)) - np.log(r))
+    return out
+
+
+def _piece(f, j, x):
     """f at x (one row per panel), continued from the piece of f that holds
-    the panel's midpoint: the cell's linear interpolant or the power law
-    below or above the grid.  A built-in factor is one piece."""
-    if f.common_phase is not None:
+    the panel, j its index in f's grid: the cell's linear interpolant or the
+    power law below or above the grid.  A built-in factor is one piece."""
+    if j is None:
         return f.value(x)
     g, v = f.grid, f.values
-    j = np.searchsorted(g, mid)[:, None]
+    j = j[:, None]
     k = np.clip(j, 1, g.size - 1)
     lin = v[k - 1] + (v[k] - v[k - 1]) * ((x - g[k - 1]) / (g[k] - g[k - 1]))
     head = v[0] * (x / g[0]) ** f.p_exponent
@@ -284,167 +295,155 @@ def _piece(f, mid, x):
     return np.where(j == 0, head, np.where(j == g.size, tail, lin))
 
 
-def _eta(fa, fb, w):
-    """The pair density conj(v_a) v_b at one point."""
-    return complex(np.conj(fa.value(w)) * fb.value(w))
+def _pieces(t, pp, x):
+    """Every factor at x (one row per panel pp), each from its own piece."""
+    return np.array([_piece(f, None if j is None else j[pp], x)
+                     for f, j in zip(t.factors, t.cells)])
 
 
-def _panels(fa, fb, lo, hi, energies):
-    """Gauss-Legendre terms of the pair density against prod 1/(w - e) over
-    [lo, hi], and the logarithms that the subtraction near E > 0 leaves at
-    panel edges, as (terms, edges, coefficients) (module docstring)."""
-    pv = len(energies) == 1 and energies[0] > 0.0
-    points = [np.asarray(f.breakpoints(), dtype=float) for f in (fa, fb)]
-    edges = _geometric_edges(lo, hi, *points, energies[:1] if pv else ())
+# A model's panel table (module docstring): the factors, each tabulated
+# one's grid index of every panel's piece (`_piece`), the edges over
+# [w1, W], nodes w and weights (a row per panel), a row d of weighted
+# densities per pair n <= m (indices rows, cols), and per pair its density
+# at w1 and W and the exponents p, beta of its powers below and above.
+_PanelTable = collections.namedtuple(
+    "_PanelTable", "factors cells edges w wts d d_abs rows cols eta_lo eta_hi p beta")
+
+
+def _panel_rows(factors):
+    """The model's `_PanelTable`, or None without tabulated factors."""
+    n = len(factors)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)
+             if factors[i].common_phase is None or factors[j].common_phase is None]
+    if not pairs:
+        return None
+    # every factor is its leading power below w1 and above W
+    ends = [(f.grid[0], f.grid[-1]) if f.common_phase is None
+            else (_END_RATIO * f.scale, f.scale / _END_RATIO) for f in factors]
+    w1, big = min(lo for lo, _ in ends), max(hi for _, hi in ends)
+    edges = _geometric_edges(w1, big, *(np.asarray(f.breakpoints(), dtype=float)
+                                        for f in factors))
+    if edges.size > 2:
+        edges = np.delete(edges, np.maximum(
+            np.flatnonzero(np.diff(edges) <= _MERGE * edges[1:]), 1))
     mid, w, wts = _panel_nodes(edges)
-    eta = np.conj(_piece(fa, mid, w)) * _piece(fb, mid, w)
-    kernel = 1.0
-    for e in energies:
-        kernel = kernel / (w - e)
-    if not pv:
-        return (wts * eta * kernel).ravel(), (), ()
-    e = energies[0]
-    x0, x1 = edges[:-1], edges[1:]
-    near = np.maximum(x0 - e, e - x1) < 0.5 * (x1 - x0)
-    at = np.full((np.count_nonzero(near), 1), e)
-    eta_e = np.conj(_piece(fa, mid[near], at)) * _piece(fb, mid[near], at)
-    eta[near] -= eta_e
-    return ((wts * eta * kernel).ravel(), np.concatenate((x1[near], x0[near])),
-            np.concatenate((eta_e[:, 0], -eta_e[:, 0])))
+    cells = tuple(None if f.common_phase is not None else np.searchsorted(f.grid, mid)
+                  for f in factors)
+    v = np.array([f.value(np.append(w, (w1, big))) for f in factors])
+    rows, cols = np.array(pairs).T
+    eta = np.conj(v[rows]) * v[cols]
+    d = wts.ravel() * eta[:, :-2]
+    exponents = [[factors[i].p_exponent + factors[j].p_exponent,
+                  factors[i].tail_exponent + factors[j].tail_exponent] for i, j in pairs]
+    return _PanelTable(tuple(factors), cells, edges, w, wts, d, np.abs(d), rows, cols,
+                       eta[:, -2], eta[:, -1], *np.array(exponents).T)
 
 
-def _power_range(f):
-    """(lo, hi): f is its leading power below lo and above hi (module
-    docstring)."""
-    if f.common_phase is None:
-        return f.grid[0], f.grid[-1]
-    return _END_RATIO * f.scale, f.scale / _END_RATIO
+def _ends(t, e):
+    """(value, bound) of the powers below w1 and above W of every pair
+    against 1/(w - E), E in the array e, each (e.size, pairs):
+    eta(w1) J_p(E/w1) and eta(W) times the series in E/W, or
+    -(W/E) J_s(W/E) beyond W/2, s = -1 - beta."""
+    out = np.zeros((e.size, t.rows.size), dtype=complex)
+    w1, big = t.edges[0], t.edges[-1]
+    y = e / big
+    far = np.abs(y) > 0.5
+    for s in set(t.p.tolist()):
+        out[:, t.p == s] += _j_end(s, e / w1, np.abs(w1 - e), w1)[:, None] * t.eta_lo[t.p == s]
+    for s in set((-1.0 - t.beta).tolist()):
+        tail = _series(s, np.where(far, 0.0, y)[:, None] ** _SERIES)
+        if far.any():
+            x = e[far]
+            tail[far] = -_j_end(s, 1.0 / y[far], np.abs(big - x), x) / y[far]
+        out[:, -1.0 - t.beta == s] += tail[:, None] * t.eta_hi[-1.0 - t.beta == s]
+    return out, np.abs(out)
 
 
-def _panel_pair(fa, fb, energies):
-    """Terms and node logarithms of a pair on the panels of [w1, W] plus its
-    leading powers on [0, w1] and [W, infinity)."""
-    nonzero = [abs(e) for e in energies if e != 0.0]
-    ranges = [_power_range(f) for f in (fa, fb)]
-    w1 = min([lo for lo, _ in ranges] + [0.5 * e for e in nonzero])
-    big = max([hi for _, hi in ranges] + [2.0 * e for e in nonzero])
-    m = len(energies)
-    ys = [w1 / e for e in energies if e != 0.0]
-    head = (_eta(fa, fb, w1) * w1 ** (1 - m) * math.prod(-y for y in ys)
-            * _moments(fa.p_exponent + fb.p_exponent - (m - len(ys)), ys))
-    tail = (_eta(fa, fb, big) * big ** (1 - m)
-            * _moments(m - 2.0 - fa.tail_exponent - fb.tail_exponent,
-                       [e / big for e in energies]))
-    terms, nodes, coefs = _panels(fa, fb, w1, big, energies)
-    return [np.array([head, tail]), terms], [nodes], [coefs]
+def _t_ends(t, e, e2):
+    """(value, bound) of the powers below w1 and above W of every pair
+    against 1/((w - e)(w - e2)), e, e2 <= 0: power series below
+    lo = min(w1, |E|/2) and above hi = max(W, 2|E|) over the nonzero
+    energies, and geometric panels of the powers between."""
+    w1, big = t.edges[0], t.edges[-1]
+    mags = [abs(x) for x in (e, e2) if x]
+    lo, hi = min([w1] + [0.5 * m for m in mags]), max([big] + [2.0 * m for m in mags])
+    ys = [lo / x for x in (e, e2) if x]
+    h = ys[0] ** _SERIES
+    if len(ys) == 2:
+        h = np.convolve(h, ys[1] ** _SERIES)[:_SERIES.size]
+    h2 = np.convolve((e / hi) ** _SERIES, (e2 / hi) ** _SERIES)[:_SERIES.size]
+    terms = [t.eta_lo * (lo / w1) ** t.p / lo * math.prod(-y for y in ys)
+             * _series(t.p[:, None] - (2 - len(ys)), h),
+             t.eta_hi * (hi / big) ** t.beta / hi * _series(-t.beta[:, None], h2)]
+    size = np.abs(terms[0]) + np.abs(terms[1])
+    for a, b, eta, s, at in ((lo, w1, t.eta_lo, t.p, w1), (big, hi, t.eta_hi, t.beta, big)):
+        if b > a:
+            _, u, wts = _panel_nodes(_geometric_edges(a, b))
+            u, wts = u.ravel(), wts.ravel()
+            part = eta[:, None] * (u / at) ** s[:, None] * (wts / ((u - e) * (u - e2)))
+            terms.append(np.add.reduce(part, axis=-1))
+            size = size + np.add.reduce(np.abs(part), axis=-1)
+    return sum(terms), size
 
 
-def _cell_table(fa, fb):
-    """The exact path's data of two tabulated factors, built once and kept
-    in fa._pair_tables: the ends g_lo <= g_hi of both grids' starts and
-    x_lo <= x_hi of their ends, the pair density there, the exponents s and
-    beta of its power-law ends, and the nodes x of the union grid on
-    [g_hi, x_lo] (None if empty) with the cells' coefficients A, B, C."""
-    table = fa._pair_tables.get(fb)
-    if table is None:
-        (g_lo, g_hi), (x_lo, x_hi) = (sorted((fa.grid[0], fb.grid[0])),
-                                      sorted((fa.grid[-1], fb.grid[-1])))
-        x = np.union1d(fa.grid, fb.grid)
-        x = x[(x >= g_hi) & (x <= x_lo)]
-        cells = None
-        if x.size > 1:
-            a, b = fa.value(x), fb.value(x)
-            da, db = np.diff(a), np.diff(b)
-            a, b = np.conj(a[:-1]), b[:-1]
-            cells = (x, a * b, a * db + np.conj(da) * b, np.conj(da) * db)
-        table = (g_lo, g_hi, x_lo, x_hi, _eta(fa, fb, g_lo), _eta(fa, fb, x_hi),
-                 fa.p_exponent + fb.p_exponent, fa.tail_exponent + fb.tail_exponent,
-                 cells)
-        fa._pair_tables[fb] = table
-    return table
+def _near_terms(t, e, kk, pp, own):
+    """(terms, bounds), one row per panel pp[i] near E = e[kk[i]] > 0:
+    the piece at E subtracted on the panel's nodes, or on its halves split
+    at E where own, and its logarithms at the panel's edges."""
+    at, c = e[kk], pp[own]
+    _, nodes, wts = _panel_nodes(np.stack((t.edges[c], at[own], t.edges[c + 1]), axis=-1))
+    nodes, wts = (a.reshape(c.size, 2 * t.w.shape[1]) for a in (nodes, wts))
+    # the pieces at E and at the split halves' nodes in one evaluation
+    v = _pieces(t, np.concatenate((pp, np.repeat(c, nodes.shape[1]))),
+                np.concatenate((at, nodes.ravel()))[:, None])[:, :, 0]
+    dens = np.conj(v[t.rows]) * v[t.cols]
+    eta = dens[:, :kk.size]
+    gap = t.w[pp] - at[:, None]
+    gap[own] = np.inf
+    kern = t.wts[pp] / gap
+    dist = np.abs(np.stack((t.edges[1:][pp], t.edges[:-1][pp])) - at)
+    # a node at E has coefficient 0: the pieces meeting there agree
+    logs = np.log(np.where(dist > 0.0, dist, 1.0))
+    terms = eta * (logs[0] - logs[1] - np.add.reduce(kern, axis=-1))
+    size = np.abs(eta) * (np.abs(logs).sum(axis=0) + np.add.reduce(np.abs(kern), axis=-1))
+    part = (wts * (dens[:, kk.size:].reshape(t.rows.size, *nodes.shape) - eta[:, own, None])
+            / (nodes - at[own, None]))
+    terms[:, own] += np.add.reduce(part, axis=-1)
+    size[:, own] += np.add.reduce(np.abs(part), axis=-1)
+    return terms.T, size.T
 
 
-# the far-cell series: sum_j y^j (A/j + B/(j+1) + C/(j+2)), j = 1..30
-_CELL_WEIGHTS = 1.0 / (_CELL_SERIES[:, None] + np.arange(3.0))
-
-
-def _cells(cells, energies):
-    """Exact terms of the cells where both factors are linear, and the node
-    logarithms of the cells near E (module docstring)."""
-    x, qa, qb, qc = cells
-    if not energies:
-        return np.diff(x) * (qa + qb / 2.0 + qc / 3.0), (), ()
-    z = (energies[0] - x[:-1]) / np.diff(x)
-    far = np.abs(z) >= _FAR_CELL
-    powers = np.cumprod(np.broadcast_to((1.0 / z[far])[:, None],
-                                        (np.count_nonzero(far), _CELL_SERIES.size)), axis=1)
-    sums = powers @ _CELL_WEIGHTS
-    series = -(qa[far] * sums[:, 0] + qb[far] * sums[:, 1] + qc[far] * sums[:, 2])
-    near = ~far
-    z, qa, qb, qc = z[near], qa[near], qb[near], qc[near]
-    q = qa + z * (qb + z * qc)
-    return (np.concatenate((series, qb + qc * (z + 0.5))),
-            np.concatenate((x[1:][near], x[:-1][near])), np.concatenate((q, -q)))
-
-
-def _exact_pair(fa, fb, energies):
-    """Terms and node logarithms of two tabulated factors against 1 or
-    1/(w - E): exact cells where both are linear, J_s for the power-law
-    ends, panels where only one is on its power law."""
-    g_lo, g_hi, x_lo, x_hi, eta_lo, eta_hi, s, beta, cells = _cell_table(fa, fb)
-    terms, nodes, coefs = [], [], []
-    if not energies:
-        terms.append(np.array([eta_lo * g_lo / (s + 1.0), eta_hi * x_hi / (-1.0 - beta)]))
-    else:
-        e = energies[0]
-        head = eta_lo * _j(s, e / g_lo)
-        if _near_one(e / g_lo):
-            # E near g_lo: J_s less its end-node logarithm, which goes to
-            # the node sum
-            at_head = eta_lo * (e / g_lo) ** s
-            head -= at_head * math.log(g_lo)
-            nodes.append([g_lo])
-            coefs.append([at_head])
-        if abs(e) <= 0.5 * x_hi:
-            tail = eta_hi * _moments(-1.0 - beta, (e / x_hi,))
-        else:
-            tail = -eta_hi * (x_hi / e) * _j(-1.0 - beta, x_hi / e)
-            if _near_one(x_hi / e):
-                at_tail = eta_hi * (e / x_hi) ** beta
-                tail += at_tail * math.log(e)
-                nodes.append([x_hi])
-                coefs.append([-at_tail])
-        terms.append(np.array([head, tail]))
-    strips = [(g_lo, x_hi)]
-    if cells is not None:
-        t, n, c = _cells(cells, energies)
-        terms.append(t)
-        nodes.append(n)
-        coefs.append(c)
-        strips = [(g_lo, g_hi), (x_lo, x_hi)]
-    for lo, hi in strips:
-        if hi > lo:
-            t, n, c = _panels(fa, fb, lo, hi, energies)
-            terms.append(t)
-            nodes.append(n)
-            coefs.append(c)
-    return terms, nodes, coefs
-
-
-def _tabulated_pair(fa, fb, energies):
-    """(value, rounding bound) of the pair density against prod 1/(w - e)
-    when a factor is tabulated (module docstring)."""
-    tabulated = fa.common_phase is None and fb.common_phase is None
-    build = _exact_pair if tabulated and len(energies) <= 1 else _panel_pair
-    terms, nodes, coefs = build(fa, fb, energies)
-    nodes = np.concatenate([np.asarray(n, dtype=float) for n in nodes])
-    coefs = np.concatenate([np.asarray(c, dtype=complex) for c in coefs])
-    if nodes.size:
-        # a node at E has coefficient 0: the pieces meeting there agree
-        off = nodes != energies[0]
-        terms.append(coefs[off] * np.log(np.abs(nodes[off] - energies[0])))
-    terms = np.concatenate(terms)
-    return terms.sum(), _SUM_ERR * float(np.abs(terms).sum())
+def _panel_sums(t, e, e2=None):
+    """(values, bounds) of the table's pairs against 1/(w - E) for E in the
+    array e (with e2, 1/((w - E)(w - e2))), each (e.size, pairs): one kernel
+    on the table's nodes per energy and one row sum per pair, the ends, and
+    for E > 0 the panels near E, the one that holds E split there."""
+    x0, x1 = t.edges[:-1], t.edges[1:]
+    half = 0.5 * (x1 - x0)
+    near = ((e[:, None] > 0.0) & (e2 is None)
+            & (np.maximum(x0 - e[:, None], e[:, None] - x1) < half))
+    hold = np.clip(np.searchsorted(t.edges, e, side="right") - 1, 0, half.size - 1)
+    split = (near[np.arange(e.size), hold]
+             & (np.minimum(e - x0[hold], x1[hold] - e) > 2.0 * _SPLIT * half[hold]))
+    nodes, width = t.w.ravel(), t.w.shape[1]
+    sums, bounds = _ends(t, e) if e2 is None else _t_ends(t, e[0], e2)
+    sums, bounds = np.array(sums, ndmin=2), np.array(bounds, ndmin=2)
+    # a block of energies at once, each row summed on its own along the
+    # contiguous last axis, so each sum is that energy's alone
+    block = max(1, _BLOCK // t.d.size)
+    for b in range(0, e.size, block):
+        gap = nodes - e[b:b + block, None]
+        cut = np.flatnonzero(split[b:b + block])
+        gap[cut[:, None], hold[b + cut, None] * width + np.arange(width)] = np.inf
+        kernel = (1.0 / (gap if e2 is None else gap * (nodes - e2)))[:, None, :]
+        sums[b:b + block] += np.add.reduce(t.d * kernel, axis=-1)
+        bounds[b:b + block] += np.add.reduce(t.d_abs * np.abs(kernel), axis=-1)
+    kk, pp = np.nonzero(near)
+    if kk.size:
+        terms, size = _near_terms(t, e, kk, pp, split[kk] & (pp == hold[kk]))
+        np.add.at(sums, kk, terms)
+        np.add.at(bounds, kk, size)
+    return sums, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +460,8 @@ def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
     """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
     1/((w - E)(w - e2))) and their error bounds, shaped e.shape + (N, N) for
     E in e: built-in pairs are phase * Re sum_k c_k kernel(w_k) on the
-    model's ray table, the others `_tabulated_pair`; the upper triangle is
-    mirrored."""
+    model's ray table, the others `_panel_sums` on its panel table; the
+    upper triangle is mirrored."""
     energies = np.ravel(e).tolist()
     n = model.n_levels
     entries = np.zeros((len(energies), n, n), dtype=complex)
@@ -481,13 +480,11 @@ def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
             bounds[b] = c_abs @ np.abs(kernel)
         entries[:, rows, cols] = phase * sums.real
         err[:, rows, cols] = _SUM_ERR * bounds
-    factors = model.form_factors
-    for i in range(n):
-        for j in range(i, n):
-            if factors[i].common_phase is None or factors[j].common_phase is None:
-                for b, x in enumerate(energies):
-                    entries[b, i, j], err[b, i, j] = _tabulated_pair(
-                        factors[i], factors[j], (x,) if e2 is None else (x, e2))
+    table = model._panel_rows
+    if table is not None:
+        sums, bounds = _panel_sums(table, np.ravel(e), e2)
+        entries[:, table.rows, table.cols] = sums
+        err[:, table.rows, table.cols] = _SUM_ERR * bounds
     # a Hermitian matrix has a real diagonal
     diag, low, up = _triangles(n)
     entries[:, diag, diag] = entries[:, diag, diag].real
@@ -499,9 +496,11 @@ def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
 
 def _norm_sq(model, n) -> float:
     """Integral of |v_n|^2 over the half line (the kernel 1), n 0-based."""
-    f = model.form_factors[n]
-    if f.common_phase is None:
-        return float(_tabulated_pair(f, f, ())[0].real)
+    if model.form_factors[n].common_phase is None:
+        t = model._panel_rows
+        k = np.flatnonzero((t.rows == n) & (t.cols == n))[0]
+        return float((np.add.reduce(t.d[k]) + t.eta_lo[k] * t.edges[0] / (t.p[k] + 1.0)
+                      + t.eta_hi[k] * t.edges[-1] / (-1.0 - t.beta[k])).real)
     _, c, _, _, rows, cols = model._ray_rows
     return float(c[np.flatnonzero((rows == n) & (cols == n))[0]].sum().real)
 
@@ -522,7 +521,7 @@ def gram_matrix(model, e) -> LevelShiftMatrix:
     or the stack of them over an array of energies.
 
     Built-in pairs: Re sum_k c_k / (w_k - E) on the rotated ray; pairs with
-    a tabulated factor: exact cells and power-law ends, or panels.
+    a tabulated factor: the model's panel table and power-law ends.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     _check_below_threshold(model, e, "gram_matrix")
@@ -536,7 +535,7 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     Both energies must lie below the continuum (0 allowed when p > 0), and
     not both at 0, where the kernel 1/w^2 is not integrable for p <= 1/2.
     Built-in pairs: Re sum_k c_k / ((w_k - E)(w_k - E')); pairs with a
-    tabulated factor: Gauss-Legendre panels.  Neither cancels as E'
+    tabulated factor: the model's panel table.  Neither cancels as E'
     approaches E.
     """
     e, e2 = float(e), float(e2)
@@ -553,8 +552,8 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
 
     D(0) coincides with S(0).  For E > 0 a built-in pair is
     Re sum_k c_k / (w_k - E), the real part of F(E + i0); a pair with a
-    tabulated factor is the principal value of its exact cells and ends, or
-    of its panels with the piece at E subtracted near E.
+    tabulated factor is the principal value on the panel table, each panel
+    near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     if np.any(np.less(e, 0.0)):

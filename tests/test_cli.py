@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -498,3 +499,20 @@ def test_kappa_curves_tabulated_near_threshold(tmp_path, tabulated_two_level):
                "--e-min", "1e-7", "--e-max", "9e-7", "--e-steps", "3",
                "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_kappa_curves_one_ulp_above_a_panel_edge(tmp_path):
+    # E = nextafter(1e-6 2^17): one ulp from an edge of the panel table of
+    # the golden tabulated model with a rational second factor
+    model = json.loads((Path(__file__).resolve().parent / "golden" / "tabulated.json").read_text())
+    model["form_factors"][1] = {"family": "rational", "n_index": 1}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["kappa-curves", "--model", str(cfg), "--kind", "D",
+                   "--e-min", "0.13107200000000002", "--e-max", "0.2", "--e-steps", "2",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, rows = read_csv(tmp_path / "kappa_curves.csv")
+    assert len(rows) == 2 and all(math.isfinite(float(x)) for r in rows for x in r)

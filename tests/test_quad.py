@@ -377,6 +377,66 @@ def test_ray_tables_die_with_the_model():
     assert nodes() is None
 
 
+def test_panel_tables_die_with_the_model():
+    # the tabulated pairs' panel table lives on the model, like the ray
+    # table: one row per pair with a tabulated factor, and dropping the
+    # model frees it with the factors
+    model = FriedrichsModel((0.1, 0.3, 0.5), 0.5,
+                            (_complex_tabulated(), RationalFormFactor(2), HydrogenFormFactor(1)),
+                            UnitSystem(1.0))
+    gram_matrix(model, -0.3)
+    pv_matrix(model, 0.5)
+    table = model._panel_rows
+    assert table is model._panel_rows
+    assert sorted(zip(table.rows.tolist(), table.cols.tolist())) == [(0, 0), (0, 1), (0, 2)]
+    assert table.d.shape == (3, table.w.size)
+    assert model._ray_rows[1].shape[0] == 3
+    factor = weakref.ref(model.form_factors[0])
+    nodes = weakref.ref(table.w)
+    del model, table
+    assert factor() is None
+    assert nodes() is None
+
+
+def _golden_with_rational():
+    """The golden tabulated model with form factor 2 a rational factor:
+    its panel table has the edges 1e-6 2^k."""
+    model = load_model(Path(__file__).resolve().parent / "golden" / "tabulated.json")
+    return FriedrichsModel(model.levels, model.coupling,
+                           (model.form_factors[0], RationalFormFactor(1)), model.units)
+
+
+def test_pv_matrix_one_ulp_from_a_panel_edge():
+    # E one ulp beside the panel edge 1e-6 2^k: no panel degenerates and no
+    # node lands on E, so D(E) is finite, silent and within rounding of
+    # D at the edge
+    model = _golden_with_rational()
+    for k in range(5, 25):
+        edge = 1e-6 * 2.0 ** k
+        at = pv_matrix(model, edge).entries
+        for to in (np.inf, -np.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = pv_matrix(model, np.nextafter(edge, to)).entries
+            assert np.isfinite(d).all(), (k, to)
+            assert np.abs(d - at).max() <= 1e-10 * np.abs(at).max(), (k, to)
+
+
+@pytest.mark.parametrize("name", ["golden", "two-grids"])
+def test_pv_matrix_next_to_the_table_ends(name):
+    # E a relative 1e-14 or 1e-12 beside w1 or W, where the power-law ends
+    # meet the panels: the end node's logarithm comes from |x - E|, not
+    # from 1 - E/x, so D(E) stays within rounding of D at the node
+    model = (_two_grids() if name == "two-grids" else
+             load_model(Path(__file__).resolve().parent / "golden" / "tabulated.json"))
+    edges = model._panel_rows.edges
+    for x in (edges[0], edges[-1]):
+        at = pv_matrix(model, x).entries
+        for delta in (1e-14, -1e-14, 1e-12, -1e-12):
+            d = pv_matrix(model, x * (1.0 + delta)).entries
+            assert np.abs(d - at).max() <= 1e-10 * np.abs(at).max(), (x, delta)
+
+
 def _mixed(first):
     return FriedrichsModel((0.1, 0.3), 0.5, (first, RationalFormFactor(2)),
                            UnitSystem(1.0))
@@ -395,10 +455,17 @@ _STACK_MODELS = {
 @pytest.mark.parametrize("name", _STACK_MODELS)
 def test_stacked_matrices_match_single_energies(name):
     # a stack over an array of energies holds, bit for bit, the matrix of
-    # each energy alone, E = 0 and the tabulated nodes included
+    # each energy alone, E = 0 and the tabulated nodes included; with a
+    # panel table also E below w1/2 and above 2 W, and one ulp from a
+    # tabulated node and from the panel edge 2 w1
     model = _STACK_MODELS[name]()
     scale = model.max_scale()
     nodes = [g for f in model.form_factors if f.common_phase is None for g in f.grid[::4]]
+    table = model._panel_rows
+    if table is not None:
+        w1, big = table.edges[0], table.edges[-1]
+        nodes += [0.25 * w1, 4.0 * big] + [np.nextafter(x, to) for x in (nodes[1], 2.0 * w1)
+                                           for to in (0.0, np.inf)]
     grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 100.0 * scale, 23 - len(nodes)),
                            nodes))
     stack = pv_matrix(model, grid)
@@ -416,7 +483,8 @@ def test_stacked_matrices_match_single_energies(name):
 
 def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
     # one kernel 1/(w - E) on the ray per energy serves all six built-in
-    # pairs, and a tabulated-only model does no ray work at all
+    # pairs, and a tabulated-only model has no ray table and does no ray
+    # work (its pairs are on its panel table)
     import friedrichs.quad as quad
 
     calls = []
@@ -432,6 +500,7 @@ def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
     tabulated = _STACK_MODELS["golden-tabulated"]()
     pv_matrix(tabulated, np.linspace(0.01, 1.0, 7))
     assert tabulated._ray_rows is None and calls == []
+    assert tabulated._panel_rows is not None
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +638,8 @@ def test_tabulated_pairs_match_quadpack(name):
 
 @pytest.mark.parametrize("name", sorted(_TABULATED_CASES))
 def test_tabulated_t_matrix_is_ds_de(name):
-    # T(E, E) against a fourth-order central difference of S (panels
-    # against exact cells and ends), and T(E, E') as E' -> E without
+    # T(E, E) against a fourth-order central difference of S (T's end
+    # panels against S's closed-form ends), and T(E, E') as E' -> E without
     # cancellation: it moves by about (E' - E) dT/dE, down to E' - E = 1e-14 E
     model, _ = _TABULATED_CASES[name]
     for e in (-0.7, -0.01):
@@ -636,15 +705,17 @@ def test_random_tabulated_pairs_match_quadpack():
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 1.0, 1.05, 1.7, 2.0, 2.95])
 def test_power_end_integral_matches_mpmath(s):
     # J_s(z) = PV int_0^1 u^s/(u - z) du in all its regimes (the series for
-    # |z| >= 2, the recurrence for |z| <= 1/2 with s' = 0 and s' > -0.9, its
-    # split fallback for s' = -0.95, the split in between), less
-    # z^s log|1 - z| for 1/2 < z < 2, against 30-digit mpmath
+    # |z| >= 2; the fixed panels on [1/4, 1] for 1/2 <= |z| < 2, z on one of
+    # their nodes included; (2|z|)^s J_s(+-1/2) and the term series below
+    # 1/2, its term k = s through the logarithm and |s - k| <= 1/2 through
+    # expm1), less z^s log|1 - z| for 1/2 < z < 2, against 30-digit mpmath
     mpmath = pytest.importorskip("mpmath")
-    from friedrichs.quad import _j
+    from friedrichs.quad import _gauss_legendre, _j
 
+    node = 0.75 + 0.25 * float(_gauss_legendre()[0][-1])
     mpmath.mp.dps = 30
     for z in (1e-6, -1e-6, 0.05, -0.4, 0.3, 0.5, -0.5, 0.7, -0.7, 0.999, 1.0, 1.001, 1.3,
-              -1.5, 1.9, 2.0, -2.0, 2.5, -3.0, 40.0):
+              -1.5, 1.9, 2.0, -2.0, 2.5, -3.0, 40.0, node):
         zm, sm = mpmath.mpf(z), mpmath.mpf(s)
         if z > 0.0:
             # the pole subtracted: int (u^s - z^s)/(u - z) + z^s log|(1 - z)/z|
