@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
 from .quad import _ABS_TOL, _REL_TOL, NumericalError, gram_matrix
-from .solver import CountResult, positive_candidate_scan, solve_model
-from .spectral import eigh, k_matrix, kappa_curve
+from .solver import CountResult, _positive_candidates, _solve, solve_model
+from .spectral import _eigencurves, eigh, k_matrix, kappa_curve
 from .oracle import compare_negative_spectrum
 from .thresholds import certificate
 
@@ -190,6 +190,9 @@ def cmd_kappa_curves(args) -> int:
     if args.kind == "D" and grid[0] < 0:
         raise ConfigError("kind 'D' needs a nonnegative energy grid")
     points = kappa_curve(model, grid, kind=args.kind)
+    # the bound-state and crossing searches go on from the rows' points in
+    # one eigencurve family, so each K(E) is built and diagonalized once
+    curves = _eigencurves(model, args.kind, points)
     n, top = model.n_levels, model.levels[-1]
     header = (["E"] + [f"kappa_{i}" for i in range(1, n + 1)]
               + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])
@@ -203,12 +206,12 @@ def cmd_kappa_curves(args) -> int:
     # embedded candidates with their defects on the positive side
     rows = []
     if grid[0] < 0.0:
-        report = solve_model(model)
+        report = _solve(model, curves)
         for st in report.states:
             rows.append([str(st.branch_index), _FMT.format(st.energy), "bound", ""])
     pos = grid[grid > 0.0]
     if pos.size >= 2:
-        for cand in positive_candidate_scan(model, pos):
+        for cand in _positive_candidates(model, curves, pos):
             rows.append([str(cand.branch_index), _FMT.format(cand.energy),
                          "candidate", _FMT.format(cand.zero_defect)])
     header = ["branch", "energy", "kind", "zero_defect"]

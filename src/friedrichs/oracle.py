@@ -39,7 +39,7 @@ import numpy as np
 
 from .quad import _gauss_legendre, _panel_nodes
 from .solver import _branch_roots, _count_and_roots, _seed
-from .spectral import _EigenCurves
+from .spectral import _EigenCurves, _eigencurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
@@ -177,7 +177,7 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     that grow between consecutive grids raise the non_cauchy flag; a clean
     refinement study should shrink monotonically.
     """
-    counted, roots, _ = _count_and_roots(model)
+    counted, roots = _count_and_roots(model, _eigencurves(model, "S"))
     solver_e = tuple(e for e, _ in roots)
     rows = []
     prev = None

@@ -36,12 +36,24 @@ r_m(w_k) built once per model, one ray and one row of c_k per built-in pair,
 The terms are of the size of the integrand (no cancellation near a pole),
 and E' -> E needs no difference quotient.  h = 1/16 and the range
 exp(-48) c_lo .. exp(8) c_hi (c_lo <= c_hi the smallest and largest
-built-in widths) hold S, D and the norms to rounding at every E.  The
-kernel is evaluated once per energy for all pairs, and each pair's row is
-summed on its own, in the order of a single sum.  T(E, E') omits the head
-[0, t0 = exp(-48) c_lo) of relative size t0^2 / (2 |E E'|), below 1e-16
-for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).  err is the rounding
-bound 24 eps sum_k |c_k| |kernel(w_k)|.
+built-in widths) hold S, D and the norms to rounding at every E.  T(E, E')
+omits the head [0, t0 = exp(-48) c_lo) of relative size t0^2 / (2 |E E'|),
+below 1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).
+
+S(E) and D(E) at E != 0 also skip the ray's own head: the sum starts at
+the last segment of 16 nodes before which every pair's |c_k| mass is at
+most 2^-56 of its mass up to |E| (found from a table of the segments'
+least |E|, built on the ray's first sum at E != 0).  On the ray
+|w_k - E| >= |E|/2, so the head is at most 2 sum_{k<K} |c_k| / |E|,
+while the kept terms' rounding bound is at least 12 eps / |E| times their
+mass up to |E|: the head's bound is below 2^-56 / (6 eps), 1.1 %, of it.
+T(E, E'), the norms and E = 0 sum the full ray.  The kernel is evaluated
+once per energy for all pairs; neighbouring energies of a stack that
+start at one node form blocks, and each pair's row is summed on its own
+along the contiguous last axis, so a stack holds each energy's matrix
+bit for bit.  err, computed when first read, is the rounding bound
+24 eps sum_k |c_k| |kernel(w_k)| of the terms kept plus the head's bound
+2 sum_{k<K} |c_k| / |E|.
 
 Pairs with a tabulated factor.  A tabulated factor is linear in v between
 its nodes, v(g0) (x/g0)^p below the grid and v(gN) (x/gN)^tau above it; a
@@ -76,7 +88,8 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,16 +118,24 @@ class LevelShiftMatrix:
     entries: N x N complex Hermitian array (e.shape + (N, N) for a stack).
     e: evaluation energy (internal units), or the array of them.
     kind: "S", "T" or "D".
-    err: per-entry absolute rounding bounds, 24 eps sum |term| over the
-         terms of the entry (module docstring).
+    bounds: the err array, or a function of no arguments that computes it.
     e2: second energy for kind "T", None otherwise.
+
+    err, computed on first read: per-entry absolute error bounds, shaped as
+    entries, each energy's as at that energy alone: 24 eps sum |term| over
+    the terms summed, plus on the ray the bound of the head a sum skipped
+    (module docstring).
     """
 
     entries: np.ndarray
     e: float
     kind: str
-    err: np.ndarray
+    bounds: object = field(repr=False)
     e2: float | None = None
+
+    @functools.cached_property
+    def err(self) -> np.ndarray:
+        return self.bounds() if callable(self.bounds) else self.bounds
 
     @property
     def n(self) -> int:
@@ -137,12 +158,42 @@ _RAY_BELOW, _RAY_ABOVE = 48.0, 8.0
 # rounding bound of a node sum per unit of sum |term|: about ten roundings in
 # each coefficient (the Horner sums behind r_n r_m) plus log2 of the node count
 _SUM_ERR = 24.0 * np.finfo(float).eps
+# a sum at E starts at a multiple of _SEGMENT nodes, past a head whose |c|
+# mass is at most _HEAD of each pair's |c| mass up to |E|; terms per block
+# of energies in the ray sums
+_SEGMENT, _HEAD = 16, 2.0 ** -56
+_RAY_BLOCK = 2 ** 14
+
+
+class _RayTable(collections.namedtuple("_RayTable", "w c c_abs phase rows cols")):
+    """A model's ray table (module docstring): the nodes w, a row c of
+    coefficients per built-in pair n <= m (indices rows, cols), |c| and the
+    pair phases."""
+
+    @functools.cached_property
+    def segments(self):
+        """(starts, mass), built on the first sum at an energy E != 0:
+        starts[j - 1], ascending, is the least |E| whose sums may start at
+        segment j of _SEGMENT nodes, and mass[:, j] each pair's |c| mass up
+        to the end of segment j.
+
+        Segment j may start once, for every pair, the mass up to |E| reaches
+        the mass before j over _HEAD.  The mass up to the end of a segment
+        bounds the mass up to |E| from below, so that is from the last node
+        of the first segment whose mass does (inf where none does)."""
+        first = np.arange(0, self.w.size, _SEGMENT)
+        mass = np.add.reduceat(self.c_abs, first, axis=-1).cumsum(axis=-1)
+        need = mass[:, :-1] / _HEAD
+        reach = mass[0].searchsorted(need[0])
+        for m, x in zip(mass[1:], need[1:]):
+            np.maximum(reach, m.searchsorted(x), out=reach)
+        last = np.abs(self.w[np.append(first[1:], self.w.size) - 1])
+        return np.append(last, np.inf)[reach], mass
 
 
 def _ray_rows(factors):
-    """Nodes w_k of the factors' built-in pairs n <= m, a row c_k = h w_k^2
-    r_n(w_k) r_m(w_k) per pair, |c_k|, the phases conj(phi_n) phi_m and the
-    indices n, m (module docstring); None without built-in factors."""
+    """The factors' `_RayTable` of their built-in pairs n <= m, c_k = h w_k^2
+    r_n(w_k) r_m(w_k) (module docstring); None without built-in factors."""
     built = [i for i, f in enumerate(factors) if f.common_phase is not None]
     if not built:
         return None
@@ -152,15 +203,62 @@ def _ray_rows(factors):
     w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
     r = {i: factors[i].rational_part(w) for i in built}
     pairs = [(i, j) for i in built for j in built if j >= i]
-    c = np.array([_RAY_STEP * w * w * r[i] * r[j] for i, j in pairs])
+    # h w^2 once for all pairs, the same product as per pair
+    hw2 = _RAY_STEP * w * w
+    c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
     phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
                       for i, j in pairs])
-    return w, c, np.abs(c), phase, *np.array(pairs).T
+    return _RayTable(w, c, np.abs(c), phase, *np.array(pairs).T)
 
 
 def _kernel(w, e, e2=None):
-    """1/(w - e), or 1/((w - e)(w - e2)), at the ray nodes: once per energy."""
+    """1/(w - e), or 1/((w - e)(w - e2)), at the ray nodes: once per energy,
+    one row per energy for a column e of energies."""
     return 1.0 / (w - e) if e2 is None else 1.0 / ((w - e) * (w - e2))
+
+
+def _ray_segments(t, e, e2):
+    """The segment at which the sums of each energy of the array e start:
+    the first for T(E, E') and E = 0."""
+    if e2 is not None or not e.any():
+        return np.zeros(e.size, dtype=int)
+    return np.searchsorted(t.segments[0], np.abs(e), side="right")
+
+
+def _ray_reduce(t, coef, e, e2, seg, part):
+    """sum_k coef_k part(kernel(w_k)) of every pair from the first node of
+    each energy's segment seg, (e.size, pairs): one kernel per energy, each
+    run of neighbouring energies that share a start in blocks of at most
+    _RAY_BLOCK terms, whose terms go into one buffer, and each row reduced
+    on its own along the contiguous last axis, so that a sum does not
+    depend on the energies beside it."""
+    cuts = [0, e.size] if e.size else [0]
+    if e.size > 1:
+        cuts[1:1] = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+    sums = np.empty((e.size, coef.shape[0]), dtype=coef.dtype)
+    buf = np.empty(min(e.size * coef.size, max(_RAY_BLOCK, coef.size)), dtype=coef.dtype)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        k = int(seg[lo]) * _SEGMENT
+        c = coef[:, k:]
+        size = max(1, _RAY_BLOCK // c.size)
+        for b in range(lo, hi, size):
+            g = slice(b, min(b + size, hi))
+            terms = buf[:(g.stop - b) * c.size].reshape(g.stop - b, *c.shape)
+            np.multiply(c, part(_kernel(t.w[k:], e[g, None], e2))[:, None, :], out=terms)
+            sums[g] = np.add.reduce(terms, axis=-1)
+    return sums
+
+
+def _ray_bounds(t, e, e2=None):
+    """The error bounds of the ray sums at the energies e, (e.size, pairs):
+    the rounding bound _SUM_ERR sum |c_k kernel(w_k)| of the terms kept,
+    and the dropped head's bound 2 sum |c_k| / |E|, since |w - E| >= |E|/2
+    on the ray."""
+    seg = _ray_segments(t, e, e2)
+    kept = _SUM_ERR * _ray_reduce(t, t.c_abs, e, e2, seg, np.abs)
+    head = seg > 0
+    kept[head] += 2.0 * t.segments[1][:, seg[head] - 1].T / np.abs(e[head, None])
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -458,40 +556,37 @@ def _triangles(n):
 
 def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
     """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
-    1/((w - E)(w - e2))) and their error bounds, shaped e.shape + (N, N) for
-    E in e: built-in pairs are phase * Re sum_k c_k kernel(w_k) on the
-    model's ray table, the others `_panel_sums` on its panel table; the
-    upper triangle is mirrored."""
-    energies = np.ravel(e).tolist()
+    1/((w - E)(w - e2))), shaped e.shape + (N, N) for E in e, and their
+    error bounds, computed when first read: built-in pairs are phase *
+    Re sum_k c_k kernel(w_k) on the model's ray table, each sum from its
+    energy's start (`_ray_reduce`), the others `_panel_sums` on its panel
+    table; the upper triangle is mirrored."""
+    x = np.ravel(e)
     n = model.n_levels
-    entries = np.zeros((len(energies), n, n), dtype=complex)
-    err = np.zeros((len(energies), n, n), dtype=float)
-    table = model._ray_rows
-    if table is not None:
-        w, c, c_abs, phase, rows, cols = table
-        sums = np.empty((len(energies), rows.size), dtype=complex)
-        bounds = np.empty((len(energies), rows.size), dtype=float)
-        # one energy at a time, so no (energies, pairs, nodes) temporary; the
-        # values are row sums, not a matrix product, which keeps each pair's
-        # summation order (the bounds need no such care)
-        for b, x in enumerate(energies):
-            kernel = _kernel(w, x, e2)
-            sums[b] = np.add.reduce(c * kernel, axis=-1)
-            bounds[b] = c_abs @ np.abs(kernel)
-        entries[:, rows, cols] = phase * sums.real
-        err[:, rows, cols] = _SUM_ERR * bounds
-    table = model._panel_rows
-    if table is not None:
-        sums, bounds = _panel_sums(table, np.ravel(e), e2)
-        entries[:, table.rows, table.cols] = sums
-        err[:, table.rows, table.cols] = _SUM_ERR * bounds
+    entries = np.zeros((x.size, n, n), dtype=complex)
+    ray, panels = model._ray_rows, model._panel_rows
+    if ray is not None:
+        sums = _ray_reduce(ray, ray.c, x, e2, _ray_segments(ray, x, e2), lambda k: k)
+        entries[:, ray.rows, ray.cols] = ray.phase * sums.real
+    if panels is not None:
+        sums, panel_bounds = _panel_sums(panels, x, e2)
+        entries[:, panels.rows, panels.cols] = sums
     # a Hermitian matrix has a real diagonal
     diag, low, up = _triangles(n)
     entries[:, diag, diag] = entries[:, diag, diag].real
     entries[:, low, up] = np.conj(entries[:, up, low])
-    err[:, low, up] = err[:, up, low]
     shape = np.shape(e) + (n, n)
-    return LevelShiftMatrix(entries.reshape(shape), e, kind, err.reshape(shape), e2)
+
+    def bounds():
+        err = np.zeros((x.size, n, n))
+        if ray is not None:
+            err[:, ray.rows, ray.cols] = _ray_bounds(ray, x, e2)
+        if panels is not None:
+            err[:, panels.rows, panels.cols] = _SUM_ERR * panel_bounds
+        err[:, low, up] = err[:, up, low]
+        return err.reshape(shape)
+
+    return LevelShiftMatrix(entries.reshape(shape), e, kind, bounds, e2)
 
 
 def _norm_sq(model, n) -> float:
@@ -501,14 +596,20 @@ def _norm_sq(model, n) -> float:
         k = np.flatnonzero((t.rows == n) & (t.cols == n))[0]
         return float((np.add.reduce(t.d[k]) + t.eta_lo[k] * t.edges[0] / (t.p[k] + 1.0)
                       + t.eta_hi[k] * t.edges[-1] / (-1.0 - t.beta[k])).real)
-    _, c, _, _, rows, cols = model._ray_rows
-    return float(c[np.flatnonzero((rows == n) & (cols == n))[0]].sum().real)
+    t = model._ray_rows
+    return float(t.c[np.flatnonzero((t.rows == n) & (t.cols == n))[0]].sum().real)
+
+
+def _any(test, e):
+    """Whether test(E, 0) holds for the energy e or for any of an array;
+    a float skips numpy, since every search step checks one."""
+    return test(e, 0.0) if isinstance(e, float) else np.any(test(e, 0.0))
 
 
 def _check_below_threshold(model, e, op):
-    if np.any(np.greater(e, 0.0)):
+    if _any(operator.gt, e):
         raise ValueError(f"{op} requires E <= 0, got E = {np.max(e)}")
-    if np.any(np.equal(e, 0.0)):
+    if _any(operator.eq, e):
         for k, f in enumerate(model.form_factors, start=1):
             if not f.p_exponent > 0.0:
                 raise ConfigError(
@@ -556,8 +657,8 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
-    if np.any(np.less(e, 0.0)):
+    if _any(operator.lt, e):
         raise ValueError(f"pv_matrix requires E >= 0, got E = {np.min(e)}")
-    if np.any(np.equal(e, 0.0)):
+    if _any(operator.eq, e):
         _check_below_threshold(model, 0.0, "gram_matrix")
     return _level_shift(model, "D", e)

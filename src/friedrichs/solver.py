@@ -188,24 +188,28 @@ def residual(model, state: BoundState) -> float:
     return float(np.linalg.norm(k @ c - state.energy * c) / nrm)
 
 
-def _count_and_roots(model):
+def _count_and_roots(model, curves):
     """The count at E = 0 and the roots [(energy, bracket)] of the counted
-    branches, with the eigencurve family they were found on: `solve_model`
+    branches on an eigencurve family that is S(E) at E <= 0: `solve_model`
     without its states, for callers that need only the energies."""
-    curves = _eigencurves(model, "S")
     counted = CountResult.from_kappa(curves([0.0])[0].kappa)
     roots = []
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
         roots = _branch_roots(curves, counted.count, seed)
-    return counted, roots, curves
+    return counted, roots
 
 
 def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
     search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
     |v_n|^2, 0] down to a bracket narrower than 1e-12 + 4 eps |E|."""
-    counted, roots, curves = _count_and_roots(model)
+    return _solve(model, _eigencurves(model, "S"))
+
+
+def _solve(model, curves) -> SolveReport:
+    """`solve_model` on an eigencurve family that is S(E) at E <= 0."""
+    counted, roots = _count_and_roots(model, curves)
     states = tuple(replace(_bound_state(model, n, curves([e])[0]), bracket=bracket)
                    for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
@@ -223,7 +227,12 @@ def positive_candidate_scan(model, e_grid):
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
     if np.any(grid <= 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
-    curves = _eigencurves(model, "D")
+    return _positive_candidates(model, _eigencurves(model, "D"), grid)
+
+
+def _positive_candidates(model, curves, grid):
+    """`positive_candidate_scan` over a sorted positive grid, on an
+    eigencurve family that is D(E) at E > 0."""
     gaps = np.array([p.kappa - p.e for p in curves(grid)])
     # a zero on the grid is a crossing as sampled; every sign change between
     # neighbours is refined, all of them in one elementwise search

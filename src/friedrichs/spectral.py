@@ -74,9 +74,10 @@ def kappa_curve(model, e_grid, kind: str = "auto"):
     return _eigencurves(model, kind)(np.atleast_1d(np.asarray(e_grid, dtype=float)))
 
 
-def _eigencurves(model, kind):
+def _eigencurves(model, kind, points=()):
     """The eigencurve family of K(E) on the shift kind ("auto", "S" or "D",
-    as for `kappa_curve`), remembered per energy (see `_EigenCurves`)."""
+    as for `kappa_curve`), remembered per energy (see `_EigenCurves`) from
+    the given points of that family on."""
     if kind not in ("auto", "S", "D"):
         raise ValueError(f"unknown shift kind {kind!r}")
 
@@ -88,7 +89,7 @@ def _eigencurves(model, kind):
                 k[part] = k_matrix(model, shift(model, e[part]))
         return k
 
-    return _EigenCurves(build)
+    return _EigenCurves(build, points)
 
 
 class _EigenCurves:
@@ -97,8 +98,8 @@ class _EigenCurves:
     build(array of energies), and diagonalizes it with one stacked eigh,
     which gives every point bit for bit as one energy alone."""
 
-    def __init__(self, build):
-        self._build, self._points = build, {}
+    def __init__(self, build, points=()):
+        self._build, self._points = build, {p.e: p for p in points}
 
     def __call__(self, energies) -> list:
         """The points at the energies, flattened, in their order."""

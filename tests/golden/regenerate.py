@@ -8,6 +8,8 @@ digit in CHANGES.md.  Run from the repository root:
     python3 tests/golden/regenerate.py          # rewrite every case
     python3 tests/golden/regenerate.py --diff   # list moved numbers only
 
+Any other argument (--help included) exits 2 without writing.
+
 --diff reruns every case into a temporary directory and prints each number
 that differs from the stored file as old -> new with its relative change;
 it writes nothing here.
@@ -18,6 +20,7 @@ tabulated model is named by the relative path that its metadata records.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -117,7 +120,13 @@ def diff() -> int:
 
 
 def main(argv=()):
-    if "--diff" in argv:
+    """Rewrite every case, or with --diff only list what moved; any other
+    argument exits 2 (argparse) and writes nothing."""
+    ap = argparse.ArgumentParser(description="regenerate the golden CLI outputs",
+                                 add_help=False, allow_abbrev=False)
+    ap.add_argument("--diff", action="store_true",
+                    help="list moved numbers against the stored files, write nothing")
+    if ap.parse_args(argv).diff:
         diff()
         return
     for case in CASES:

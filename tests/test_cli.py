@@ -11,6 +11,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -151,6 +152,26 @@ def test_kappa_curves_candidates(tmp_path):
     assert len(cands) == 2
     for r in cands:
         assert float(r[3]) > 1e-3  # defect far from an embedded eigenvalue
+
+
+def test_kappa_curves_builds_each_energy_once(tmp_path, monkeypatch):
+    # the rows, the bound-state search and the positive crossing search
+    # share one eigencurve family: every energy handed to pv_matrix or
+    # gram_matrix is distinct, the grid's included
+    import friedrichs.spectral as spectral
+
+    energies = []
+    for name in ("pv_matrix", "gram_matrix"):
+        build = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda model, e, build=build: (
+            energies.extend(np.ravel(e).tolist()) or build(model, e)))
+    rc = main(["kappa-curves", "--preset", "three-level-fig", "--lambda", "3",
+               "--e-min=-0.5", "--e-max=0.3", "--e-steps", "41", "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, irows = read_csv(tmp_path / "kappa_curves_intersections.csv")
+    assert sorted(r[2] for r in irows) == ["bound"] * 3 + ["candidate"]
+    assert len(energies) == len(set(energies))
+    assert set(np.linspace(-0.5, 0.3, 41).tolist()) < set(energies)
 
 
 def test_thresholds_true_branch(tmp_path, capsys):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import friedrichs
-from golden.regenerate import CASES, GOLDEN, moved, run
+from golden.regenerate import CASES, GOLDEN, main, moved, run
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -43,3 +43,14 @@ def test_diff_lists_moved_numbers():
     assert moved(old, old) == []
     assert moved(old, new) == ["line 3, number 2: -2.50e-01 -> -2.51e-01 (rel -4.0e-03)",
                                "line 4: None -> 'state'"]
+
+
+@pytest.mark.parametrize("argv", [["--bogus"], ["--dif"], ["--help"], ["--diff", "extra"]])
+def test_regenerate_rejects_unknown_arguments(argv):
+    # --diff is the only option: anything else exits 2 before any case runs,
+    # so no golden file is rewritten
+    before = {p: p.read_bytes() for p in GOLDEN.rglob("*") if p.is_file()}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert {p: p.read_bytes() for p in GOLDEN.rglob("*") if p.is_file()} == before

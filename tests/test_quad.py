@@ -362,19 +362,70 @@ def test_ray_kernel_matches_quadpack(model):
 
 def test_ray_tables_die_with_the_model():
     # the node table lives on the model, not in a module cache or on the
-    # factors, so dropping the model frees it
+    # factors, so dropping the model frees it; with the nodes it holds,
+    # from the first sum at E != 0 on, the starts of the segments of 16
+    # nodes and each pair's mass up to each segment's end
     model = make_preset("three-level-fig")
+    gram_matrix(model, 0.0)
+    assert "segments" not in vars(model._ray_rows)
     gram_matrix(model, -0.3)
     pv_matrix(model, 0.5)
     w, c, _, _, rows, cols = model._ray_rows
+    starts, mass = model._ray_rows.segments
     assert c.shape == (6, w.size)
+    segments = -(-w.size // 16)
+    assert starts.shape == (segments - 1,) and mass.shape == (6, segments)
+    assert np.all(starts[1:] >= starts[:-1]) and starts[0] > 0.0
     assert sorted(zip(rows.tolist(), cols.tolist())) == [
         (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     factor = weakref.ref(model.form_factors[0])
     nodes = weakref.ref(w)
-    del model, w, c, rows, cols
+    del model, w, c, rows, cols, starts, mass
     assert factor() is None
     assert nodes() is None
+
+
+def _head_drop_models():
+    """The ray models, both presets, and a narrow rational factor of index
+    11 with a zero of its polynomial near its width 1e-6 next to a wide one
+    of width 1e6: a cut at a fixed fraction of |E| drops up to 1e52 times
+    the kept terms' rounding bound there."""
+    yield from (m for _, m in _RAY_MODELS)
+    yield make_preset("hydrogen-4level")
+    yield make_preset("three-level-fig")
+    yield FriedrichsModel((-0.1, 0.2), 0.5,
+                          (RationalFormFactor(11, -0.999, 1e-6), RationalFormFactor(1, 0.0, 1e6)),
+                          UnitSystem(1.0))
+
+
+@pytest.mark.parametrize("model", list(_head_drop_models()),
+                         ids=[f"ray{i}" for i in range(len(_RAY_MODELS))]
+                         + ["hydrogen", "three-level", "adversarial"])
+def test_ray_head_drop_is_within_err(model):
+    # a sum that skips the ray's head: the head's bound 2 sum |c_k| / |E| is
+    # at most 1.1 % of the kept terms' rounding bound, and the sum differs
+    # from the full ray's by at most err, at E in +-[1e-8 c_lo, 1e3 c_hi]
+    # and one ulp either side of every segment's start
+    import friedrichs.quad as quad
+
+    t = model._ray_rows
+    lo, hi = min(f.scale for f in model.form_factors), model.max_scale()
+    starts = t.segments[0]
+    finite = starts[np.isfinite(starts)]
+    mags = np.concatenate((np.geomspace(1e-8 * lo, 1e3 * hi, 60),
+                           np.nextafter(finite, 0.0), finite, np.nextafter(finite, np.inf)))
+    for e in np.concatenate((mags, -mags)):
+        first = 16 * int(np.searchsorted(starts, abs(e), side="right"))
+        kernel = 1.0 / (t.w - e)
+        size = np.abs(t.c * kernel)
+        kept = quad._SUM_ERR * size[:, first:].sum(axis=-1)
+        dropped = 2.0 * t.c_abs[:, :first].sum(axis=-1) / abs(e)
+        assert np.all(dropped <= 0.011 * kept), e
+        full = np.add.reduce(t.c * kernel, axis=-1).real
+        m = (pv_matrix if e > 0.0 else gram_matrix)(model, e)
+        got = m.entries[t.rows, t.cols] * np.conj(t.phase)
+        assert np.all(np.abs(got - full) <= m.err[t.rows, t.cols]), e
+        assert np.allclose(m.err[t.rows, t.cols], kept + dropped, rtol=1e-12, atol=0.0), e
 
 
 def test_panel_tables_die_with_the_model():
@@ -468,34 +519,52 @@ def test_stacked_matrices_match_single_energies(name):
                                            for to in (0.0, np.inf)]
     grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 100.0 * scale, 23 - len(nodes)),
                            nodes))
+    ray = model._ray_rows
+    if ray is not None:
+        # one ulp either side of two segments' starts on the ray
+        starts = ray.segments[0]
+        finite = starts[np.isfinite(starts)]
+        grid = np.append(grid, [np.nextafter(x, to) for to in (0.0, np.inf)
+                                for x in finite[[finite.size // 3, 2 * finite.size // 3]]])
     stack = pv_matrix(model, grid)
     assert stack.entries.shape == stack.err.shape == (grid.size, model.n_levels,
                                                       model.n_levels)
     for e, entries, err in zip(grid, stack.entries, stack.err):
         one = pv_matrix(model, e)
         assert np.array_equal(entries, one.entries) and np.array_equal(err, one.err), e
-    below = -grid[::-1].reshape(4, 6)
+    below = -grid[::-1].reshape(4, -1)
     stack = gram_matrix(model, below)
-    assert stack.entries.shape == (4, 6, model.n_levels, model.n_levels)
-    for e, entries in zip(below.ravel(), stack.entries.reshape(24, *stack.entries.shape[2:])):
-        assert np.array_equal(entries, gram_matrix(model, e).entries), e
+    assert stack.entries.shape == below.shape + (model.n_levels, model.n_levels)
+    flat = (a.reshape(grid.size, *a.shape[2:]) for a in (stack.entries, stack.err))
+    for e, entries, err in zip(below.ravel(), *flat):
+        one = gram_matrix(model, e)
+        assert np.array_equal(entries, one.entries) and np.array_equal(err, one.err), e
 
 
 def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
-    # one kernel 1/(w - E) on the ray per energy serves all six built-in
-    # pairs, and a tabulated-only model has no ray table and does no ray
-    # work (its pairs are on its panel table)
+    # each energy goes into exactly one kernel 1/(w - E) on the ray, which
+    # serves all six built-in pairs, also in a stack whose sums start at
+    # different nodes; err, computed on first read, evaluates it again.  A
+    # tabulated-only model has no ray table and does no ray work (its pairs
+    # are on its panel table)
     import friedrichs.quad as quad
 
     calls = []
     kernel = quad._kernel
-    monkeypatch.setattr(quad, "_kernel", lambda *a: calls.append(a[1:]) or kernel(*a))
-    pv_matrix(hydrogen, np.linspace(0.01, 1.0, 7))
-    assert len(calls) == 7
-    calls.clear()
+    monkeypatch.setattr(quad, "_kernel", lambda w, e, e2=None: calls.append(
+        (np.ravel(e).tolist(), e2)) or kernel(w, e, e2))
+    for grid in (np.linspace(0.01, 1.0, 7), np.geomspace(1e-6, 100.0, 50)):
+        stack = pv_matrix(hydrogen, grid)
+        starts = np.searchsorted(hydrogen._ray_rows.segments[0], grid, side="right")
+        assert np.unique(starts).size > (1 if grid.size == 50 else 0)
+        assert sorted(e for energies, _ in calls for e in energies) == grid.tolist()
+        calls.clear()
+        stack.err
+        assert sorted(e for energies, _ in calls for e in energies) == grid.tolist()
+        calls.clear()
     t_matrix(hydrogen, -0.5, -0.25)
     gram_matrix(hydrogen, -0.5)
-    assert calls == [(-0.5, -0.25), (-0.5, None)]
+    assert calls == [([-0.5], -0.25), ([-0.5], None)]
     calls.clear()
     tabulated = _STACK_MODELS["golden-tabulated"]()
     pv_matrix(tabulated, np.linspace(0.01, 1.0, 7))
