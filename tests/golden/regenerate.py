@@ -56,6 +56,7 @@ CASES = {
     "analyze-tabulated": ["analyze", *_TABULATED],
     "kappa-tabulated-D": ["kappa-curves", *_TABULATED, "--kind", "D",
                           "--e-min=1e-3", "--e-max=0.4", "--e-steps", "12"],
+    "oracle-tabulated": ["oracle-check", *_TABULATED],
 }
 
 
