@@ -22,18 +22,23 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  The search runs on one eigencurve family of K_M(E), which
-builds and diagonalizes each energy once per grid: the count's point at -g
-is the search's upper bracket end, and each root's point gives its level
-block.  When all form factors share a global phase times a sign, B is built
-real; the discrete spectrum is unchanged and the level-block eigenvectors
-stay directly comparable to the solver's.
+rule once.  The grids of a schedule share one root search, the solver's,
+over every (grid, branch) pair on one eigencurve family keyed by (grid, E):
+each step builds every new K_M(E) of a grid as one broadcast stack and
+diagonalizes those of all grids in one stacked eigh, so each grid's roots
+are bit for bit its own search's.  The count's points at -gap are the
+search's upper bracket ends, and each root's point gives its level block.
+Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
+model's widest form factor, so the count does not depend on the units.
+When all form factors share a global phase times a sign, B is built real
+(for one model, on every grid); the discrete spectrum is unchanged and the
+level-block eigenvectors stay directly comparable to the solver's.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,19 +49,25 @@ from .spectral import _EigenCurves, _eigencurves
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
 
-# eigenvalues at or above -_GAP_TOL count as continuum, not bound states
-_GAP_TOL = 1e-8
+# eigenvalues at or above -_GAP_RTOL * model.max_scale() count as
+# continuum, not bound states
+_GAP_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class DiscretizedHamiltonian:
     """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
-    the levels, the coupling block b (N x M) and the grid."""
+    the levels, the coupling block b (N x M) and the grid.  Its eigenvalues
+    at or above -gap count as continuum; `discretize` sets gap to 1e-8
+    times the model's widest form factor."""
 
     levels: np.ndarray
     b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+    gap: float = _GAP_RTOL
+    # the root search this grid shares with its schedule, until it reads it
+    _schedule: "_Schedule" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -74,30 +85,74 @@ class DiscretizedHamiltonian:
         return self.b.conj().T
 
     def _k(self, e):
-        """K_M(E) = diag(omega) - b diag(1/(omega_j - E)) b^dagger."""
-        return np.diag(self.levels) - (self.b / (self.nodes - e)) @ self._b_dagger
+        """K_M(E) = diag(omega) - b diag(1/(omega_j - E)) b^dagger at each
+        energy of the array e, as one stack."""
+        return np.diag(self.levels) - (self.b / (self.nodes - e[:, None, None])) @ self._b_dagger
 
     def _roots(self):
-        """The eigenvalues of h below -_GAP_TOL, ascending, and the
-        eigencurve family of K_M(E) they were found on."""
-        curves = _EigenCurves(lambda es: np.array([self._k(e) for e in es]))
-        # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
-        # that point is also the search's upper bracket end
-        (top,) = curves([-_GAP_TOL])
-        count = int(np.count_nonzero(top.kappa < -_GAP_TOL))
-        e_lo = _seed(self.levels, float(np.sum(np.abs(self.b) ** 2)))
-        return [e for e, _ in _branch_roots(curves, count, e_lo, -_GAP_TOL)], curves
+        """The eigenvalues of h below -gap, ascending, and the eigencurve
+        points of K_M(E) there: this grid's share of its schedule's search,
+        or of a search of its own."""
+        return (self._schedule or _Schedule((self,))).take(self)
 
     def negative_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of h below -_GAP_TOL, ascending."""
+        """Eigenvalues of h below -gap, ascending."""
         return np.array(self._roots()[0])
 
     def negative_eigensystem(self):
-        """Eigenpairs of h below -_GAP_TOL: (values, level blocks), the
-        blocks normalized to unit columns like solver amplitudes."""
-        vals, curves = self._roots()
-        blocks = [p.vectors[:, i] for i, p in enumerate(curves(vals))]
+        """Eigenpairs of h below -gap: (values, level blocks), the blocks
+        normalized to unit columns like solver amplitudes."""
+        vals, points = self._roots()
+        blocks = [p.vectors[:, i] for i, p in enumerate(points)]
         return np.array(vals), np.array(blocks).reshape(len(vals), self.levels.size).T
+
+
+class _Schedule:
+    """The grids of one schedule and their one root search.
+
+    The first grid to ask runs the search for all of them; each grid then
+    reads its own result once, and a grid that asks again is searched alone.
+    """
+
+    def __init__(self, grids):
+        self._grids, self._found = tuple(grids), None
+        for grid in self._grids:
+            object.__setattr__(grid, "_schedule", self)  # a frozen dataclass
+
+    def take(self, grid):
+        if self._found is None:
+            self._found = dict(zip(map(id, self._grids), _search(self._grids)))
+            self._grids = ()
+        object.__setattr__(grid, "_schedule", None)
+        return self._found.pop(id(grid))
+
+
+def _search(grids):
+    """(roots, points) of every grid: its eigenvalues below -gap and the
+    eigencurve points of K_M(E) there, all from one root search over every
+    (grid, branch) pair on one eigencurve family keyed by (grid, E)."""
+    n = grids[0].levels.size
+    dtype = np.result_type(grids[0].levels, *(g.b for g in grids))
+
+    def build(es, members):
+        k = np.empty(es.shape + (n, n), dtype=dtype)
+        for i in np.unique(members).tolist():
+            at = members == i
+            k[at] = grids[i]._k(es[at])
+        return k
+
+    curves, members = _EigenCurves(build), np.arange(len(grids))
+    # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
+    # those points are also the search's upper bracket ends
+    tops = np.array([-g.gap for g in grids])
+    counts = [int(np.count_nonzero(p.kappa < p.e)) for p in curves(tops, members)]
+    seeds = [_seed(g.levels, float(np.sum(np.abs(g.b) ** 2))) for g in grids]
+    roots = iter(e for e, _ in _branch_roots(curves, counts, seeds, tops))
+    found = []
+    for i, count in enumerate(counts):
+        vals = [next(roots) for _ in range(count)]
+        found.append((vals, curves(vals, [i] * count)))
+    return found
 
 
 def _coupling_block(model, nodes, weights):
@@ -150,7 +205,7 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights)
+                                  nodes, weights, _GAP_RTOL * model.max_scale())
 
 
 @dataclass(frozen=True)
@@ -175,27 +230,32 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     Each row records the count, the energies, and (when the counts agree)
     the absolute deviations from the solver roots.  Branch-wise deviations
     that grow between consecutive grids raise the non_cauchy flag; a clean
-    refinement study should shrink monotonically.
+    refinement study should shrink monotonically.  The grids share one
+    root search, which the first grid's `negative_eigenvalues` runs.
     """
     counted, roots = _count_and_roots(model, _eigencurves(model, "S"))
     solver_e = tuple(e for e, _ in roots)
+    ms = [int(m) for m in m_schedule]
+    grids = [discretize(model, m) for m in ms]
+    _Schedule(grids)
+    floor = 1e-11 * model.max_scale()
     rows = []
     prev = None
     non_cauchy = False
-    for m in m_schedule:
-        vals = discretize(model, int(m)).negative_eigenvalues()
+    for m, grid in zip(ms, grids):
+        vals = grid.negative_eigenvalues()
         count = int(vals.size)
         if count == len(solver_e):
             deltas = tuple(abs(float(v) - e) for v, e in zip(vals, solver_e))
         else:
             deltas = ()
         if prev and deltas and len(prev) == len(deltas):
-            # factor-2 slack plus an absolute floor so root-search noise
-            # (1e-12 brackets) near convergence does not raise the flag
-            if any(d > 2.0 * p + 1e-11 for d, p in zip(deltas, prev)):
+            # factor-2 slack plus a floor on the model's scale so root-search
+            # noise (1e-12 brackets) near convergence does not raise the flag
+            if any(d > 2.0 * p + floor for d, p in zip(deltas, prev)):
                 non_cauchy = True
         if deltas:
             prev = deltas
-        rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals),
+        rows.append(ConvergenceRow(m, count, tuple(float(v) for v in vals),
                                    deltas))
     return ConvergenceTable(tuple(rows), counted.count, solver_e, non_cauchy)

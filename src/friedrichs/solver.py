@@ -120,28 +120,36 @@ def _seed(levels, coupled_norm_sq):
 
 def _gap(curves):
     """The objective kappa_n(E) - E, elementwise over energies e and branches
-    n (1-based) of the eigencurve family curves: bracket ends shared by
-    several branches, or met again, are built once."""
-    return lambda e, n: np.array([p.kappa[m - 1] for p, m in zip(curves(e), n)]) - e
+    n (1-based) of the eigencurve family curves, and over its members if it
+    has several: bracket ends shared by several branches, or met again, are
+    built once."""
+    return lambda e, n, *member: np.array(
+        [p.kappa[m - 1] for p, m in zip(curves(e, *member), n)]) - e
 
 
 def _branch_roots(curves, count, e_lo, e_hi=0.0):
     """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
     search on the eigencurve family curves.
 
-    Returns [(root, final bracket)] in branch order; where the gap is
-    exactly 0 the root is exact and its bracket is [root, root].
+    On a family of several members, count, e_lo and e_hi hold one entry per
+    member, and the one search runs over every (member, branch) pair.
+    Returns [(root, final bracket)] in member, then branch order; where the
+    gap is exactly 0 the root is exact and its bracket is [root, root].
     """
-    if not count:
+    counts = np.atleast_1d(count)
+    if not counts.sum():
         return []
-    branch = np.arange(1, count + 1)
-    res = bracketed_root(_gap(curves), np.full(count, e_lo), np.full(count, e_hi),
-                         args=(branch,), what="branch roots, kappa_n(E) - E",
+    member = np.repeat(np.arange(counts.size), counts)
+    branch = np.concatenate([np.arange(1, c + 1) for c in counts])
+    lo, hi = (np.broadcast_to(e, counts.shape)[member] for e in (e_lo, e_hi))
+    res = bracketed_root(_gap(curves), lo, hi,
+                         args=(branch, member) if np.ndim(count) else (branch,),
+                         what="branch roots, kappa_n(E) - E",
                          xatol=_ROOT_TOL, xrtol=_ROOT_RTOL)
-    touching = branch[~(res.x < e_hi)]
-    if touching.size:
-        raise BracketError(f"branches {touching.tolist()} touch the diagonal "
-                           f"at E = {e_hi:g}")
+    touching = ~(res.x < hi)
+    if touching.any():
+        raise BracketError(f"branches {branch[touching].tolist()} touch the diagonal "
+                           f"at E = {hi[touching][0]:g}")
     exact = res.f_x == 0.0
     return [(float(x), (float(lo), float(hi))) for x, lo, hi in
             zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]

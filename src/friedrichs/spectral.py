@@ -96,17 +96,26 @@ class _EigenCurves:
     """A family K(E) of Hermitian matrices, remembered as one EigenCurvePoint
     per energy: each call builds the energies not seen before as one stack,
     build(array of energies), and diagonalizes it with one stacked eigh,
-    which gives every point bit for bit as one energy alone."""
+    which gives every point bit for bit as one energy alone.
+
+    A family of several members (the grids of one oracle schedule) is keyed
+    by (member, E) instead: a call names the member of each energy, and the
+    new ones of every member are built as build(energies, members) and
+    diagonalized together.
+    """
 
     def __init__(self, build, points=()):
         self._build, self._points = build, {p.e: p for p in points}
 
-    def __call__(self, energies) -> list:
-        """The points at the energies, flattened, in their order."""
+    def __call__(self, energies, members=None) -> list:
+        """The points at the energies, flattened, in their order (of member
+        members[i] at energies[i] on a family of several members)."""
         es = np.ravel(energies).tolist()
-        new = list(dict.fromkeys(e for e in es if e not in self._points))
+        keys = es if members is None else list(zip(np.ravel(members).tolist(), es))
+        new = list(dict.fromkeys(k for k in keys if k not in self._points))
         if new:
-            kappa, vectors = np.linalg.eigh(self._build(np.array(new)))
-            self._points.update((e, EigenCurvePoint(e, a, v))
-                                for e, a, v in zip(new, kappa, vectors))
-        return [self._points[e] for e in es]
+            at = [new] if members is None else list(zip(*new))[::-1]
+            kappa, vectors = np.linalg.eigh(self._build(*map(np.array, at)))
+            self._points.update((k, EigenCurvePoint(e, a, v))
+                                for k, e, a, v in zip(new, at[0], kappa, vectors))
+        return [self._points[k] for k in keys]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import friedrichs._search
 import friedrichs.quad
 import friedrichs.solver
 from friedrichs import (
@@ -19,7 +20,7 @@ from friedrichs import (
     load_model,
     make_preset,
 )
-from friedrichs.oracle import _GAP_TOL, _coupling_block
+from friedrichs.oracle import _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
 from test_quad import _complex_tabulated
@@ -55,7 +56,7 @@ def test_node_sum_matches_dense_eigh(three_level, make, lam, m):
     model = (three_level.with_coupling(lam) if make == "three-level"
              else _tabulated_rational(lam))
     ham = discretize(model, m)
-    want, vecs = scipy.linalg.eigh(ham.h, subset_by_value=(-np.inf, -_GAP_TOL))
+    want, vecs = scipy.linalg.eigh(ham.h, subset_by_value=(-np.inf, -ham.gap))
     got, blocks = ham.negative_eigensystem()
     assert got.size == want.size > 0
     assert np.array_equal(ham.negative_eigenvalues(), got)
@@ -203,7 +204,7 @@ def test_negative_spectrum_builds_each_k_once(three_level, monkeypatch):
     energies = []
     build = DiscretizedHamiltonian._k
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
-                        lambda self, e: energies.append(e) or build(self, e))
+                        lambda self, e: energies.extend(e.tolist()) or build(self, e))
     ham = discretize(three_level.with_coupling(10.0), 1000)
     assert ham.negative_eigenvalues().size == 3
     assert len(energies) == len(set(energies))
@@ -220,7 +221,7 @@ def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeyp
     energies, matrices = [], []
     build, eigh = DiscretizedHamiltonian._k, np.linalg.eigh
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
-                        lambda self, e: energies.append(e) or build(self, e))
+                        lambda self, e: energies.extend(e.tolist()) or build(self, e))
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: matrices.append(np.size(a) // a.shape[-1] ** 2) or eigh(a))
     vals, blocks = discretize(three_level.with_coupling(10.0), 1000).negative_eigensystem()
@@ -236,3 +237,84 @@ def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch
     table = compare_negative_spectrum(three_level.with_coupling(0.7), (400,))
     assert table.solver_count == 2
     assert calls == []
+
+
+_GOLDEN_TABULATED = Path(__file__).parent / "golden" / "tabulated.json"
+_SCHEDULE = (500, 1000, 2000, 4000)
+# one level at 0.01 on RationalFormFactor(1) binds above lambda = 0.14272993;
+# 1e-6 above that its root lies at -1.48e-8, just below the gap of 1e-8,
+# and the grids below m = 500 miss it
+_SHALLOW = 0.14273007202215099
+
+
+def _single_level(lam):
+    return FriedrichsModel((0.01,), lam, (RationalFormFactor(1),), UnitSystem(1.0))
+
+
+@pytest.mark.parametrize("name", ["0.1", "0.7", "10", "tabulated"])
+def test_schedule_rows_match_grids_alone(name):
+    # the shared search gives every grid, bit for bit, its roots alone
+    model = (load_model(_GOLDEN_TABULATED) if name == "tabulated"
+             else make_preset("three-level-fig", float(name)))
+    table = compare_negative_spectrum(model, _SCHEDULE)
+    for row, m in zip(table.rows, _SCHEDULE):
+        alone = discretize(model, m).negative_eigenvalues()
+        assert row.count == alone.size > 0
+        assert np.array(row.energies).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("model,schedule,counts", [
+    (make_preset("three-level-fig", 0.7), (500, 500), [2, 2]),
+    (_single_level(_SHALLOW), (10, 100, 500, 1000), [0, 0, 1, 1]),
+    (_single_level(0.1), (10, 500), [0, 0]),
+])
+def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
+    # the solver's search, then one search over every (grid, branch) pair;
+    # none where no grid counts a state
+    sizes = []
+    find_root = friedrichs._search._find_root
+    monkeypatch.setattr(friedrichs._search, "_find_root",
+                        lambda f, lo, hi, **kw: sizes.append(np.size(lo))
+                        or find_root(f, lo, hi, **kw))
+    table = compare_negative_spectrum(model, schedule)
+    assert [row.count for row in table.rows] == counts
+    assert sizes == [n for n in (table.solver_count, sum(counts)) if n]
+    monkeypatch.undo()
+    for row, m in zip(table.rows, schedule):
+        alone = discretize(model, m).negative_eigenvalues()
+        assert np.array(row.energies).tobytes() == alone.tobytes()
+
+
+def test_schedule_builds_each_k_once(three_level, monkeypatch):
+    # each (grid, E) of the shared family is built once, the count's points
+    # at -gap included, and every grid of the schedule is searched
+    built = []
+    build = DiscretizedHamiltonian._k
+    monkeypatch.setattr(DiscretizedHamiltonian, "_k",
+                        lambda self, e: built.extend((id(self), x) for x in e.tolist())
+                        or build(self, e))
+    table = compare_negative_spectrum(three_level.with_coupling(10.0), _SCHEDULE)
+    assert [row.count for row in table.rows] == [3] * 4
+    assert len(built) == len(set(built))
+    assert len({grid for grid, _ in built}) == len(_SCHEDULE)
+
+
+def _scaled_three_level(s, lam):
+    # levels and widths times s: K_s(sE) = s K(E), so the bound states keep
+    # their count and their energies scale by s
+    base = make_preset("three-level-fig")
+    factors = tuple(RationalFormFactor(f.n_index, f.a, s * f.cutoff, f.prefactor)
+                    for f in base.form_factors)
+    return FriedrichsModel(tuple(s * w for w in base.levels), lam, factors, base.units)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1e3, 1e6])
+def test_oracle_count_is_scale_covariant(s, lam):
+    # the gap is relative to the model's scale: with a fixed 1e-8 the grid
+    # counted none of the states at s = 1e-9 and one of two at s = 1e-6
+    model = _scaled_three_level(s, lam)
+    ham = discretize(model, 1000)
+    assert ham.gap == 1e-8 * model.max_scale()
+    table = compare_negative_spectrum(model, (1000,))
+    assert table.rows[0].count == table.solver_count == {0.1: 1, 0.7: 2, 10.0: 3}[lam]
