@@ -114,6 +114,7 @@ class _EigenCurves:
         keys = es if members is None else list(zip(np.ravel(members).tolist(), es))
         new = list(dict.fromkeys(k for k in keys if k not in self._points))
         if new:
+            # build's arguments: the new energies, then (if keyed) their members
             at = [new] if members is None else list(zip(*new))[::-1]
             kappa, vectors = np.linalg.eigh(self._build(*map(np.array, at)))
             self._points.update((k, EigenCurvePoint(e, a, v))
