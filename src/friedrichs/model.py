@@ -16,10 +16,10 @@ Built-in form-factor families share one algebraic shape,
     v(x) = phase * A * sqrt(u) * Q(u**2) / (1 + u**2)**q,   u = x / c,
 
 with a real polynomial Q, integer pole order q and width c.  This makes
-closed-form modulus-squared derivatives available, which the threshold
-certificates need as exact suprema rather than sampled estimates, and makes
-every pair density conj(v_n) v_m rational, which the level-shift matrices
-integrate as node sums on a rotated ray (`quad`).
+closed-form modulus-squared derivatives available, whose suprema the
+threshold certificate takes as maxima sampled on refined grids (not yet
+upper bounds), and makes every pair density conj(v_n) v_m rational, which
+the level-shift matrices integrate as node sums on a rotated ray (`quad`).
 """
 
 from __future__ import annotations
@@ -294,12 +294,11 @@ class HydrogenFormFactor(_PolynomialFormFactor):
 class TabulatedFormFactor(FormFactor):
     """Form factor given by complex samples on an ascending positive grid.
 
-    Inside the grid the value is linearly interpolated.  Below the first grid
-    point the value continues as v(g0) (x/g0)**p_exponent, above the last as
-    v(gN) (x/gN)**tail_exponent, with tail_exponent < -1/2 required so that
-    the modulus squared stays integrable.  The modulus-squared derivative is
-    built from central differences on the grid, so certificates over
-    tabulated data are only as sharp as the tabulation.
+    v is linear between nodes, v(g0) (x/g0)**p_exponent below the first
+    node and v(gN) (x/gN)**tail_exponent above the last, with tail_exponent
+    < -1/2 so that |v|^2 stays integrable.  `value`, `mod_sq` and
+    `mod_sq_derivative` (right-hand at a node) all read this interpolant,
+    the one the level-shift kernels integrate, through `_piece`.
     """
 
     def __init__(self, grid, values, tail_exponent: float, p_exponent: float = 0.5):
@@ -323,73 +322,61 @@ class TabulatedFormFactor(FormFactor):
         self.p_exponent = float(p_exponent)
         self.scale = float(grid[-1])
         self.common_phase = None
+        # on the grid |v|^2 <= max |v_k|^2, |d|v|^2/dx| <= 2 max |v_k| |slope|
         with np.errstate(over="ignore", invalid="ignore"):
-            self._msq = np.abs(values) ** 2
-            self._dmsq = np.gradient(self._msq, grid)
-        if not (np.all(np.isfinite(self._msq)) and np.all(np.isfinite(self._dmsq))):
+            bound = 2.0 * np.abs(values).max() * np.abs(
+                np.append(values, np.diff(values) / np.diff(grid)))
+        if not np.all(np.isfinite(bound)):
             raise ConfigError("tabulated |v|^2 or its slope overflows")
 
     def breakpoints(self) -> tuple:
         # the interpolant has a kink at every node
         return tuple(self.grid)
 
-    def value(self, x):
-        scalar = np.ndim(x) == 0
+    def _piece(self, x, cell):
+        """v on the piece `cell` continued to x, and the slope of its line:
+        cell 0 is the power below the grid, cell k < N (N nodes) the line
+        from node k - 1 to node k, cell N the power above."""
+        g, v = self.grid, self.values
+        k = np.clip(cell, 1, g.size - 1)
+        slope = (v[k] - v[k - 1]) / (g[k] - g[k - 1])
+        # a power away from its cell may overflow, or divide by 0 at x = 0
+        with np.errstate(all="ignore"):
+            head = v[0] * (x / g[0]) ** self.p_exponent
+            tail = v[-1] * (x / g[-1]) ** self.tail_exponent
+        lin = slope * (x - g[k - 1]) + v[k - 1]
+        return np.where(cell == 0, head, np.where(cell == g.size, tail, lin)), slope
+
+    def _at(self, x):
+        """x >= 0 as a 1-d array, the cell of each point (searchsorted to the
+        right, so that v at a node is its sample) and `_piece` there."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
-        g0, gn = self.grid[0], self.grid[-1]
-        re = np.interp(x, self.grid, self.values.real)
-        im = np.interp(x, self.grid, self.values.imag)
-        out = re + 1j * im
-        lo = x < g0
-        if np.any(lo):
-            out[lo] = self.values[0] * (x[lo] / g0) ** self.p_exponent
-        hi = x > gn
-        if np.any(hi):
-            out[hi] = self.values[-1] * (x[hi] / gn) ** self.tail_exponent
-        return out[0] if scalar else out
+        cell = self.grid.searchsorted(x, side="right")
+        return x, cell, *self._piece(x, cell)
+
+    def value(self, x):
+        v = self._at(x)[2]
+        return v if np.ndim(x) else v[0]
 
     def mod_sq(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < 0.0):
-            raise ValueError("form factors are defined for omega >= 0")
-        g0, gn = self.grid[0], self.grid[-1]
-        out = np.interp(x, self.grid, self._msq)
-        lo = x < g0
-        if np.any(lo):
-            out[lo] = self._msq[0] * (x[lo] / g0) ** (2.0 * self.p_exponent)
-        hi = x > gn
-        if np.any(hi):
-            out[hi] = self._msq[-1] * (x[hi] / gn) ** (2.0 * self.tail_exponent)
-        return float(out[0]) if scalar else out
+        v = self._at(x)[2]
+        out = v.real * v.real + v.imag * v.imag
+        return out if np.ndim(x) else float(out[0])
 
     def mod_sq_derivative(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < 0.0):
-            raise ValueError("form factors are defined for omega >= 0")
-        g0, gn = self.grid[0], self.grid[-1]
-        out = np.interp(x, self.grid, self._dmsq)
-        lo = x < g0
-        if np.any(lo):
-            # |v|^2 = msq0 (x/g0)^e below the grid, e = 2 p_exponent; at x = 0
-            # the derivative is 0, msq0/g0 or +inf depending on e vs 1.
-            e = 2.0 * self.p_exponent
-            xs = x[lo]
-            vals = np.empty_like(xs)
-            pos = xs > 0.0
-            vals[pos] = self._msq[0] * e * xs[pos] ** (e - 1.0) / g0 ** e
-            if np.any(~pos):
-                at0 = self._msq[0] * e / g0 if e == 1.0 else (0.0 if e > 1.0 else np.inf)
-                vals[~pos] = at0
-            out[lo] = vals
-        hi = x > gn
-        if np.any(hi):
-            e = 2.0 * self.tail_exponent
-            out[hi] = self._msq[-1] * e * x[hi] ** (e - 1.0) / gn ** e
-        return float(out[0]) if scalar else out
+        """2 Re(conj(v) v') on the lines, e |v(g)|^2 x^(e-1) / g^e on the
+        power of an end node g with e twice its exponent: at x = 0, 0 for
+        e > 1 or e = 0, |v(g0)|^2 / g0 for e = 1 and inf otherwise."""
+        xs, cell, v, slope = self._at(x)
+        out = 2.0 * (v.real * slope.real + v.imag * slope.imag)
+        for part, end, a in ((cell == 0, 0, self.p_exponent),
+                             (cell == self.grid.size, -1, self.tail_exponent)):
+            e, g = 2.0 * a, self.grid[end]
+            with np.errstate(divide="ignore"):
+                out[part] = e and e * abs(self.values[end]) ** 2 * xs[part] ** (e - 1.0) / g ** e
+        return out if np.ndim(x) else float(out[0])
 
     def descriptor(self) -> dict:
         return {"family": "tabulated", "grid": self.grid.tolist(),

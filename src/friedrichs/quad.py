@@ -378,29 +378,8 @@ def _j_end(s, z, gap, r):
     return out
 
 
-def _piece(f, j, x):
-    """f at x (one row per panel), continued from the piece of f that holds
-    the panel, j its index in f's grid: the cell's linear interpolant or the
-    power law below or above the grid.  A built-in factor is one piece."""
-    if j is None:
-        return f.value(x)
-    g, v = f.grid, f.values
-    j = j[:, None]
-    k = np.clip(j, 1, g.size - 1)
-    lin = v[k - 1] + (v[k] - v[k - 1]) * ((x - g[k - 1]) / (g[k] - g[k - 1]))
-    head = v[0] * (x / g[0]) ** f.p_exponent
-    tail = v[-1] * (x / g[-1]) ** f.tail_exponent
-    return np.where(j == 0, head, np.where(j == g.size, tail, lin))
-
-
-def _pieces(t, pp, x):
-    """Every factor at x (one row per panel pp), each from its own piece."""
-    return np.array([_piece(f, None if j is None else j[pp], x)
-                     for f, j in zip(t.factors, t.cells)])
-
-
 # A model's panel table (module docstring): the factors, each tabulated
-# one's grid index of every panel's piece (`_piece`), the edges over
+# one's cell of every panel (`TabulatedFormFactor._piece`), the edges over
 # [w1, W], nodes w and weights (a row per panel), a row d of weighted
 # densities per pair n <= m (indices rows, cols), and per pair its density
 # at w1 and W and the exponents p, beta of its powers below and above.
@@ -425,8 +404,8 @@ def _panel_rows(factors):
         edges = np.delete(edges, np.maximum(
             np.flatnonzero(np.diff(edges) <= _MERGE * edges[1:]), 1))
     mid, w, wts = _panel_nodes(edges)
-    cells = tuple(None if f.common_phase is not None else np.searchsorted(f.grid, mid)
-                  for f in factors)
+    cells = tuple(None if f.common_phase is not None
+                  else f.grid.searchsorted(mid, side="right") for f in factors)
     v = np.array([f.value(np.append(w, (w1, big))) for f in factors])
     rows, cols = np.array(pairs).T
     eta = np.conj(v[rows]) * v[cols]
@@ -491,9 +470,12 @@ def _near_terms(t, e, kk, pp, own):
     at, c = e[kk], pp[own]
     _, nodes, wts = _panel_nodes(np.stack((t.edges[c], at[own], t.edges[c + 1]), axis=-1))
     nodes, wts = (a.reshape(c.size, 2 * t.w.shape[1]) for a in (nodes, wts))
-    # the pieces at E and at the split halves' nodes in one evaluation
-    v = _pieces(t, np.concatenate((pp, np.repeat(c, nodes.shape[1]))),
-                np.concatenate((at, nodes.ravel()))[:, None])[:, :, 0]
+    # every factor at E and at the split halves' nodes in one evaluation, a
+    # tabulated one on the panel's piece (`TabulatedFormFactor._piece`)
+    x = np.concatenate((at, nodes.ravel()))
+    panel = np.concatenate((pp, np.repeat(c, nodes.shape[1])))
+    v = np.array([f.value(x) if j is None else f._piece(x, j[panel])[0]
+                  for f, j in zip(t.factors, t.cells)])
     dens = np.conj(v[t.rows]) * v[t.cols]
     eta = dens[:, :kk.size]
     gap = t.w[pp] - at[:, None]

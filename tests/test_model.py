@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from friedrichs import (
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
+    certificate,
     l2_norm_sq,
     load_model,
     make_preset,
@@ -220,8 +222,39 @@ def test_tabulated_mod_sq_scalar_matches_mod_sq(p_exponent):
     got = np.array([f.mod_sq(float(x)) for x in xs])
     assert all(type(f.mod_sq(float(x))) is float for x in xs[:3])
     assert got.tobytes() == want.tobytes()
+    # |v|^2 of the interpolant itself, not an interpolant of |v|^2
+    v = f.value(xs)
+    assert np.all(np.abs(want - (v * np.conj(v)).real) <= 2 * np.finfo(float).eps * want)
     with pytest.raises(ValueError):
         f.mod_sq(-1e-3)
+
+
+@pytest.mark.parametrize("p_exponent", [0.5, 1.0, 0.3, 2.0, 0.0])
+def test_tabulated_mod_sq_derivative_is_the_interpolants_slope(p_exponent):
+    # d|v|^2/dx of the interpolant against a centred difference of mod_sq,
+    # inside cells and on both powers; at 0 the closed form of the power
+    grid = np.geomspace(0.05, 6.0, 17)
+    vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.7, p_exponent=p_exponent)
+    rng = np.random.default_rng(5)
+    cell = rng.integers(1, grid.size, 200)
+    inside = grid[cell - 1] + rng.uniform(0.05, 0.95, 200) * np.diff(grid)[cell - 1]
+    xs = np.concatenate((inside, [1e-3, 0.01, 0.03, 6.5, 20.0, 1e3]))
+    h = 1e-6 * np.minimum(xs, np.min(np.abs(xs[:, None] - grid), axis=1))
+    num = (f.mod_sq(xs + h) - f.mod_sq(xs - h)) / (2 * h)
+    assert np.allclose(f.mod_sq_derivative(xs), num, rtol=1e-6, atol=0.0)
+    e = 2.0 * p_exponent
+    at0 = abs(vals[0]) ** 2 / grid[0] if e == 1.0 else (np.inf if 0.0 < e < 1.0 else 0.0)
+    assert f.mod_sq_derivative(0.0) == pytest.approx(at0, rel=2 * np.finfo(float).eps)
+
+
+def test_tabulated_certificate_alpha_is_the_interpolants():
+    # alpha_2 = |v_2(omega_2)|^2 of the model the kernels integrate, not the
+    # interpolated |v|^2 (0.0617452 against 0.0616466)
+    model = load_model(Path(__file__).parent / "golden" / "tabulated.json")
+    (level,) = certificate(model).level_thresholds
+    v = model.form_factors[level.n - 1].value(model.levels[level.n - 1])
+    assert level.alpha == pytest.approx(abs(v) ** 2, rel=2 * np.finfo(float).eps, abs=0.0)
 
 
 def test_tabulated_validation():
