@@ -50,14 +50,12 @@ class SearchResult(NamedTuple):
     success: np.ndarray
 
 
-def _start(f, xs, args, fs):
-    """Broadcast the bracket points and args, evaluate f at the points unless
-    their values fs are given, and return 1-D working copies of all with
-    the broadcast shape."""
+def _start(f, xs, args):
+    """Broadcast the bracket points and args, evaluate f at the points, and
+    return 1-D working copies of all with the broadcast shape."""
     arrays = np.broadcast_arrays(*xs, *args)
     xs, args = [np.asarray(x, dtype=float) for x in arrays[:len(xs)]], arrays[len(xs):]
-    if fs is None:
-        fs = [f(x, *args) for x in xs]
+    fs = [f(x, *args) for x in xs]
     shape = xs[0].shape
     fs = [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in fs]
     flat = [np.array(a).reshape(-1) for a in (*xs, *fs, *args)]
@@ -119,11 +117,10 @@ def _record(done, x, f_x, xs, fs, swap, shape) -> SearchResult:
                         out(status), out(status == _CONVERGED))
 
 
-def _find_root(f, lo, hi, *, args=(), f_bracket=None, xatol=None, xrtol=None,
-               fatol=None, frtol=0.0, maxiter=None) -> SearchResult:
-    """Chandrupatla's root search on [lo, hi], elementwise; f_bracket, if
-    given, holds f(lo) and f(hi)."""
-    (x1, x2), (f1, f2), args, shape = _start(f, (lo, hi), args, f_bracket)
+def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=0.0,
+               maxiter=None) -> SearchResult:
+    """Chandrupatla's root search on [lo, hi], elementwise."""
+    (x1, x2), (f1, f2), args, shape = _start(f, (lo, hi), args)
     xatol = 4 * _TINY if xatol is None else xatol
     xrtol = 4 * _EPS if xrtol is None else xrtol
     fatol = _TINY if fatol is None else fatol
@@ -186,7 +183,7 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
                   frtol=None, maxiter=100) -> SearchResult:
     """Chandrupatla's minimum search on the three-point bracket (x1, x2, x3),
     elementwise; a valid bracket has f(x2) at or below f at both ends."""
-    xs, fs, args, shape = _start(f, bracket, (), None)
+    xs, fs, args, shape = _start(f, bracket, ())
     xs, fs = np.stack(xs), np.stack(fs)
     order = np.argsort(xs, axis=0)
     x1, x2, x3 = np.take_along_axis(xs, order, axis=0)
@@ -248,16 +245,14 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
                    swap, shape)
 
 
-def bracketed_root(f, lo, hi, *, args=(), f_bracket=None, what="root search",
-                   **tolerances) -> SearchResult:
+def bracketed_root(f, lo, hi, *, args=(), what="root search", **tolerances) -> SearchResult:
     """Roots of f inside [lo, hi], elementwise over array brackets.
 
-    f_bracket, if given, holds f(lo) and f(hi), bit for bit what f would
-    return there; they are then not evaluated again.  The result's bracket
-    is the final one and encloses x.  Raises BracketError where f(lo) and
-    f(hi) share a sign, NumericalError where the search did not converge.
+    The result's bracket is the final one and encloses x.  Raises
+    BracketError where f(lo) and f(hi) share a sign, NumericalError where
+    the search did not converge.
     """
-    res = _find_root(f, lo, hi, args=args, f_bracket=f_bracket, **tolerances)
+    res = _find_root(f, lo, hi, args=args, **tolerances)
     status = np.atleast_1d(res.status)
     if np.any(status == _SIGN_ERROR):
         flo, fhi = res.f_bracket

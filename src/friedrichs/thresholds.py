@@ -1,7 +1,7 @@
 """Coupling thresholds certifying the absence of embedded eigenvalues.
 
 The certificate machinery produces explicit coupling bounds below which no
-eigencurve can satisfy kappa_n(E) = E inside the continuum:
+crossing kappa_n(E) = E with a vanishing defect exists inside the continuum:
 
   lambda_a   keeps every eigencurve within a third of the relevant level
              spacings uniformly in E > 0 (radius R_a over sup ||D||),
@@ -91,10 +91,16 @@ def _d_scan(model):
     scale = model.max_scale()
     grid = np.geomspace(1e-6 * scale, 100.0 * scale, 600)
 
+    rows = {}
+
     def eigs(e):
-        # eigvalsh(D(E)) at every energy of an array: one stack of D(E), one
-        # stacked eigvalsh, so the scan's and the searches' values agree
-        return np.linalg.eigvalsh(pv_matrix(model, e).entries)
+        # eigvalsh(D(E)) at every energy of an array, kept per energy: the
+        # new ones as one stack of D(E), so no energy is built twice
+        keys = np.ravel(e).tolist()
+        new = list(dict.fromkeys(k for k in keys if k not in rows))
+        if new:
+            rows.update(zip(new, np.linalg.eigvalsh(pv_matrix(model, np.array(new)).entries)))
+        return np.reshape([rows[k] for k in keys], np.shape(e) + (-1,))
 
     spectra = eigs(grid)
     exp = np.vectorize(math.exp, otypes=[float])     # rounds as the scalar math.exp
@@ -114,8 +120,7 @@ def _d_scan(model):
         return sup, e_star, 0.0, (
             f"not positive semidefinite at the smallest scanned energy {grid[0]:.6g}")
     edge = slice(bad[0] - 1, bad[0] + 1)
-    res = bracketed_root(lambda e: eigs(e)[..., 0] + tol, *grid[edge],
-                         f_bracket=spectra[edge, 0] + tol, what="R_b edge",
+    res = bracketed_root(lambda e: eigs(e)[..., 0] + tol, *grid[edge], what="R_b edge",
                          xatol=0.0, xrtol=1e-4)
     return sup, e_star, float(res.bracket[0]), None
 

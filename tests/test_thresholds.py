@@ -65,21 +65,19 @@ def test_certificate_samples_d_once(hydrogen, monkeypatch):
 
 
 def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
-    # the two scanned energies around the R_b edge hand min eig D(E) to the
-    # root search, which then builds two D(E) fewer and ends where it did
-    calls = []
+    # the R_b search reads min eig D(E) at its two scanned bracket ends from
+    # the scan's rows: no energy is built twice, and r_b ends where it did,
+    # inside a cell of the 600-point scan
+    energies = []
     pv = friedrichs.thresholds.pv_matrix
     monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
-                        lambda *a, **k: calls.append(1) or pv(*a, **k))
+                        lambda model, e: energies.extend(np.ravel(e).tolist()) or pv(model, e))
     rep = certificate(hydrogen)
-    with_ends = len(calls)
-    search = friedrichs.thresholds.bracketed_root
-    monkeypatch.setattr(friedrichs.thresholds, "bracketed_root",
-                        lambda *a, f_bracket=None, **k: search(*a, **k))
-    calls.clear()
-    rep_without = certificate(hydrogen)
-    assert len(calls) - with_ends == 2
-    assert rep.r_b == rep_without.r_b == hydrogen_cert.r_b
+    assert len(energies) == len(set(energies))
+    grid = energies[:600]
+    k = np.searchsorted(grid, rep.r_b)
+    assert grid[k - 1] < rep.r_b < grid[k]
+    assert rep.r_b == hydrogen_cert.r_b
 
 
 def test_lambda_b_consistency(hydrogen_cert):
