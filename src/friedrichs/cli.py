@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
 from .quad import _ABS_TOL, _REL_TOL, NumericalError, gram_matrix
-from .solver import CountResult, _positive_candidates, _solve, solve_model
+from .solver import CountResult, _positive_candidates, _solve, _unit, solve_model
 from .spectral import _eigencurves, eigh, k_matrix, kappa_curve
 from .oracle import compare_negative_spectrum
 from .thresholds import certificate
@@ -165,12 +165,11 @@ def cmd_sweep_lambda(args) -> int:
     # kappa(0) depends on lambda only through the prefactor of S(0), so one
     # Gram matrix serves the whole sweep
     s0 = gram_matrix(model, 0.0)
-    top = model.levels[-1]
-    n = model.n_levels
+    top, n, unit = model.levels[-1], model.n_levels, _unit(model)
     rows = []
     for lam in lams:
         point = eigh(k_matrix(model.with_coupling(lam), s0), 0.0)
-        row = [_FMT.format(lam), str(CountResult.from_kappa(point.kappa).count)]
+        row = [_FMT.format(lam), str(CountResult.from_kappa(point.kappa, unit).count)]
         row += [_FMT.format(top - k) for k in point.kappa]
         rows.append(row)
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]

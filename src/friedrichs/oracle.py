@@ -29,7 +29,7 @@ diagonalizes those of all grids in one stacked eigh, so each grid's roots
 are bit for bit its own search's.  The count's points at -gap are the
 search's upper bracket ends, and each root's point gives its level block.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
-model's widest form factor, so the count does not depend on the units.
+model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
 When all form factors share a global phase times a sign, B is built real
 (for one model, on every grid); the discrete spectrum is unchanged and the
 level-block eigenvectors stay directly comparable to the solver's.
@@ -43,13 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quad import _gauss_legendre, _panel_nodes
-from .solver import _branch_roots, _count_and_roots, _seed
+from .solver import _branch_roots, _count_and_roots, _seed, _unit
 from .spectral import _EigenCurves, _eigencurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
 
-# eigenvalues at or above -_GAP_RTOL * model.max_scale() count as
+# eigenvalues at or above -_GAP_RTOL times the model's scale count as
 # continuum, not bound states
 _GAP_RTOL = 1e-8
 
@@ -59,7 +59,7 @@ class DiscretizedHamiltonian:
     """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
     the levels, the coupling block b (N x M) and the grid.  Its eigenvalues
     at or above -gap count as continuum; `discretize` sets gap to 1e-8
-    times the model's widest form factor."""
+    times the model's scale (`solver._unit`)."""
 
     levels: np.ndarray
     b: np.ndarray
@@ -147,7 +147,8 @@ def _search(grids):
     tops = np.array([-g.gap for g in grids])
     counts = [int(np.count_nonzero(p.kappa < p.e)) for p in curves(tops, members)]
     seeds = [_seed(g.levels, float(np.sum(np.abs(g.b) ** 2))) for g in grids]
-    roots = iter(e for e, _ in _branch_roots(curves, counts, seeds, tops))
+    unit = min(g.gap for g in grids) / _GAP_RTOL
+    roots = iter(e for e, _ in _branch_roots(curves, counts, unit, seeds, tops))
     found = []
     for i, count in enumerate(counts):
         vals = [next(roots) for _ in range(count)]
@@ -175,15 +176,16 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     """Discretize the continuum with about m nodes.
 
     Composite Gauss-Legendre panels cover [0, omega_max] on geometric edges,
-    with omega_max 20 times the widest form factor, plus a mapped tail
-    omega = omega_max + t/(1-t) carrying a small share of the nodes.  Every
+    with omega_max 20 times the widest form factor S, plus a mapped tail
+    omega = omega_max + S t/(1-t) carrying a small share of the nodes.  Every
     form-factor breakpoint inside (0, omega_max) is one more edge, taken out
     of the geometric budget, so the node count lands within a few percent of
     m unless the breakpoints outnumber m / 12.  Nodes come out ascending.
     """
     if m < 10:
         raise ValueError("need at least 10 grid points")
-    omega_max = 20.0 * model.max_scale()
+    scale = model.max_scale()
+    omega_max = 20.0 * scale
 
     positive = [abs(w) for w in model.levels if w != 0.0]
     s_ref = min([f.scale for f in model.form_factors] + positive + [omega_max])
@@ -201,11 +203,11 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     tx, tw = _gauss_legendre(n_tail)
     t = 0.5 + 0.5 * tx
     jac = 1.0 / (1.0 - t) ** 2
-    nodes = np.concatenate((panel_x.ravel(), omega_max + t / (1.0 - t)))
-    weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac))
+    nodes = np.concatenate((panel_x.ravel(), omega_max + scale * t / (1.0 - t)))
+    weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights, _GAP_RTOL * model.max_scale())
+                                  nodes, weights, _GAP_RTOL * _unit(model))
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     ms = [int(m) for m in m_schedule]
     grids = [discretize(model, m) for m in ms]
     _Schedule(grids)
-    floor = 1e-11 * model.max_scale()
+    floor = 1e-11 * _unit(model)
     rows = []
     prev = None
     non_cauchy = False

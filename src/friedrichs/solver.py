@@ -36,14 +36,21 @@ __all__ = [
     "positive_candidate_scan",
 ]
 
-# |kappa_n(0)| at or below this (or N eps max_n |kappa_n(0)|) is
-# indeterminate (neither counted nor ruled out), and a bound-state root
-# search stops once its bracket is narrower than _ROOT_TOL plus _ROOT_RTOL
-# |E|: the relative term, a few ulps, lets a deep root converge where
-# adjacent doubles lie more than 1e-12 apart (|E| > 8192)
+# In units of the model's scale (`_unit`), |kappa_n(0)| at or below
+# _TOL_ZERO (or N eps max_n |kappa_n(0)|) is indeterminate (neither counted
+# nor ruled out), and a bound-state root search stops once its bracket is
+# narrower than _ROOT_TOL plus _ROOT_RTOL |E|: the relative term, a few
+# ulps, lets deep roots converge, whose adjacent doubles lie farther apart
 _TOL_ZERO = 1e-12
 _ROOT_TOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _unit(model) -> float:
+    """The model's scale, which every absolute tolerance of a count, a root
+    search and the oracle's gap multiplies: its narrowest width, since a
+    wide factor must not loosen the roots that a narrow one resolves."""
+    return min(f.scale for f in model.form_factors)
 
 
 @dataclass(frozen=True)
@@ -53,15 +60,15 @@ class CountResult:
     indeterminate: tuple = ()
 
     @classmethod
-    def from_kappa(cls, kappa) -> "CountResult":
+    def from_kappa(cls, kappa, unit) -> "CountResult":
         """Count the branches with kappa_n(0) below minus the band
-        max(_TOL_ZERO, N eps max_n |kappa_n(0)|).
+        max(_TOL_ZERO unit, N eps max_n |kappa_n(0)|), unit from `_unit`.
 
         Branches with |kappa_n(0)| inside the band are flagged indeterminate
         and not counted; they sit within the rounding of K(0) of the
         continuum edge.
         """
-        band = max(_TOL_ZERO, kappa.size * np.finfo(float).eps * np.abs(kappa).max())
+        band = max(_TOL_ZERO * unit, kappa.size * np.finfo(float).eps * np.abs(kappa).max())
         indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= band)[0])
         return cls(int(np.count_nonzero(kappa < -band)), kappa, indeterminate)
 
@@ -108,7 +115,7 @@ class PositiveCandidate:
 def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    return CountResult.from_kappa(_eigencurves(model, "S")([0.0])[0].kappa)
+    return CountResult.from_kappa(_eigencurves(model, "S")([0.0])[0].kappa, _unit(model))
 
 
 def _seed(levels, coupled_norm_sq):
@@ -127,9 +134,9 @@ def _gap(curves):
         [p.kappa[m - 1] for p, m in zip(curves(e, *member), n)]) - e
 
 
-def _branch_roots(curves, count, e_lo, e_hi=0.0):
+def _branch_roots(curves, count, unit, e_lo, e_hi=0.0):
     """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
-    search on the eigencurve family curves.
+    search on the eigencurve family curves of a model of scale unit.
 
     On a family of several members, count, e_lo and e_hi hold one entry per
     member, and the one search runs over every (member, branch) pair.
@@ -145,7 +152,7 @@ def _branch_roots(curves, count, e_lo, e_hi=0.0):
     res = bracketed_root(_gap(curves), lo, hi,
                          args=(branch, member) if np.ndim(count) else (branch,),
                          what="branch roots, kappa_n(E) - E",
-                         xatol=_ROOT_TOL, xrtol=_ROOT_RTOL)
+                         xatol=_ROOT_TOL * unit, xrtol=_ROOT_RTOL)
     touching = ~(res.x < hi)
     if touching.any():
         raise BracketError(f"branches {branch[touching].tolist()} touch the diagonal "
@@ -200,18 +207,19 @@ def _count_and_roots(model, curves):
     """The count at E = 0 and the roots [(energy, bracket)] of the counted
     branches on an eigencurve family that is S(E) at E <= 0: `solve_model`
     without its states, for callers that need only the energies."""
-    counted = CountResult.from_kappa(curves([0.0])[0].kappa)
+    unit = _unit(model)
+    counted = CountResult.from_kappa(curves([0.0])[0].kappa, unit)
     roots = []
     if counted.count:
         seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
-        roots = _branch_roots(curves, counted.count, seed)
+        roots = _branch_roots(curves, counted.count, unit, seed)
     return counted, roots
 
 
 def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
     search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
-    |v_n|^2, 0] down to a bracket narrower than 1e-12 + 4 eps |E|."""
+    |v_n|^2, 0] down to a bracket narrower than 1e-12 `_unit` + 4 eps |E|."""
     return _solve(model, _eigencurves(model, "S"))
 
 
@@ -253,7 +261,8 @@ def _positive_candidates(model, curves, grid):
     if refine:
         branch, cell = np.array(refine).T
         res = bracketed_root(_gap(curves), grid[cell], grid[cell + 1], args=(branch,),
-                             what="positive crossing search", xatol=1e-11, xrtol=1e-11)
+                             what="positive crossing search",
+                             xatol=1e-11 * _unit(model), xrtol=1e-11)
         roots = dict(zip(refine, res.x.tolist()))
     out = []
     for n, i in cells:

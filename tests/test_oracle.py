@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from friedrichs import (
     RationalFormFactor,
     TabulatedFormFactor,
     UnitSystem,
+    certificate,
     compare_negative_spectrum,
     discretize,
     l2_norm_sq,
@@ -142,7 +144,8 @@ def test_compare_negative_spectrum(three_level, lam, count):
 def _panel_loop_grid(model, m):
     """discretize's nodes and weights, one 12-point panel at a time with
     fresh Gauss-Legendre rules: the reference for the shared panel routine."""
-    omega_max = 20.0 * model.max_scale()
+    scale = model.max_scale()
+    omega_max = 20.0 * scale
     positive = [abs(w) for w in model.levels if w != 0.0]
     s_ref = min([f.scale for f in model.form_factors] + positive + [omega_max])
     n_tail = max(8, m // 50)
@@ -159,8 +162,8 @@ def _panel_loop_grid(model, m):
         weights.append(half * base_w)
     tx, tw = np.polynomial.legendre.leggauss(n_tail)
     t = 0.5 + 0.5 * tx
-    nodes.append(omega_max + t / (1.0 - t))
-    weights.append(0.5 * tw * (1.0 / (1.0 - t) ** 2))
+    nodes.append(omega_max + scale * t / (1.0 - t))
+    weights.append(0.5 * tw * (1.0 / (1.0 - t) ** 2) * scale)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -312,9 +315,28 @@ def _scaled_three_level(s, lam):
 @pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1e3, 1e6])
 def test_oracle_count_is_scale_covariant(s, lam):
     # the gap is relative to the model's scale: with a fixed 1e-8 the grid
-    # counted none of the states at s = 1e-9 and one of two at s = 1e-6
+    # counted none of the states at s = 1e-9 and one of two at s = 1e-6.
+    # So are the root tolerances and the oracle's tail: with a fixed 1e-12
+    # and a tail of width 1 the oracle's roots were off by up to 7.7e-3
+    # relative at s = 1e-9, and by up to 6.9e-8 with a fixed tail only
     model = _scaled_three_level(s, lam)
     ham = discretize(model, 1000)
     assert ham.gap == 1e-8 * model.max_scale()
     table = compare_negative_spectrum(model, (1000,))
     assert table.rows[0].count == table.solver_count == {0.1: 1, 0.7: 2, 10.0: 3}[lam]
+    ref, ref_cert = _unscaled(lam)
+    for got, want in ((table.rows[0].energies, ref.rows[0].energies),
+                      (table.solver_energies, ref.solver_energies)):
+        assert np.allclose(np.array(got) / s, want, rtol=1e-10, atol=0.0)
+    cert = certificate(model)
+    assert cert.bound == pytest.approx(ref_cert.bound, rel=1e-9, abs=0.0)
+    for got, want in ((cert.r_a, ref_cert.r_a), (cert.r_b, ref_cert.r_b)):
+        assert got / s == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@functools.cache
+def _unscaled(lam):
+    """The s = 1 oracle table at m = 1000 and certificate of the covariance
+    test's model."""
+    model = _scaled_three_level(1.0, lam)
+    return compare_negative_spectrum(model, (1000,)), certificate(model)
