@@ -249,8 +249,8 @@ def test_tabulated_mod_sq_derivative_is_the_interpolants_slope(p_exponent):
 
 
 def test_tabulated_certificate_alpha_is_the_interpolants():
-    # alpha_2 = |v_2(omega_2)|^2 of the model the kernels integrate, not the
-    # interpolated |v|^2 (0.0617452 against 0.0616466)
+    # alpha_2 = |v_2(omega_2)|^2 of the model the kernels integrate
+    # (0.0616466), not the interpolated sampled |v|^2 (0.0617452)
     model = load_model(Path(__file__).parent / "golden" / "tabulated.json")
     (level,) = certificate(model).level_thresholds
     v = model.form_factors[level.n - 1].value(model.levels[level.n - 1])

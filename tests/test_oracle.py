@@ -317,8 +317,7 @@ def test_oracle_count_is_scale_covariant(s, lam):
     # the gap is relative to the model's scale: with a fixed 1e-8 the grid
     # counted none of the states at s = 1e-9 and one of two at s = 1e-6.
     # So are the root tolerances and the oracle's tail: with a fixed 1e-12
-    # and a tail of width 1 the oracle's roots were off by up to 7.7e-3
-    # relative at s = 1e-9, and by up to 6.9e-8 with a fixed tail only
+    # and a tail of width 1 the roots were off by up to 7.7e-3 relative
     model = _scaled_three_level(s, lam)
     ham = discretize(model, 1000)
     assert ham.gap == 1e-8 * model.max_scale()
