@@ -119,14 +119,17 @@ def _record(done, x, f_x, xs, fs, swap, shape) -> SearchResult:
 
 def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=0.0,
                maxiter=None) -> SearchResult:
-    """Chandrupatla's root search on [lo, hi], elementwise."""
+    """Chandrupatla's root search on [lo, hi], elementwise; xatol may be an
+    array that broadcasts to the bracket, one tolerance per element."""
     (x1, x2), (f1, f2), args, shape = _start(f, (lo, hi), args)
     xatol = 4 * _TINY if xatol is None else xatol
+    if np.ndim(xatol):
+        xatol = np.broadcast_to(np.asarray(xatol, dtype=float), shape).reshape(-1)
     xrtol = 4 * _EPS if xrtol is None else xrtol
     fatol = _TINY if fatol is None else fatol
     if maxiter is None:
         maxiter = math.log2(np.finfo(float).max) - math.log2(_TINY)
-    work = dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, t=0.5,
+    work = dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, t=0.5, xatol=xatol,
                 frtol=frtol * np.minimum(np.abs(f1), np.abs(f2)),
                 status=np.full(x1.size, 1, dtype=np.int32))
 
@@ -161,17 +164,21 @@ def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=
         first = np.abs(f1) < np.abs(f2)
         xmin, fmin = np.where(first, x1, x2), np.where(first, f1, f2)
         stop = np.abs(fmin) <= fatol + w["frtol"]
-        status[stop] = _CONVERGED
+        # masked assignments only where their mask holds an element
+        if stop.any():
+            status[stop] = _CONVERGED
         for bad, code in ((np.sign(f1) == np.sign(f2), _SIGN_ERROR),
                           (~(np.isfinite(x1) & np.isfinite(x2))
                            | np.isnan(f1) & np.isnan(f2), _VALUE_ERROR)):
             bad &= ~stop
-            xmin[bad], fmin[bad], status[bad], stop[bad] = np.nan, np.nan, code, True
+            if bad.any():
+                xmin[bad], fmin[bad], status[bad], stop[bad] = np.nan, np.nan, code, True
         w["xmin"], w["fmin"] = xmin, fmin
         w["dx"] = np.abs(x2 - x1)
-        w["tol"] = np.abs(xmin) * xrtol + xatol
+        w["tol"] = np.abs(xmin) * xrtol + w["xatol"]
         narrow = w["dx"] < w["tol"]
-        status[narrow], stop[narrow] = _CONVERGED, True
+        if narrow.any():
+            status[narrow], stop[narrow] = _CONVERGED, True
         return stop
 
     done = _iterate(f, args, work, maxiter, step, absorb, check)

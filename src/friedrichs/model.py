@@ -421,6 +421,13 @@ class FriedrichsModel:
         return np.asarray(self.levels, dtype=float)
 
     @functools.cached_property
+    def _level_diag(self):
+        """diag(levels), read-only, built once per model for every K(E)."""
+        diag = np.diag(self.level_array())
+        diag.flags.writeable = False
+        return diag
+
+    @functools.cached_property
     def _ray_rows(self):
         """quad's ray table of the built-in pairs (`quad._ray_rows`), built
         on first use and kept on the model, so it dies with it."""

@@ -22,11 +22,14 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  The grids of a schedule share one root search, the solver's,
-over every (grid, branch) pair on one eigencurve family keyed by (grid, E):
-each step builds every new K_M(E) of a grid as one broadcast stack and
-diagonalizes those of all grids in one stacked eigh, so each grid's roots
-are bit for bit its own search's.  The count's points at -gap are the
+rule once.  The solver's S(E) is member 0 of the schedule's one search, the
+solver's, over every (member, branch) pair on one eigencurve family keyed
+by (member, E): each step builds the new S(E) as one stack and every new
+K_M(E) of a grid as one broadcast stack, and diagonalizes the S(E) and the
+K_M(E) of all grids in one stacked eigh each, so the solver's roots and
+each grid's are bit for bit their own searches'; each member keeps its own
+tolerance.  The solver's count at 0, the grids' counts at -gap and every
+member's lower bracket end come from one build; the counts' points are the
 search's upper bracket ends, and each root's point gives its level block.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
@@ -43,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quad import _gauss_legendre, _panel_nodes
-from .solver import _branch_roots, _count_and_roots, _seed, _unit
-from .spectral import _EigenCurves, _eigencurves
+from .solver import CountResult, _branch_roots, _model_seed, _seed, _unit
+from .spectral import _EigenCurves, _k_stack
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
@@ -84,10 +87,15 @@ class DiscretizedHamiltonian:
         """b^dagger, conjugated once per grid."""
         return self.b.conj().T
 
+    @functools.cached_property
+    def _level_diag(self):
+        """diag(omega), built once per grid."""
+        return np.diag(self.levels)
+
     def _k(self, e):
         """K_M(E) = diag(omega) - b diag(1/(omega_j - E)) b^dagger at each
         energy of the array e, as one stack."""
-        return np.diag(self.levels) - (self.b / (self.nodes - e[:, None, None])) @ self._b_dagger
+        return self._level_diag - (self.b / (self.nodes - e[:, None, None])) @ self._b_dagger
 
     def _roots(self):
         """The eigenvalues of h below -gap, ascending, and the eigencurve
@@ -108,51 +116,62 @@ class DiscretizedHamiltonian:
 
 
 class _Schedule:
-    """The grids of one schedule and their one root search.
+    """The grids of one schedule, and optionally their model, and their one
+    root search.
 
     The first grid to ask runs the search for all of them; each grid then
     reads its own result once, and a grid that asks again is searched alone.
+    With the model, the search also finds the solver's bound states, which
+    `take()` without a grid reads.
     """
 
-    def __init__(self, grids):
-        self._grids, self._found = tuple(grids), None
+    def __init__(self, grids, model=None):
+        self._grids, self._model, self._found = tuple(grids), model, None
         for grid in self._grids:
             object.__setattr__(grid, "_schedule", self)  # a frozen dataclass
 
-    def take(self, grid):
+    def take(self, grid=None):
         if self._found is None:
-            self._found = dict(zip(map(id, self._grids), _search(self._grids)))
-            self._grids = ()
-        object.__setattr__(grid, "_schedule", None)
-        return self._found.pop(id(grid))
+            keys = [None] * (self._model is not None) + [id(g) for g in self._grids]
+            self._found = dict(zip(keys, _search(self._grids, self._model)))
+            self._grids, self._model = (), None
+        if grid is not None:
+            object.__setattr__(grid, "_schedule", None)
+        return self._found.pop(None if grid is None else id(grid))
 
 
-def _search(grids):
+def _search(grids, model=None):
     """(roots, points) of every grid: its eigenvalues below -gap and the
     eigencurve points of K_M(E) there, all from one root search over every
-    (grid, branch) pair on one eigencurve family keyed by (grid, E)."""
-    n = grids[0].levels.size
-    dtype = np.result_type(grids[0].levels, *(g.b for g in grids))
+    (member, branch) pair on one eigencurve family keyed by (member, E).
 
-    def build(es, members):
-        k = np.empty(es.shape + (n, n), dtype=dtype)
-        for i in np.unique(members).tolist():
-            at = members == i
-            k[at] = grids[i]._k(es[at])
-        return k
+    With the model, its S(E) is member 0 of the family, counted, bracketed
+    and searched as by the solver, and the list starts with the solver's
+    (CountResult, roots)."""
+    solver = [] if model is None else [model]
+    members, first = solver + list(grids), len(solver)
 
-    curves, members = _EigenCurves(build), np.arange(len(grids))
-    # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
-    # those points are also the search's upper bracket ends
-    tops = np.array([-g.gap for g in grids])
-    counts = [int(np.count_nonzero(p.kappa < p.e)) for p in curves(tops, members)]
-    seeds = [_seed(g.levels, float(np.sum(np.abs(g.b) ** 2))) for g in grids]
-    unit = min(g.gap for g in grids) / _GAP_RTOL
-    roots = iter(e for e, _ in _branch_roots(curves, counts, unit, seeds, tops))
-    found = []
-    for i, count in enumerate(counts):
-        vals = [next(roots) for _ in range(count)]
-        found.append((vals, curves(vals, [i] * count)))
+    def build(es, i):
+        return _k_stack(model, "S", es) if i < first else members[i]._k(es)
+
+    curves, ids = _EigenCurves(build), np.arange(len(members))
+    # the solver counts kappa_n(0) below its band and, by inertia,
+    # kappa_n(-g) < -g counts the eigenvalues of h below -g: those points
+    # are the search's upper bracket ends, built in one stack with the lower
+    tops = [0.0 for _ in solver] + [-g.gap for g in grids]
+    seeds = ([_model_seed(m) for m in solver]
+             + [_seed(g.levels, float(np.sum(np.abs(g.b) ** 2))) for g in grids])
+    units = ([_unit(m) for m in solver]
+             + [min((g.gap for g in grids), default=0.0) / _GAP_RTOL] * len(grids))
+    points = curves(tops + seeds, np.concatenate((ids, ids)))
+    counted = [CountResult.from_kappa(p.kappa, u) for p, u in zip(points, units[:first])]
+    counts = ([c.count for c in counted]
+              + [int(np.count_nonzero(p.kappa < p.e)) for p in points[first:len(ids)]])
+    roots = iter(e for e, _ in _branch_roots(curves, counts, units, seeds, tops))
+    found = [(c, [next(roots) for _ in range(c.count)]) for c in counted]
+    for i in ids[first:].tolist():
+        vals = [next(roots) for _ in range(counts[i])]
+        found.append((vals, curves(vals, [i] * counts[i])))
     return found
 
 
@@ -163,7 +182,7 @@ def _coupling_block(model, nodes, weights):
     if all(p is not None for p in phases):
         base = phases[0]
         sigma = np.array([p / base for p in phases])
-        if np.allclose(sigma.imag, 0.0, atol=1e-12):
+        if np.all(np.abs(sigma.imag) <= 1e-12):
             rows = [model.coupling * s.real * (f.value(nodes) / f.common_phase).real * sw
                     for s, f in zip(sigma, model.form_factors)]
             return np.array(rows)
@@ -232,20 +251,20 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     Each row records the count, the energies, and (when the counts agree)
     the absolute deviations from the solver roots.  Branch-wise deviations
     that grow between consecutive grids raise the non_cauchy flag; a clean
-    refinement study should shrink monotonically.  The grids share one
-    root search, which the first grid's `negative_eigenvalues` runs.
+    refinement study should shrink monotonically.  The solver's S(E) and
+    the grids share one root search, which the first grid's
+    `negative_eigenvalues` runs.
     """
-    counted, roots = _count_and_roots(model, _eigencurves(model, "S"))
-    solver_e = tuple(e for e, _ in roots)
     ms = [int(m) for m in m_schedule]
     grids = [discretize(model, m) for m in ms]
-    _Schedule(grids)
+    schedule = _Schedule(grids, model)
+    spectra = [grid.negative_eigenvalues() for grid in grids]
+    counted, solver_e = schedule.take()
     floor = 1e-11 * _unit(model)
     rows = []
     prev = None
     non_cauchy = False
-    for m, grid in zip(ms, grids):
-        vals = grid.negative_eigenvalues()
+    for m, vals in zip(ms, spectra):
         count = int(vals.size)
         if count == len(solver_e):
             deltas = tuple(abs(float(v) - e) for v, e in zip(vals, solver_e))
@@ -260,4 +279,4 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
             prev = deltas
         rows.append(ConvergenceRow(m, count, tuple(float(v) for v in vals),
                                    deltas))
-    return ConvergenceTable(tuple(rows), counted.count, solver_e, non_cauchy)
+    return ConvergenceTable(tuple(rows), counted.count, tuple(solver_e), non_cauchy)

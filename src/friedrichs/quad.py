@@ -88,7 +88,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +164,10 @@ _SEGMENT, _HEAD = 16, 2.0 ** -56
 _RAY_BLOCK = 2 ** 14
 
 
-class _RayTable(collections.namedtuple("_RayTable", "w c c_abs phase rows cols")):
+class _RayTable(collections.namedtuple("_RayTable", "w c c_abs phase rows cols at")):
     """A model's ray table (module docstring): the nodes w, a row c of
-    coefficients per built-in pair n <= m (indices rows, cols), |c| and the
-    pair phases."""
+    coefficients per built-in pair n <= m (indices rows, cols, and at in a
+    flattened N x N matrix), |c| and the pair phases."""
 
     @functools.cached_property
     def segments(self):
@@ -208,7 +207,8 @@ def _ray_rows(factors):
     c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
     phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
                       for i, j in pairs])
-    return _RayTable(w, c, np.abs(c), phase, *np.array(pairs).T)
+    rows, cols = np.array(pairs).T
+    return _RayTable(w, c, np.abs(c), phase, rows, cols, rows * len(factors) + cols)
 
 
 def _kernel(w, e, e2=None):
@@ -381,10 +381,11 @@ def _j_end(s, z, gap, r):
 # A model's panel table (module docstring): the factors, each tabulated
 # one's cell of every panel (`TabulatedFormFactor._piece`), the edges over
 # [w1, W], nodes w and weights (a row per panel), a row d of weighted
-# densities per pair n <= m (indices rows, cols), and per pair its density
-# at w1 and W and the exponents p, beta of its powers below and above.
+# densities per pair n <= m (indices rows, cols, and at in a flattened N x N
+# matrix), and per pair its density at w1 and W and the exponents p, beta of
+# its powers below and above.
 _PanelTable = collections.namedtuple(
-    "_PanelTable", "factors cells edges w wts d d_abs rows cols eta_lo eta_hi p beta")
+    "_PanelTable", "factors cells edges w wts d d_abs rows cols at eta_lo eta_hi p beta")
 
 
 def _panel_rows(factors):
@@ -413,7 +414,7 @@ def _panel_rows(factors):
     exponents = [[factors[i].p_exponent + factors[j].p_exponent,
                   factors[i].tail_exponent + factors[j].tail_exponent] for i, j in pairs]
     return _PanelTable(tuple(factors), cells, edges, w, wts, d, np.abs(d), rows, cols,
-                       eta[:, -2], eta[:, -1], *np.array(exponents).T)
+                       rows * n + cols, eta[:, -2], eta[:, -1], *np.array(exponents).T)
 
 
 def _ends(t, e):
@@ -532,8 +533,10 @@ def _panel_sums(t, e, e2=None):
 
 @functools.cache
 def _triangles(n):
-    """Index arrays of an n x n diagonal, strict lower triangle and its mirror."""
-    return np.arange(n), *np.tril_indices(n, -1)
+    """Indices in a flattened n x n matrix of its diagonal, its strict lower
+    triangle and that triangle's mirror."""
+    low, up = np.tril_indices(n, -1)
+    return np.arange(n) * (n + 1), low * n + up, up * n + low
 
 
 def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
@@ -542,30 +545,31 @@ def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
     error bounds, computed when first read: built-in pairs are phase *
     Re sum_k c_k kernel(w_k) on the model's ray table, each sum from its
     energy's start (`_ray_reduce`), the others `_panel_sums` on its panel
-    table; the upper triangle is mirrored."""
+    table; the upper triangle is mirrored.  Pairs go to their places in the
+    flattened matrices through the tables' `at`."""
     x = np.ravel(e)
     n = model.n_levels
-    entries = np.zeros((x.size, n, n), dtype=complex)
+    entries = np.zeros((x.size, n * n), dtype=complex)
     ray, panels = model._ray_rows, model._panel_rows
     if ray is not None:
         sums = _ray_reduce(ray, ray.c, x, e2, _ray_segments(ray, x, e2), lambda k: k)
-        entries[:, ray.rows, ray.cols] = ray.phase * sums.real
+        entries[:, ray.at] = ray.phase * sums.real
     if panels is not None:
         sums, panel_bounds = _panel_sums(panels, x, e2)
-        entries[:, panels.rows, panels.cols] = sums
+        entries[:, panels.at] = sums
     # a Hermitian matrix has a real diagonal
     diag, low, up = _triangles(n)
-    entries[:, diag, diag] = entries[:, diag, diag].real
-    entries[:, low, up] = np.conj(entries[:, up, low])
+    entries[:, diag] = entries[:, diag].real
+    entries[:, low] = np.conj(entries[:, up])
     shape = np.shape(e) + (n, n)
 
     def bounds():
-        err = np.zeros((x.size, n, n))
+        err = np.zeros((x.size, n * n))
         if ray is not None:
-            err[:, ray.rows, ray.cols] = _ray_bounds(ray, x, e2)
+            err[:, ray.at] = _ray_bounds(ray, x, e2)
         if panels is not None:
-            err[:, panels.rows, panels.cols] = _SUM_ERR * panel_bounds
-        err[:, low, up] = err[:, up, low]
+            err[:, panels.at] = _SUM_ERR * panel_bounds
+        err[:, low] = err[:, up]
         return err.reshape(shape)
 
     return LevelShiftMatrix(entries.reshape(shape), e, kind, bounds, e2)
@@ -582,16 +586,18 @@ def _norm_sq(model, n) -> float:
     return float(t.c[np.flatnonzero((t.rows == n) & (t.cols == n))[0]].sum().real)
 
 
-def _any(test, e):
-    """Whether test(E, 0) holds for the energy e or for any of an array;
-    a float skips numpy, since every search step checks one."""
-    return test(e, 0.0) if isinstance(e, float) else np.any(test(e, 0.0))
+def _extreme(e, reduce, empty):
+    """The energy e, or reduce (np.fmax or np.fmin, which pass over NaN) of
+    an array of them, empty when it has none: one reduction validates a
+    stack, and a float skips numpy."""
+    return e if isinstance(e, float) else float(reduce.reduce(e, axis=None, initial=empty))
 
 
 def _check_below_threshold(model, e, op):
-    if _any(operator.gt, e):
-        raise ValueError(f"{op} requires E <= 0, got E = {np.max(e)}")
-    if _any(operator.eq, e):
+    top = _extreme(e, np.fmax, -np.inf)
+    if top > 0.0:
+        raise ValueError(f"{op} requires E <= 0, got E = {top}")
+    if top == 0.0:
         for k, f in enumerate(model.form_factors, start=1):
             if not f.p_exponent > 0.0:
                 raise ConfigError(
@@ -639,8 +645,9 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
-    if _any(operator.lt, e):
-        raise ValueError(f"pv_matrix requires E >= 0, got E = {np.min(e)}")
-    if _any(operator.eq, e):
+    bottom = _extreme(e, np.fmin, np.inf)
+    if bottom < 0.0:
+        raise ValueError(f"pv_matrix requires E >= 0, got E = {bottom}")
+    if bottom == 0.0:
         _check_below_threshold(model, 0.0, "gram_matrix")
     return _level_shift(model, "D", e)

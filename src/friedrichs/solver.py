@@ -138,21 +138,22 @@ def _branch_roots(curves, count, unit, e_lo, e_hi=0.0):
     """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
     search on the eigencurve family curves of a model of scale unit.
 
-    On a family of several members, count, e_lo and e_hi hold one entry per
-    member, and the one search runs over every (member, branch) pair.
-    Returns [(root, final bracket)] in member, then branch order; where the
-    gap is exactly 0 the root is exact and its bracket is [root, root].
+    On a family of several members, count, unit, e_lo and e_hi hold one
+    entry per member, and the one search runs over every (member, branch)
+    pair, each to the tolerance of its own member's scale.  Returns
+    [(root, final bracket)] in member, then branch order; where the gap is
+    exactly 0 the root is exact and its bracket is [root, root].
     """
     counts = np.atleast_1d(count)
     if not counts.sum():
         return []
     member = np.repeat(np.arange(counts.size), counts)
     branch = np.concatenate([np.arange(1, c + 1) for c in counts])
-    lo, hi = (np.broadcast_to(e, counts.shape)[member] for e in (e_lo, e_hi))
+    lo, hi, scale = (np.broadcast_to(x, counts.shape)[member] for x in (e_lo, e_hi, unit))
     res = bracketed_root(_gap(curves), lo, hi,
                          args=(branch, member) if np.ndim(count) else (branch,),
                          what="branch roots, kappa_n(E) - E",
-                         xatol=_ROOT_TOL * unit, xrtol=_ROOT_RTOL)
+                         xatol=_ROOT_TOL * scale, xrtol=_ROOT_RTOL)
     touching = ~(res.x < hi)
     if touching.any():
         raise BracketError(f"branches {branch[touching].tolist()} touch the diagonal "
@@ -203,17 +204,9 @@ def residual(model, state: BoundState) -> float:
     return float(np.linalg.norm(k @ c - state.energy * c) / nrm)
 
 
-def _count_and_roots(model, curves):
-    """The count at E = 0 and the roots [(energy, bracket)] of the counted
-    branches on an eigencurve family that is S(E) at E <= 0: `solve_model`
-    without its states, for callers that need only the energies."""
-    unit = _unit(model)
-    counted = CountResult.from_kappa(curves([0.0])[0].kappa, unit)
-    roots = []
-    if counted.count:
-        seed = _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
-        roots = _branch_roots(curves, counted.count, unit, seed)
-    return counted, roots
+def _model_seed(model):
+    """`_seed` of the model: every branch's lower bracket end."""
+    return _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
 
 
 def solve_model(model) -> SolveReport:
@@ -225,7 +218,10 @@ def solve_model(model) -> SolveReport:
 
 def _solve(model, curves) -> SolveReport:
     """`solve_model` on an eigencurve family that is S(E) at E <= 0."""
-    counted, roots = _count_and_roots(model, curves)
+    unit, seed = _unit(model), _model_seed(model)
+    # K(0) for the count and K(seed), the search's lower end, in one stack
+    counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
+    roots = _branch_roots(curves, counted.count, unit, seed)
     states = tuple(replace(_bound_state(model, n, curves([e])[0]), bracket=bracket)
                    for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,

@@ -14,6 +14,7 @@ signs at E = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from .quad import LevelShiftMatrix, NumericalError, gram_matrix, pv_matrix
 
 __all__ = ["EigenCurvePoint", "LevelShiftMatrix", "k_matrix", "eigh", "kappa_curve"]
+
+_HUGE = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,24 @@ class EigenCurvePoint:
 def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
     """diag(levels) - lambda^2 * shift, a complex Hermitian array or stack.
 
-    Raises NumericalError when an entry is not finite (an overflowing shift).
+    Raises NumericalError, naming the first energy, when an entry is not
+    finite (an overflowing shift).
     """
     if shift.n != model.n_levels:
         raise ValueError("shift matrix size does not match the model")
+    lam2, entries = model.coupling ** 2, shift.entries
+    # |omega_n| + lambda^2 max |S_ij| bounds every entry: below the largest
+    # double, nothing overflows, so neither numpy's error state nor a check
+    # of the result is needed (a NaN fails the test)
+    size = float(np.max(np.abs(entries), initial=0.0))
+    if max(-model.levels[0], model.levels[-1]) + lam2 * size < _HUGE:
+        return model._level_diag - lam2 * entries
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.diag(model.level_array()) - model.coupling ** 2 * shift.entries
-    if not np.isfinite(k).all():
-        raise NumericalError(f"K(E) has a non-finite entry at E = {shift.e}")
+        k = model._level_diag - lam2 * entries
+    bad = ~np.isfinite(k).all(axis=(-2, -1))
+    if bad.any():
+        e = np.ravel(shift.e)[np.argmax(np.ravel(bad))]
+        raise NumericalError(f"K(E) has a non-finite entry at E = {float(e)}")
     return k
 
 
@@ -80,16 +93,20 @@ def _eigencurves(model, kind, points=()):
     the given points of that family on."""
     if kind not in ("auto", "S", "D"):
         raise ValueError(f"unknown shift kind {kind!r}")
+    return _EigenCurves(functools.partial(_k_stack, model, kind), points)
 
-    def build(e):
-        below = e < 0.0 if kind == "auto" else np.full(e.shape, kind == "S")
-        k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
-        for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
-            if part.any():
-                k[part] = k_matrix(model, shift(model, e[part]))
-        return k
 
-    return _EigenCurves(build, points)
+def _k_stack(model, kind, e):
+    """K(E) at each energy of the array e, as one complex stack, on the
+    shift kind of `_eigencurves`."""
+    if kind == "S":
+        return k_matrix(model, gram_matrix(model, e))
+    below = e < 0.0 if kind == "auto" else np.zeros(e.shape, dtype=bool)
+    k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
+    for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
+        if part.any():
+            k[part] = k_matrix(model, shift(model, e[part]))
+    return k
 
 
 class _EigenCurves:
@@ -98,10 +115,12 @@ class _EigenCurves:
     build(array of energies), and diagonalizes it with one stacked eigh,
     which gives every point bit for bit as one energy alone.
 
-    A family of several members (the grids of one oracle schedule) is keyed
-    by (member, E) instead: a call names the member of each energy, and the
-    new ones of every member are built as build(energies, members) and
-    diagonalized together.
+    A family of several members (the model's S(E) and the grids of one
+    oracle schedule) is keyed by (member, E) instead: a call names the
+    member of each energy, each member's new energies are built as one
+    stack, build(energies, member), and the stacks of each dtype are
+    diagonalized with one stacked eigh, so a complex S(E) and the real
+    K_M(E) of a real-gauged grid each keep their own LAPACK path and bits.
     """
 
     def __init__(self, build, points=()):
@@ -113,10 +132,22 @@ class _EigenCurves:
         es = np.ravel(energies).tolist()
         keys = es if members is None else list(zip(np.ravel(members).tolist(), es))
         new = list(dict.fromkeys(k for k in keys if k not in self._points))
-        if new:
-            # build's arguments: the new energies, then (if keyed) their members
-            at = [new] if members is None else list(zip(*new))[::-1]
-            kappa, vectors = np.linalg.eigh(self._build(*map(np.array, at)))
-            self._points.update((k, EigenCurvePoint(e, a, v))
-                                for k, e, a, v in zip(new, at[0], kappa, vectors))
+        if new and members is None:
+            self._add(new, new, self._build(np.array(new)))
+        elif new:
+            by_member, by_dtype = {}, {}
+            for key in new:
+                by_member.setdefault(key[0], []).append(key)
+            for member, part in by_member.items():
+                k = self._build(np.array([e for _, e in part]), member)
+                by_dtype.setdefault(k.dtype, []).append((part, k))
+            for group in by_dtype.values():
+                part = [key for ks, _ in group for key in ks]
+                self._add(part, [e for _, e in part], np.concatenate([k for _, k in group]))
         return [self._points[k] for k in keys]
+
+    def _add(self, keys, energies, k):
+        """Remember the points of the stack k, diagonalized in one eigh."""
+        kappa, vectors = np.linalg.eigh(k)
+        self._points.update((key, EigenCurvePoint(e, a, v))
+                            for key, e, a, v in zip(keys, energies, kappa, vectors))

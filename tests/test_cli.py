@@ -331,6 +331,21 @@ def test_model_file_roundtrip(tmp_path):
     assert "count: 2" in (out / "analyze_report.txt").read_text()
 
 
+def test_overflowing_k_names_one_energy(tmp_path, capsys):
+    # lambda^2 S(E) overflows at every energy of the grid: exit 3 with one
+    # line naming the first energy, not the whole stack
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "levels": [-0.01, 0.01], "lambda": 1e150,
+        "form_factors": [{"family": "rational", "n_index": 1, "a": 1e10},
+                         {"family": "rational", "n_index": 1}]}))
+    rc = main(["kappa-curves", "--model", str(cfg), "--e-min=-1", "--e-max=-0.01",
+               "--e-steps", "50", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: K(E) has a non-finite entry at E = -1.0\n"
+
+
 def test_unknown_preset_exit_code(tmp_path, capsys):
     rc = main(["analyze", "--preset", "nope", "--out", str(tmp_path)])
     assert rc == 2

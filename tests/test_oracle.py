@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import friedrichs._search
+import friedrichs.model
 import friedrichs.quad
 import friedrichs.solver
 from friedrichs import (
@@ -21,6 +22,7 @@ from friedrichs import (
     l2_norm_sq,
     load_model,
     make_preset,
+    solve_model,
 )
 from friedrichs.oracle import _coupling_block
 
@@ -272,8 +274,8 @@ def test_schedule_rows_match_grids_alone(name):
     (_single_level(0.1), (10, 500), [0, 0]),
 ])
 def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
-    # the solver's search, then one search over every (grid, branch) pair;
-    # none where no grid counts a state
+    # one search over the solver's branches and every (grid, branch) pair;
+    # none where neither the solver nor a grid counts a state
     sizes = []
     find_root = friedrichs._search._find_root
     monkeypatch.setattr(friedrichs._search, "_find_root",
@@ -281,11 +283,37 @@ def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
                         or find_root(f, lo, hi, **kw))
     table = compare_negative_spectrum(model, schedule)
     assert [row.count for row in table.rows] == counts
-    assert sizes == [n for n in (table.solver_count, sum(counts)) if n]
+    size = table.solver_count + sum(counts)
+    assert sizes == ([size] if size else [])
     monkeypatch.undo()
     for row, m in zip(table.rows, schedule):
         alone = discretize(model, m).negative_eigenvalues()
         assert np.array(row.energies).tobytes() == alone.tobytes()
+
+
+def _deep_root_model():
+    """three-level-fig with form factor 1's width 5.5e9: a root near -1.3e9
+    that converges to a relative bracket, next to two shallow ones."""
+    config = make_preset("three-level-fig").descriptor()
+    config["form_factors"][0]["cutoff"] = 5.5e9
+    return friedrichs.model.model_from_dict(config)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("three-level-fig", 0.1), ("three-level-fig", 0.7), ("three-level-fig", 10.0),
+    ("hydrogen-4level", 0.3), ("hydrogen-4level", 3.0), ("tabulated", None),
+    ("deep", None),
+])
+def test_schedule_solver_matches_solve_model(name, lam):
+    # the solver's S(E), member 0 of the schedule's one search, keeps the
+    # count, brackets and tolerance of `solve_model`: the same bytes
+    model = (load_model(_GOLDEN_TABULATED) if name == "tabulated"
+             else _deep_root_model() if name == "deep" else make_preset(name, lam))
+    table = compare_negative_spectrum(model, (500, 1000))
+    rep = solve_model(model)
+    assert table.solver_count == rep.count > 0
+    want = np.array([st.energy for st in rep.states])
+    assert np.array(table.solver_energies).tobytes() == want.tobytes()
 
 
 def test_schedule_builds_each_k_once(three_level, monkeypatch):

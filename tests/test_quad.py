@@ -370,7 +370,7 @@ def test_ray_tables_die_with_the_model():
     assert "segments" not in vars(model._ray_rows)
     gram_matrix(model, -0.3)
     pv_matrix(model, 0.5)
-    w, c, _, _, rows, cols = model._ray_rows
+    w, c, _, _, rows, cols, _ = model._ray_rows
     starts, mass = model._ray_rows.segments
     assert c.shape == (6, w.size)
     segments = -(-w.size // 16)

@@ -84,6 +84,28 @@ def test_find_root_scalar_bracket():
     assert np.ndim(mine.x) == 0
 
 
+def test_find_root_array_xatol_is_per_element():
+    # an array xatol gives each element the result of a search of its own
+    # with that element's scalar tolerance
+    rng = np.random.default_rng(3)
+    n = 12
+    c = rng.uniform(-3.0, 3.0, n)
+    s = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
+    lo, hi = -4.0 - rng.uniform(0.0, 2.0, n), 4.0 + rng.uniform(0.0, 2.0, n)
+    xatol = 10.0 ** rng.uniform(-12.0, -2.0, n)
+    both = _find_root(cubic, lo, hi, args=(c, s), xatol=xatol, xrtol=0.0)
+    for i in range(n):
+        alone = _find_root(cubic, lo[i:i + 1], hi[i:i + 1], args=(c[i:i + 1], s[i:i + 1]),
+                           xatol=xatol[i], xrtol=0.0)
+        for name in FIELDS:
+            got, want = getattr(both, name), getattr(alone, name)
+            if isinstance(want, tuple):
+                assert [bits(g[i:i + 1]) for g in got] == [bits(w) for w in want], name
+            else:
+                assert bits(got[i:i + 1]) == bits(want), name
+    assert len(set(both.x.tolist())) == n
+
+
 def test_bracketed_root_raises():
     f = lambda x: x * x + 1.0
     with pytest.raises(BracketError, match="no sign change"):

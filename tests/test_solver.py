@@ -157,12 +157,19 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
     assert three_level_reports[10.0].states[0].energy > seed
 
 
-def _record_grams(monkeypatch):
-    """Every energy at which the eigencurve family builds an S(E)."""
+def _record_grams(monkeypatch, calls=None):
+    """Every energy at which the eigencurve family builds an S(E), and in
+    calls, when given, the number of energies of each gram_matrix call."""
     energies = []
     gram = friedrichs.spectral.gram_matrix
-    monkeypatch.setattr(friedrichs.spectral, "gram_matrix",
-                        lambda model, e: energies.extend(np.ravel(e)) or gram(model, e))
+
+    def record(model, e):
+        energies.extend(np.ravel(e))
+        if calls is not None:
+            calls.append(np.size(e))
+        return gram(model, e)
+
+    monkeypatch.setattr(friedrichs.spectral, "gram_matrix", record)
     return energies
 
 
@@ -171,11 +178,16 @@ def test_find_root_gram_budget(three_level, lam, monkeypatch):
     # every Gram matrix of a solve: S(0) for the count, which also serves as
     # the branch search's upper bracket end, and the search to the 1e-12
     # bracket (the shared lower end built once for all branches); each
-    # state reuses the S(E) the search built at its root
-    energies = _record_grams(monkeypatch)
+    # state reuses the S(E) the search built at its root.  S(0) and the
+    # lower end are one stack, so the calls are one fewer than the search's
+    # steps plus two (8, 9 and 12 calls before)
+    calls = []
+    energies = _record_grams(monkeypatch, calls)
     rep = solve_model(three_level.with_coupling(lam))
     assert rep.count == len(THREE_LEVEL_ROOTS[lam])
     assert 0 < len(energies) <= {0.1: 8, 0.7: 13, 10.0: 25}[lam]
+    assert len(calls) <= {0.1: 7, 0.7: 8, 10.0: 11}[lam]
+    assert calls[0] == 2
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
@@ -245,6 +257,26 @@ def test_deep_root_converges_to_relative_bracket(three_level, site, value):
     assert lo <= deep.energy <= hi
     assert hi - lo <= 1e-12 + 4.0 * np.finfo(float).eps * abs(deep.energy)
     assert residual(model, deep) <= 1e-14 * abs(deep.energy)
+
+
+def test_member_roots_keep_their_own_tolerance():
+    # one search over two members of scales 1 and 1e3, kappa(E) = -c + s E^2,
+    # gives each member's roots and brackets bit for bit as a search of that
+    # member alone; with the first member's tolerance shared, the second's
+    # bracket narrows further
+    def curves_of(members):
+        return friedrichs.spectral._EigenCurves(
+            lambda e, m: (-members[m][0] + members[m][1] * e * e + 0j)[:, None, None])
+
+    members, units, seeds = ((1.0, 0.3), (1e3, 1e-3)), [1.0, 1e3], [-20.0, -5e3]
+    both = friedrichs.solver._branch_roots(curves_of(members), [1, 1], units, seeds, 0.0)
+    alone = [friedrichs.solver._branch_roots(curves_of((m,)), [1], [u], [lo], 0.0)
+             for m, u, lo in zip(members, units, seeds)]
+    assert both == alone[0] + alone[1]
+    shared = friedrichs.solver._branch_roots(curves_of(members), [1, 1], 1.0, seeds, 0.0)
+    assert shared[0] == both[0]
+    (_, (lo, hi)), (_, (lo1, hi1)) = both[1], shared[1]
+    assert 1e-10 < hi - lo < 1e-9 and hi1 - lo1 < 1e-12 + 4 * np.finfo(float).eps * 618.1
 
 
 def test_exact_zero_gap_reports_its_point_as_bracket():
