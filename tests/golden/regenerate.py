@@ -12,7 +12,7 @@ Any other argument (--help included) exits 2 without writing.
 
 --diff reruns every case into a temporary directory and prints each number
 that differs from the stored file as old -> new with its relative change;
-it writes nothing here.
+it writes nothing here, and exits 1 when anything moved, 0 otherwise.
 
 The commands run with this directory as the working directory, so the
 tabulated model is named by the relative path that its metadata records.
@@ -57,6 +57,7 @@ CASES = {
     "kappa-tabulated-D": ["kappa-curves", *_TABULATED, "--kind", "D",
                           "--e-min=1e-3", "--e-max=0.4", "--e-steps", "12"],
     "oracle-tabulated": ["oracle-check", *_TABULATED],
+    "thresholds-tabulated": ["thresholds", *_TABULATED],
 }
 
 
@@ -120,23 +121,24 @@ def diff() -> int:
     return count
 
 
-def main(argv=()):
-    """Rewrite every case, or with --diff only list what moved; any other
-    argument exits 2 (argparse) and writes nothing."""
+def main(argv=()) -> int:
+    """Rewrite every case and return 0, or with --diff only list what moved
+    and return 1 if anything did, else 0; any other argument exits 2
+    (argparse) and writes nothing."""
     ap = argparse.ArgumentParser(description="regenerate the golden CLI outputs",
                                  add_help=False, allow_abbrev=False)
     ap.add_argument("--diff", action="store_true",
                     help="list moved numbers against the stored files, write nothing")
     if ap.parse_args(argv).diff:
-        diff()
-        return
+        return 1 if diff() else 0
     for case in CASES:
         out = GOLDEN / case
         shutil.rmtree(out, ignore_errors=True)
         names = run(case, out)
         print(f"{case}: {', '.join(names)}")
+    return 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import friedrichs
+from golden import regenerate
 from golden.regenerate import CASES, GOLDEN, main, moved, run
 
 
@@ -35,7 +36,7 @@ def test_tabulated_golden_in_fresh_process(tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze-tabulated" / name).read_bytes()
 
 
-def test_diff_lists_moved_numbers():
+def test_diff_lists_moved_numbers(monkeypatch, capsys):
     # regenerate.py --diff: one line per moved number, one per line that
     # changes in more than its numbers
     old = "# model 0123\nE,kappa_1\n1.0e-01,-2.50e-01\n"
@@ -43,6 +44,20 @@ def test_diff_lists_moved_numbers():
     assert moved(old, old) == []
     assert moved(old, new) == ["line 3, number 2: -2.50e-01 -> -2.51e-01 (rel -4.0e-03)",
                                "line 4: None -> 'state'"]
+
+    # and exits 1 when a number moved, 0 when none did
+    case, name = "thresholds-three-level", "thresholds_report.txt"
+    stored = (GOLDEN / case / name).read_text()
+    for text, code, last in ((stored, 0, "0 change(s)"),
+                             (stored.replace("n_plus: 2", "n_plus: 3"), 1, "1 change(s)")):
+        def fake_run(case, out, text=text):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(text)
+            return [name]
+        monkeypatch.setattr(regenerate, "CASES", {case: CASES[case]})
+        monkeypatch.setattr(regenerate, "run", fake_run)
+        assert main(["--diff"]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("argv", [["--bogus"], ["--dif"], ["--help"], ["--diff", "extra"]])

@@ -8,6 +8,7 @@ from friedrichs import (
     FriedrichsModel,
     HypothesisViolation,
     RationalFormFactor,
+    TabulatedFormFactor,
     UnitSystem,
     alpha_beta_gamma,
     certificate,
@@ -203,3 +204,32 @@ def test_sup_d_norm_returns_location(three_level):
     assert e_star > 0.0
     for e in (0.05, 0.3, 1.0):
         assert pv_matrix(three_level, e).norm() <= val * (1 + 1e-9)
+
+
+def test_certificate_single_positive_level():
+    # one level: R_a and lambda_a exist, the per-level constants do not, so
+    # the verdict is inapplicable and the bound without R_b is lambda_a
+    single = FriedrichsModel((0.3,), 0.1, (RationalFormFactor(1),), UnitSystem(1.0))
+    rep = certificate(single)
+    assert rep.verdict == "inapplicable"
+    assert rep.level_thresholds == ()
+    assert rep.notes == ("level 1: per-level thresholds need at least two levels",)
+    assert rep.bound_without_b == rep.lambda_a
+    assert rep.bound == min(rep.lambda_a, rep.lambda_b)
+
+
+def test_certificate_tabulated_factor_vanishing_at_its_level():
+    # factor 1 is 0 at its own level, a node of its grid: alpha_1 = 0, so
+    # level 1 drops out with its note and level 2 still gives its constants
+    grid = np.array([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2])
+    factors = (TabulatedFormFactor(grid, np.sqrt(grid) * (grid - 0.2) / (1.0 + grid ** 2),
+                                   tail_exponent=-1.5),
+               TabulatedFormFactor(grid, 0.5j * np.sqrt(grid) / (1.0 + grid ** 2),
+                                   tail_exponent=-1.5))
+    rep = certificate(FriedrichsModel((0.2, 0.5), 0.5, factors, UnitSystem(1.0)))
+    assert rep.verdict == "inapplicable"
+    assert rep.notes == ("level 1: form factor vanishes at its own level (alpha = 0), "
+                         "the local certificate does not apply",)
+    assert [lt.n for lt in rep.level_thresholds] == [2]
+    assert rep.binding == "lambda_bar_2"
+    assert rep.bound == rep.bound_without_b == rep.level_thresholds[0].lambda_bar
