@@ -125,42 +125,35 @@ def _d_scan(model):
     return sup, e_star, float(res.bracket[0]), None
 
 
-def _n_plus(levels) -> int:
-    return int(np.count_nonzero(np.asarray(levels) > 0.0))
-
-
-def _check_nondegenerate(levels):
-    lv = np.asarray(levels, dtype=float)
-    if lv.size >= 2 and np.min(np.diff(lv)) == 0.0:
-        raise HypothesisViolation("degenerate levels, no isolating window exists")
-
-
 def r_a(model) -> float:
     """Isolation radius: min of (smallest positive level)/3 and (min gap)/3."""
     levels = model.level_array()
-    _check_nondegenerate(levels)
-    n_pos = _n_plus(levels)
-    if n_pos == 0:
-        raise HypothesisViolation("no positive levels, nothing to certify")
-    smallest_positive = levels[levels.size - n_pos]
     gaps = np.diff(levels)
-    radius = smallest_positive / 3.0
-    if gaps.size:
-        radius = min(radius, float(np.min(gaps)) / 3.0)
-    return float(radius)
+    if gaps.size and np.min(gaps) == 0.0:
+        raise HypothesisViolation("degenerate levels, no isolating window exists")
+    positive = levels[levels > 0.0]
+    if positive.size == 0:
+        raise HypothesisViolation("no positive levels, nothing to certify")
+    # a third of the minimum is the minimum of the thirds: division is monotone
+    return float(min([positive[0], *gaps]) / 3.0)
+
+
+def _isolation(levels, n, single) -> float:
+    """Distance from level n (1-based) to its nearest neighbour; a model of
+    one level raises HypothesisViolation(single)."""
+    if not 1 <= n <= levels.size:
+        raise ValueError(f"level index {n} outside 1..{levels.size}")
+    if levels.size < 2:
+        raise HypothesisViolation(single)
+    gap = float(np.min(np.abs(np.delete(levels, n - 1) - levels[n - 1])))
+    if gap == 0.0:
+        raise HypothesisViolation(f"level {n} is degenerate")
+    return gap
 
 
 def lambda_n(model, n, *, sup: float) -> float:
     """Per-level threshold sqrt((min gap to other levels / 3) / sup ||D||)."""
-    levels = model.level_array()
-    if not 1 <= n <= levels.size:
-        raise ValueError(f"level index {n} outside 1..{levels.size}")
-    if levels.size < 2:
-        raise HypothesisViolation("per-level thresholds need at least two levels")
-    others = np.delete(levels, n - 1)
-    gap = float(np.min(np.abs(others - levels[n - 1])))
-    if gap == 0.0:
-        raise HypothesisViolation(f"level {n} is degenerate")
+    gap = _isolation(model.level_array(), n, "per-level thresholds need at least two levels")
     return math.sqrt(gap / 3.0 / sup)
 
 
@@ -172,12 +165,6 @@ def _sup_mod_sq_derivative(factor) -> float:
     return grid_max(f, grid, f(grid), what="sup |d|v|^2/domega|", xrtol=1e-8)[1]
 
 
-def _sup_mod_sq_window(factor, lo, hi) -> float:
-    grid = np.linspace(lo, hi, 2001)
-    return grid_max(factor.mod_sq, grid, factor.mod_sq(grid),
-                    what="sup |v|^2", xrtol=1e-8)[1]
-
-
 def alpha_beta_gamma(model, n):
     """The three local certificate constants for level n (1-based).
 
@@ -187,26 +174,19 @@ def alpha_beta_gamma(model, n):
     intersected with the half line.
     """
     levels = model.level_array()
-    if not 1 <= n <= levels.size:
-        raise ValueError(f"level index {n} outside 1..{levels.size}")
-    w = float(levels[n - 1])
-    if w < 0.0:
+    if 1 <= n <= levels.size and levels[n - 1] < 0.0:
         raise HypothesisViolation(
             f"level {n} sits below the continuum, local constants undefined")
+    gap = _isolation(levels, n, "local certificate needs at least two levels")
+    w = float(levels[n - 1])
     factor = model.form_factors[n - 1]
     alpha = float(factor.mod_sq(w))
-
-    if levels.size < 2:
-        raise HypothesisViolation("local certificate needs at least two levels")
-    others = np.delete(levels, n - 1)
-    gap = float(np.min(np.abs(others - w)))
-    if gap == 0.0:
-        raise HypothesisViolation(f"level {n} is degenerate")
     beta = (gap / 3.0) * _sup_mod_sq_derivative(factor)
 
     radius = r_a(model)
-    lo, hi = max(0.0, w - radius), w + radius
-    gamma = sum(_sup_mod_sq_window(f, lo, hi) for f in model.form_factors)
+    grid = np.linspace(max(0.0, w - radius), w + radius, 2001)
+    gamma = sum(grid_max(f.mod_sq, grid, f.mod_sq(grid), what="sup |v|^2", xrtol=1e-8)[1]
+                for f in model.form_factors)
     return alpha, beta, float(gamma)
 
 
@@ -244,9 +224,8 @@ def certificate(model) -> ThresholdReport:
     |lambda| against the minimum.  Hypothesis failures downgrade the verdict
     to "inapplicable" instead of raising.
     """
-    notes = []
     levels = model.level_array()
-    n_pos = _n_plus(levels)
+    n_pos = int(np.count_nonzero(levels > 0.0))
     sup, e_star, radius_b, note_b = _d_scan(model)
 
     try:
@@ -255,44 +234,33 @@ def certificate(model) -> ThresholdReport:
                 "sup ||D|| = 0: every form factor vanishes, no coupling "
                 "threshold to certify")
         radius_a = r_a(model)
-        lam_a = math.sqrt(radius_a / sup)
-        lam_b = math.sqrt(radius_b / sup)
     except HypothesisViolation as exc:
-        notes.append(str(exc))
-        return ThresholdReport(sup, e_star, float("nan"), float("nan"),
-                               float("nan"), float("nan"), (), float("nan"),
-                               float("nan"), "none", "inapplicable", n_pos,
-                               model.coupling, tuple(notes))
+        nan = float("nan")
+        return ThresholdReport(sup, e_star, nan, nan, nan, nan, (), nan, nan, "none",
+                               "inapplicable", n_pos, model.coupling, (str(exc),))
+    lam_a = math.sqrt(radius_a / sup)
+    lam_b = math.sqrt(radius_b / sup)
 
-    if note_b:
-        notes.append(note_b)
-
+    notes = [note_b] if note_b else []
     per_level = []
-    applicable = True
     for n in range(levels.size - n_pos + 1, levels.size + 1):
         try:
             lam_nn = lambda_n(model, n, sup=sup)
             alpha, beta, gamma = alpha_beta_gamma(model, n)
-            lam_bar = lambda_bar_closed_form(lam_nn, alpha, beta, gamma)
+            per_level.append(LevelThreshold(n, lam_nn, alpha, beta, gamma,
+                                            lambda_bar_closed_form(lam_nn, alpha, beta, gamma)))
         except HypothesisViolation as exc:
             notes.append(f"level {n}: {exc}")
-            applicable = False
-            continue
-        per_level.append(LevelThreshold(n, lam_nn, alpha, beta, gamma, lam_bar))
 
-    candidates = {"lambda_a": lam_a, "lambda_b": lam_b}
-    candidates_no_b = {"lambda_a": lam_a}
-    for lt in per_level:
-        candidates[f"lambda_bar_{lt.n}"] = lt.lambda_bar
-        candidates_no_b[f"lambda_bar_{lt.n}"] = lt.lambda_bar
+    bars = {f"lambda_bar_{lt.n}": lt.lambda_bar for lt in per_level}
+    candidates = {"lambda_a": lam_a, "lambda_b": lam_b, **bars}
     binding = min(candidates, key=candidates.get)
     bound = candidates[binding]
-    bound_no_b = min(candidates_no_b.values())
 
-    if not applicable:
+    if len(per_level) < n_pos:
         verdict = "inapplicable"
     else:
         verdict = "true" if abs(model.coupling) < bound else "false"
     return ThresholdReport(sup, e_star, radius_a, radius_b, lam_a, lam_b,
-                           tuple(per_level), bound, bound_no_b, binding,
-                           verdict, n_pos, model.coupling, tuple(notes))
+                           tuple(per_level), bound, min([lam_a, *bars.values()]),
+                           binding, verdict, n_pos, model.coupling, tuple(notes))
