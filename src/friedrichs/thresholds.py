@@ -194,11 +194,17 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
                            gamma: float) -> float:
     """Solve the local quadratic for the refined per-level threshold.
 
-    lambda_bar^2 = lambda_n^2 / (2 beta) * (A - sqrt(A^2 - 4 alpha beta)),
-    A = alpha + beta + gamma.  The discriminant is nonnegative for any
-    positive inputs; alpha -> 0 or beta -> 0 degenerate the quadratic, and
-    beta = inf (a threshold exponent below 1/2) leaves it undefined: all
-    three raise HypothesisViolation.
+    lambda_bar^2 / lambda_n^2 is the smaller root of beta x^2 - A x + alpha,
+    A = alpha + beta + gamma, taken in the stable form
+
+        lambda_bar = |lambda_n| sqrt(2 alpha' / (A' + sqrt(A'^2 - 4 alpha' beta')))
+
+    with alpha, beta, gamma divided by the largest of them (primed): no
+    cancellation when gamma dwarfs alpha and beta, and no overflow.  The
+    discriminant is nonnegative for any positive inputs; alpha -> 0 or
+    beta -> 0 degenerate the quadratic, and beta = inf (a threshold
+    exponent below 1/2) leaves it undefined: all three raise
+    HypothesisViolation.
     """
     if not alpha > 0.0:
         raise HypothesisViolation(
@@ -210,10 +216,11 @@ def lambda_bar_closed_form(lam_n: float, alpha: float, beta: float,
         raise HypothesisViolation(
             "unbounded d|v|^2/domega (beta = inf), the local certificate "
             "does not apply")
-    a_tot = alpha + beta + gamma
-    disc = max(a_tot * a_tot - 4.0 * alpha * beta, 0.0)
-    lam_bar_sq = lam_n ** 2 / (2.0 * beta) * (a_tot - math.sqrt(disc))
-    return math.sqrt(lam_bar_sq)
+    top = max(alpha, beta, gamma)
+    a, b = alpha / top, beta / top
+    a_tot = a + b + gamma / top
+    disc = max(a_tot * a_tot - 4.0 * a * b, 0.0)
+    return abs(lam_n) * math.sqrt(2.0 * a / (a_tot + math.sqrt(disc)))
 
 
 def certificate(model) -> ThresholdReport:

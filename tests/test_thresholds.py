@@ -197,6 +197,38 @@ def test_lambda_bar_closed_form_solves_quadratic():
         lambda_bar_closed_form(lam_n, alpha, -1.0, gamma)
 
 
+def _mp_lambda_bar(lt):
+    """lambda_bar from the textbook root of the local quadratic, at enough
+    digits that its cancellation does not matter."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(1000):
+        alpha, beta, gamma, lam_n = (mpmath.mpf(x) for x in
+                                     (lt.alpha, lt.beta, lt.gamma, lt.lambda_n))
+        a_tot = alpha + beta + gamma
+        return float(lam_n * mpmath.sqrt((a_tot - mpmath.sqrt(a_tot ** 2 - 4 * alpha * beta))
+                                         / (2 * beta)))
+
+
+@pytest.mark.parametrize("prefactor", [1e3, 1e6, 1e100])
+def test_lambda_bar_keeps_its_digits_when_gamma_dominates(prefactor):
+    # gamma ~ prefactor^2 dwarfs alpha and beta of level 2: the textbook
+    # root printed 3.623786e-07 (3.7e-5 low), 0 and a math domain error
+    model = FriedrichsModel((-0.1, 0.2), 0.5,
+                            (RationalFormFactor(1, prefactor=prefactor), RationalFormFactor(2)),
+                            UnitSystem(1.0))
+    rep = certificate(model)
+    (lt,) = rep.level_thresholds
+    assert lt.gamma > 1e5 * max(lt.alpha, lt.beta)
+    assert lt.lambda_bar == pytest.approx(_mp_lambda_bar(lt), rel=1e-14, abs=0.0)
+    assert rep.binding == "lambda_bar_2" and rep.bound == lt.lambda_bar
+
+
+def test_lambda_bar_matches_mpmath_on_presets(hydrogen_cert, three_level):
+    for rep in (hydrogen_cert, certificate(three_level)):
+        for lt in rep.level_thresholds:
+            assert lt.lambda_bar == pytest.approx(_mp_lambda_bar(lt), rel=1e-14, abs=0.0)
+
+
 def test_sup_d_norm_returns_location(three_level):
     rep = certificate(three_level)
     val, e_star = rep.sup_d_norm, rep.sup_d_argmax
