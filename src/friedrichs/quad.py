@@ -587,15 +587,15 @@ def _norm_sq(model, n) -> float:
 
 
 def _extreme(e, reduce, empty):
-    """The energy e, or reduce (np.fmax or np.fmin, which pass over NaN) of
-    an array of them, empty when it has none: one reduction validates a
-    stack, and a float skips numpy."""
+    """The energy e, or reduce (np.maximum or np.minimum, which propagate
+    NaN) of an array of them, empty when it has none: one reduction
+    validates a stack, and a float skips numpy."""
     return e if isinstance(e, float) else float(reduce.reduce(e, axis=None, initial=empty))
 
 
 def _check_below_threshold(model, e, op):
-    top = _extreme(e, np.fmax, -np.inf)
-    if top > 0.0:
+    top = _extreme(e, np.maximum, -np.inf)
+    if not top <= 0.0:
         raise ValueError(f"{op} requires E <= 0, got E = {top}")
     if top == 0.0:
         for k, f in enumerate(model.form_factors, start=1):
@@ -645,8 +645,8 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
-    bottom = _extreme(e, np.fmin, np.inf)
-    if bottom < 0.0:
+    bottom = _extreme(e, np.minimum, np.inf)
+    if not bottom >= 0.0:
         raise ValueError(f"pv_matrix requires E >= 0, got E = {bottom}")
     if bottom == 0.0:
         _check_below_threshold(model, 0.0, "gram_matrix")

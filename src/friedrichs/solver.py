@@ -237,7 +237,7 @@ def positive_candidate_scan(model, e_grid):
     scan reports, it does not certify.
     """
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
-    if np.any(grid <= 0.0):
+    if not np.all(grid > 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
     return _positive_candidates(model, _eigencurves(model, "D"), grid)
 

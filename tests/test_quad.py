@@ -114,6 +114,21 @@ def test_pv_matrix_domain(hydrogen):
         pv_matrix(hydrogen, -0.2)
 
 
+@pytest.mark.parametrize("call", [lambda m: gram_matrix(m, math.nan),
+                                  lambda m: gram_matrix(m, np.array([math.nan, -1.0])),
+                                  lambda m: pv_matrix(m, [math.nan, 1.0]),
+                                  lambda m: t_matrix(m, math.nan, -1.0)],
+                         ids=["gram", "gram-stack", "pv-stack", "t"])
+def test_nan_energy_is_rejected(three_level, call):
+    # a NaN energy is outside every domain: the validating reduction
+    # propagates it, where np.fmax / np.fmin passed over it and the call
+    # returned a NaN matrix with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got E = nan"):
+            call(three_level)
+
+
 def _pv_poly(coef, a, b, e):
     """P int_a^b P(w) / (w - E) dw for P with ascending coefficients coef:
     the polynomial quotient (P(w) - P(E)) / (w - E) integrated exactly plus

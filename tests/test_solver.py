@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,9 @@ def test_positive_scan_builds_each_energy_once(hydrogen, monkeypatch):
 def test_positive_scan_rejects_nonpositive_grid(three_level):
     with pytest.raises(ValueError):
         positive_candidate_scan(three_level, np.array([-0.1, 0.5]))
+    # a NaN energy is not positive either (it raised NumericalError)
+    with pytest.raises(ValueError, match="strictly positive grid"):
+        positive_candidate_scan(three_level, [math.nan, 1.0])
 
 
 def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
