@@ -70,6 +70,22 @@ def _require_finite(**fields):
             raise ConfigError(f"{name} must be finite")
 
 
+# a built-in factor of width c is evaluated through u = x / c and u^2, so no
+# layer may evaluate it beyond _REACH c (less a margin for rounding)
+_REACH = 0.999 * math.sqrt(np.finfo(float).max)
+
+
+def _require_reach(factors, top, layer):
+    """ConfigError unless the narrowest built-in factor may be evaluated up
+    to the abscissa top, the largest at which `layer` evaluates one."""
+    widths = [f.scale for f in factors if f.common_phase is not None]
+    if widths and not top / min(widths) <= _REACH:
+        raise ConfigError(
+            f"form-factor widths {min(widths):.6g} (narrowest built-in) and "
+            f"{max(f.scale for f in factors):.6g} are too far apart: {layer} would "
+            f"evaluate the narrowest at omega = {top:.6g}, where (omega / width)^2 overflows")
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Fixes the reference cutoff used to nondimensionalize the model.
@@ -412,6 +428,9 @@ class FriedrichsModel:
             raise ConfigError("need exactly one form factor per level")
         if not math.isfinite(self.coupling * self.coupling):
             raise ConfigError("coupling must be finite and its square must not overflow")
+        from .quad import _reach
+
+        _require_reach(self.form_factors, _reach(self.form_factors), "the level-shift kernels")
 
     @property
     def n_levels(self) -> int:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _require_reach
 from .quad import _gauss_legendre, _panel_nodes
 from .solver import CountResult, _branch_roots, _model_seed, _seed, _unit
 from .spectral import _EigenCurves, _k_stack
@@ -223,6 +224,7 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     t = 0.5 + 0.5 * tx
     jac = 1.0 / (1.0 - t) ** 2
     nodes = np.concatenate((panel_x.ravel(), omega_max + scale * t / (1.0 - t)))
+    _require_reach(model.form_factors, float(nodes[-1]), f"the oracle's tail at m = {m}")
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),

@@ -388,6 +388,22 @@ _PanelTable = collections.namedtuple(
     "_PanelTable", "factors cells edges w wts d d_abs rows cols at eta_lo eta_hi p beta")
 
 
+def _panel_ends(factors):
+    """(w1, W): every factor is its leading power below w1 and above W."""
+    ends = [(f.grid[0], f.grid[-1]) if f.common_phase is None
+            else (_END_RATIO * f.scale, f.scale / _END_RATIO) for f in factors]
+    return min(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+
+def _reach(factors):
+    """The largest abscissa at which the model's tables evaluate its
+    factors: the ray's top node, at most exp(_RAY_ABOVE) times the widest
+    built-in width, and with a tabulated factor the panel table's end W."""
+    built = [f.scale for f in factors if f.common_phase is not None]
+    top = math.exp(_RAY_ABOVE) * max(built, default=0.0)
+    return top if len(built) == len(factors) else max(top, _panel_ends(factors)[1])
+
+
 def _panel_rows(factors):
     """The model's `_PanelTable`, or None without tabulated factors."""
     n = len(factors)
@@ -395,10 +411,7 @@ def _panel_rows(factors):
              if factors[i].common_phase is None or factors[j].common_phase is None]
     if not pairs:
         return None
-    # every factor is its leading power below w1 and above W
-    ends = [(f.grid[0], f.grid[-1]) if f.common_phase is None
-            else (_END_RATIO * f.scale, f.scale / _END_RATIO) for f in factors]
-    w1, big = min(lo for lo, _ in ends), max(hi for _, hi in ends)
+    w1, big = _panel_ends(factors)
     edges = _geometric_edges(w1, big, *(np.asarray(f.breakpoints(), dtype=float)
                                         for f in factors))
     if edges.size > 2:

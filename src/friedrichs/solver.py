@@ -27,7 +27,7 @@ import numpy as np
 
 from ._search import BracketError, bracketed_root
 from .model import total_l2_norm_sq
-from .quad import gram_matrix, t_matrix
+from .quad import NumericalError, gram_matrix, t_matrix
 from .spectral import _eigencurves, k_matrix
 
 __all__ = [
@@ -119,10 +119,15 @@ def count_negative(model) -> CountResult:
 
 
 def _seed(levels, coupled_norm_sq):
-    """Lower bracket end for every branch, given lambda^2 sum_n ||v_n||^2."""
+    """Lower bracket end for every branch, given lambda^2 sum_n ||v_n||^2;
+    a NaN sum, from norms that overflowed, is a NumericalError."""
     # kappa_n >= omega_1 - lambda^2 tr S(E) and tr S(E) <= sum_n l2 / |E|
     # make this seed a guaranteed positive end once |E_lo| >= 1.
-    return min(levels[0], 0.0) - 1.0 - coupled_norm_sq
+    seed = min(levels[0], 0.0) - 1.0 - coupled_norm_sq
+    if math.isnan(seed):
+        raise NumericalError("lambda^2 sum_n ||v_n||^2 is not a number, "
+                             "no lower bracket end for the bound states")
+    return seed
 
 
 def _gap(curves):

@@ -346,6 +346,55 @@ def test_overflowing_k_names_one_energy(tmp_path, capsys):
     assert err == "numerical failure: K(E) has a non-finite entry at E = -1.0\n"
 
 
+def _write_widths_model(tmp_path, lo, hi):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"levels": [-0.1, 0.2], "lambda": 0.5, "form_factors": [
+        {"family": "rational", "n_index": 1, "cutoff": lo},
+        {"family": "rational", "n_index": 2, "cutoff": hi}]}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep-lambda", "kappa-curves",
+                                     "thresholds", "oracle-check"])
+@pytest.mark.parametrize("lo, hi", [(1.0, 5e150), (1.0, 1e200), (1e-160, 1e150)],
+                         ids=["5e150", "1e200", "1e310"])
+def test_far_apart_widths_exit_2(tmp_path, capsys, command, lo, hi):
+    # past the kernels' reach the commands wrote NaN, exited 3, or died on
+    # an SVD that did not converge or an arange too large to allocate
+    rc = main([command, "--model", _write_widths_model(tmp_path, lo, hi),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: form-factor widths {lo:.6g} (narrowest built-in) "
+                          f"and {hi:.6g} are too far apart") and err.count("\n") == 1
+
+
+def test_oracle_tail_beyond_the_widths_reach_exits_2(tmp_path, capsys):
+    # 4e150 apart the kernels hold, but the oracle's tail at m = 4000 reaches
+    # about 4.5e3 times the widest width: its rows were NaN
+    rc = main(["oracle-check", "--model", _write_widths_model(tmp_path, 1.0, 4e150),
+               "--grid", "500,4000", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "too far apart: the oracle's tail at m = 4000" in err and err.count("\n") == 1
+    assert not (tmp_path / "oracle_check.csv").exists()
+
+
+def test_nan_norms_exit_3(tmp_path, capsys):
+    # both widths 1e152: h w^2 overflows on the ray, the squared norms that
+    # set the bound states' lower bracket end are NaN, and that NaN energy
+    # must not reach gram_matrix, which rejects it with a ValueError
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"levels": [-1e151, 2e151], "lambda": 0.5, "form_factors": [
+        {"family": "rational", "n_index": n, "cutoff": 1e152} for n in (1, 2)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_unknown_preset_exit_code(tmp_path, capsys):
     rc = main(["analyze", "--preset", "nope", "--out", str(tmp_path)])
     assert rc == 2

@@ -283,6 +283,32 @@ def test_model_validation():
         FriedrichsModel((0.1,), float("nan"), (f,), UnitSystem(1.0))
 
 
+@pytest.mark.parametrize("lo, hi, ok", [(1.0, 1e120, True), (1.0, 4e150, True),
+                                         (1.0, 5e150, False), (1e-160, 1e150, False)])
+def test_model_rejects_widths_beyond_the_kernels_reach(lo, hi, ok):
+    # the ray's top node, e^8 times the widest built-in width, over the
+    # narrowest must not overflow when squared (sqrt of the largest double)
+    factors = (RationalFormFactor(1, cutoff=lo), RationalFormFactor(2, cutoff=hi))
+    if ok:
+        FriedrichsModel((-0.1, 0.2), 0.5, factors, UnitSystem(1.0))
+        return
+    with pytest.raises(ConfigError) as exc:
+        FriedrichsModel((-0.1, 0.2), 0.5, factors, UnitSystem(1.0))
+    assert f"widths {lo:.6g} (narrowest built-in) and {hi:.6g} are too far apart" in str(exc.value)
+
+
+@pytest.mark.parametrize("end, ok", [(1e150, True), (1e160, False)])
+def test_model_rejects_a_tabulated_end_beyond_the_kernels_reach(end, ok):
+    # the panel table evaluates every factor up to its end W, here the end
+    # of the tabulated grid
+    tab = TabulatedFormFactor([1.0, end], [0.5, 0.1], tail_exponent=-1.5)
+    if ok:
+        FriedrichsModel((-0.1, 0.2), 0.5, (RationalFormFactor(1), tab), UnitSystem(1.0))
+        return
+    with pytest.raises(ConfigError, match="too far apart: the level-shift kernels"):
+        FriedrichsModel((-0.1, 0.2), 0.5, (RationalFormFactor(1), tab), UnitSystem(1.0))
+
+
 def test_presets(hydrogen, three_level):
     assert hydrogen.n_levels == 3
     assert hydrogen.coupling ** 2 == pytest.approx(6.435e-9, rel=1e-15)
