@@ -48,13 +48,13 @@ def test_diff_lists_moved_numbers(monkeypatch, capsys):
     # and exits 1 when a number moved, 0 when none did
     case, name = "thresholds-three-level", "thresholds_report.txt"
     stored = (GOLDEN / case / name).read_text()
+    monkeypatch.setattr(regenerate, "CASES", {case: CASES[case]})
     for text, code, last in ((stored, 0, "0 change(s)"),
                              (stored.replace("n_plus: 2", "n_plus: 3"), 1, "1 change(s)")):
-        def fake_run(case, out, text=text):
+        def fake_run(_, out, text=text):
             out.mkdir(parents=True, exist_ok=True)
             (out / name).write_text(text)
             return [name]
-        monkeypatch.setattr(regenerate, "CASES", {case: CASES[case]})
         monkeypatch.setattr(regenerate, "run", fake_run)
         assert main(["--diff"]) == code
         assert capsys.readouterr().out.splitlines()[-1] == last
