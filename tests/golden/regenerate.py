@@ -1,7 +1,10 @@
 """Regenerate the golden CLI outputs in this directory.
 
 Each case is one CLI command; its output files are stored under
-tests/golden/<case>/ and compared byte for byte by tests/test_golden.py.
+tests/golden/<case>/, next to the command's stdout in stdout.txt (with the
+output directory written as <out>), and compared byte for byte by
+tests/test_golden.py.  A RuntimeWarning fails a case, as it fails the test
+suite.
 A change that moves a printed digit reruns this script and lists every moved
 digit in CHANGES.md.  Run from the repository root:
 
@@ -28,10 +31,12 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from itertools import zip_longest
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
+STDOUT = "stdout.txt"
 
 _THREE = ["--preset", "three-level-fig"]
 _HYDROGEN = ["--preset", "hydrogen-4level"]
@@ -62,20 +67,24 @@ CASES = {
 
 
 def run(case: str, out: Path) -> list:
-    """Run one case into the directory out; returns the names of the files
-    written, sorted.  Raises RuntimeError on a nonzero exit code."""
+    """Run one case into the directory out, with its stdout in out/stdout.txt;
+    returns the names of the files written, sorted.  Raises RuntimeError on a
+    nonzero exit code, and RuntimeWarning on a warning."""
     from friedrichs.cli import main
 
     out.mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(GOLDEN)
+    stdout = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = main([*CASES[case], "--out", str(out)])
     finally:
         os.chdir(cwd)
     if rc != 0:
         raise RuntimeError(f"golden case {case} exited {rc}")
+    (out / STDOUT).write_text(stdout.getvalue().replace(str(out), "<out>"))
     return sorted(p.name for p in out.iterdir())
 
 

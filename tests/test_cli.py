@@ -408,6 +408,26 @@ def test_missing_model_file_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_SMALL_RUNS = {"analyze": [], "sweep-lambda": ["--lambda-steps", "2"],
+               "kappa-curves": ["--e-steps", "4"], "thresholds": [],
+               "oracle-check": ["--grid", "20"]}
+
+
+@pytest.mark.parametrize("command", _SMALL_RUNS)
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    # --out names an existing regular file: one error line, exit 2, and
+    # nothing written, neither into that file nor beside it
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    rc = main([command, "--preset", "three-level-fig", *_SMALL_RUNS[command],
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+    assert out.read_text() == "keep\n" and list(tmp_path.iterdir()) == [out]
+
+
 def test_bad_flags_exit_code(tmp_path):
     # the quadrature tolerances are fixed: the former --rel-tol/--abs-tol
     # flags are rejected, not silently ignored

@@ -1,24 +1,27 @@
 """Golden CLI outputs: every printed digit of a fixed set of commands.
 
 The files under tests/golden/ were written by tests/golden/regenerate.py;
-each case reruns its command into tmp_path and compares the bytes.
+each case reruns its command into tmp_path and compares the bytes of every
+output file and of its stdout (stdout.txt).
 """
 
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import friedrichs
 from golden import regenerate
-from golden.regenerate import CASES, GOLDEN, main, moved, run
+from golden.regenerate import CASES, GOLDEN, STDOUT, main, moved, run
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_golden_output(case, tmp_path):
     names = run(case, tmp_path)
+    assert STDOUT in names
     assert names == sorted(p.name for p in (GOLDEN / case).iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
@@ -54,7 +57,8 @@ def test_diff_lists_moved_numbers(monkeypatch, capsys):
         def fake_run(_, out, text=text):
             out.mkdir(parents=True, exist_ok=True)
             (out / name).write_text(text)
-            return [name]
+            (out / STDOUT).write_text((GOLDEN / case / STDOUT).read_text())
+            return [STDOUT, name]
         monkeypatch.setattr(regenerate, "run", fake_run)
         assert main(["--diff"]) == code
         assert capsys.readouterr().out.splitlines()[-1] == last
@@ -69,3 +73,18 @@ def test_regenerate_rejects_unknown_arguments(argv):
         main(argv)
     assert exc.value.code == 2
     assert {p: p.read_bytes() for p in GOLDEN.rglob("*") if p.is_file()} == before
+
+
+def test_run_fails_on_a_runtime_warning(monkeypatch, tmp_path):
+    # a case that warns fails --diff and regeneration as it fails the suite,
+    # whatever the caller's warning filters
+    import friedrichs.cli
+
+    def warn(argv):
+        warnings.warn("overflow encountered in divide", RuntimeWarning)
+        return 0
+    monkeypatch.setattr(friedrichs.cli, "main", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeWarning):
+            run("thresholds-three-level", tmp_path)
