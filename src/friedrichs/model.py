@@ -70,9 +70,11 @@ def _require_finite(**fields):
             raise ConfigError(f"{name} must be finite")
 
 
-# a built-in factor of width c is evaluated through u = x / c and u^2, so no
-# layer may evaluate it beyond _REACH c (less a margin for rounding)
-_REACH = 0.999 * math.sqrt(np.finfo(float).max)
+# a built-in factor of width c is evaluated through u = x / c and u^2, and
+# on the kernels' ray (u^2 at angle -pi/3) through 1 / (1 + u^2), whose
+# complex division forms |u|^2 / sin(pi/3): no layer may evaluate it beyond
+# _REACH c (less a margin for rounding)
+_REACH = 0.999 * math.sqrt(np.finfo(float).max * math.sin(math.pi / 3.0))
 
 
 def _require_reach(factors, top, layer):

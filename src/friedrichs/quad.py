@@ -103,6 +103,15 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to reach its accuracy contract."""
 
 
+def _check_finite(stack, e, name):
+    """NumericalError naming the first energy of e (one per matrix of the
+    stack) at which the matrix `name` has a non-finite entry."""
+    bad = ~np.isfinite(stack).all(axis=(-2, -1))
+    if bad.any():
+        e = np.ravel(e)[np.argmax(np.ravel(bad))]
+        raise NumericalError(f"{name} has a non-finite entry at E = {float(e)}")
+
+
 # the accuracy contract, recorded in every CLI output's metadata, that the
 # kernels are tested against
 _REL_TOL = 1e-10
@@ -182,7 +191,8 @@ class _RayTable(collections.namedtuple("_RayTable", "w c c_abs phase rows cols a
         of the first segment whose mass does (inf where none does)."""
         first = np.arange(0, self.w.size, _SEGMENT)
         mass = np.add.reduceat(self.c_abs, first, axis=-1).cumsum(axis=-1)
-        need = mass[:, :-1] / _HEAD
+        with np.errstate(over="ignore"):
+            need = mass[:, :-1] / _HEAD     # inf: no segment starts here
         reach = mass[0].searchsorted(need[0])
         for m, x in zip(mass[1:], need[1:]):
             np.maximum(reach, m.searchsorted(x), out=reach)
@@ -202,9 +212,12 @@ def _ray_rows(factors):
     w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
     r = {i: factors[i].rational_part(w) for i in built}
     pairs = [(i, j) for i in built for j in built if j >= i]
-    # h w^2 once for all pairs, the same product as per pair
-    hw2 = _RAY_STEP * w * w
-    c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
+    # h w^2 once for all pairs, the same product as per pair; at widths near
+    # the root of the largest double it overflows, and the matrices' checks
+    # (k_matrix, the solver's seed, the certificate's scan) report that
+    with np.errstate(over="ignore", invalid="ignore"):
+        hw2 = _RAY_STEP * w * w
+        c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
     phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
                       for i, j in pairs])
     rows, cols = np.array(pairs).T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import LevelShiftMatrix, NumericalError, gram_matrix, pv_matrix
+from .quad import LevelShiftMatrix, _check_finite, gram_matrix, pv_matrix
 
 __all__ = ["EigenCurvePoint", "LevelShiftMatrix", "k_matrix", "eigh", "kappa_curve"]
 
@@ -63,10 +63,7 @@ def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
         return model._level_diag - lam2 * entries
     with np.errstate(over="ignore", invalid="ignore"):
         k = model._level_diag - lam2 * entries
-    bad = ~np.isfinite(k).all(axis=(-2, -1))
-    if bad.any():
-        e = np.ravel(shift.e)[np.argmax(np.ravel(bad))]
-        raise NumericalError(f"K(E) has a non-finite entry at E = {float(e)}")
+    _check_finite(k, shift.e, "K(E)")
     return k
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import bracketed_root, grid_max
-from .quad import gram_matrix, pv_matrix
+from .quad import _check_finite, gram_matrix, pv_matrix
 
 __all__ = [
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
@@ -87,7 +87,9 @@ def _d_scan(model):
     if the first one does (each with a note).
     """
     # ||D(0)|| = ||S(0)|| first: a model without S(0) fails before the scan
-    at_zero = gram_matrix(model, 0.0).norm()
+    s0 = gram_matrix(model, 0.0)
+    _check_finite(s0.entries, 0.0, "S(E)")
+    at_zero = s0.norm()
     scale = model.max_scale()
     grid = np.geomspace(1e-6 * scale, 100.0 * scale, 600)
 
@@ -99,7 +101,9 @@ def _d_scan(model):
         keys = np.ravel(e).tolist()
         new = list(dict.fromkeys(k for k in keys if k not in rows))
         if new:
-            rows.update(zip(new, np.linalg.eigvalsh(pv_matrix(model, np.array(new)).entries)))
+            d = pv_matrix(model, np.array(new)).entries
+            _check_finite(d, new, "D(E)")
+            rows.update(zip(new, np.linalg.eigvalsh(d)))
         return np.reshape([rows[k] for k in keys], np.shape(e) + (-1,))
 
     spectra = eigs(grid)

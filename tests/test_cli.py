@@ -380,19 +380,41 @@ def test_oracle_tail_beyond_the_widths_reach_exits_2(tmp_path, capsys):
     assert not (tmp_path / "oracle_check.csv").exists()
 
 
-def test_nan_norms_exit_3(tmp_path, capsys):
-    # both widths 1e152: h w^2 overflows on the ray, the squared norms that
-    # set the bound states' lower bracket end are NaN, and that NaN energy
-    # must not reach gram_matrix, which rejects it with a ValueError
+_COMMANDS = ["analyze", "sweep-lambda", "kappa-curves", "thresholds", "oracle-check"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_nan_norms_exit_3(tmp_path, capsys, command):
+    # both widths 1e152: h w^2 overflows on the ray, so S(E) and D(E) are not
+    # finite.  The squared norms that set the bound states' lower bracket end
+    # are NaN, and that NaN energy must not reach gram_matrix, which rejects
+    # it with a ValueError; the certificate's scan must not hand such a
+    # matrix to eigvalsh, whose SVD did not converge.  No RuntimeWarning
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"levels": [-1e151, 2e151], "lambda": 0.5, "form_factors": [
         {"family": "rational", "n_index": n, "cutoff": 1e152} for n in (1, 2)]}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["analyze", "--model", str(cfg), "--out", str(tmp_path)])
+    rc = main([command, "--model", str(cfg), "--out", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("hi, too_far", [(2e150, ()), (4e150, ("oracle-check",)),
+                                         (4.49e150, _COMMANDS)])
+def test_widths_inside_the_reach_run_silently(tmp_path, capsys, command, hi, too_far):
+    # just inside the bound the ray's coefficients reach about 1e300: the
+    # search for the segments a sum may skip overflowed to its "none" value
+    # with a RuntimeWarning, and at 4.49e150 the ray's complex division of
+    # 1 / (1 + (w/c)^2) overflowed too; that width is now out of reach
+    rc = main([command, "--model", _write_widths_model(tmp_path, 1.0, hi),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if command in too_far:
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: form-factor widths 1 (narrowest built-in) and {hi:.6g}")
+    else:
+        assert rc == 0 and err == ""
 
 
 def test_unknown_preset_exit_code(tmp_path, capsys):

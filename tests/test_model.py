@@ -284,10 +284,12 @@ def test_model_validation():
 
 
 @pytest.mark.parametrize("lo, hi, ok", [(1.0, 1e120, True), (1.0, 4e150, True),
-                                         (1.0, 5e150, False), (1e-160, 1e150, False)])
+                                         (1.0, 4.49e150, False), (1.0, 5e150, False),
+                                         (1e-160, 1e150, False)])
 def test_model_rejects_widths_beyond_the_kernels_reach(lo, hi, ok):
     # the ray's top node, e^8 times the widest built-in width, over the
     # narrowest must not overflow when squared (sqrt of the largest double)
+    # nor in the complex division 1 / (1 + u^2) on the ray
     factors = (RationalFormFactor(1, cutoff=lo), RationalFormFactor(2, cutoff=hi))
     if ok:
         FriedrichsModel((-0.1, 0.2), 0.5, factors, UnitSystem(1.0))
