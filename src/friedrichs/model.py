@@ -190,11 +190,23 @@ class _PolynomialFormFactor(FormFactor):
         return self._amp / math.sqrt(self._c) * _over_pole(self._desc, (z / self._c) ** 2,
                                                            self._gap)
 
-    def profile_scalar(self, x: float) -> float:
-        if x < 0.0:
+    def _u(self, x):
+        """u = x / c, a float or an array as x, for x >= 0."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
             raise ValueError("form factors are defined for omega >= 0")
-        u = x / self._c
-        return self._amp * math.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
+        return x / self._c
+
+    def _profile(self, u):
+        """amp sqrt(u) Q(u^2) / (1 + u^2)^q, v / common_phase at x = c u."""
+        return self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
+
+    def _mod_sq(self, u):
+        qr = _over_pole(self._desc, u * u, self._gap)
+        return self._amp * self._amp * u * qr * qr
+
+    def profile_scalar(self, x: float) -> float:
+        return float(self._profile(self._u(x)))
 
     def profile_derivative_scalar(self, x: float) -> float:
         # d/dx of amp * sqrt(u) Q(s) (1+s)^(-q), s = u^2, valid for x > 0:
@@ -209,27 +221,13 @@ class _PolynomialFormFactor(FormFactor):
         return self._amp * inner / self._c
 
     def mod_sq_scalar(self, x: float) -> float:
-        if x < 0.0:
-            raise ValueError("form factors are defined for omega >= 0")
-        u = x / self._c
-        qr = _over_pole(self._desc, u * u, self._gap)
-        return self._amp * self._amp * u * qr * qr
+        return float(self._mod_sq(self._u(x)))
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("form factors are defined for omega >= 0")
-        u = x / self._c
-        out = self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
-        return self.common_phase * out
+        return self.common_phase * self._profile(self._u(x))
 
     def mod_sq(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("form factors are defined for omega >= 0")
-        u = x / self._c
-        qr = _over_pole(self._desc, u * u, self._gap)
-        return self._amp * self._amp * u * qr * qr
+        return self._mod_sq(self._u(x))
 
     def mod_sq_derivative(self, x):
         """Closed-form d|v|^2/domega.
@@ -240,18 +238,13 @@ class _PolynomialFormFactor(FormFactor):
         (amp^2/c) [(Q r^q)^2 (1 - 2m t) + 4t (Q r^q) (Q' r^(q-1))], r = 1/(1+u^2),
         t = u^2 r.
         """
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < 0.0):
-            raise ValueError("form factors are defined for omega >= 0")
-        u = x / self._c
+        u = self._u(x)
         s = u * u
         t = s / (1.0 + s)
         qr = _over_pole(self._desc, s, self._gap)
         dqr = _over_pole(self._ddesc, s, self._dgap)
         num = qr * qr * (1.0 - 4.0 * self._q * t) + 4.0 * t * qr * dqr
-        out = (self._amp * self._amp / self._c) * num
-        return float(out[0]) if scalar else out
+        return (self._amp * self._amp / self._c) * num
 
 
 class RationalFormFactor(_PolynomialFormFactor):
