@@ -11,10 +11,14 @@ Five subcommands cover the analysis workflows:
   oracle-check   discretized-Hamiltonian convergence study (CSV)
 
 Every command takes --preset NAME or --model FILE, writes into --out, and
-accepts --lambda to override the coupling.  Exit codes: 0 success, 2
-configuration problem, 3 numerical failure.  Output files carry '#'-prefixed
-metadata (model hash, the fixed quadrature tolerances) and are
-byte-identical across reruns of the same command.
+accepts --lambda to override the coupling.  One driver serves all five: it
+loads the model and builds the '#'-prefixed metadata (model hash, the fixed
+quadrature tolerances) once, runs the command, which returns its files and
+its stdout summary, and only then creates --out, writes every file and
+prints the summary.  So a command that fails writes nothing.  Exit codes: 0
+success, 2 configuration problem (an unwritable --out included), 3
+numerical failure.  Output files are byte-identical across reruns of the
+same command.
 """
 
 from __future__ import annotations
@@ -103,35 +107,24 @@ def _metadata(args, model) -> list:
     ]
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+def _report(schema, metadata) -> list:
+    """The head of a text report: its schema line, then the metadata."""
+    return [f"schema: friedrichs-{schema}-v1"] + [f"# {m}" for m in metadata]
 
 
-def _write(path: Path, text: str):
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _csv(header, metadata, rows) -> str:
+def _csv(header, metadata, rows) -> list:
     lines = [",".join(header)]
     lines += [f"# {m}" for m in metadata]
     lines += [",".join(r) for r in rows]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def cmd_analyze(args) -> int:
-    model = _load(args)
+# Each command takes (args, model, metadata) and returns ({file name: lines},
+# stdout lines); _run writes them once the command has returned.
+
+def cmd_analyze(args, model, metadata):
     report = solve_model(model)
-    out = _outdir(args)
-    lines = ["schema: friedrichs-analyze-v1"]
-    lines += [f"# {m}" for m in _metadata(args, model)]
+    lines = _report("analyze", metadata)
     lines.append(f"levels: {' '.join(_FMT.format(w) for w in model.levels)}")
     lines.append(f"count: {report.count}")
     lines.append("kappa_at_zero: "
@@ -146,16 +139,13 @@ def cmd_analyze(args) -> int:
         lines.append(f"  amplitudes: {amp}")
         lines.append(f"  bracket: [{_FMT.format(st.bracket[0])}, "
                      f"{_FMT.format(st.bracket[1])}]")
-    text = "\n".join(lines) + "\n"
-    _write(out / "analyze_report.txt", text)
-    sys.stdout.write(f"count: {report.count}\n")
+    summary = [f"count: {report.count}"]
     for st in report.states:
-        sys.stdout.write(f"  branch {st.branch_index}: E = {st.energy:.12e}\n")
-    return 0
+        summary.append(f"  branch {st.branch_index}: E = {st.energy:.12e}")
+    return {"analyze_report.txt": lines}, summary
 
 
-def cmd_sweep_lambda(args) -> int:
-    model = _load(args)
+def cmd_sweep_lambda(args, model, metadata):
     if not (0 < args.lambda_min <= args.lambda_max):
         raise ConfigError("need 0 < --lambda-min <= --lambda-max")
     if args.lambda_steps < 1:
@@ -173,14 +163,11 @@ def cmd_sweep_lambda(args) -> int:
         row += [_FMT.format(top - k) for k in point.kappa]
         rows.append(row)
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]
-    out = _outdir(args)
-    _write(out / "sweep_lambda.csv", _csv(header, _metadata(args, model), rows))
-    sys.stdout.write(f"wrote {out / 'sweep_lambda.csv'} ({len(rows)} rows)\n")
-    return 0
+    return ({"sweep_lambda.csv": _csv(header, metadata, rows)},
+            [f"wrote {Path(args.out) / 'sweep_lambda.csv'} ({len(rows)} rows)"])
 
 
-def cmd_kappa_curves(args) -> int:
-    model = _load(args)
+def cmd_kappa_curves(args, model, metadata):
     if args.e_steps < 2 or not -np.inf < args.e_min < args.e_max < np.inf:
         raise ConfigError("need finite --e-min < --e-max and --e-steps >= 2")
     grid = np.linspace(args.e_min, args.e_max, args.e_steps)
@@ -197,9 +184,7 @@ def cmd_kappa_curves(args) -> int:
               + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])
     rows = [[_FMT.format(x) for x in (p.e, *p.kappa, *(top - p.kappa), top - p.e)]
             for p in points]
-    out = _outdir(args)
-    meta = _metadata(args, model)
-    _write(out / "kappa_curves.csv", _csv(header, meta, rows))
+    files = {"kappa_curves.csv": _csv(header, metadata, rows)}
 
     # sidecar: diagonal intersections, bound states on the negative side and
     # embedded candidates with their defects on the positive side
@@ -214,18 +199,14 @@ def cmd_kappa_curves(args) -> int:
             rows.append([str(cand.branch_index), _FMT.format(cand.energy),
                          "candidate", _FMT.format(cand.zero_defect)])
     header = ["branch", "energy", "kind", "zero_defect"]
-    _write(out / "kappa_curves_intersections.csv", _csv(header, meta, rows))
-    sys.stdout.write(f"wrote {out / 'kappa_curves.csv'} and intersections "
-                     f"({len(rows)} found)\n")
-    return 0
+    files["kappa_curves_intersections.csv"] = _csv(header, metadata, rows)
+    return files, [f"wrote {Path(args.out) / 'kappa_curves.csv'} and intersections "
+                   f"({len(rows)} found)"]
 
 
-def cmd_thresholds(args) -> int:
-    model = _load(args)
+def cmd_thresholds(args, model, metadata):
     rep = certificate(model)
-    out = _outdir(args)
-    lines = ["schema: friedrichs-thresholds-v1"]
-    lines += [f"# {m}" for m in _metadata(args, model)]
+    lines = _report("thresholds", metadata)
     lines.append(f"sup_d_norm: {_FMT.format(rep.sup_d_norm)}")
     lines.append(f"sup_d_argmax: {_FMT.format(rep.sup_d_argmax)}")
     lines.append(f"r_a: {_FMT.format(rep.r_a)}")
@@ -245,15 +226,12 @@ def cmd_thresholds(args) -> int:
     lines.append(f"verdict: {rep.verdict}")
     for note in rep.notes:
         lines.append(f"note: {note}")
-    text = "\n".join(lines) + "\n"
-    _write(out / "thresholds_report.txt", text)
-    sys.stdout.write(f"verdict: {rep.verdict} (bound {rep.bound:.6e}, "
-                     f"coupling {abs(rep.coupling):.6e}, {rep.binding})\n")
-    return 0
+    return {"thresholds_report.txt": lines}, [
+        f"verdict: {rep.verdict} (bound {rep.bound:.6e}, "
+        f"coupling {abs(rep.coupling):.6e}, {rep.binding})"]
 
 
-def cmd_oracle_check(args) -> int:
-    model = _load(args)
+def cmd_oracle_check(args, model, metadata):
     try:
         schedule = [int(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
@@ -264,7 +242,7 @@ def cmd_oracle_check(args) -> int:
     k = len(table.solver_energies)
     header = (["m", "count"] + [f"e_{i}" for i in range(1, k + 1)]
               + [f"delta_{i}" for i in range(1, k + 1)])
-    meta = _metadata(args, model)
+    meta = list(metadata)
     meta.append("solver-energies: "
                 + " ".join(_FMT.format(e) for e in table.solver_energies))
     meta.append(f"solver-count: {table.solver_count}")
@@ -277,11 +255,9 @@ def cmd_oracle_check(args) -> int:
         ds = list(r.deltas) + [float("nan")] * max(0, k - len(r.deltas))
         row += [_FMT.format(d) for d in ds]
         rows.append(row)
-    out = _outdir(args)
-    _write(out / "oracle_check.csv", _csv(header, meta, rows))
-    sys.stdout.write(f"wrote {out / 'oracle_check.csv'}; solver count "
-                     f"{table.solver_count}, non-cauchy {table.non_cauchy}\n")
-    return 0
+    return {"oracle_check.csv": _csv(header, meta, rows)}, [
+        f"wrote {Path(args.out) / 'oracle_check.csv'}; solver count "
+        f"{table.solver_count}, non-cauchy {table.non_cauchy}"]
 
 
 _COMMANDS = {
@@ -293,17 +269,35 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
+    """Load the model, run the command, then create --out, write every file
+    the command returned and print its summary."""
+    model = _load(args)
+    files, summary = _COMMANDS[args.command](args, model, _metadata(args, model))
+    out = Path(args.out)
     try:
-        return _COMMANDS[args.command](args)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for name, lines in files.items():
+        try:
+            (out / name).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out / name}: {exc}") from exc
+    sys.stdout.write("\n".join(summary) + "\n")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _run(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+    return 0
 
 
 if __name__ == "__main__":

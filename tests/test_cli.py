@@ -450,6 +450,27 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert out.read_text() == "keep\n" and list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("command, last", [
+    ("analyze", "solve_model"), ("sweep-lambda", "eigh"),
+    ("kappa-curves", "_positive_candidates"), ("thresholds", "certificate"),
+    ("oracle-check", "compare_negative_spectrum")])
+def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch, command, last):
+    # --out is created and written only once the command has returned:
+    # kappa-curves used to write kappa_curves.csv before its crossing search
+    import friedrichs.cli as cli
+
+    def fail(*args, **kwargs):
+        raise friedrichs.NumericalError("late failure")
+    monkeypatch.setattr(cli, last, fail)
+    extra = (["--e-min=-1", "--e-max=1", "--e-steps", "5"] if command == "kappa-curves"
+             else _SMALL_RUNS[command])
+    out = tmp_path / "out"
+    rc = main([command, "--preset", "three-level-fig", *extra, "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "numerical failure: late failure\n")
+    assert not out.exists()
+
+
 def test_bad_flags_exit_code(tmp_path):
     # the quadrature tolerances are fixed: the former --rel-tol/--abs-tol
     # flags are rejected, not silently ignored
