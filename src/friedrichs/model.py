@@ -202,6 +202,7 @@ class _PolynomialFormFactor(FormFactor):
         return self._amp * np.sqrt(u) * _over_pole(self._desc, u * u, self._gap)
 
     def _mod_sq(self, u):
+        """amp^2 u (Q(u^2) / (1 + u^2)^q)^2, |v|^2 at x = c u."""
         qr = _over_pole(self._desc, u * u, self._gap)
         return self._amp * self._amp * u * qr * qr
 
