@@ -17,7 +17,7 @@ from .quad import (LevelShiftMatrix, NumericalError, gram_matrix, pv_matrix,
                    t_matrix)
 from .spectral import EigenCurvePoint, eigh, k_matrix, kappa_curve
 from .solver import (BoundState, BracketError, CountResult, PositiveCandidate,
-                     SolveReport, bound_state, count_negative,
+                     SolveReport, count_negative,
                      positive_candidate_scan, residual, solve_model)
 from .thresholds import (HypothesisViolation, LevelThreshold, ThresholdReport,
                          alpha_beta_gamma, certificate, lambda_bar_closed_form,
@@ -35,7 +35,7 @@ __all__ = [
     "gram_matrix", "pv_matrix", "t_matrix",
     "EigenCurvePoint", "eigh", "k_matrix", "kappa_curve",
     "BoundState", "BracketError", "CountResult", "PositiveCandidate",
-    "SolveReport", "bound_state", "count_negative", "positive_candidate_scan",
+    "SolveReport", "count_negative", "positive_candidate_scan",
     "residual", "solve_model",
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
     "alpha_beta_gamma", "certificate", "lambda_bar_closed_form", "lambda_n",

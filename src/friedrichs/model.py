@@ -73,19 +73,30 @@ def _require_finite(**fields):
 # a built-in factor of width c is evaluated through u = x / c and u^2, and
 # on the kernels' ray (u^2 at angle -pi/3) through 1 / (1 + u^2), whose
 # complex division forms |u|^2 / sin(pi/3): no layer may evaluate it beyond
-# _REACH c (less a margin for rounding)
+# _REACH c (less a margin for rounding).  T(E, E')'s kernel
+# 1 / ((w - E)(w - E')) forms |w|^2 / sin(pi/3) of the ray's node w itself,
+# so the kernels evaluate nothing beyond _REACH either
 _REACH = 0.999 * math.sqrt(np.finfo(float).max * math.sin(math.pi / 3.0))
 
 
-def _require_reach(factors, top, layer):
+def _require_reach(factors, top, layer, squares=False):
     """ConfigError unless the narrowest built-in factor may be evaluated up
-    to the abscissa top, the largest at which `layer` evaluates one."""
+    to the abscissa top, the largest at which `layer` evaluates one, and,
+    for a layer that squares the abscissa itself, unless top is at most
+    _REACH.  A model without built-in factors passes."""
     widths = [f.scale for f in factors if f.common_phase is not None]
-    if widths and not top / min(widths) <= _REACH:
+    if not widths:
+        return
+    widest = max(f.scale for f in factors)
+    if not top / min(widths) <= _REACH:
         raise ConfigError(
             f"form-factor widths {min(widths):.6g} (narrowest built-in) and "
-            f"{max(f.scale for f in factors):.6g} are too far apart: {layer} would "
+            f"{widest:.6g} are too far apart: {layer} would "
             f"evaluate the narrowest at omega = {top:.6g}, where (omega / width)^2 overflows")
+    if squares and not top <= _REACH:
+        raise ConfigError(
+            f"form-factor width {widest:.6g} (widest) is too large: {layer} would "
+            f"evaluate the factors at omega = {top:.6g}, where omega^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -105,17 +116,20 @@ class UnitSystem:
 
 
 class FormFactor:
-    """Base class for coupling functions v(omega) on the half line.
+    """Base class of the coupling functions v(omega) on the half line.
 
-    Subclasses provide `value`, `mod_sq` and `mod_sq_derivative`
-    (vectorized), a characteristic width `scale`, the exponents of the
-    leading powers v ~ x^p_exponent at 0 and v ~ x^tail_exponent at
-    infinity, and `common_phase`: a unit complex number phi with
-    v(x) = phi * profile(x) for a real signed profile, or None when no such
-    global phase exists.  A factor with a common phase is one of the
-    rational built-ins and also provides `rational_part`; the level-shift
-    matrices of pairs of such factors are node sums on a rotated ray, all
-    others are sums on a table of panels (see `quad`).
+    Every factor provides `value`, `mod_sq` and `mod_sq_derivative`
+    (vectorized), `descriptor`, a characteristic width `scale`, the
+    exponents of the leading powers v ~ x^p_exponent at 0 and
+    v ~ x^tail_exponent at infinity, and `common_phase`: a unit complex
+    number phi with v(x) = phi * profile(x) for a real signed profile, or
+    None when no such global phase exists.  A factor with a common phase is
+    one of the rational built-ins and also provides `rational_part`; the
+    level-shift matrices of pairs of such factors are node sums on a rotated
+    ray, all others are sums on a table of panels (see `quad`), which reads a
+    tabulated factor's `grid` and `_piece`.  So the built-in and the
+    tabulated families are the only ones: this class is not an extension
+    point.
     """
 
     p_exponent: float = 0.5
@@ -123,22 +137,10 @@ class FormFactor:
     scale: float = 1.0
     common_phase: complex | None = None
 
-    def value(self, x):
-        raise NotImplementedError
-
-    def mod_sq(self, x):
-        raise NotImplementedError
-
-    def mod_sq_derivative(self, x):
-        raise NotImplementedError
-
     def breakpoints(self) -> tuple:
         """Abscissas where the factor is not smooth, where `quad` splits its
         panels."""
         return (self.scale,)
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
 
 def _over_pole(desc, s, gap):
@@ -378,16 +380,17 @@ class TabulatedFormFactor(FormFactor):
         return out if np.ndim(x) else float(out[0])
 
     def mod_sq_derivative(self, x):
-        """2 Re(conj(v) v') on the lines, e |v(g)|^2 x^(e-1) / g^e on the
-        power of an end node g with e twice its exponent: at x = 0, 0 for
-        e > 1 or e = 0, |v(g0)|^2 / g0 for e = 1 and inf otherwise."""
+        """2 Re(conj(v) v') on the lines, e |v(g)|^2 / g (x / g)^(e-1) on the
+        power of an end node g with e twice its exponent (no g^e, which
+        underflows on a far end): at x = 0, 0 for e > 1 or e = 0,
+        |v(g0)|^2 / g0 for e = 1 and inf otherwise."""
         xs, cell, v, slope = self._at(x)
         out = 2.0 * (v.real * slope.real + v.imag * slope.imag)
         for part, end, a in ((cell == 0, 0, self.p_exponent),
                              (cell == self.grid.size, -1, self.tail_exponent)):
             e, g = 2.0 * a, self.grid[end]
             with np.errstate(divide="ignore"):
-                out[part] = e and e * abs(self.values[end]) ** 2 * xs[part] ** (e - 1.0) / g ** e
+                out[part] = e and e * abs(self.values[end]) ** 2 / g * (xs[part] / g) ** (e - 1.0)
         return out if np.ndim(x) else float(out[0])
 
     def descriptor(self) -> dict:
@@ -426,7 +429,8 @@ class FriedrichsModel:
             raise ConfigError("coupling must be finite and its square must not overflow")
         from .quad import _reach
 
-        _require_reach(self.form_factors, _reach(self.form_factors), "the level-shift kernels")
+        _require_reach(self.form_factors, _reach(self.form_factors), "the level-shift kernels",
+                       squares=True)
 
     @property
     def n_levels(self) -> int:

@@ -125,9 +125,7 @@ class LevelShiftMatrix:
 
     entries: N x N complex Hermitian array (e.shape + (N, N) for a stack).
     e: evaluation energy (internal units), or the array of them.
-    kind: "S", "T" or "D".
-    bounds: the err array, or a function of no arguments that computes it.
-    e2: second energy for kind "T", None otherwise.
+    bounds: a function of no arguments that computes err.
 
     err, computed on first read: per-entry absolute error bounds, shaped as
     entries, each energy's as at that energy alone: 24 eps sum |term| over
@@ -137,13 +135,11 @@ class LevelShiftMatrix:
 
     entries: np.ndarray
     e: float
-    kind: str
     bounds: object = field(repr=False)
-    e2: float | None = None
 
     @functools.cached_property
     def err(self) -> np.ndarray:
-        return self.bounds() if callable(self.bounds) else self.bounds
+        return self.bounds()
 
     @property
     def n(self) -> int:
@@ -212,16 +208,27 @@ def _ray_rows(factors):
     w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
     r = {i: factors[i].rational_part(w) for i in built}
     pairs = [(i, j) for i in built for j in built if j >= i]
-    # h w^2 once for all pairs, the same product as per pair; at widths near
-    # the root of the largest double it overflows, and the matrices' checks
-    # (k_matrix, the solver's seed, the certificate's scan) report that
+    rows, cols = np.array(pairs).T
+    # h w^2 once for all pairs, the same product as per pair
     with np.errstate(over="ignore", invalid="ignore"):
         hw2 = _RAY_STEP * w * w
         c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
+        c_abs = np.abs(c)
+        _require_finite_mass(np.add.reduce(c_abs, axis=-1), rows, cols)
     phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
                       for i, j in pairs])
-    rows, cols = np.array(pairs).T
-    return _RayTable(w, c, np.abs(c), phase, rows, cols, rows * len(factors) + cols)
+    return _RayTable(w, c, c_abs, phase, rows, cols, rows * len(factors) + cols)
+
+
+def _require_finite_mass(mass, rows, cols):
+    """ConfigError naming the first pair n <= m (0-based rows[k], cols[k])
+    whose mass[k], the sum of |coefficient| of its row of a table, is not
+    finite: a coefficient, or their sum, overflowed."""
+    bad = np.flatnonzero(~np.isfinite(mass))
+    if bad.size:
+        n, m = rows[bad[0]] + 1, cols[bad[0]] + 1
+        raise ConfigError(f"pair density conj(v_{n}) v_{m} overflows on the "
+                          f"level-shift kernels' nodes")
 
 
 def _kernel(w, e, e2=None):
@@ -435,11 +442,16 @@ def _panel_rows(factors):
                   else f.grid.searchsorted(mid, side="right") for f in factors)
     v = np.array([f.value(np.append(w, (w1, big))) for f in factors])
     rows, cols = np.array(pairs).T
-    eta = np.conj(v[rows]) * v[cols]
-    d = wts.ravel() * eta[:, :-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.conj(v[rows]) * v[cols]
+        d = wts.ravel() * eta[:, :-2]
+        d_abs = np.abs(d)
+        # the nodes' and the ends' share of each pair's norm
+        _require_finite_mass(np.add.reduce(d_abs, axis=-1) + np.abs(eta[:, -2]) * w1
+                             + np.abs(eta[:, -1]) * big, rows, cols)
     exponents = [[factors[i].p_exponent + factors[j].p_exponent,
                   factors[i].tail_exponent + factors[j].tail_exponent] for i, j in pairs]
-    return _PanelTable(tuple(factors), cells, edges, w, wts, d, np.abs(d), rows, cols,
+    return _PanelTable(tuple(factors), cells, edges, w, wts, d, d_abs, rows, cols,
                        rows * n + cols, eta[:, -2], eta[:, -1], *np.array(exponents).T)
 
 
@@ -565,7 +577,7 @@ def _triangles(n):
     return np.arange(n) * (n + 1), low * n + up, up * n + low
 
 
-def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
+def _level_shift(model, e, e2=None) -> LevelShiftMatrix:
     """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
     1/((w - E)(w - e2))), shaped e.shape + (N, N) for E in e, and their
     error bounds, computed when first read: built-in pairs are phase *
@@ -598,7 +610,7 @@ def _level_shift(model, kind, e, e2=None) -> LevelShiftMatrix:
         err[:, low] = err[:, up]
         return err.reshape(shape)
 
-    return LevelShiftMatrix(entries.reshape(shape), e, kind, bounds, e2)
+    return LevelShiftMatrix(entries.reshape(shape), e, bounds)
 
 
 def _norm_sq(model, n) -> float:
@@ -640,7 +652,7 @@ def gram_matrix(model, e) -> LevelShiftMatrix:
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     _check_below_threshold(model, e, "gram_matrix")
-    return _level_shift(model, "S", e)
+    return _level_shift(model, e)
 
 
 def t_matrix(model, e, e2) -> LevelShiftMatrix:
@@ -658,7 +670,7 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     _check_below_threshold(model, e2, "t_matrix")
     if e == 0.0 and e2 == 0.0:
         raise ValueError("t_matrix requires E < 0 or E' < 0")
-    return _level_shift(model, "T", e, e2)
+    return _level_shift(model, e, e2)
 
 
 def pv_matrix(model, e) -> LevelShiftMatrix:
@@ -676,4 +688,4 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
         raise ValueError(f"pv_matrix requires E >= 0, got E = {bottom}")
     if bottom == 0.0:
         _check_below_threshold(model, 0.0, "gram_matrix")
-    return _level_shift(model, "D", e)
+    return _level_shift(model, e)

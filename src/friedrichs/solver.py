@@ -6,7 +6,8 @@ axis while the identity grows, each branch crosses the diagonal at most once,
 and the number of bound states equals the number of eigencurves that are
 still negative at E = 0.  Counting therefore needs a single Gram matrix at
 the threshold; locating the energies is one elementwise bracketed root
-search over all counted branches.
+search over all counted branches.  Each state is assembled once, from the
+eigencurve point at its root and the search's final bracket.
 
 Embedded (positive-energy) candidates are crossings of kappa_n(E) = E on
 the principal-value family, reported together with the modulus of sum_n
@@ -21,7 +22,7 @@ the count, the states and the defects read the points the search holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .spectral import _eigencurves, k_matrix
 
 __all__ = [
     "BoundState", "SolveReport", "CountResult", "PositiveCandidate",
-    "BracketError", "count_negative", "bound_state", "solve_model", "residual",
+    "BracketError", "count_negative", "solve_model", "residual",
     "positive_candidate_scan",
 ]
 
@@ -75,7 +76,8 @@ class CountResult:
 
 @dataclass(frozen=True)
 class BoundState:
-    """A normalized bound state below the continuum.
+    """A normalized bound state below the continuum, as `solve_model` finds
+    it: one per root of the branch search.
 
     energy: the eigenvalue E < 0.
     c: level amplitudes (length N), normalized together with the continuum
@@ -85,7 +87,6 @@ class BoundState:
     total_norm_sq: |c|^2 + continuum_norm_sq (1 by construction).
     branch_index: which eigencurve produced the state (1-based).
     bracket: final bracket of the root search, enclosing energy.
-    degenerate_partners: other branch indices within degeneracy tolerance.
     """
 
     energy: float
@@ -93,8 +94,7 @@ class BoundState:
     continuum_norm_sq: float
     total_norm_sq: float
     branch_index: int
-    bracket: tuple = (float("nan"), float("nan"))
-    degenerate_partners: tuple = ()
+    bracket: tuple
 
 
 @dataclass(frozen=True)
@@ -168,34 +168,21 @@ def _branch_roots(curves, count, unit, e_lo, e_hi=0.0):
             zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]
 
 
-def bound_state(model, n, e) -> BoundState:
-    """Assemble the normalized bound state on branch n at its energy e < 0.
+def _bound_state(model, n, point, bracket) -> BoundState:
+    """The normalized bound state on branch n at the eigencurve point of
+    K(E) at its root E < 0, which the search enclosed in bracket.
 
     The level amplitudes c come from the eigenvector of K(E) on that branch;
     the continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
     """
-    e = float(e)
-    if e >= 0.0:
-        raise ValueError("bound states require E < 0")
-    return _bound_state(model, n, _eigencurves(model, "S")([e])[0])
-
-
-def _bound_state(model, n, point) -> BoundState:
-    """`bound_state` from the eigencurve point of K(E) at its energy."""
-    e, idx = point.e, n - 1
-    scale = max(point.operator_norm(), 1e-300)
-    partners = tuple(int(m) + 1 for m in range(point.n)
-                     if m != idx and abs(point.kappa[m] - point.kappa[idx]) <= 1e-12 * scale)
-    c_raw = point.vectors[:, idx]
-
+    e, c_raw = point.e, point.vectors[:, n - 1]
     lam = model.coupling
     t = t_matrix(model, e, e).entries
     continuum_raw = lam * lam * float(np.vdot(c_raw, t @ c_raw).real)
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
     cont = continuum_raw / total_raw
-    return BoundState(e, c, cont, float(np.vdot(c, c).real) + cont, n,
-                      degenerate_partners=partners)
+    return BoundState(e, c, cont, float(np.vdot(c, c).real) + cont, n, bracket)
 
 
 def residual(model, state: BoundState) -> float:
@@ -227,7 +214,7 @@ def _solve(model, curves) -> SolveReport:
     # K(0) for the count and K(seed), the search's lower end, in one stack
     counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
     roots = _branch_roots(curves, counted.count, unit, seed)
-    states = tuple(replace(_bound_state(model, n, curves([e])[0]), bracket=bracket)
+    states = tuple(_bound_state(model, n, curves([e])[0], bracket)
                    for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        counted.indeterminate)

@@ -38,13 +38,6 @@ class EigenCurvePoint:
     kappa: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.kappa.size
-
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.kappa))) if self.kappa.size else 0.0
-
 
 def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
     """diag(levels) - lambda^2 * shift, a complex Hermitian array or stack.

@@ -346,15 +346,22 @@ def test_overflowing_k_names_one_energy(tmp_path, capsys):
     assert err == "numerical failure: K(E) has a non-finite entry at E = -1.0\n"
 
 
-def _write_widths_model(tmp_path, lo, hi):
+def _write_model(tmp_path, levels, factors):
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"levels": [-0.1, 0.2], "lambda": 0.5, "form_factors": [
-        {"family": "rational", "n_index": 1, "cutoff": lo},
-        {"family": "rational", "n_index": 2, "cutoff": hi}]}))
+    cfg.write_text(json.dumps({"levels": levels, "lambda": 0.5, "form_factors": factors}))
     return str(cfg)
 
 
+def _write_widths_model(tmp_path, lo, hi, levels=(-0.1, 0.2)):
+    return _write_model(tmp_path, list(levels), [
+        {"family": "rational", "n_index": 1, "cutoff": lo},
+        {"family": "rational", "n_index": 2, "cutoff": hi}])
+
+
 _COMMANDS = ["analyze", "sweep-lambda", "kappa-curves", "thresholds", "oracle-check"]
+# levels of the models whose built-in widths are all equal and near the
+# largest the kernels reach
+_WIDE_LEVELS = (-0.44e150, 0.88e150)
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
@@ -385,31 +392,95 @@ def test_oracle_tail_beyond_the_widths_reach_exits_2(tmp_path, capsys):
     assert not (tmp_path / "oracle_check.csv").exists()
 
 
-def test_nan_norms_exit_3(tmp_path, capsys):
-    # both widths 1e152: h w^2 overflows on the ray, so S(E) and D(E) are not
-    # finite.  The squared norms that set the bound states' lower bracket end
-    # are NaN, and that NaN energy must not reach gram_matrix, which rejects
-    # it with a ValueError; the certificate's scan must not hand such a
-    # matrix to eigvalsh, whose SVD did not converge.  No RuntimeWarning
-    cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"levels": [-1e151, 2e151], "lambda": 0.5, "form_factors": [
-        {"family": "rational", "n_index": n, "cutoff": 1e152} for n in (1, 2)]}))
+def test_nan_norms_exit_3(tmp_path, capsys, monkeypatch):
+    # a NaN coefficient on the ray makes S(E) and D(E) not finite.  The
+    # squared norms that set the bound states' lower bracket end are then
+    # NaN, and that NaN energy must not reach gram_matrix, which rejects it
+    # with a ValueError; the certificate's scan must not hand such a matrix
+    # to eigvalsh, whose SVD did not converge.  No RuntimeWarning
+    import friedrichs.quad as quad
+
+    ray_rows = quad._ray_rows
+
+    def nan_rows(factors):
+        t = ray_rows(factors)
+        c = t.c.copy()
+        c[0, -1] = np.nan
+        return t._replace(c=c, c_abs=np.abs(c))
+
+    monkeypatch.setattr(quad, "_ray_rows", nan_rows)
+    cfg = _write_widths_model(tmp_path, 1.0, 1.0)
     for command in _COMMANDS:
-        rc = main([command, "--model", str(cfg), "--out", str(tmp_path)])
+        rc = main([command, "--model", cfg, "--out", str(tmp_path)])
         assert rc == 3, command
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1, command
 
 
-@pytest.mark.parametrize("command, hi", [(c, 2e150) for c in _COMMANDS]
-                         + [(c, 4e150) for c in _COMMANDS if c != "oracle-check"])
-def test_widths_inside_the_reach_run_silently(tmp_path, capsys, command, hi):
+@pytest.mark.parametrize("command, lo, hi", [
+    pytest.param(c, lo, hi, id=f"{c}-equal-{hi}" if lo == hi else f"{c}-{hi}")
+    for c, lo, hi in [(c, 1.0, 2e150) for c in _COMMANDS]
+    + [(c, 1.0, 4e150) for c in _COMMANDS if c != "oracle-check"]
+    + [(c, 4e150, 4e150) for c in _COMMANDS]])
+def test_widths_inside_the_reach_run_silently(tmp_path, capsys, command, lo, hi):
     # just inside the bound the ray's coefficients reach about 1e300, and
     # the search for the segments a sum may skip overflowed to its "none"
-    # value with a RuntimeWarning (the oracle's tail is out of reach at 4e150)
-    rc = main([command, "--model", _write_widths_model(tmp_path, 1.0, hi),
+    # value with a RuntimeWarning (at widths 1 and 4e150 the oracle's tail is
+    # out of reach; at equal widths 4e150 it is not, and it squares nothing)
+    levels = _WIDE_LEVELS if lo == hi else (-0.1, 0.2)
+    rc = main([command, "--model", _write_widths_model(tmp_path, lo, hi, levels),
                "--out", str(tmp_path)])
     assert rc == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("width", [4.4e150, 1e152])
+def test_equal_widths_beyond_the_kernels_reach_exit_2(tmp_path, capsys, command, width):
+    # e^8 times the widest width passes _REACH, so T(E, E')'s kernel on the
+    # ray overflowed with a RuntimeWarning (4.4e150), or h w^2 did and every
+    # command exited 3 (1e152), although the widths are not far apart
+    rc = main([command, "--model", _write_widths_model(tmp_path, width, width, _WIDE_LEVELS),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: form-factor width {width:.6g} (widest) is too large: "
+                          "the level-shift kernels") and err.count("\n") == 1
+
+
+_GRID = np.geomspace(1.0, 1e10, 6).tolist()
+_OVERFLOWING_PAIRS = {
+    # amplitude^2 is 1.6e308, yet the ray's coefficients overflow
+    "prefactor": [{"family": "rational", "n_index": n, "cutoff": 1e3, "prefactor": 4e152}
+                  for n in (1, 2)],
+    # |v|^2 is 1e300, and times the panels' weights it overflows
+    "tabulated": [{"family": "tabulated", "grid": _GRID, "values_re": [1e150] * 6,
+                   "tail_exponent": -1.5},
+                  {"family": "rational", "n_index": 2}],
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_PAIRS))
+def test_overflowing_pair_densities_exit_2(tmp_path, capsys, command, case):
+    # both passed validation, then every command printed numpy's overflow
+    # warnings and exited 3
+    rc = main([command, "--model", _write_model(tmp_path, [-0.1, 0.2], _OVERFLOWING_PAIRS[case]),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: pair density conj(v_1) v_1 overflows on the level-shift kernels' nodes\n"
+
+
+def test_far_tabulated_end_gives_a_verdict(tmp_path, capsys):
+    # g^e of the grid's end 1e160 underflowed in d|v|^2/domega, whose NaN
+    # made the certificate's sup fail with exit 3
+    grid = np.geomspace(1.0, 1e160, 6)
+    cfg = _write_model(tmp_path, [-0.1, 0.2], [
+        {"family": "tabulated", "grid": grid.tolist(), "values_re": (a * grid ** -0.75).tolist(),
+         "tail_exponent": -1.5} for a in (1.0, 0.5)])
+    rc = main(["thresholds", "--model", cfg, "--out", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert "verdict: " in (tmp_path / "thresholds_report.txt").read_text()
 
 
 def test_unknown_preset_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,6 +249,24 @@ def test_tabulated_mod_sq_derivative_is_the_interpolants_slope(p_exponent):
     assert f.mod_sq_derivative(0.0) == pytest.approx(at0, rel=2 * np.finfo(float).eps)
 
 
+def test_tabulated_mod_sq_derivative_on_a_far_grid_end():
+    # on the power above an end g = 1e160, g^e underflowed to 0 and the
+    # slope was NaN.  v(x) of the grid times s is v(x / s) of the original,
+    # so d|v|^2/dx at s x is the original's at x over s: a copy on a grid
+    # whose g^e stays finite is the reference
+    grid = np.geomspace(1.0, 1e160, 6)
+    vals = np.array([1.0, 0.8 + 0.1j, 0.6 - 0.2j, 0.5, 0.4 + 0.3j, 0.3j])
+    far = TabulatedFormFactor(grid, vals, tail_exponent=-1.5)
+    s = 1e-150
+    near = TabulatedFormFactor(grid * s, vals, tail_exponent=-1.5)
+    xs = np.concatenate(([0.1, 0.5], np.sqrt(grid[1:] * grid[:-1]), [2e160, 1e163, 1e170]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = far.mod_sq_derivative(xs)
+    assert np.all(np.isfinite(got)) and np.all(got[-3:] < 0.0)
+    assert np.allclose(got, near.mod_sq_derivative(s * xs) * s, rtol=1e-13, atol=0.0)
+
+
 def test_tabulated_certificate_alpha_is_the_interpolants():
     # alpha_2 = |v_2(omega_2)|^2 of the model the kernels integrate
     # (0.0616466), not the interpolated sampled |v|^2 (0.0617452)
@@ -285,18 +304,22 @@ def test_model_validation():
 
 @pytest.mark.parametrize("lo, hi, ok", [(1.0, 1e120, True), (1.0, 4e150, True),
                                          (1.0, 4.49e150, False), (1.0, 5e150, False),
-                                         (1e-160, 1e150, False)])
+                                         (1e-160, 1e150, False), (4e150, 4e150, True),
+                                         (4.4e150, 4.4e150, False), (1e152, 1e152, False)])
 def test_model_rejects_widths_beyond_the_kernels_reach(lo, hi, ok):
     # the ray's top node, e^8 times the widest built-in width, over the
     # narrowest must not overflow when squared (sqrt of the largest double)
-    # nor in the complex division 1 / (1 + u^2) on the ray
+    # nor in the complex division 1 / (1 + u^2) on the ray; nor may the top
+    # node itself, which T(E, E')'s kernel squares, whatever the narrowest
     factors = (RationalFormFactor(1, cutoff=lo), RationalFormFactor(2, cutoff=hi))
     if ok:
         FriedrichsModel((-0.1, 0.2), 0.5, factors, UnitSystem(1.0))
         return
     with pytest.raises(ConfigError) as exc:
         FriedrichsModel((-0.1, 0.2), 0.5, factors, UnitSystem(1.0))
-    assert f"widths {lo:.6g} (narrowest built-in) and {hi:.6g} are too far apart" in str(exc.value)
+    want = (f"width {hi:.6g} (widest) is too large" if lo == hi else
+            f"widths {lo:.6g} (narrowest built-in) and {hi:.6g} are too far apart")
+    assert want in str(exc.value)
 
 
 @pytest.mark.parametrize("end, ok", [(1e150, True), (1e160, False)])

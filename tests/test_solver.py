@@ -10,8 +10,8 @@ from friedrichs import (
     FriedrichsModel,
     RationalFormFactor,
     UnitSystem,
-    bound_state,
     count_negative,
+    kappa_curve,
     l2_norm_sq,
     positive_candidate_scan,
     residual,
@@ -52,15 +52,11 @@ def test_bound_state_fields(three_level, three_level_reports):
     assert st.bracket[1] - st.bracket[0] < 1e-12
     assert st.total_norm_sq == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(st.c, st.c) + st.continuum_norm_sq - 1.0) <= 1e-10
-    assert st.degenerate_partners == ()
-    # assembled alone at the same energy, the state differs only in its
-    # bracket, which only the root search knows
-    alone = bound_state(three_level.with_coupling(0.7), 1, st.energy)
-    assert np.isnan(alone.bracket).all()
-    assert np.array_equal(alone.c, st.c)
-    assert alone.continuum_norm_sq == st.continuum_norm_sq
-    with pytest.raises(ValueError):
-        bound_state(three_level, 1, 0.0)
+    # c is the branch's eigenvector of K(E) at the root, scaled by the level
+    # weight |c|^2 = 1 - continuum_norm_sq
+    point = kappa_curve(three_level.with_coupling(0.7), [st.energy])[0]
+    assert np.allclose(st.c, point.vectors[:, 0] * math.sqrt(1.0 - st.continuum_norm_sq),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_bound_state_residual(three_level):
