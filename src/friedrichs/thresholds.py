@@ -20,7 +20,8 @@ over positive levels); the verdict is three-valued since the hypotheses
 (nondegenerate levels, at least one positive level, alpha_n > 0) can fail.
 All suprema are located on deterministic grids refined around the best
 sample, never by stochastic sampling.  sup ||D|| and R_b are read from one
-log grid of D(E) spectra: each D(E) is computed once and serves both.
+scan of D(E) spectra on the ray's lattice of energies, summed there by FFT
+(`quad._pv_lattice`): each D(E) is computed once and serves both.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import bracketed_root, grid_max
-from .quad import _check_finite, gram_matrix, pv_matrix
+from .quad import _check_finite, _pv_lattice, gram_matrix, pv_matrix
 
 __all__ = [
     "HypothesisViolation", "LevelThreshold", "ThresholdReport",
@@ -78,22 +79,26 @@ class ThresholdReport:
 def _d_scan(model):
     """(sup ||D||, argmax, r_b, note) from one sampled spectrum.
 
-    eigvalsh(D(E)) is stored on a 600-point log grid over [1e-6, 100] times
-    the largest form-factor width.  sup ||D|| is the largest |eigenvalue|
-    there, refined in log energy to 1e-4 around the best sample; ||D(0)|| =
+    eigvalsh(D(E)) is stored on the 590 or so energies E = a exp(t) of the
+    ray's lattice (t a multiple of 1/32, `quad._pv_lattice`) over [1e-6, 100]
+    times the largest form-factor width, summed there by FFT.  sup ||D|| is
+    the largest |eigenvalue| there, refined in t to 1e-4 around the best
+    sample, off the lattice with the direct sums of pv_matrix; ||D(0)|| =
     ||S(0)|| competes.  r_b is the lower end of the final bracket, of
     relative width 1e-4, around the edge where min eig D(E) first drops
-    below -1e-10 sup ||D||: the top grid energy if no sample drops below, 0
-    if the first one does (each with a note).
+    below -1e-10 sup ||D||: the top lattice energy if no sample drops below,
+    0 if the first one does (each with a note).  Every energy is built once.
     """
     # ||D(0)|| = ||S(0)|| first: a model without S(0) fails before the scan
     s0 = gram_matrix(model, 0.0)
     _check_finite(s0.entries, 0.0, "S(E)")
     at_zero = s0.norm()
     scale = model.max_scale()
-    grid = np.geomspace(1e-6 * scale, 100.0 * scale, 600)
-
-    rows = {}
+    a, t, d = _pv_lattice(model, 1e-6 * scale, 100.0 * scale)
+    grid = d.e
+    _check_finite(d.entries, grid, "D(E)")
+    spectra = np.linalg.eigvalsh(d.entries)
+    rows = dict(zip(grid.tolist(), spectra))
 
     def eigs(e):
         # eigvalsh(D(E)) at every energy of an array, kept per energy: the
@@ -106,11 +111,11 @@ def _d_scan(model):
             rows.update(zip(new, np.linalg.eigvalsh(d)))
         return np.reshape([rows[k] for k in keys], np.shape(e) + (-1,))
 
-    spectra = eigs(grid)
-    exp = np.vectorize(math.exp, otypes=[float])     # rounds as the scalar math.exp
-    t, sup = grid_max(lambda t: np.abs(eigs(exp(t))).max(axis=-1), np.log(grid),
+    # the refinement maps t to a * np.exp(t) as the lattice did, so its
+    # bracket's three samples are the scan's
+    t, sup = grid_max(lambda t: np.abs(eigs(a * np.exp(t))).max(axis=-1), t,
                       np.abs(spectra).max(axis=1), what="sup ||D(E)||", xatol=1e-4)
-    e_star = math.exp(t)
+    e_star = float(a * np.exp(t))
     if at_zero > sup:
         sup, e_star = at_zero, 0.0
 

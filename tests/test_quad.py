@@ -582,6 +582,42 @@ def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
     assert tabulated._panel_rows is not None
 
 
+_LATTICE_MODELS = {
+    **{f"ratio{r:g}": m for r, m in _RAY_MODELS},
+    "hydrogen": make_preset("hydrogen-4level"),
+    "three-level": make_preset("three-level-fig"),
+    "tabulated-rational": _STACK_MODELS["tabulated-rational"](),
+    "golden-tabulated": _STACK_MODELS["golden-tabulated"](),
+}
+
+
+@pytest.mark.parametrize("model", _LATTICE_MODELS.values(), ids=_LATTICE_MODELS)
+def test_lattice_sums_match_direct_sums(model):
+    # D(E) on the ray's lattice over the certificate's scan range, the
+    # built-in pairs by FFT: at every lattice energy the FFT differs from
+    # the direct sums by at most the lattice's err (the direct sums' bound
+    # plus the FFT's) and at most the direct sums' own err.  The FFT's bound
+    # is at most 60 times the direct one; the pairs with a tabulated factor
+    # are the direct sums.  A second call returns the same bytes
+    import friedrichs.quad as quad
+
+    scale = model.max_scale()
+    a, t, lattice = quad._pv_lattice(model, 1e-6 * scale, 100.0 * scale)
+    assert np.array_equal(lattice.e, a * np.exp(t))
+    assert np.array_equal(np.diff(t), np.full(t.size - 1, 1.0 / 32.0))
+    assert 1e-6 * scale <= lattice.e[0] * (1.0 + 1e-15) < 1e-6 * scale * math.exp(1.0 / 32.0)
+    direct = pv_matrix(model, lattice.e)
+    diff = np.abs(lattice.entries - direct.entries)
+    assert np.all(diff <= lattice.err) and np.all(diff <= direct.err)
+    assert np.all(direct.err <= lattice.err) and np.all(lattice.err <= 60.0 * direct.err)
+    if model._ray_rows is None:
+        assert np.array_equal(lattice.entries, direct.entries)
+    again = quad._pv_lattice(model, 1e-6 * scale, 100.0 * scale)
+    assert again[0] == a and np.array_equal(again[1], t)
+    assert again[2].entries.tobytes() == lattice.entries.tobytes()
+    assert again[2].err.tobytes() == lattice.err.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Pairs with a tabulated factor against an independent QUADPACK reference
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from friedrichs import (
     alpha_beta_gamma,
     certificate,
     lambda_bar_closed_form,
+    load_model,
     pv_matrix,
     r_a,
 )
@@ -54,28 +56,46 @@ def test_lambda_a_consistency(hydrogen_cert):
 
 
 def test_certificate_samples_d_once(hydrogen, monkeypatch):
-    # sup ||D|| and R_b read one scan: one D(E) per grid energy plus the
-    # refinements of the peak and of the R_b edge, each built as a stack
-    energies = []
-    pv = friedrichs.thresholds.pv_matrix
-    monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
-                        lambda model, e: energies.append(np.size(e)) or pv(model, e))
-    rep = certificate(hydrogen)
-    assert rep.verdict == "true"
-    assert energies[0] == 600 and sum(energies) <= 630
+    # sup ||D|| and R_b read one scan: S(0), one stack of D(E) over the
+    # ray's lattice, and the refinements of the peak and of the R_b edge off
+    # it.  Every energy is built once, and none off the lattice lies within
+    # rounding of a lattice energy: the peak's three starting samples come
+    # from the scan.  Also on the golden tabulated model, whose lattice is
+    # anchored at its widest width
+    import friedrichs.quad as quad
+
+    built = []
+    level_shift = quad._level_shift
+    monkeypatch.setattr(quad, "_level_shift", lambda model, e, e2=None, lattice=None: (
+        built.append((np.ravel(e).tolist(), lattice is not None))
+        or level_shift(model, e, e2, lattice)))
+    tabulated = load_model(Path(__file__).resolve().parent / "golden" / "tabulated.json")
+    for model in (hydrogen, tabulated):
+        built.clear()
+        rep = certificate(model)
+        energies = [x for e, _ in built for x in e]
+        assert len(energies) == len(set(energies)) <= 630
+        scans = [e for e, on in built if on]
+        assert len(scans) == 1 and len(scans[0]) == 590
+        off = np.array([x for e, on in built if not on for x in e if x > 0.0])
+        assert np.abs(np.log(off[:, None] / np.array(scans[0]))).min() > 1e-12
+        assert rep.verdict == ("true" if model is hydrogen else "false")
 
 
 def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
     # the R_b search reads min eig D(E) at its two scanned bracket ends from
     # the scan's rows: no energy is built twice, and r_b ends where it did,
-    # inside a cell of the 600-point scan
-    energies = []
-    pv = friedrichs.thresholds.pv_matrix
+    # inside a cell of the lattice scan
+    energies, scans = [], []
+    pv, pv_lattice = friedrichs.thresholds.pv_matrix, friedrichs.thresholds._pv_lattice
     monkeypatch.setattr(friedrichs.thresholds, "pv_matrix",
                         lambda model, e: energies.extend(np.ravel(e).tolist()) or pv(model, e))
+    monkeypatch.setattr(friedrichs.thresholds, "_pv_lattice",
+                        lambda *args: scans.append(pv_lattice(*args)) or scans[-1])
     rep = certificate(hydrogen)
+    grid = scans[0][2].e
+    assert len(scans) == 1 and not set(energies) & set(grid.tolist())
     assert len(energies) == len(set(energies))
-    grid = energies[:600]
     k = np.searchsorted(grid, rep.r_b)
     assert grid[k - 1] < rep.r_b < grid[k]
     assert rep.r_b == hydrogen_cert.r_b
