@@ -80,15 +80,13 @@ _REACH = 0.999 * math.sqrt(np.finfo(float).max * math.sin(math.pi / 3.0))
 
 
 def _require_reach(factors, top, layer, squares=False):
-    """ConfigError unless the narrowest built-in factor may be evaluated up
-    to the abscissa top, the largest at which `layer` evaluates one, and,
-    for a layer that squares the abscissa itself, unless top is at most
-    _REACH.  A model without built-in factors passes."""
+    """ConfigError unless the narrowest built-in factor, if any, may be
+    evaluated up to the abscissa top, the largest at which `layer` evaluates
+    one, and, for a layer that squares the abscissa itself, unless top is at
+    most _REACH, with or without built-in factors."""
     widths = [f.scale for f in factors if f.common_phase is not None]
-    if not widths:
-        return
     widest = max(f.scale for f in factors)
-    if not top / min(widths) <= _REACH:
+    if widths and not top / min(widths) <= _REACH:
         raise ConfigError(
             f"form-factor widths {min(widths):.6g} (narrowest built-in) and "
             f"{widest:.6g} are too far apart: {layer} would "

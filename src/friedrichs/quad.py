@@ -37,23 +37,14 @@ The terms are of the size of the integrand (no cancellation near a pole),
 and E' -> E needs no difference quotient.  h = 1/16 and the range
 exp(-48) c_lo .. exp(8) c_hi (c_lo <= c_hi the smallest and largest
 built-in widths) hold S, D and the norms to rounding at every E.  T(E, E')
-omits the head [0, t0 = exp(-48) c_lo) of relative size t0^2 / (2 |E E'|),
-below 1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).
+omits [0, t0 = exp(-48) c_lo), of relative size t0^2 / (2 |E E'|), below
+1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).
 
-S(E) and D(E) at E != 0 also skip the ray's own head: the sum starts at
-the last segment of 16 nodes before which every pair's |c_k| mass is at
-most 2^-56 of its mass up to |E| (found from a table of the segments'
-least |E|, built on the ray's first sum at E != 0).  On the ray
-|w_k - E| >= |E|/2, so the head is at most 2 sum_{k<K} |c_k| / |E|,
-while the kept terms' rounding bound is at least 12 eps / |E| times their
-mass up to |E|: the head's bound is below 2^-56 / (6 eps), 1.1 %, of it.
-T(E, E'), the norms and E = 0 sum the full ray.  The kernel is evaluated
-once per energy for all pairs; neighbouring energies of a stack that
-start at one node form blocks, and each pair's row is summed on its own
-along the contiguous last axis, so a stack holds each energy's matrix
-bit for bit.  err, computed when first read, is the rounding bound
-24 eps sum_k |c_k| |kernel(w_k)| of the terms kept plus the head's bound
-2 sum_{k<K} |c_k| / |E|.
+Every sum runs over every node of the ray.  The kernel is evaluated once
+per energy for all pairs; a stack's energies go in blocks, and each pair's
+row is summed on its own along the contiguous last axis, so a stack holds
+each energy's matrix bit for bit.  err, computed when first read, is the
+rounding bound 24 eps sum_k |c_k| |kernel(w_k)|.
 
 The lattice.  At E_j = a exp(j h/2), a = c_lo, the ray's nodes give
 1/(w_k - E_j) = g(2k - j) / E_j = exp(-k h) g~(2k - j) / a, with
@@ -64,18 +55,17 @@ c_k exp(-k h)) with g (or g~), one FFT convolution of a power-of-two length
 N per parity and weighting, each row scaled by a power of two so that
 nothing overflows (`_ray_lattice`, numpy.fft, imported on first use).  The
 first weighting suits energies above a pair's nodes, the second energies
-below them, and each sum takes the one whose bound is smaller.  These sums
-keep every term.  The certificate's scan reads the lattice (`_pv_lattice`);
-every other energy keeps the direct sums, and the lattice stack is not the
-direct stack bit for bit.  Its err adds two bounds.  The first is the
-direct sums' err at E_j.  It is at least 24 eps sum |term| over every term,
-the head included, so it covers the terms' own roundings (the
-coefficient's, the kernel's, the weights' and E_j's; E_j moves a term by at
-most twice its relative error, since |w - E| >= max(|w|, E)/2 on the ray),
-a few tens of unit roundoffs u per term.  The second is the FFT's,
-over E_j (or a).  For a convolution of x and y by FFTs of length N = 2^t,
-with Z the computed product of the two transforms, Cauchy-Schwarz gives,
-as in Percival (Math. Comp. 72, 2003),
+below them, and each sum takes the one whose bound is smaller.  The
+certificate's scan reads the lattice (`_pv_lattice`); every other energy
+keeps the direct sums, and the lattice stack is not the direct stack bit
+for bit.  Its err adds two bounds.  The first is the direct sums' err at
+E_j, 24 eps sum |term| over every term.  It covers the terms' own
+roundings (the coefficient's, the kernel's, the weights' and E_j's; E_j
+moves a term by at most twice its relative error, since |w - E| >=
+max(|w|, E)/2 on the ray), a few tens of unit roundoffs u per term.  The
+second is the FFT's, over E_j (or a).  For a convolution of x and y by
+FFTs of length N = 2^t, with Z the computed product of the two transforms,
+Cauchy-Schwarz gives, as in Percival (Math. Comp. 72, 2003),
 
     |conv_i - exact_i| <= |Z - XY|_1 / N + phi |Z|_2 / sqrt(N)
                        <= (2 phi + mu)(1 + phi)^2 |x|_2 |y|_2 + phi |Z|_2 / sqrt(N),
@@ -164,8 +154,8 @@ class LevelShiftMatrix:
 
     err, computed on first read: per-entry absolute error bounds, shaped as
     entries, each energy's as at that energy alone: 24 eps sum |term| over
-    the terms summed, plus on the ray the bound of the head a sum skipped,
-    and on the ray's lattice the FFT's bound (module docstring).
+    every term summed, plus on the ray's lattice the FFT's bound (module
+    docstring).
     """
 
     entries: np.ndarray
@@ -197,38 +187,13 @@ _RAY_BELOW, _RAY_ABOVE = 48.0, 8.0
 # rounding bound of a node sum per unit of sum |term|: about ten roundings in
 # each coefficient (the Horner sums behind r_n r_m) plus log2 of the node count
 _SUM_ERR = 24.0 * np.finfo(float).eps
-# a sum at E starts at a multiple of _SEGMENT nodes, past a head whose |c|
-# mass is at most _HEAD of each pair's |c| mass up to |E|; terms per block
-# of energies in the ray sums
-_SEGMENT, _HEAD = 16, 2.0 ** -56
+# terms per block of energies in the ray sums
 _RAY_BLOCK = 2 ** 14
 
-
-class _RayTable(collections.namedtuple("_RayTable", "w c c_abs phase rows cols at")):
-    """A model's ray table (module docstring): the nodes w, a row c of
-    coefficients per built-in pair n <= m (indices rows, cols, and at in a
-    flattened N x N matrix), |c| and the pair phases."""
-
-    @functools.cached_property
-    def segments(self):
-        """(starts, mass), built on the first sum at an energy E != 0:
-        starts[j - 1], ascending, is the least |E| whose sums may start at
-        segment j of _SEGMENT nodes, and mass[:, j] each pair's |c| mass up
-        to the end of segment j.
-
-        Segment j may start once, for every pair, the mass up to |E| reaches
-        the mass before j over _HEAD.  The mass up to the end of a segment
-        bounds the mass up to |E| from below, so that is from the last node
-        of the first segment whose mass does (inf where none does)."""
-        first = np.arange(0, self.w.size, _SEGMENT)
-        mass = np.add.reduceat(self.c_abs, first, axis=-1).cumsum(axis=-1)
-        with np.errstate(over="ignore"):
-            need = mass[:, :-1] / _HEAD     # inf: no segment starts here
-        reach = mass[0].searchsorted(need[0])
-        for m, x in zip(mass[1:], need[1:]):
-            np.maximum(reach, m.searchsorted(x), out=reach)
-        last = np.abs(self.w[np.append(first[1:], self.w.size) - 1])
-        return np.append(last, np.inf)[reach], mass
+# A model's ray table (module docstring): the nodes w, a row c of
+# coefficients per built-in pair n <= m (indices rows, cols, and at in a
+# flattened N x N matrix), |c| and the pair phases.
+_RayTable = collections.namedtuple("_RayTable", "w c c_abs phase rows cols at")
 
 
 def _ray_rows(factors):
@@ -272,48 +237,27 @@ def _kernel(w, e, e2=None):
     return 1.0 / (w - e) if e2 is None else 1.0 / ((w - e) * (w - e2))
 
 
-def _ray_segments(t, e, e2):
-    """The segment at which the sums of each energy of the array e start:
-    the first for T(E, E') and E = 0."""
-    if e2 is not None or not e.any():
-        return np.zeros(e.size, dtype=int)
-    return np.searchsorted(t.segments[0], np.abs(e), side="right")
-
-
-def _ray_reduce(t, coef, e, e2, seg, part):
-    """sum_k coef_k part(kernel(w_k)) of every pair from the first node of
-    each energy's segment seg, (e.size, pairs): one kernel per energy, each
-    run of neighbouring energies that share a start in blocks of at most
-    _RAY_BLOCK terms, whose terms go into one buffer, and each row reduced
-    on its own along the contiguous last axis, so that a sum does not
-    depend on the energies beside it."""
-    cuts = [0, e.size] if e.size else [0]
-    if e.size > 1:
-        cuts[1:1] = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+def _ray_reduce(t, coef, e, e2, part):
+    """sum_k coef_k part(kernel(w_k)) of every pair over every node,
+    (e.size, pairs): one kernel per energy, in blocks of energies of at
+    most _RAY_BLOCK terms, whose terms go into one buffer, and each row
+    reduced on its own along the contiguous last axis, so that a sum does
+    not depend on the energies beside it."""
     sums = np.empty((e.size, coef.shape[0]), dtype=coef.dtype)
-    buf = np.empty(min(e.size * coef.size, max(_RAY_BLOCK, coef.size)), dtype=coef.dtype)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        k = int(seg[lo]) * _SEGMENT
-        c = coef[:, k:]
-        size = max(1, _RAY_BLOCK // c.size)
-        for b in range(lo, hi, size):
-            g = slice(b, min(b + size, hi))
-            terms = buf[:(g.stop - b) * c.size].reshape(g.stop - b, *c.shape)
-            np.multiply(c, part(_kernel(t.w[k:], e[g, None], e2))[:, None, :], out=terms)
-            sums[g] = np.add.reduce(terms, axis=-1)
+    size = max(1, _RAY_BLOCK // coef.size)
+    buf = np.empty(min(e.size, size) * coef.size, dtype=coef.dtype)
+    for b in range(0, e.size, size):
+        g = slice(b, min(b + size, e.size))
+        terms = buf[:(g.stop - b) * coef.size].reshape(g.stop - b, *coef.shape)
+        np.multiply(coef, part(_kernel(t.w, e[g, None], e2))[:, None, :], out=terms)
+        sums[g] = np.add.reduce(terms, axis=-1)
     return sums
 
 
 def _ray_bounds(t, e, e2=None):
     """The error bounds of the ray sums at the energies e, (e.size, pairs):
-    the rounding bound _SUM_ERR sum |c_k kernel(w_k)| of the terms kept,
-    and the dropped head's bound 2 sum |c_k| / |E|, since |w - E| >= |E|/2
-    on the ray."""
-    seg = _ray_segments(t, e, e2)
-    kept = _SUM_ERR * _ray_reduce(t, t.c_abs, e, e2, seg, np.abs)
-    head = seg > 0
-    kept[head] += 2.0 * t.segments[1][:, seg[head] - 1].T / np.abs(e[head, None])
-    return kept
+    the rounding bound _SUM_ERR sum_k |c_k kernel(w_k)| over every node."""
+    return _SUM_ERR * _ray_reduce(t, t.c_abs, e, e2, np.abs)
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +613,10 @@ def _level_shift(model, e, e2=None, lattice=None) -> LevelShiftMatrix:
     """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
     1/((w - E)(w - e2))), shaped e.shape + (N, N) for E in e, and their
     error bounds, computed when first read: built-in pairs are phase *
-    Re sum_k c_k kernel(w_k) on the model's ray table, each sum from its
-    energy's start (`_ray_reduce`), or with lattice (a, j), e the lattice
-    energies a exp(j h/2), by FFT (`_ray_lattice`); the others
-    `_panel_sums` on its panel table; the upper triangle is mirrored.
+    Re sum_k c_k kernel(w_k) on the model's ray table over every node
+    (`_ray_reduce`), or with lattice (a, j), e the lattice energies
+    a exp(j h/2), by FFT (`_ray_lattice`); the others `_panel_sums` on its
+    panel table; the upper triangle is mirrored.
     Pairs go to their places in the flattened matrices through the tables'
     `at`."""
     x = np.ravel(e)
@@ -681,7 +625,7 @@ def _level_shift(model, e, e2=None, lattice=None) -> LevelShiftMatrix:
     ray, panels = model._ray_rows, model._panel_rows
     if ray is not None:
         if lattice is None:
-            sums = _ray_reduce(ray, ray.c, x, e2, _ray_segments(ray, x, e2), lambda k: k)
+            sums = _ray_reduce(ray, ray.c, x, e2, lambda k: k)
         else:
             sums, fft_bounds = _ray_lattice(ray, x, *lattice)
         entries[:, ray.at] = ray.phase * sums.real

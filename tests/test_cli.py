@@ -424,9 +424,9 @@ def test_nan_norms_exit_3(tmp_path, capsys, monkeypatch):
     + [(c, 4e150, 4e150) for c in _COMMANDS]])
 def test_widths_inside_the_reach_run_silently(tmp_path, capsys, command, lo, hi):
     # just inside the bound the ray's coefficients reach about 1e300, and
-    # the search for the segments a sum may skip overflowed to its "none"
-    # value with a RuntimeWarning (at widths 1 and 4e150 the oracle's tail is
-    # out of reach; at equal widths 4e150 it is not, and it squares nothing)
+    # every command still runs without a RuntimeWarning (at widths 1 and
+    # 4e150 the oracle's tail is out of reach; at equal widths 4e150 it is
+    # not, and it squares nothing)
     levels = _WIDE_LEVELS if lo == hi else (-0.1, 0.2)
     rc = main([command, "--model", _write_widths_model(tmp_path, lo, hi, levels),
                "--out", str(tmp_path)])
@@ -472,9 +472,9 @@ def test_overflowing_pair_densities_exit_2(tmp_path, capsys, command, case):
 
 
 def test_far_tabulated_end_gives_a_verdict(tmp_path, capsys):
-    # g^e of the grid's end 1e160 underflowed in d|v|^2/domega, whose NaN
-    # made the certificate's sup fail with exit 3
-    grid = np.geomspace(1.0, 1e160, 6)
+    # g^e of the grid's end 1e150, 1e-450, underflowed in d|v|^2/domega,
+    # whose NaN made the certificate's sup fail with exit 3
+    grid = np.geomspace(1.0, 1e150, 6)
     cfg = _write_model(tmp_path, [-0.1, 0.2], [
         {"family": "tabulated", "grid": grid.tolist(), "values_re": (a * grid ** -0.75).tolist(),
          "tail_exponent": -1.5} for a in (1.0, 0.5)])

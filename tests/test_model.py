@@ -325,13 +325,19 @@ def test_model_rejects_widths_beyond_the_kernels_reach(lo, hi, ok):
 @pytest.mark.parametrize("end, ok", [(1e150, True), (1e160, False)])
 def test_model_rejects_a_tabulated_end_beyond_the_kernels_reach(end, ok):
     # the panel table evaluates every factor up to its end W, here the end
-    # of the tabulated grid
+    # of the tabulated grid; without a built-in factor T(E, E')'s kernel on
+    # the panels squares W itself, which overflowed with a RuntimeWarning
     tab = TabulatedFormFactor([1.0, end], [0.5, 0.1], tail_exponent=-1.5)
+    grid = np.geomspace(1.0, end, 6)
+    alone = [TabulatedFormFactor(grid, np.ones(6), tail_exponent=-1.5) for _ in range(2)]
     if ok:
         FriedrichsModel((-0.1, 0.2), 0.5, (RationalFormFactor(1), tab), UnitSystem(1.0))
+        FriedrichsModel((-0.1, 0.2), 0.5, alone, UnitSystem(1.0))
         return
     with pytest.raises(ConfigError, match="too far apart: the level-shift kernels"):
         FriedrichsModel((-0.1, 0.2), 0.5, (RationalFormFactor(1), tab), UnitSystem(1.0))
+    with pytest.raises(ConfigError, match=r"width 1e\+160 \(widest\) is too large: the level-shift"):
+        FriedrichsModel((-0.1, 0.2), 0.5, alone, UnitSystem(1.0))
 
 
 def test_presets(hydrogen, three_level):

@@ -372,25 +372,17 @@ def test_ray_kernel_matches_quadpack(model):
 
 def test_ray_tables_die_with_the_model():
     # the node table lives on the model, not in a module cache or on the
-    # factors, so dropping the model frees it; with the nodes it holds,
-    # from the first sum at E != 0 on, the starts of the segments of 16
-    # nodes and each pair's mass up to each segment's end
+    # factors, so dropping the model frees it
     model = make_preset("three-level-fig")
-    gram_matrix(model, 0.0)
-    assert "segments" not in vars(model._ray_rows)
     gram_matrix(model, -0.3)
     pv_matrix(model, 0.5)
     w, c, _, _, rows, cols, _ = model._ray_rows
-    starts, mass = model._ray_rows.segments
     assert c.shape == (6, w.size)
-    segments = -(-w.size // 16)
-    assert starts.shape == (segments - 1,) and mass.shape == (6, segments)
-    assert np.all(starts[1:] >= starts[:-1]) and starts[0] > 0.0
     assert sorted(zip(rows.tolist(), cols.tolist())) == [
         (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     factor = weakref.ref(model.form_factors[0])
     nodes = weakref.ref(w)
-    del model, w, c, rows, cols, starts, mass
+    del model, w, c, rows, cols
     assert factor() is None
     assert nodes() is None
 
@@ -412,30 +404,24 @@ def _head_drop_models():
                          ids=[f"ray{i}" for i in range(len(_RAY_MODELS))]
                          + ["hydrogen", "three-level", "adversarial"])
 def test_ray_head_drop_is_within_err(model):
-    # a sum that skips the ray's head: the head's bound 2 sum |c_k| / |E| is
-    # at most 1.1 % of the kept terms' rounding bound, and the sum differs
-    # from the full ray's by at most err, at E in +-[1e-8 c_lo, 1e3 c_hi]
-    # and one ulp either side of every segment's start
+    # no sum drops the ray's head: at E in +-[1e-8 c_lo, 1e3 c_hi] and one
+    # ulp either side of the modulus of every 16th node, each built-in entry
+    # of S(E) or D(E) is the node sum over the whole ray bit for bit, and
+    # err is the rounding bound of all its terms
     import friedrichs.quad as quad
 
     t = model._ray_rows
     lo, hi = min(f.scale for f in model.form_factors), model.max_scale()
-    starts = t.segments[0]
-    finite = starts[np.isfinite(starts)]
+    moduli = np.abs(t.w[15::16])
     mags = np.concatenate((np.geomspace(1e-8 * lo, 1e3 * hi, 60),
-                           np.nextafter(finite, 0.0), finite, np.nextafter(finite, np.inf)))
+                           np.nextafter(moduli, 0.0), moduli, np.nextafter(moduli, np.inf)))
     for e in np.concatenate((mags, -mags)):
-        first = 16 * int(np.searchsorted(starts, abs(e), side="right"))
-        kernel = 1.0 / (t.w - e)
-        size = np.abs(t.c * kernel)
-        kept = quad._SUM_ERR * size[:, first:].sum(axis=-1)
-        dropped = 2.0 * t.c_abs[:, :first].sum(axis=-1) / abs(e)
-        assert np.all(dropped <= 0.011 * kept), e
-        full = np.add.reduce(t.c * kernel, axis=-1).real
+        terms = t.c * (1.0 / (t.w - e))
         m = (pv_matrix if e > 0.0 else gram_matrix)(model, e)
-        got = m.entries[t.rows, t.cols] * np.conj(t.phase)
-        assert np.all(np.abs(got - full) <= m.err[t.rows, t.cols]), e
-        assert np.allclose(m.err[t.rows, t.cols], kept + dropped, rtol=1e-12, atol=0.0), e
+        full = t.phase * np.add.reduce(terms, axis=-1).real
+        assert np.array_equal(m.entries[t.rows, t.cols], full), e
+        size = quad._SUM_ERR * np.add.reduce(np.abs(terms), axis=-1)
+        assert np.allclose(m.err[t.rows, t.cols], size, rtol=1e-12, atol=0.0), e
 
 
 def test_panel_tables_die_with_the_model():
@@ -519,6 +505,8 @@ def test_stacked_matrices_match_single_energies(name):
     # each energy alone, E = 0 and the tabulated nodes included; with a
     # panel table also E below w1/2 and above 2 W, and one ulp from a
     # tabulated node and from the panel edge 2 w1
+    import friedrichs.quad as quad
+
     model = _STACK_MODELS[name]()
     scale = model.max_scale()
     nodes = [g for f in model.form_factors if f.common_phase is None for g in f.grid[::4]]
@@ -529,13 +517,9 @@ def test_stacked_matrices_match_single_energies(name):
                                            for to in (0.0, np.inf)]
     grid = np.concatenate(([0.0], np.geomspace(1e-6 * scale, 100.0 * scale, 23 - len(nodes)),
                            nodes))
+    # on the ray the stack spans more than one block of energies
     ray = model._ray_rows
-    if ray is not None:
-        # one ulp either side of two segments' starts on the ray
-        starts = ray.segments[0]
-        finite = starts[np.isfinite(starts)]
-        grid = np.append(grid, [np.nextafter(x, to) for to in (0.0, np.inf)
-                                for x in finite[[finite.size // 3, 2 * finite.size // 3]]])
+    assert ray is None or grid.size > quad._RAY_BLOCK // ray.c.size
     stack = pv_matrix(model, grid)
     assert stack.entries.shape == stack.err.shape == (grid.size, model.n_levels,
                                                       model.n_levels)
@@ -553,10 +537,9 @@ def test_stacked_matrices_match_single_energies(name):
 
 def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
     # each energy goes into exactly one kernel 1/(w - E) on the ray, which
-    # serves all six built-in pairs, also in a stack whose sums start at
-    # different nodes; err, computed on first read, evaluates it again.  A
-    # tabulated-only model has no ray table and does no ray work (its pairs
-    # are on its panel table)
+    # serves all six built-in pairs, also in a stack; err, computed on
+    # first read, evaluates it again.  A tabulated-only model has no ray
+    # table and does no ray work (its pairs are on its panel table)
     import friedrichs.quad as quad
 
     calls = []
@@ -565,8 +548,6 @@ def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
         (np.ravel(e).tolist(), e2)) or kernel(w, e, e2))
     for grid in (np.linspace(0.01, 1.0, 7), np.geomspace(1e-6, 100.0, 50)):
         stack = pv_matrix(hydrogen, grid)
-        starts = np.searchsorted(hydrogen._ray_rows.segments[0], grid, side="right")
-        assert np.unique(starts).size > (1 if grid.size == 50 else 0)
         assert sorted(e for energies, _ in calls for e in energies) == grid.tolist()
         calls.clear()
         stack.err
