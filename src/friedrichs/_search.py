@@ -4,13 +4,21 @@ Every root and every maximum in the package goes through one of the helpers
 below.  Both are Chandrupatla's bracketing methods: the root finder mixes
 inverse quadratic interpolation with bisection (Adv. Eng. Softw. 28, 145,
 1997), the minimizer quadratic fits with golden sections (Comput. Methods
-Appl. Mech. Eng. 152, 211, 1998).  They are numpy ports of
+Appl. Mech. Eng. 152, 211, 1998).  They are ports of
 scipy.optimize.elementwise.find_root and find_minimum as of scipy 1.17.1,
 step for step: the same updates, termination tests, default tolerances and
-iteration limits, the same compression of finished elements and the same
+iteration limits, the same arrays handed to the objective and the same
 final brackets, so results agree to the last bit.  Objectives are
 elementwise: f(x, *args)[i] depends only on x[i] and args[i], so one call
 can refine many brackets at once.
+
+The package's objectives are called with 1 to 15 elements, where every
+numpy call on the search state costs about a microsecond whatever its size.
+So each element's state is a dict of Python floats, stepped by scalar code
+whose +, -, *, / and sqrt round as numpy's float64 loops do; only the
+objective sees arrays, one call per iteration on the elements still
+active.  The helpers `_div`, `_clip` and `_same_sign` keep numpy's answers
+where Python's differ: division by zero, NaN and signed zeros.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from .quad import NumericalError
 # status codes of scipy.optimize.elementwise
 _CONVERGED, _SIGN_ERROR, _MAXITER, _VALUE_ERROR = 0, -1, -2, -3
 _EPS = np.finfo(float).eps
-_TINY = np.finfo(float).smallest_normal
+_TINY = float(np.finfo(float).smallest_normal)
+_GOLDEN = 0.5 + 0.5 * 5 ** 0.5
 _POINTS = itemgetter("x1", "x2", "x3", "f1", "f2", "f3")
 
 
@@ -50,6 +59,27 @@ class SearchResult(NamedTuple):
     success: np.ndarray
 
 
+def _div(a, b):
+    """a / b as numpy divides: by zero, +-inf or NaN instead of an error."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _clip(t, lo, hi):
+    """np.clip(t, lo, hi) on arrays: NaN in any operand gives NaN, and a tie
+    gives the bound."""
+    m = t if t != t or t > lo else lo
+    return m if m != m or m < hi else hi
+
+
+def _same_sign(a, b):
+    """np.sign(a) == np.sign(b): false where either is NaN."""
+    return a > 0 and b > 0 or a < 0 and b < 0 or a == 0 and b == 0
+
+
 def _start(f, xs, args):
     """Broadcast the bracket points and args, evaluate f at the points, and
     return 1-D working copies of all with the broadcast shape."""
@@ -62,128 +92,124 @@ def _start(f, xs, args):
     return flat[:len(xs)], flat[len(xs):2 * len(xs)], flat[2 * len(xs):], shape
 
 
-def _iterate(f, args, work, maxiter, step, absorb, check):
+def _iterate(f, args, states, maxiter, step, absorb, check):
     """The loop shared by both searches.
 
-    work holds the search state: 1-D arrays over the elements still active,
-    which are compressed as elements finish, and shared scalars.  Each
-    iteration evaluates f once at step(work) on the active elements, hands
-    the values to absorb, and retires the elements that check marks
-    stopped (check also sets their work["status"]).  Elements still active
-    after maxiter iterations get status -2.  Returns the final work arrays
-    of every element, in input order.
+    states holds one dict of Python floats per element.  check(s) tells
+    whether element s has stopped, and sets s["status"] if so.  Each
+    iteration evaluates f once, on the array of step(s) over the elements
+    still active, with args taken at their positions, and hands each of
+    them its value through absorb(s, x, fx).  Elements still active after
+    maxiter iterations get status -2.
     """
-    n = work["status"].size
-    active = np.arange(n)
-    done = {}
-
-    def retire(stop):
-        nonlocal active, args
-        if not stop.any():
-            return
-        for k, v in work.items():
-            if np.ndim(v):
-                done.setdefault(k, np.zeros(n, v.dtype))[active[stop]] = v[stop]
-                work[k] = v[~stop]
-        active, args = active[~stop], [a[~stop] for a in args]
-
-    retire(check(work))
+    active = [i for i, s in enumerate(states) if not check(s)]
     nit = 0
-    while nit < maxiter and active.size:
-        x = step(work)
-        absorb(work, x, np.asarray(f(x, *args), dtype=float))
+    while nit < maxiter and active:
+        x = [step(states[i]) for i in active]
+        part = args if len(active) == len(states) else [a[active] for a in args]
+        fx = np.asarray(f(np.array(x), *part), dtype=float).tolist()
+        for i, xi, fi in zip(active, x, fx, strict=True):
+            absorb(states[i], xi, fi)
         nit += 1
-        retire(check(work))
-    work["status"][:] = _MAXITER
-    retire(np.ones(active.size, dtype=bool))
-    return done
+        active = [i for i in active if not check(states[i])]
+    for i in active:
+        states[i]["status"] = _MAXITER
 
 
-def _record(done, x, f_x, xs, fs, swap, shape) -> SearchResult:
-    """SearchResult from the final work arrays: bracket points xs with values
-    fs, whose two ends trade places where swap, so that the bracket
+def _record(states, x, f_x, xs, fs, swap, shape) -> SearchResult:
+    """SearchResult from the final states: bracket points xs with values fs,
+    whose two ends trade places where swap(s), so that the bracket
     ascends."""
-    def out(a):
-        return a.reshape(shape)[()]
+    for s in states:
+        if swap(s):
+            for lo, hi in ((xs[0], xs[-1]), (fs[0], fs[-1])):
+                s[lo], s[hi] = s[hi], s[lo]
 
-    def ends(keys):
-        lo, hi = done[keys[0]], done[keys[-1]]
-        return (np.where(swap, hi, lo), *(done[k] for k in keys[1:-1]),
-                np.where(swap, lo, hi))
+    def out(key, dtype=float):
+        return np.array([s[key] for s in states], dtype=dtype).reshape(shape)[()]
 
-    status = done["status"]
-    return SearchResult(out(done[x]), out(done[f_x]),
-                        tuple(map(out, ends(xs))), tuple(map(out, ends(fs))),
-                        out(status), out(status == _CONVERGED))
+    status = out("status", np.int32)
+    return SearchResult(out(x), out(f_x), tuple(map(out, xs)), tuple(map(out, fs)),
+                        status, status == _CONVERGED)
+
+
+def _per_element(tol, shape):
+    """A tolerance, scalar or array, broadcast to the bracket: one float per
+    element."""
+    return np.broadcast_to(np.asarray(tol, dtype=float), shape).reshape(-1).tolist()
 
 
 def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=0.0,
                maxiter=None) -> SearchResult:
-    """Chandrupatla's root search on [lo, hi], elementwise; xatol may be an
-    array that broadcasts to the bracket, one tolerance per element."""
+    """Chandrupatla's root search on [lo, hi], elementwise; xatol and fatol
+    may be arrays that broadcast to the bracket, one tolerance per
+    element."""
     (x1, x2), (f1, f2), args, shape = _start(f, (lo, hi), args)
-    xatol = 4 * _TINY if xatol is None else xatol
-    if np.ndim(xatol):
-        xatol = np.broadcast_to(np.asarray(xatol, dtype=float), shape).reshape(-1)
-    xrtol = 4 * _EPS if xrtol is None else xrtol
-    fatol = _TINY if fatol is None else fatol
+    xatol = _per_element(4 * _TINY if xatol is None else xatol, shape)
+    fatol = _per_element(_TINY if fatol is None else fatol, shape)
+    xrtol = float(4 * _EPS if xrtol is None else xrtol)
+    frtol = float(frtol)
     if maxiter is None:
         maxiter = math.log2(np.finfo(float).max) - math.log2(_TINY)
-    work = dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, t=0.5, xatol=xatol,
-                frtol=frtol * np.minimum(np.abs(f1), np.abs(f2)),
-                status=np.full(x1.size, 1, dtype=np.int32))
+    states = []
+    for x1, x2, f1, f2, xa, fa in zip(x1.tolist(), x2.tolist(), f1.tolist(), f2.tolist(),
+                                      xatol, fatol):
+        a1, a2 = abs(f1), abs(f2)  # np.minimum of the two, NaN propagating
+        states.append(dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, xatol=xa,
+                           ftol=fa + frtol * (a1 if a1 != a1 or a1 < a2 else a2)))
 
-    def step(w):
-        if w["x3"] is not None:
+    def step(s):
+        x1, x2 = s["x1"], s["x2"]
+        t = 0.5
+        if s["x3"] is not None:
             # inverse quadratic interpolation where Chandrupatla's test
-            # admits it, bisection elsewhere, kept tol/2 inside the bracket
-            x1, x2, x3, f1, f2, f3 = _POINTS(w)
+            # admits it, bisection elsewhere, kept tol/2 inside the bracket.
+            # x3 - x2 and x2 - x1, the widths of the last bracket and of this
+            # one, are never 0.  phi1, where scipy ignores numpy's divide
+            # warnings, and the test's square roots, which numpy takes of a
+            # negative as NaN, keep numpy's answers
+            x3, f1, f2, f3 = s["x3"], s["f1"], s["f2"], s["f3"]
             xi1 = (x1 - x2) / (x3 - x2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi1 = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
-            t = np.full_like(alpha, 0.5)
-            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
-                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
-            tl = 0.5 * w["tol"] / w["dx"]
-            w["t"] = np.clip(t, tl, 1 - tl)
-        return w["x1"] + w["t"] * (w["x2"] - w["x1"])
+            phi1 = _div(f1 - f2, f3 - f2)
+            if 0 <= xi1 <= 1 and 1 - math.sqrt(1 - xi1) < phi1 < math.sqrt(xi1):
+                alpha = (x3 - x1) / (x2 - x1)
+                t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                     - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+            tl = 0.5 * s["tol"] / s["dx"]
+            t = _clip(t, tl, 1 - tl)
+        return x1 + t * (x2 - x1)
 
-    def absorb(w, x, fx):
-        same = np.sign(fx) == np.sign(w["f1"])
-        w["x3"] = np.where(same, w["x1"], w["x2"])
-        w["f3"] = np.where(same, w["f1"], w["f2"])
-        w["x2"] = np.where(same, w["x2"], w["x1"])
-        w["f2"] = np.where(same, w["f2"], w["f1"])
-        w["x1"], w["f1"] = x, fx
+    def absorb(s, x, fx):
+        if _same_sign(fx, s["f1"]):
+            s["x3"], s["f3"] = s["x1"], s["f1"]
+        else:
+            s["x3"], s["f3"], s["x2"], s["f2"] = s["x2"], s["f2"], s["x1"], s["f1"]
+        s["x1"], s["f1"] = x, fx
 
-    def check(w):
-        x1, x2, f1, f2, status = w["x1"], w["x2"], w["f1"], w["f2"], w["status"]
-        first = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(first, x1, x2), np.where(first, f1, f2)
-        stop = np.abs(fmin) <= fatol + w["frtol"]
-        # masked assignments only where their mask holds an element
-        if stop.any():
-            status[stop] = _CONVERGED
-        for bad, code in ((np.sign(f1) == np.sign(f2), _SIGN_ERROR),
-                          (~(np.isfinite(x1) & np.isfinite(x2))
-                           | np.isnan(f1) & np.isnan(f2), _VALUE_ERROR)):
-            bad &= ~stop
-            if bad.any():
-                xmin[bad], fmin[bad], status[bad], stop[bad] = np.nan, np.nan, code, True
-        w["xmin"], w["fmin"] = xmin, fmin
-        w["dx"] = np.abs(x2 - x1)
-        w["tol"] = np.abs(xmin) * xrtol + w["xatol"]
-        narrow = w["dx"] < w["tol"]
-        if narrow.any():
-            status[narrow], stop[narrow] = _CONVERGED, True
-        return stop
+    def check(s):
+        x1, x2, f1, f2 = s["x1"], s["x2"], s["f1"], s["f2"]
+        xmin, fmin = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        if abs(fmin) <= s["ftol"]:
+            status = _CONVERGED
+        elif _same_sign(f1, f2):
+            status = _SIGN_ERROR
+        elif not (math.isfinite(x1) and math.isfinite(x2)) or f1 != f1 and f2 != f2:
+            status = _VALUE_ERROR
+        else:
+            s["xmin"], s["fmin"] = xmin, fmin
+            s["dx"] = dx = abs(x2 - x1)
+            s["tol"] = tol = abs(xmin) * xrtol + s["xatol"]
+            if not dx < tol:
+                return False
+            status = _CONVERGED
+        if status != _CONVERGED:
+            xmin = fmin = math.nan
+        s["xmin"], s["fmin"], s["status"] = xmin, fmin, status
+        return True
 
-    done = _iterate(f, args, work, maxiter, step, absorb, check)
-    swap = ~(done["x1"] < done["x2"])
-    return _record(done, "xmin", "fmin", ("x1", "x2"), ("f1", "f2"), swap, shape)
+    _iterate(f, args, states, maxiter, step, absorb, check)
+    return _record(states, "xmin", "fmin", ("x1", "x2"), ("f1", "f2"),
+                   lambda s: not s["x1"] < s["x2"], shape)
 
 
 def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
@@ -193,63 +219,62 @@ def _find_minimum(f, bracket, *, xatol=None, xrtol=None, fatol=None,
     xs, fs, args, shape = _start(f, bracket, ())
     xs, fs = np.stack(xs), np.stack(fs)
     order = np.argsort(xs, axis=0)
-    x1, x2, x3 = np.take_along_axis(xs, order, axis=0)
-    f1, f2, f3 = np.take_along_axis(fs, order, axis=0)
-    fatol = _TINY if fatol is None else fatol
-    frtol = _TINY if frtol is None else frtol
-    xatol = _TINY if xatol is None else xatol
-    xrtol = math.sqrt(_EPS) if xrtol is None else xrtol
-    golden = np.asarray(0.5 + 0.5 * 5 ** 0.5)[()]
-    work = dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=x3, f3=f3, q0=x3.copy(),
-                status=np.full(x1.size, 1, dtype=np.int32))
+    points = (*np.take_along_axis(xs, order, axis=0), *np.take_along_axis(fs, order, axis=0))
+    fatol = float(_TINY if fatol is None else fatol)
+    frtol = float(_TINY if frtol is None else frtol)
+    xatol = float(_TINY if xatol is None else xatol)
+    xrtol = float(math.sqrt(_EPS) if xrtol is None else xrtol)
+    states = [dict(x1=x1, x2=x2, x3=x3, f1=f1, f2=f2, f3=f3, q0=x3)
+              for x1, x2, x3, f1, f2, f3 in zip(*(p.tolist() for p in points))]
 
-    def step(w):
-        x1, x2, x3, f1, f2, f3 = _POINTS(w)
-        xtol = w["xtol"]
+    def step(s):
+        x1, x2, x3, f1, f2, f3 = _POINTS(s)
+        xtol = s["xtol"]
         x21, x32 = x2 - x1, x3 - x2
         a = x21 * (f3 - f2)
         b = x32 * (f1 - f2)
-        c = a / (a + b)
-        q1 = 0.5 * (c * (x1 - x3) + x2 + x3)
+        q1 = 0.5 * (_div(a, a + b) * (x1 - x3) + x2 + x3)
         # the parabola's vertex where it moved less than half the last step
         # (kept xtol away from x2), a golden section step otherwise
-        fit = np.abs(q1 - w["q0"]) < 0.5 * np.abs(x21)
-        q = np.where(np.abs(q1 - x2) <= xtol, x2 + np.sign(x32) * xtol, q1)
-        w["q0"] = q1
-        return np.where(fit, q, x2 + (2 - golden) * x32)
+        fit = abs(q1 - s["q0"]) < 0.5 * abs(x21)
+        s["q0"] = q1
+        if not fit:
+            return x2 + (2 - _GOLDEN) * x32
+        if abs(q1 - x2) <= xtol:
+            return x2 + ((x32 > 0) - (x32 < 0)) * xtol  # np.sign(x32) * xtol
+        return q1
 
-    def absorb(w, x, fx):
-        x1, x2, x3, f1, f2, f3 = _POINTS(w)
-        outer = np.sign(x - x2) == np.sign(x3 - x2)  # x lies towards x3
-        up = fx > f2
-        w["x1"] = np.where(outer, np.where(up, x1, x2), np.where(up, x, x1))
-        w["f1"] = np.where(outer, np.where(up, f1, f2), np.where(up, fx, f1))
-        w["x3"] = np.where(outer, np.where(up, x, x3), np.where(up, x3, x2))
-        w["f3"] = np.where(outer, np.where(up, fx, f3), np.where(up, f3, f2))
-        w["x2"], w["f2"] = np.where(up, x2, x), np.where(up, f2, fx)
+    def absorb(s, x, fx):
+        up = fx > s["f2"]
+        if _same_sign(x - s["x2"], s["x3"] - s["x2"]):  # x lies towards x3
+            if up:
+                s["x3"], s["f3"] = x, fx
+            else:
+                s["x1"], s["f1"], s["x2"], s["f2"] = s["x2"], s["f2"], x, fx
+        elif up:
+            s["x1"], s["f1"] = x, fx
+        else:
+            s["x3"], s["f3"], s["x2"], s["f2"] = s["x2"], s["f2"], x, fx
 
-    def check(w):
-        x1, x2, x3, f1, f2, f3 = _POINTS(w)
-        status = w["status"]
-        stop = (f2 > f1) | (f2 > f3)
-        x2[stop], f2[stop], status[stop] = np.nan, np.nan, _SIGN_ERROR
-        bad = ~(np.isfinite(x1 + x2 + x3 + f1 + f2 + f3) | stop)
-        x2[bad], f2[bad], status[bad], stop[bad] = np.nan, np.nan, _VALUE_ERROR, True
+    def check(s):
+        x1, x2, x3, f1, f2, f3 = _POINTS(s)
+        if f2 > f1 or f2 > f3 or not math.isfinite(x1 + x2 + x3 + f1 + f2 + f3):
+            s["status"] = _SIGN_ERROR if f2 > f1 or f2 > f3 else _VALUE_ERROR
+            s["x2"] = s["f2"] = math.nan
+            return True
         # x3 becomes the end farther from x2, where a golden section goes
-        near = np.abs(x3 - x2) < np.abs(x2 - x1)
-        w["x1"], w["x3"] = np.where(near, x3, x1), np.where(near, x1, x3)
-        w["f1"], w["f3"] = np.where(near, f3, f1), np.where(near, f1, f3)
-        w["xtol"] = np.abs(x2) * xrtol + xatol
-        ftol = np.abs(f2) * frtol + fatol
-        small = ((np.abs(w["x3"] - x2) <= 2 * w["xtol"])
-                 | (w["f1"] - 2 * f2 + w["f3"] <= 2 * ftol)) & ~stop
-        status[small], stop[small] = _CONVERGED, True
-        return stop
+        if abs(x3 - x2) < abs(x2 - x1):
+            s["x1"], s["x3"], s["f1"], s["f3"] = x1, x3, f1, f3 = x3, x1, f3, f1
+        s["xtol"] = xtol = abs(x2) * xrtol + xatol
+        ftol = abs(f2) * frtol + fatol
+        if abs(x3 - x2) <= 2 * xtol or f1 - 2 * f2 + f3 <= 2 * ftol:
+            s["status"] = _CONVERGED
+            return True
+        return False
 
-    done = _iterate(f, args, work, maxiter, step, absorb, check)
-    swap = done["x1"] >= done["x3"]
-    return _record(done, "x2", "f2", ("x1", "x2", "x3"), ("f1", "f2", "f3"),
-                   swap, shape)
+    _iterate(f, args, states, maxiter, step, absorb, check)
+    return _record(states, "x2", "f2", ("x1", "x2", "x3"), ("f1", "f2", "f3"),
+                   lambda s: s["x1"] >= s["x3"], shape)
 
 
 def bracketed_root(f, lo, hi, *, args=(), what="root search", **tolerances) -> SearchResult:

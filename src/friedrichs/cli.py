@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -150,17 +151,23 @@ def cmd_sweep_lambda(args, model, metadata):
         raise ConfigError("need 0 < --lambda-min <= --lambda-max")
     if args.lambda_steps < 1:
         raise ConfigError("--lambda-steps must be >= 1")
-    lams = (np.geomspace(args.lambda_min, args.lambda_max, args.lambda_steps)
-            if args.lambda_steps > 1 else np.array([args.lambda_min]))
+    lams = (np.geomspace(args.lambda_min, args.lambda_max, args.lambda_steps).tolist()
+            if args.lambda_steps > 1 else [args.lambda_min])
     # kappa(0) depends on lambda only through the prefactor of S(0), so one
-    # Gram matrix serves the whole sweep
+    # Gram matrix, scaled by each lambda^2 into one stack of K(0) and
+    # diagonalized in one call, serves the whole sweep.  The sweep ascends:
+    # the couplings whose square overflows, which the model rejects, come
+    # last, after every K(0) that could overflow before them
     s0 = gram_matrix(model, 0.0)
+    finite = [lam for lam in lams if math.isfinite(lam * lam)]
+    kappa = eigh(k_matrix(model, s0, lam2=[lam ** 2 for lam in finite]), 0.0).kappa
+    if len(finite) < len(lams):
+        model.with_coupling(lams[len(finite)])  # raises the ConfigError
     top, n, unit = model.levels[-1], model.n_levels, _unit(model)
     rows = []
-    for lam in lams:
-        point = eigh(k_matrix(model.with_coupling(lam), s0), 0.0)
-        row = [_FMT.format(lam), str(CountResult.from_kappa(point.kappa, unit).count)]
-        row += [_FMT.format(top - k) for k in point.kappa]
+    for lam, kap in zip(lams, kappa):
+        row = [_FMT.format(lam), str(CountResult.from_kappa(kap, unit).count)]
+        row += [_FMT.format(top - k) for k in kap]
         rows.append(row)
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]
     return ({"sweep_lambda.csv": _csv(header, metadata, rows)},

@@ -39,24 +39,30 @@ class EigenCurvePoint:
     vectors: np.ndarray
 
 
-def k_matrix(model, shift: LevelShiftMatrix) -> np.ndarray:
+def k_matrix(model, shift: LevelShiftMatrix, *, lam2=None) -> np.ndarray:
     """diag(levels) - lambda^2 * shift, a complex Hermitian array or stack.
 
-    Raises NumericalError, naming the first energy, when an entry is not
-    finite (an overflowing shift).
+    lam2, a list of lambda^2 values, replaces the model's lambda^2: it
+    scales one shift matrix into a stack of K, one per value.  Raises
+    NumericalError, naming the first energy, when an entry is not finite
+    (an overflowing shift).
     """
     if shift.n != model.n_levels:
         raise ValueError("shift matrix size does not match the model")
-    lam2, entries = model.coupling ** 2, shift.entries
+    entries = shift.entries
+    if lam2 is None:
+        lam2 = top = model.coupling ** 2
+    else:
+        top, lam2 = max(lam2, default=0.0), np.reshape(lam2, (-1, 1, 1))
     # |omega_n| + lambda^2 max |S_ij| bounds every entry: below the largest
     # double, nothing overflows, so neither numpy's error state nor a check
     # of the result is needed (a NaN fails the test)
     size = float(np.max(np.abs(entries), initial=0.0))
-    if max(-model.levels[0], model.levels[-1]) + lam2 * size < _HUGE:
+    if max(-model.levels[0], model.levels[-1]) + top * size < _HUGE:
         return model._level_diag - lam2 * entries
     with np.errstate(over="ignore", invalid="ignore"):
         k = model._level_diag - lam2 * entries
-    _check_finite(k, shift.e, "K(E)")
+    _check_finite(k, np.broadcast_to(shift.e, k.shape[:-2]), "K(E)")
     return k
 
 

@@ -106,6 +106,60 @@ def test_sweep_lambda(tmp_path):
     assert any("model-hash" in m for m in meta)
 
 
+_GOLDEN_TABULATED = Path(__file__).resolve().parent / "golden" / "tabulated.json"
+
+
+@pytest.mark.parametrize("source", [["--preset", "three-level-fig"],
+                                    ["--preset", "hydrogen-4level"],
+                                    ["--model", str(_GOLDEN_TABULATED)]])
+def test_sweep_lambda_stack_matches_each_coupling(tmp_path, monkeypatch, source):
+    # the sweep diagonalizes one stack of K(0): each coupling's kappa equals
+    # that of its own model's K(0) bit for bit
+    import friedrichs.cli as cli
+
+    points = []
+    monkeypatch.setattr(cli, "eigh", lambda k, e: points.append(friedrichs.eigh(k, e))
+                        or points[-1])
+    rc = main(["sweep-lambda", *source, "--lambda-min", "1e-3", "--lambda-max", "1e3",
+               "--lambda-steps", "500", "--out", str(tmp_path)])
+    assert rc == 0
+    (point,) = points
+    model = (make_preset(source[1]) if source[0] == "--preset"
+             else friedrichs.load_model(source[1]))
+    s0 = friedrichs.gram_matrix(model, 0.0)
+    lams = np.geomspace(1e-3, 1e3, 500)
+    assert point.kappa.shape == (500, model.n_levels)
+    for lam, kappa in zip(lams, point.kappa):
+        want = friedrichs.eigh(friedrichs.k_matrix(model.with_coupling(lam), s0)).kappa
+        assert kappa.tobytes() == want.tobytes()
+
+
+_HUGE_SHIFT = {"levels": [-0.1], "lambda": 1, "form_factors": [
+    {"family": "rational", "n_index": 1, "prefactor": 1e150}]}  # S(0) near 5e299
+
+
+@pytest.mark.parametrize("config, lambda_min, lambda_max, rc, message", [
+    ("three-level-fig", "1", "1e200", 2, "error: coupling must be finite"),
+    (_HUGE_SHIFT, "1e-10", "1e3", 0, "wrote "),
+    (_HUGE_SHIFT, "1e-10", "1e10", 3, "numerical failure: K(E) has a non-finite entry"),
+    # K(0) overflows at a coupling below the first whose square overflows
+    (_HUGE_SHIFT, "1", "1e200", 3, "numerical failure: K(E) has a non-finite entry"),
+])
+def test_sweep_lambda_failures_keep_their_order(tmp_path, capsys, config, lambda_min,
+                                               lambda_max, rc, message):
+    if isinstance(config, str):
+        source = ["--preset", config]
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(config))
+        source = ["--model", str(tmp_path / "model.json")]
+    out = tmp_path / "out"
+    assert main(["sweep-lambda", *source, "--lambda-min", lambda_min, "--lambda-max",
+                 lambda_max, "--lambda-steps", "5", "--out", str(out)]) == rc
+    captured = capsys.readouterr()
+    assert (captured.err or captured.out).startswith(message)
+    assert out.exists() == (rc == 0)
+
+
 def test_kappa_curves(tmp_path):
     rc = main(["kappa-curves", "--preset", "three-level-fig",
                "--lambda", "0.7", "--e-min=-1.0", "--e-max=-1e-6",
