@@ -178,14 +178,13 @@ def cmd_kappa_curves(args, model, metadata):
     if args.e_steps < 2 or not -np.inf < args.e_min < args.e_max < np.inf:
         raise ConfigError("need finite --e-min < --e-max and --e-steps >= 2")
     grid = np.linspace(args.e_min, args.e_max, args.e_steps)
-    if args.kind == "S" and grid[-1] > 0:
-        raise ConfigError("kind 'S' needs a nonpositive energy grid")
-    if args.kind == "D" and grid[0] < 0:
-        raise ConfigError("kind 'D' needs a nonnegative energy grid")
-    points = kappa_curve(model, grid, kind=args.kind)
+    if args.kind == "S" and grid[-1] > 0 or args.kind == "D" and grid[0] < 0:
+        side = "nonpositive" if args.kind == "S" else "nonnegative"
+        raise ConfigError(f"kind '{args.kind}' needs a {side} energy grid")
+    points = kappa_curve(model, grid)
     # the bound-state and crossing searches go on from the rows' points in
     # one eigencurve family, so each K(E) is built and diagonalized once
-    curves = _eigencurves(model, args.kind, points)
+    curves = _eigencurves(model, points)
     n, top = model.n_levels, model.levels[-1]
     header = (["E"] + [f"kappa_{i}" for i in range(1, n + 1)]
               + [f"top_minus_kappa_{i}" for i in range(1, n + 1)] + ["top_minus_E"])

@@ -75,17 +75,22 @@ def _require_finite(**fields):
 # complex division forms |u|^2 / sin(pi/3): no layer may evaluate it beyond
 # _REACH c (less a margin for rounding).  T(E, E')'s kernel
 # 1 / ((w - E)(w - E')) forms |w|^2 / sin(pi/3) of the ray's node w itself,
-# so the kernels evaluate nothing beyond _REACH either
+# so the kernels evaluate nothing beyond _REACH either.  The lower twin: the
+# terms summed near a width c scale as c^2 (the ray's largest coefficient is
+# at least 2^-10 c^2 on the built-ins at unit prefactor); a term below the
+# smallest normal double loses digits, and overflows the lattice's complex
+# division: so 2^-10 c^2 must be at least that double, c at least _FLOOR
 _REACH = 0.999 * math.sqrt(np.finfo(float).max * math.sin(math.pi / 3.0))
+_FLOOR = 1.001 * 2.0 ** 5 * math.sqrt(np.finfo(float).tiny)
 
 
 def _require_reach(factors, top, layer, squares=False):
     """ConfigError unless the narrowest built-in factor, if any, may be
     evaluated up to the abscissa top, the largest at which `layer` evaluates
-    one, and, for a layer that squares the abscissa itself, unless top is at
-    most _REACH, with or without built-in factors."""
+    one, and, for a layer that squares abscissas, unless top <= _REACH and
+    every width >= _FLOOR, with or without built-in factors."""
     widths = [f.scale for f in factors if f.common_phase is not None]
-    widest = max(f.scale for f in factors)
+    widest, narrowest = max(f.scale for f in factors), min(f.scale for f in factors)
     if widths and not top / min(widths) <= _REACH:
         raise ConfigError(
             f"form-factor widths {min(widths):.6g} (narrowest built-in) and "
@@ -95,6 +100,10 @@ def _require_reach(factors, top, layer, squares=False):
         raise ConfigError(
             f"form-factor width {widest:.6g} (widest) is too large: {layer} would "
             f"evaluate the factors at omega = {top:.6g}, where omega^2 overflows")
+    if squares and not narrowest >= _FLOOR:
+        raise ConfigError(
+            f"form-factor width {narrowest:.6g} (narrowest) is too small: {layer} would "
+            f"sum terms of its size squared, below the smallest normal double")
 
 
 @dataclass(frozen=True)

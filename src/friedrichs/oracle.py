@@ -153,7 +153,7 @@ def _search(grids, model=None):
     members, first = solver + list(grids), len(solver)
 
     def build(es, i):
-        return _k_stack(model, "S", es) if i < first else members[i]._k(es)
+        return _k_stack(model, es) if i < first else members[i]._k(es)
 
     curves, ids = _EigenCurves(build), np.arange(len(members))
     # the solver counts kappa_n(0) below its band and, by inertia,

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._search import BracketError, bracketed_root
 from .model import total_l2_norm_sq
-from .quad import NumericalError, gram_matrix, t_matrix
+from .quad import NumericalError, _check_finite, gram_matrix, t_matrix
 from .spectral import _eigencurves, k_matrix
 
 __all__ = [
@@ -115,15 +115,15 @@ class PositiveCandidate:
 def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    return CountResult.from_kappa(_eigencurves(model, "S")([0.0])[0].kappa, _unit(model))
+    return CountResult.from_kappa(_eigencurves(model)([0.0])[0].kappa, _unit(model))
 
 
 def _seed(levels, coupled_norm_sq):
-    """Lower bracket end for every branch, given lambda^2 sum_n ||v_n||^2;
-    a NaN sum, from norms that overflowed, is a NumericalError."""
-    # kappa_n >= omega_1 - lambda^2 tr S(E) and tr S(E) <= sum_n l2 / |E|
-    # make this seed a guaranteed positive end once |E_lo| >= 1.
-    seed = min(levels[0], 0.0) - 1.0 - coupled_norm_sq
+    """Lower bracket end for every branch, given A = lambda^2 sum_n ||v_n||^2;
+    a NaN A, from norms that overflowed, is a NumericalError."""
+    # kappa_n(E) >= omega_1 - lambda^2 tr S(E), tr S(E) <= sum_n ||v_n||^2 / |E|: so at
+    # this E, |E| >= 2 sqrt(A) and kappa_n(E) - E >= 1.5 sqrt(A) >= 0 (0 at omega_1 if A = 0)
+    seed = min(levels[0], 0.0) - 2.0 * math.sqrt(coupled_norm_sq)
     if math.isnan(seed):
         raise NumericalError("lambda^2 sum_n ||v_n||^2 is not a number, "
                              "no lower bracket end for the bound states")
@@ -175,9 +175,10 @@ def _bound_state(model, n, point, bracket) -> BoundState:
     The level amplitudes c come from the eigenvector of K(E) on that branch;
     the continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
     """
-    e, c_raw = point.e, point.vectors[:, n - 1]
-    lam = model.coupling
-    t = t_matrix(model, e, e).entries
+    e, c_raw, lam = point.e, point.vectors[:, n - 1], model.coupling
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = t_matrix(model, e, e).entries
+    _check_finite(t, e, "T(E, E)")
     continuum_raw = lam * lam * float(np.vdot(c_raw, t @ c_raw).real)
     total_raw = 1.0 + continuum_raw
     c = c_raw / math.sqrt(total_raw)
@@ -203,13 +204,13 @@ def _model_seed(model):
 
 def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
-    search, each on the bracket [min(omega_1, 0) - 1 - lambda^2 sum_n
-    |v_n|^2, 0] down to a bracket narrower than 1e-12 `_unit` + 4 eps |E|."""
-    return _solve(model, _eigencurves(model, "S"))
+    search, each on the bracket [min(omega_1, 0) - 2 sqrt(lambda^2 sum_n
+    |v_n|^2), 0] down to a bracket narrower than 1e-12 `_unit` + 4 eps |E|."""
+    return _solve(model, _eigencurves(model))
 
 
 def _solve(model, curves) -> SolveReport:
-    """`solve_model` on an eigencurve family that is S(E) at E <= 0."""
+    """`solve_model` on the model's eigencurve family."""
     unit, seed = _unit(model), _model_seed(model)
     # K(0) for the count and K(seed), the search's lower end, in one stack
     counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
@@ -231,20 +232,20 @@ def positive_candidate_scan(model, e_grid):
     grid = np.sort(np.atleast_1d(np.asarray(e_grid, dtype=float)))
     if not np.all(grid > 0.0):
         raise ValueError("positive_candidate_scan needs a strictly positive grid")
-    return _positive_candidates(model, _eigencurves(model, "D"), grid)
+    return _positive_candidates(model, _eigencurves(model), grid)
 
 
 def _positive_candidates(model, curves, grid):
-    """`positive_candidate_scan` over a sorted positive grid, on an
-    eigencurve family that is D(E) at E > 0."""
-    gaps = np.array([p.kappa - p.e for p in curves(grid)])
+    """`positive_candidate_scan` over a sorted positive grid, on curves."""
     # a zero on the grid is a crossing as sampled; every sign change between
-    # neighbours is refined, all of them in one elementwise search
+    # neighbours is refined, all of them in one elementwise search (read
+    # from the signs: a product of two gaps over- or underflows)
+    signs = np.sign([p.kappa - p.e for p in curves(grid)])
     cells = [(n, i) for n in range(1, model.n_levels + 1)
              for i in range(len(grid))
-             if gaps[i, n - 1] == 0.0
-             or i + 1 < len(grid) and gaps[i, n - 1] * gaps[i + 1, n - 1] < 0.0]
-    refine = [(n, i) for n, i in cells if gaps[i, n - 1] != 0.0]
+             if signs[i, n - 1] == 0.0
+             or i + 1 < len(grid) and signs[i, n - 1] * signs[i + 1, n - 1] < 0.0]
+    refine = [(n, i) for n, i in cells if signs[i, n - 1] != 0.0]
     roots = {}
     if refine:
         branch, cell = np.array(refine).T

@@ -3,10 +3,11 @@
 For each probe energy E the continuum is folded into the N x N Hermitian
 matrix
 
-    K(E) = diag(omega_1..omega_N) - lambda^2 * S(E)    (E below threshold)
-    K(E) = diag(omega_1..omega_N) - lambda^2 * D(E)    (E at or above threshold)
+    K(E) = diag(omega_1..omega_N) - lambda^2 * S(E)    (E <= 0)
+    K(E) = diag(omega_1..omega_N) - lambda^2 * D(E)    (E > 0)
 
-whose sorted eigenvalues kappa_1(E) <= ... <= kappa_N(E) are the eigencurves.
+whose sorted eigenvalues kappa_1(E) <= ... <= kappa_N(E) are the eigencurves:
+the sign of E alone picks the matrix, and D(0) = S(0) joins the two.
 Below threshold the curves are nonincreasing in E and bounded above by the
 bare levels, which is what makes bound-state counting a matter of reading
 signs at E = 0.
@@ -72,36 +73,26 @@ def eigh(k: np.ndarray, e: float = float("nan")) -> EigenCurvePoint:
     return EigenCurvePoint(float(e), kappa, vectors)
 
 
-def kappa_curve(model, e_grid, kind: str = "auto"):
-    """Eigencurve points along an energy grid.
-
-    kind "auto" picks the Gram matrix for E < 0 and the principal-value
-    matrix for E >= 0; "S" or "D" force one family (with the corresponding
-    domain restriction).  The grid is built as one stack and diagonalized in
-    one call.
-    """
-    return _eigencurves(model, kind)(np.atleast_1d(np.asarray(e_grid, dtype=float)))
+def kappa_curve(model, e_grid):
+    """Eigencurve points along an energy grid, K(E) from S(E) at E <= 0 and
+    D(E) at E > 0, built as one stack and diagonalized in one call."""
+    return _eigencurves(model)(np.atleast_1d(np.asarray(e_grid, dtype=float)))
 
 
-def _eigencurves(model, kind, points=()):
-    """The eigencurve family of K(E) on the shift kind ("auto", "S" or "D",
-    as for `kappa_curve`), remembered per energy (see `_EigenCurves`) from
-    the given points of that family on."""
-    if kind not in ("auto", "S", "D"):
-        raise ValueError(f"unknown shift kind {kind!r}")
-    return _EigenCurves(functools.partial(_k_stack, model, kind), points)
+def _eigencurves(model, points=()):
+    """The eigencurve family of K(E) (`_EigenCurves`), from the points on."""
+    return _EigenCurves(functools.partial(_k_stack, model), points)
 
 
-def _k_stack(model, kind, e):
-    """K(E) at each energy of the array e, as one complex stack, on the
-    shift kind of `_eigencurves`."""
-    if kind == "S":
-        return k_matrix(model, gram_matrix(model, e))
-    below = e < 0.0 if kind == "auto" else np.zeros(e.shape, dtype=bool)
+def _k_stack(model, e):
+    """K(E) at each energy of the array e, as one complex stack: S(E) at
+    E <= 0 and D(E) at E > 0, each side of E = 0 built as one stack."""
+    below = e <= 0.0
+    if below.all() or not below.any():
+        return k_matrix(model, (gram_matrix if below.all() else pv_matrix)(model, e))
     k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
     for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
-        if part.any():
-            k[part] = k_matrix(model, shift(model, e[part]))
+        k[part] = k_matrix(model, shift(model, e[part]))
     return k
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -444,6 +445,90 @@ def test_oracle_tail_beyond_the_widths_reach_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "too far apart: the oracle's tail at m = 4000" in err and err.count("\n") == 1
     assert not (tmp_path / "oracle_check.csv").exists()
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--preset", "three-level-fig", "--lambda", "1e100", "--kind", "D", "--e-min=1e-3",
+      "--e-max=1"], [["2", "6.509453439933e-01", "candidate"],
+                     ["3", "1.702347995364e-01", "candidate"]]),
+    (["--preset", "hydrogen-4level", "--lambda", "1e120", "--e-min=-1", "--e-max=1"],
+     [["1", "-4.833501673420e+119", "bound"], ["2", "-1.532433382171e+118", "bound"],
+      ["3", "-1.931981291714e+116", "bound"]])], ids=["three-level", "hydrogen"])
+def test_kappa_curves_crossings_at_a_huge_coupling(tmp_path, args, want):
+    # the gaps kappa_n(E) - E reach 1e200 and more; the crossing scan
+    # multiplied neighbouring gaps, whose product overflowed with a
+    # RuntimeWarning (an error under pytest)
+    rc = main(["kappa-curves", *args, "--e-steps", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, rows = read_csv(tmp_path / "kappa_curves_intersections.csv")
+    assert [r[:3] for r in rows] == want
+
+
+def _write_scaled_models(tmp_path, s):
+    """three-level-fig with its levels and widths times s, and the golden
+    tabulated model with its grid and levels times s and its values times
+    sqrt(s): K_s(sE) = s K(E), so each is its original at energies times s.
+    Returns the two paths."""
+    three = make_preset("three-level-fig").descriptor()
+    three["levels"] = [s * w for w in three["levels"]]
+    for f in three["form_factors"]:
+        f["cutoff"] *= s
+    tab = json.loads((Path(__file__).parent / "golden" / "tabulated.json").read_text())
+    tab["levels"] = [s * w for w in tab["levels"]]
+    for f in tab["form_factors"]:
+        f["grid"] = [s * x for x in f["grid"]]
+        for key in ("values_re", "values_im"):
+            f[key] = [math.sqrt(s) * v for v in f[key]]
+    paths = []
+    for name, config in (("three", three), ("tab", tab)):
+        path = tmp_path / f"{name}-{s:g}.json"
+        path.write_text(json.dumps(config))
+        paths.append(str(path))
+    return paths
+
+
+def _report_numbers(path):
+    """Every number of a text report, by line, after its metadata."""
+    lines = [ln for ln in Path(path).read_text().splitlines()
+             if not ln.startswith(("#", "schema"))]
+    return [[float(x) for x in re.findall(r"[-+]?\d\.\d+e[-+]\d+", ln)] for ln in lines]
+
+
+@pytest.mark.parametrize("model", [0, 1], ids=["three-level", "tabulated"])
+def test_tiny_widths_match_scale_one(tmp_path, model):
+    # widths of 1e-150 keep every term the kernels sum a normal double: all
+    # five commands run clean, and the states are the s = 1 states scaled
+    # (continuum norms are scale-free); at 1e-160 analyze printed E_1 0.26 %
+    # and 0.81 % off, and continuum_norm_sq=nan, with exit 0
+    s = 1e-150
+    tiny, unit = (_write_scaled_models(tmp_path, x)[model] for x in (s, 1.0))
+    for command in _COMMANDS:
+        assert main([command, "--model", tiny, "--out", str(tmp_path / command)]) == 0
+    assert main(["analyze", "--model", unit, "--out", str(tmp_path / "unit")]) == 0
+    got = _report_numbers(tmp_path / "analyze" / "analyze_report.txt")
+    want = _report_numbers(tmp_path / "unit" / "analyze_report.txt")
+    assert len(got) == len(want) > 0
+    for line, ref in zip(got, want):
+        # energies scale by s, amplitudes and norms do not
+        assert len(line) == len(ref)
+        for x, y in zip(line, ref):
+            assert x / s == pytest.approx(y, rel=1e-9, abs=0.0) or x == pytest.approx(
+                y, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("s", [1e-155, 1e-160, 1e-170])
+def test_widths_below_the_kernels_floor_exit_2(tmp_path, capsys, command, s):
+    # below a width of 4.8e-153 the terms that the kernels sum, which scale
+    # as its square, fall below the smallest normal double: analyze printed
+    # continuum_norm_sq=nan, at 1e-170 counted one state of two, and
+    # thresholds printed nan, each with exit 0
+    for path in _write_scaled_models(tmp_path, s):
+        assert main([command, "--model", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "(narrowest) is too small: the level-shift kernels" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_nan_norms_exit_3(tmp_path, capsys, monkeypatch):

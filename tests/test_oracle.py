@@ -340,12 +340,15 @@ def _scaled_three_level(s, lam):
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.7, 10.0])
-@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("s", [2.0 ** -330, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 2.0 ** 330])
 def test_oracle_count_is_scale_covariant(s, lam):
     # the gap is relative to the model's scale: with a fixed 1e-8 the grid
     # counted none of the states at s = 1e-9 and one of two at s = 1e-6.
     # So are the root tolerances and the oracle's tail: with a fixed 1e-12
-    # and a tail of width 1 the roots were off by up to 7.7e-3 relative
+    # and a tail of width 1 the roots were off by up to 7.7e-3 relative.
+    # So is the lower bracket end, min(omega_1, 0) - 2 sqrt(lambda^2 sum_n
+    # ||v_n||^2), which took hundreds of steps at 2^+-330 as an energy plus
+    # an energy squared
     model = _scaled_three_level(s, lam)
     ham = discretize(model, 1000)
     assert ham.gap == 1e-8 * model.max_scale()

@@ -152,8 +152,8 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
     # the deepest root at lam = 10 sits near -6.8; the bracket search must
     # reach it from the documented seed without manual hints
     model = three_level.with_coupling(10.0)
-    seed = min(model.levels[0], 0.0) - 1.0 - model.coupling ** 2 * sum(
-        l2_norm_sq(model, n) for n in (1, 2, 3))
+    seed = min(model.levels[0], 0.0) - 2.0 * math.sqrt(model.coupling ** 2 * sum(
+        l2_norm_sq(model, n) for n in (1, 2, 3)))
     assert seed < THREE_LEVEL_ROOTS[10.0][0]
     assert three_level_reports[10.0].states[0].energy > seed
 
@@ -189,6 +189,54 @@ def test_find_root_gram_budget(three_level, lam, monkeypatch):
     assert 0 < len(energies) <= {0.1: 8, 0.7: 13, 10.0: 25}[lam]
     assert len(calls) <= {0.1: 7, 0.7: 8, 10.0: 11}[lam]
     assert calls[0] == 2
+
+
+@pytest.mark.parametrize("s", [2.0 ** -330, 2.0 ** 330])
+def test_find_root_cost_is_scale_covariant(s, monkeypatch):
+    # levels and widths times a power of two scale every energy of the
+    # search exactly, so it builds the same S(E) count; the seed
+    # min(omega_1, 0) - 1 - lambda^2 sum_n ||v_n||^2 added an energy to an
+    # energy squared, and the search took 571-572 objective calls at 2^+-330
+    # against 7 at scale 1
+    from test_oracle import _scaled_three_level
+
+    calls = []
+    energies = _record_grams(monkeypatch, calls)
+    want = solve_model(_scaled_three_level(1.0, 1.0))
+    n_calls, unscaled = len(calls), list(energies)
+    got = solve_model(_scaled_three_level(s, 1.0))
+    assert len(calls) - n_calls == n_calls
+    assert energies[len(unscaled):] == [s * e for e in unscaled]
+    assert [st.energy for st in got.states] == [s * st.energy for st in want.states]
+
+
+def test_shallow_root_with_an_overflowing_t_is_a_numerical_error():
+    # at widths of 6e-153 the second root is -4.6e-155, where T(E, E)'s
+    # kernel 1/(w - E)^2 overflows: the continuum weight was NaN, printed
+    # with exit 0 and a RuntimeWarning
+    from test_oracle import _scaled_three_level
+
+    with pytest.raises(friedrichs.solver.NumericalError, match=r"T\(E, E\) has a non-finite"):
+        solve_model(_scaled_three_level(6e-153, 1.0))
+
+
+def test_crossing_scan_sees_gaps_whose_product_underflows():
+    # a one-level stub family with kappa(E) - E = +-1e-170 on either side of
+    # E = 5e-161: the scan multiplied the two gaps, and their product, 1e-340,
+    # underflowed to -0.0 and hid the sign change (a gap of 1e-170 at E = 0.5
+    # is not a double difference, so the crossing sits at 5e-161)
+    model = FriedrichsModel((0.1,), 1.0, (RationalFormFactor(1),), UnitSystem(1.0))
+
+    def curves(energies, *member):
+        return [friedrichs.spectral.EigenCurvePoint(e, np.array([e + 4e-10 * (5e-161 - e)]),
+                                                    np.eye(1))
+                for e in np.ravel(energies).tolist()]
+
+    grid = np.array([2.5e-161, 7.5e-161])
+    gaps = [p.kappa[0] - p.e for p in curves(grid)]
+    assert gaps[0] > 0.0 > gaps[1] and gaps[0] * gaps[1] == 0.0
+    (cand,) = friedrichs.solver._positive_candidates(model, curves, grid)
+    assert cand.branch_index == 1 and grid[0] <= cand.energy <= grid[1]
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):

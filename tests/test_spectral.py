@@ -57,21 +57,15 @@ def test_k_matrix_rejects_infinite_shift(three_level):
 
 
 def test_kappa_curve_kinds(three_level):
+    # one rule: S(E) at and below E = 0, D(E) above it, on one grid across
+    # E = 0, each point bit for bit its own matrix's
     model = three_level.with_coupling(0.7)
-    neg = np.array([-1.0, -0.5, -0.1])
-    auto = kappa_curve(model, neg)
-    forced = kappa_curve(model, neg, kind="S")
-    for p, q in zip(auto, forced):
-        assert np.array_equal(p.kappa, q.kappa)
-    pos = kappa_curve(model, [0.5], kind="auto")[0]
-    forced_d = kappa_curve(model, [0.5], kind="D")[0]
-    assert np.array_equal(pos.kappa, forced_d.kappa)
-    with pytest.raises(ValueError):
-        kappa_curve(model, [0.5], kind="S")
-    with pytest.raises(ValueError):
-        kappa_curve(model, [-0.5], kind="D")
-    with pytest.raises(ValueError):
-        kappa_curve(model, [0.5], kind="bogus")
+    grid = np.array([-1.0, -0.5, 0.0, 0.1, 0.5])
+    for p in kappa_curve(model, grid):
+        shift = gram_matrix if p.e <= 0.0 else pv_matrix
+        want = eigh(k_matrix(model, shift(model, p.e)), p.e)
+        assert np.array_equal(p.kappa, want.kappa)
+        assert np.array_equal(p.vectors, want.vectors)
 
 
 def test_kappa_curve_monotone(three_level):
