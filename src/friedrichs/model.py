@@ -19,7 +19,8 @@ with a real polynomial Q, integer pole order q and width c.  This makes
 closed-form modulus-squared derivatives available, whose suprema the
 threshold certificate takes as maxima sampled on refined grids (not yet
 upper bounds), and makes every pair density conj(v_n) v_m rational, which
-the level-shift matrices integrate as node sums on a rotated ray (`quad`).
+the level-shift matrices integrate as node sums on a real Gram table and a
+rotated ray (`quad`).
 """
 
 from __future__ import annotations
@@ -74,12 +75,12 @@ def _require_finite(**fields):
 # on the kernels' ray (u^2 at angle -pi/3) through 1 / (1 + u^2), whose
 # complex division forms |u|^2 / sin(pi/3): no layer may evaluate it beyond
 # _REACH c (less a margin for rounding).  T(E, E')'s kernel
-# 1 / ((w - E)(w - E')) forms |w|^2 / sin(pi/3) of the ray's node w itself,
-# so the kernels evaluate nothing beyond _REACH either.  The lower twin: the
-# terms summed near a width c scale as c^2 (the ray's largest coefficient is
-# at least 2^-10 c^2 on the built-ins at unit prefactor); a term below the
-# smallest normal double loses digits, and overflows the lattice's complex
-# division: so 2^-10 c^2 must be at least that double, c at least _FLOOR
+# 1 / ((w - E)(w - E')) forms (w - E)(w - E') >= w^2 of the Gram table's
+# node w itself, so the kernels evaluate nothing beyond _REACH either.  The
+# lower twin: the terms summed near a width c scale as c^2 (the tables'
+# largest coefficient is at least 2^-10 c^2 on the built-ins at unit
+# prefactor); a term below the smallest normal double loses digits: so
+# 2^-10 c^2 must be at least that double, c at least _FLOOR
 _REACH = 0.999 * math.sqrt(np.finfo(float).max * math.sin(math.pi / 3.0))
 _FLOOR = 1.001 * 2.0 ** 5 * math.sqrt(np.finfo(float).tiny)
 
@@ -132,11 +133,11 @@ class FormFactor:
     number phi with v(x) = phi * profile(x) for a real signed profile, or
     None when no such global phase exists.  A factor with a common phase is
     one of the rational built-ins and also provides `rational_part`; the
-    level-shift matrices of pairs of such factors are node sums on a rotated
-    ray, all others are sums on a table of panels (see `quad`), which reads a
-    tabulated factor's `grid` and `_piece`.  So the built-in and the
-    tabulated families are the only ones: this class is not an extension
-    point.
+    level-shift matrices of pairs of such factors are node sums on a real
+    Gram table and a rotated ray, all others are sums on a table of panels
+    (see `quad`), which reads a tabulated factor's `grid` and `_piece`.  So
+    the built-in and the tabulated families are the only ones: this class
+    is not an extension point.
     """
 
     p_exponent: float = 0.5
@@ -455,11 +456,23 @@ class FriedrichsModel:
 
     @functools.cached_property
     def _ray_rows(self):
-        """quad's ray table of the built-in pairs (`quad._ray_rows`), built
-        on first use and kept on the model, so it dies with it."""
-        from .quad import _ray_rows
+        """quad's rotated ray table of the built-in pairs (`quad._ray_rows`)
+        for D(E > 0), built on first use and kept on the model, so it dies
+        with it."""
+        from .quad import _RAY_STEP, _RAY_TURN, _ray_rows
 
-        return _ray_rows(self.form_factors)
+        return _ray_rows(self.form_factors, _RAY_STEP, _RAY_TURN)
+
+    @functools.cached_property
+    def _gram_rows(self):
+        """quad's real Gram table of the built-in pairs, the unrotated ray
+        at the coarser step 1/8 (`quad._ray_rows`), for S(E <= 0), T(E, E')
+        and the norms: there no singularity comes nearer the real half line
+        than the form factors' poles (`quad` module docstring).  Kept like
+        `_ray_rows`; a run that stays at E <= 0 builds this table alone."""
+        from .quad import _GRAM_STEP, _ray_rows
+
+        return _ray_rows(self.form_factors, _GRAM_STEP, 1.0)
 
     @functools.cached_property
     def _panel_rows(self):

@@ -1,5 +1,6 @@
-"""Level-shift matrices: node sums on a rotated ray for the built-in families
-and on a table of Gauss-Legendre panels for pairs with a tabulated factor.
+"""Level-shift matrices: node sums on a real Gram table and a rotated ray for
+the built-in families and on a table of Gauss-Legendre panels for pairs
+with a tabulated factor.
 
 Three Hermitian N x N matrices summarize how the continuum acts back on the
 levels.  For energies E below the continuum (E < 0, or E = 0 when every form
@@ -25,22 +26,39 @@ and z = E + i0 (E > 0) or E <= 0 stays off the ray.  With w = exp(x - i
 alpha) the trapezoid rule in x converges geometrically (Trefethen and
 Weideman, SIAM Rev. 56, 2014): in x every singularity sits a fixed distance
 from the real axis, pi/6 for z = E and pi/3 for the poles +-i c, whatever
-the widths.  Hence, with nodes w_k and coefficients c_k = h w_k^2 r_n(w_k)
-r_m(w_k) built once per model, one ray and one row of c_k per built-in pair,
+the widths.  For E <= 0 the half line itself is such a path: in x = ln w
+the poles +-i c sit pi/2 from the axis and E < 0 sits pi from it, so on
+the unrotated line the rule converges like exp(-pi^2 / h).  Each model
+therefore keeps two node tables of one kind (`_ray_rows`), each with nodes
+w_k and coefficients c_k = h w_k^2 r_n(w_k) r_m(w_k) built once per model,
+one row of c_k per built-in pair:
 
-    S(E) = Re sum_k c_k / (w_k - E)                     (E <= 0),
-    D(E) = Re sum_k c_k / (w_k - E) = Re F(E + i0)      (E > 0),
-    T(E, E') = Re sum_k c_k / ((w_k - E)(w_k - E')),
-    integral |v_n|^2 = Re sum_k c_k                     (pair n, n).
+  - the rotated ray (`model._ray_rows`), h = 1/16, complex, for D(E > 0)
+    and the lattice below;
+  - the Gram table (`model._gram_rows`), w_k = c_lo exp(k h) at h = 1/8,
+    real, for S(E <= 0), T(E, E') and the norms, with half the ray's nodes
+    and real arithmetic.
+
+Each energy goes by its sign: E = 0 is on the Gram side, so D(0) is S(0),
+and a stack holding 0 and positive energies is split there.  Then
+
+    S(E) = Re sum_k c_k / (w_k - E)                     (E <= 0, Gram table),
+    D(E) = Re sum_k c_k / (w_k - E) = Re F(E + i0)      (E > 0, ray),
+    T(E, E') = sum_k c_k / ((w_k - E)(w_k - E'))        (Gram table),
+    integral |v_n|^2 = sum_k c_k                        (pair n, n, Gram table).
 
 The terms are of the size of the integrand (no cancellation near a pole),
-and E' -> E needs no difference quotient.  h = 1/16 and the range
-exp(-48) c_lo .. exp(8) c_hi (c_lo <= c_hi the smallest and largest
-built-in widths) hold S, D and the norms to rounding at every E.  T(E, E')
-omits [0, t0 = exp(-48) c_lo), of relative size t0^2 / (2 |E E'|), below
-1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E| when E' = 0).
+and E' -> E needs no difference quotient.  Both tables span exp(-48) c_lo
+.. exp(8) c_hi (c_lo <= c_hi the smallest and largest built-in widths),
+with k h exact; they hold S, D and the norms to rounding at every E.  At
+h = 1/8 the Gram table's sums lie within 0.2 of the ray's err of the
+ray's sums (S, T and the norms, on the ray models of the tests and 50
+drawn ones); at h = 1/5 the gap is over 200 times err, so no step coarser
+than 1/6 will do.  T(E, E') omits [0, t0 = exp(-48) c_lo), of relative
+size t0^2 / (2 |E E'|), below 1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E|
+when E' = 0).
 
-Every sum runs over every node of the ray.  The kernel is evaluated once
+Every sum runs over every node of its table.  The kernel is evaluated once
 per energy for all pairs; a stack's energies go in blocks, and each pair's
 row is summed on its own along the contiguous last axis, so a stack holds
 each energy's matrix bit for bit.  err, computed when first read, is the
@@ -180,44 +198,47 @@ class LevelShiftMatrix:
 # Built-in pairs: node sums on a rotated ray
 
 # The rotated ray w = c_lo exp(k h - i alpha) of a model's built-in pairs:
-# h = 1/16 (k h exact), alpha = pi/6, k from -48/h to (ln(c_hi/c_lo) + 8)/h.
+# h = 1/16 (k h exact), alpha = pi/6, k from -48/h to (ln(c_hi/c_lo) + 8)/h;
+# the Gram table is the unrotated ray w = c_lo exp(k h) at h = 1/8
 _RAY_STEP = 1.0 / 16.0
 _RAY_TURN = complex(math.cos(math.pi / 6.0), -math.sin(math.pi / 6.0))
+_GRAM_STEP = 1.0 / 8.0
 _RAY_BELOW, _RAY_ABOVE = 48.0, 8.0
 # rounding bound of a node sum per unit of sum |term|: about ten roundings in
 # each coefficient (the Horner sums behind r_n r_m) plus log2 of the node count
 _SUM_ERR = 24.0 * np.finfo(float).eps
-# terms per block of energies in the ray sums
+# terms per block of energies in the ray and Gram table sums
 _RAY_BLOCK = 2 ** 14
 
-# A model's ray table (module docstring): the nodes w, a row c of
-# coefficients per built-in pair n <= m (indices rows, cols, and at in a
-# flattened N x N matrix), |c| and the pair phases.
+# A model's ray or Gram table (module docstring): the nodes w, a row c of
+# coefficients per built-in pair n <= m (indices rows, cols, and at among
+# the model's pairs, `_pairs`), |c| and the pair phases.
 _RayTable = collections.namedtuple("_RayTable", "w c c_abs phase rows cols at")
 
 
-def _ray_rows(factors):
-    """The factors' `_RayTable` of their built-in pairs n <= m, c_k = h w_k^2
-    r_n(w_k) r_m(w_k) (module docstring); None without built-in factors."""
+def _ray_rows(factors, step, turn):
+    """The factors' `_RayTable` of their built-in pairs n <= m on the ray
+    w_k = c_lo exp(k h) turn, h = step, with c_k = h w_k^2 r_n(w_k) r_m(w_k)
+    (module docstring): complex on the rotated ray, real for turn = 1.0;
+    None without built-in factors."""
     built = [i for i, f in enumerate(factors) if f.common_phase is not None]
     if not built:
         return None
     lo, hi = min(factors[i].scale for i in built), max(factors[i].scale for i in built)
-    k = np.arange(-_RAY_BELOW / _RAY_STEP,
-                  (math.log(hi / lo) + _RAY_ABOVE) / _RAY_STEP + 1.0)
-    w = lo * np.exp(k * _RAY_STEP) * _RAY_TURN
+    k = np.arange(-_RAY_BELOW / step, (math.log(hi / lo) + _RAY_ABOVE) / step + 1.0)
+    w = lo * np.exp(k * step) * turn
     r = {i: factors[i].rational_part(w) for i in built}
     pairs = [(i, j) for i in built for j in built if j >= i]
     rows, cols = np.array(pairs).T
     # h w^2 once for all pairs, the same product as per pair
     with np.errstate(over="ignore", invalid="ignore"):
-        hw2 = _RAY_STEP * w * w
+        hw2 = step * w * w
         c = np.array([hw2 * r[i] * r[j] for i, j in pairs])
         c_abs = np.abs(c)
         _require_finite_mass(np.add.reduce(c_abs, axis=-1), rows, cols)
     phase = np.array([np.conj(factors[i].common_phase) * factors[j].common_phase
                       for i, j in pairs])
-    return _RayTable(w, c, c_abs, phase, rows, cols, rows * len(factors) + cols)
+    return _RayTable(w, c, c_abs, phase, rows, cols, _pairs(len(factors))[0][rows, cols])
 
 
 def _require_finite_mass(mass, rows, cols):
@@ -232,31 +253,28 @@ def _require_finite_mass(mass, rows, cols):
 
 
 def _kernel(w, e, e2=None):
-    """1/(w - e), or 1/((w - e)(w - e2)), at the ray nodes: once per energy,
-    one row per energy for a column e of energies."""
+    """1/(w - e), or 1/((w - e)(w - e2)), at a table's nodes w: once per
+    energy, one row per energy for a column e of energies."""
     return 1.0 / (w - e) if e2 is None else 1.0 / ((w - e) * (w - e2))
 
 
 def _ray_reduce(t, coef, e, e2, part):
-    """sum_k coef_k part(kernel(w_k)) of every pair over every node,
+    """sum_k coef_k part(kernel(w_k)) of every pair over every node of t,
     (e.size, pairs): one kernel per energy, in blocks of energies of at
-    most _RAY_BLOCK terms, whose terms go into one buffer, and each row
-    reduced on its own along the contiguous last axis, so that a sum does
-    not depend on the energies beside it."""
-    sums = np.empty((e.size, coef.shape[0]), dtype=coef.dtype)
+    most _RAY_BLOCK terms, and each row reduced on its own along the
+    contiguous last axis, so that a sum does not depend on the energies
+    beside it."""
     size = max(1, _RAY_BLOCK // coef.size)
-    buf = np.empty(min(e.size, size) * coef.size, dtype=coef.dtype)
-    for b in range(0, e.size, size):
-        g = slice(b, min(b + size, e.size))
-        terms = buf[:(g.stop - b) * coef.size].reshape(g.stop - b, *coef.shape)
-        np.multiply(coef, part(_kernel(t.w, e[g, None], e2))[:, None, :], out=terms)
-        sums[g] = np.add.reduce(terms, axis=-1)
-    return sums
+    if e.size <= size:
+        return np.add.reduce(coef * part(_kernel(t.w, e[:, None], e2))[:, None, :], axis=-1)
+    return np.concatenate([_ray_reduce(t, coef, e[b:b + size], e2, part)
+                           for b in range(0, e.size, size)])
 
 
 def _ray_bounds(t, e, e2=None):
-    """The error bounds of the ray sums at the energies e, (e.size, pairs):
-    the rounding bound _SUM_ERR sum_k |c_k kernel(w_k)| over every node."""
+    """The error bounds of the sums on the table t (ray or Gram table) at
+    the energies e, (e.size, pairs): the rounding bound
+    _SUM_ERR sum_k |c_k kernel(w_k)| over every node."""
     return _SUM_ERR * _ray_reduce(t, t.c_abs, e, e2, np.abs)
 
 
@@ -285,7 +303,10 @@ def _ray_lattice(t, e, a, j):
     # of two near its largest |entry|, so that no sum overflows
     x = np.stack((t.c, t.c * np.exp(-_RAY_STEP * k)))[..., ::-1]
     scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1])
-    x = x / scale[..., None]
+    # the real and imaginary parts apart, exact for a normal row: numpy
+    # divides a complex array by a real one as complex division, which
+    # overflows when the row's largest entry is subnormal
+    x = x.real / scale[..., None] + 1j * (x.imag / scale[..., None])
     big = 1 << (n + (j.size + 1) // 2 - 2).bit_length()     # 1/N is exact
     xf = np.fft.fft(x, big, axis=-1)
     phi = math.log2(big) * _FFT_STAGE / (1.0 - math.log2(big) * _FFT_STAGE)
@@ -433,9 +454,9 @@ def _j_end(s, z, gap, r):
 # A model's panel table (module docstring): the factors, each tabulated
 # one's cell of every panel (`TabulatedFormFactor._piece`), the edges over
 # [w1, W], nodes w and weights (a row per panel), a row d of weighted
-# densities per pair n <= m (indices rows, cols, and at in a flattened N x N
-# matrix), and per pair its density at w1 and W and the exponents p, beta of
-# its powers below and above.
+# densities per pair n <= m (indices rows, cols, and at among the model's
+# pairs, `_pairs`), and per pair its density at w1 and W and the exponents
+# p, beta of its powers below and above.
 _PanelTable = collections.namedtuple(
     "_PanelTable", "factors cells edges w wts d d_abs rows cols at eta_lo eta_hi p beta")
 
@@ -484,7 +505,7 @@ def _panel_rows(factors):
     exponents = [[factors[i].p_exponent + factors[j].p_exponent,
                   factors[i].tail_exponent + factors[j].tail_exponent] for i, j in pairs]
     return _PanelTable(tuple(factors), cells, edges, w, wts, d, d_abs, rows, cols,
-                       rows * n + cols, eta[:, -2], eta[:, -1], *np.array(exponents).T)
+                       _pairs(n)[0][rows, cols], eta[:, -2], eta[:, -1], *np.array(exponents).T)
 
 
 def _ends(t, e):
@@ -602,65 +623,102 @@ def _panel_sums(t, e, e2=None):
 
 
 @functools.cache
-def _triangles(n):
-    """Indices in a flattened n x n matrix of its diagonal, its strict lower
-    triangle and that triangle's mirror."""
-    low, up = np.tril_indices(n, -1)
-    return np.arange(n) * (n + 1), low * n + up, up * n + low
+def _pairs(n):
+    """(index, fill, pair) for n x n Hermitian matrices held as the values
+    v of their pairs i <= j, in the row-major order of the upper triangle:
+    index[i, j] of each pair, and for each entry of the flattened matrix
+    its place in [v, conj(v), Re v] (upper triangle, lower triangle,
+    diagonal) and its pair."""
+    rows, cols = np.triu_indices(n)
+    index = np.zeros((n, n), dtype=int)
+    index[rows, cols] = np.arange(rows.size)
+    a, b = np.divmod(np.arange(n * n), n)
+    pair = index[np.minimum(a, b), np.maximum(a, b)]
+    return index, pair + rows.size * np.where(a < b, 0, np.where(a > b, 1, 2)), pair
+
+
+def _ray_parts(model, e, x, lattice):
+    """[(table, part)] for the built-in pairs at the energies x = ravel(e):
+    those at or below 0 on the model's Gram table, those above 0 on its ray
+    (all of them with the lattice), part None or, for a stack that holds
+    both, a mask of x; [] without built-in factors.  A stack of energies
+    of one sign reads one table and builds no other; a float skips numpy."""
+    if lattice or isinstance(e, float):
+        up = lattice or e > 0.0
+    else:
+        up = x > 0.0
+        above = np.count_nonzero(up)
+        if above in (0, x.size):
+            up = bool(above)
+    if isinstance(up, bool):
+        parts = [(model._ray_rows if up else model._gram_rows, None)]
+    else:
+        parts = [(model._gram_rows, ~up), (model._ray_rows, up)]
+    return parts if parts[0][0] is not None else []
+
+
+def _by_table(parts, x, reduce):
+    """reduce(table, energies), real, of each (table, part) of `_ray_parts`
+    at the energies x, in their order, (x.size, pairs)."""
+    if len(parts) == 1:
+        return reduce(parts[0][0], x).real
+    out = np.empty((x.size, parts[0][0].at.size))
+    for t, part in parts:
+        out[part] = reduce(t, x[part]).real
+    return out
 
 
 def _level_shift(model, e, e2=None, lattice=None) -> LevelShiftMatrix:
     """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
     1/((w - E)(w - e2))), shaped e.shape + (N, N) for E in e, and their
     error bounds, computed when first read: built-in pairs are phase *
-    Re sum_k c_k kernel(w_k) on the model's ray table over every node
-    (`_ray_reduce`), or with lattice (a, j), e the lattice energies
-    a exp(j h/2), by FFT (`_ray_lattice`); the others `_panel_sums` on its
-    panel table; the upper triangle is mirrored.
-    Pairs go to their places in the flattened matrices through the tables'
-    `at`."""
+    Re sum_k c_k kernel(w_k) over every node of the model's Gram table
+    (E <= 0) or ray (E > 0) (`_ray_reduce`), or with lattice (a, j), e the
+    lattice energies a exp(j h/2), by FFT on the ray (`_ray_lattice`); the
+    others `_panel_sums` on its panel table.  Every pair is on the ray and
+    Gram tables (which list the same pairs) or on the panel table, at its
+    place `at`, and each entry is read from its pair (`_pairs`)."""
     x = np.ravel(e)
     n = model.n_levels
-    entries = np.zeros((x.size, n * n), dtype=complex)
-    ray, panels = model._ray_rows, model._panel_rows
-    if ray is not None:
-        if lattice is None:
-            sums = _ray_reduce(ray, ray.c, x, e2, lambda k: k)
+    _, fill, pair = _pairs(n)
+    parts, panels = _ray_parts(model, e, x, lattice is not None), model._panel_rows
+    v = np.empty((x.size, n * (n + 1) // 2), dtype=complex)
+    if parts:
+        table = parts[0][0]
+        if lattice is not None:
+            sums, fft_bounds = _ray_lattice(table, x, *lattice)
         else:
-            sums, fft_bounds = _ray_lattice(ray, x, *lattice)
-        entries[:, ray.at] = ray.phase * sums.real
+            sums = _by_table(parts, x, lambda t, y: _ray_reduce(t, t.c, y, e2, lambda k: k))
+        v[:, table.at] = table.phase * sums.real
     if panels is not None:
         sums, panel_bounds = _panel_sums(panels, x, e2)
-        entries[:, panels.at] = sums
-    # a Hermitian matrix has a real diagonal
-    diag, low, up = _triangles(n)
-    entries[:, diag] = entries[:, diag].real
-    entries[:, low] = np.conj(entries[:, up])
+        v[:, panels.at] = sums
     shape = np.shape(e) + (n, n)
+    # a Hermitian matrix has a real diagonal
+    entries = np.concatenate((v, v.conj(), v.real), axis=1)[:, fill]
 
     def bounds():
-        err = np.zeros((x.size, n * n))
-        if ray is not None:
-            err[:, ray.at] = _ray_bounds(ray, x, e2)
-            if lattice is not None:
-                err[:, ray.at] += fft_bounds
+        err = np.empty(v.shape)
+        if parts:
+            ray_err = _by_table(parts, x, lambda t, y: _ray_bounds(t, y, e2))
+            err[:, table.at] = ray_err if lattice is None else ray_err + fft_bounds
         if panels is not None:
             err[:, panels.at] = _SUM_ERR * panel_bounds
-        err[:, low] = err[:, up]
-        return err.reshape(shape)
+        return err[:, pair].reshape(shape)
 
     return LevelShiftMatrix(entries.reshape(shape), e, bounds)
 
 
 def _norm_sq(model, n) -> float:
-    """Integral of |v_n|^2 over the half line (the kernel 1), n 0-based."""
+    """Integral of |v_n|^2 over the half line (the kernel 1), n 0-based:
+    on the Gram table for a built-in factor."""
     if model.form_factors[n].common_phase is None:
         t = model._panel_rows
         k = np.flatnonzero((t.rows == n) & (t.cols == n))[0]
         return float((np.add.reduce(t.d[k]) + t.eta_lo[k] * t.edges[0] / (t.p[k] + 1.0)
                       + t.eta_hi[k] * t.edges[-1] / (-1.0 - t.beta[k])).real)
-    t = model._ray_rows
-    return float(t.c[np.flatnonzero((t.rows == n) & (t.cols == n))[0]].sum().real)
+    t = model._gram_rows
+    return float(t.c[np.flatnonzero((t.rows == n) & (t.cols == n))[0]].sum())
 
 
 def _extreme(e, reduce, empty):
@@ -686,8 +744,9 @@ def gram_matrix(model, e) -> LevelShiftMatrix:
     """Gram matrix S(E) for E < 0 (E = 0 allowed when all p_exponent > 0),
     or the stack of them over an array of energies.
 
-    Built-in pairs: Re sum_k c_k / (w_k - E) on the rotated ray; pairs with
-    a tabulated factor: the model's panel table and power-law ends.
+    Built-in pairs: sum_k c_k / (w_k - E) on the model's real Gram table;
+    pairs with a tabulated factor: the model's panel table and power-law
+    ends.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     _check_below_threshold(model, e, "gram_matrix")
@@ -700,9 +759,9 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     Satisfies S(E) - S(E') = (E - E') T(E, E'); at E' = E it equals dS/dE.
     Both energies must lie below the continuum (0 allowed when p > 0), and
     not both at 0, where the kernel 1/w^2 is not integrable for p <= 1/2.
-    Built-in pairs: Re sum_k c_k / ((w_k - E)(w_k - E')); pairs with a
-    tabulated factor: the model's panel table.  Neither cancels as E'
-    approaches E.
+    Built-in pairs: sum_k c_k / ((w_k - E)(w_k - E')) on the Gram table;
+    pairs with a tabulated factor: the model's panel table.  Neither
+    cancels as E' approaches E.
     """
     e, e2 = float(e), float(e2)
     _check_below_threshold(model, e, "t_matrix")
@@ -716,10 +775,10 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     """Principal-value matrix D(E) for E >= 0, or the stack of them over an
     array of energies, each bit for bit D(E) at its energy alone.
 
-    D(0) coincides with S(0).  For E > 0 a built-in pair is
-    Re sum_k c_k / (w_k - E), the real part of F(E + i0); a pair with a
-    tabulated factor is the principal value on the panel table, each panel
-    near E with its own piece at E subtracted.
+    D(0) is S(0), on the Gram table.  For E > 0 a built-in pair is
+    Re sum_k c_k / (w_k - E) on the rotated ray, the real part of
+    F(E + i0); a pair with a tabulated factor is the principal value on
+    the panel table, each panel near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
     bottom = _extreme(e, np.minimum, np.inf)

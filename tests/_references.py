@@ -63,3 +63,12 @@ THREE_LEVEL_ROOTS = {
     0.7: (-0.31067097541423705, -0.0033869190302548958),
     10.0: (-6.842480608395853, -0.6812446941469646, -0.029677088607389737),
 }
+
+# bound-state energies of the hydrogen preset at lambda = 1e120, ascending:
+# lambda sqrt(g_k), g_k the eigenvalues of the norm Gram matrix
+# G_nm = integral v_n v_m dw, to a relative 1e-116; and cond(G), which sets
+# the double-precision accuracy of the smallest one, eps cond(G) / 2
+HYDROGEN_HUGE_COUPLING_ROOTS = {
+    1e120: (-4.833501673419581e+119, -1.5324333821711576e+118, -1.9319812917246637e+116),
+}
+HYDROGEN_NORM_GRAM_COND = 6259186.806308787

@@ -263,6 +263,19 @@ roots["lam_10"] = [
 ]
 out["three_level_roots"] = roots
 
+# hydrogen bound states at the coupling lambda = 1e120: for |E| far above
+# every width, S(E) = G/|E| + O(|E|^-2) with G_nm = integral v_n v_m dw the
+# norm Gram matrix, so kappa_k(E) = E gives |E_k| = lambda sqrt(g_k), g_k
+# the eigenvalues of G in descending order, to a relative 1e-116 (the
+# widths and levels over |E|).  cond(G) = g_max / g_min bounds how far a
+# double-precision S(E) may move the smallest root: eps cond(G) / 2
+g_norm = [[mp.quad(lambda w: eta_h(n, m, w), [0, 1, mp.inf]) for m in (1, 2, 3)]
+          for n in (1, 2, 3)]
+g_eig = sorted(herm3_eigen(g_norm), reverse=True)
+out["hydrogen_huge_coupling_roots"] = {
+    "lam_1e120": [fmt(-mp.mpf("1e120") * mp.sqrt(g)) for g in g_eig]}
+out["hydrogen_norm_gram_cond"] = fmt(g_eig[0] / g_eig[-1])
+
 import pprint
 
 pprint.pprint(out, width=100)

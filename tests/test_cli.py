@@ -453,11 +453,14 @@ def test_oracle_tail_beyond_the_widths_reach_exits_2(tmp_path, capsys):
                      ["3", "1.702347995364e-01", "candidate"]]),
     (["--preset", "hydrogen-4level", "--lambda", "1e120", "--e-min=-1", "--e-max=1"],
      [["1", "-4.833501673420e+119", "bound"], ["2", "-1.532433382171e+118", "bound"],
-      ["3", "-1.931981291714e+116", "bound"]])], ids=["three-level", "hydrogen"])
+      ["3", "-1.931981291755e+116", "bound"]])], ids=["three-level", "hydrogen"])
 def test_kappa_curves_crossings_at_a_huge_coupling(tmp_path, args, want):
     # the gaps kappa_n(E) - E reach 1e200 and more; the crossing scan
     # multiplied neighbouring gaps, whose product overflowed with a
-    # RuntimeWarning (an error under pytest)
+    # RuntimeWarning (an error under pytest).  The hydrogen roots are
+    # lambda sqrt(g_k), g_k the eigenvalues of the norm Gram matrix; the
+    # third one's last printed digits lie at its conditioning bound
+    # (`test_solve_model_at_a_huge_coupling`)
     rc = main(["kappa-curves", *args, "--e-steps", "5", "--out", str(tmp_path)])
     assert rc == 0
     _, _, rows = read_csv(tmp_path / "kappa_curves_intersections.csv")
@@ -532,17 +535,18 @@ def test_widths_below_the_kernels_floor_exit_2(tmp_path, capsys, command, s):
 
 
 def test_nan_norms_exit_3(tmp_path, capsys, monkeypatch):
-    # a NaN coefficient on the ray makes S(E) and D(E) not finite.  The
-    # squared norms that set the bound states' lower bracket end are then
-    # NaN, and that NaN energy must not reach gram_matrix, which rejects it
-    # with a ValueError; the certificate's scan must not hand such a matrix
-    # to eigvalsh, whose SVD did not converge.  No RuntimeWarning
+    # a NaN coefficient on the Gram table and on the ray makes S(E) and
+    # D(E) not finite.  The squared norms that set the bound states' lower
+    # bracket end are then NaN, and that NaN energy must not reach
+    # gram_matrix, which rejects it with a ValueError; the certificate's
+    # scan must not hand such a matrix to eigvalsh, whose SVD did not
+    # converge.  No RuntimeWarning
     import friedrichs.quad as quad
 
     ray_rows = quad._ray_rows
 
-    def nan_rows(factors):
-        t = ray_rows(factors)
+    def nan_rows(factors, step, turn):
+        t = ray_rows(factors, step, turn)
         c = t.c.copy()
         c[0, -1] = np.nan
         return t._replace(c=c, c_abs=np.abs(c))
@@ -554,6 +558,24 @@ def test_nan_norms_exit_3(tmp_path, capsys, monkeypatch):
         assert rc == 3, command
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1, command
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("coupling", ["1", "1e150"])
+def test_subnormal_coefficients_run_silently(tmp_path, capsys, command, coupling):
+    # three-level-fig with every prefactor 1e-155: the ray's coefficients
+    # are subnormal, and the lattice scan scaled each row by a complex
+    # division that overflowed, so thresholds warned and exited 3 where
+    # analyze solved the model
+    config = make_preset("three-level-fig").descriptor()
+    for f in config["form_factors"]:
+        f["prefactor"] = 1e-155
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(config))
+    rc = main([command, "--model", str(path), "--lambda", coupling, "--out", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    if command == "thresholds":
+        assert "verdict: true" in (tmp_path / "thresholds_report.txt").read_text()
 
 
 @pytest.mark.parametrize("command, lo, hi", [

@@ -26,8 +26,11 @@ from friedrichs import (
 from _references import (
     HYDROGEN_GRAM_MINUS1,
     HYDROGEN_PV_HALF,
+    L2_HYDROGEN,
+    L2_THREE_LEVEL,
     THREE_LEVEL_GRAM_ZERO,
 )
+from property_suites import draw_model
 
 
 def test_gram_matrix_hydrogen(hydrogen):
@@ -404,24 +407,74 @@ def _head_drop_models():
                          ids=[f"ray{i}" for i in range(len(_RAY_MODELS))]
                          + ["hydrogen", "three-level", "adversarial"])
 def test_ray_head_drop_is_within_err(model):
-    # no sum drops the ray's head: at E in +-[1e-8 c_lo, 1e3 c_hi] and one
-    # ulp either side of the modulus of every 16th node, each built-in entry
-    # of S(E) or D(E) is the node sum over the whole ray bit for bit, and
-    # err is the rounding bound of all its terms
+    # no sum drops a table's head: at E in +-[1e-8 c_lo, 1e3 c_hi] and one
+    # ulp either side of the modulus of every 16th node of either table,
+    # each built-in entry of S(E) or D(E) is the node sum over the whole
+    # table, the Gram table for E <= 0 and the ray for E > 0, bit for bit,
+    # and err is the rounding bound of all its terms
     import friedrichs.quad as quad
 
-    t = model._ray_rows
     lo, hi = min(f.scale for f in model.form_factors), model.max_scale()
-    moduli = np.abs(t.w[15::16])
+    moduli = np.abs(np.concatenate((model._ray_rows.w[15::16], model._gram_rows.w[15::16])))
     mags = np.concatenate((np.geomspace(1e-8 * lo, 1e3 * hi, 60),
                            np.nextafter(moduli, 0.0), moduli, np.nextafter(moduli, np.inf)))
     for e in np.concatenate((mags, -mags)):
+        t = model._ray_rows if e > 0.0 else model._gram_rows
         terms = t.c * (1.0 / (t.w - e))
         m = (pv_matrix if e > 0.0 else gram_matrix)(model, e)
         full = t.phase * np.add.reduce(terms, axis=-1).real
         assert np.array_equal(m.entries[t.rows, t.cols], full), e
         size = quad._SUM_ERR * np.add.reduce(np.abs(terms), axis=-1)
         assert np.allclose(m.err[t.rows, t.cols], size, rtol=1e-12, atol=0.0), e
+
+
+_DRAWN_MODELS = [draw_model(np.random.default_rng(20261020 + i)) for i in range(50)]
+
+
+@pytest.mark.parametrize("model", list(_head_drop_models()) + _DRAWN_MODELS,
+                         ids=[f"ray{i}" for i in range(len(_RAY_MODELS))]
+                         + ["hydrogen", "three-level", "adversarial"]
+                         + [f"drawn{i}" for i in range(len(_DRAWN_MODELS))])
+def test_gram_table_matches_the_ray(model):
+    # S(E), T(E, E), T(E, E(1 + 1e-8)) and the norms on the real Gram table
+    # (h = 1/8) against the same sums on the rotated ray (h = 1/16), at 81
+    # energies in -[1e-9 c_lo, 3e3 c_hi] and E = 0: each built-in pair sum
+    # lies within 0.5 of the ray's err (the rounding bound 24 eps sum |term|)
+    import friedrichs.quad as quad
+
+    gram, ray = model._gram_rows, model._ray_rows
+    assert gram.w.dtype == gram.c.dtype == float and 2 * gram.w.size <= ray.w.size + 16
+    lo, hi = min(f.scale for f in model.form_factors), model.max_scale()
+    energies = np.append(-np.geomspace(1e-9 * lo, 3e3 * hi, 80), 0.0)
+
+    def gap(e, e2=None):
+        """(|Gram - ray|, ray's err) of every pair at the energies e."""
+        x = np.array([e])
+        sums = [quad._ray_reduce(t, t.c, x, e2, lambda k: k).real for t in (gram, ray)]
+        return np.abs(sums[0] - sums[1]), quad._ray_bounds(ray, x, e2)
+
+    for e in energies:
+        for e2 in ((None,) if e == 0.0 else (None, e, e * (1.0 + 1e-8))):
+            diff, err = gap(e, e2)
+            assert np.all(diff <= 0.5 * err), (e, e2)
+    diff = np.abs(gram.c.sum(axis=-1) - ray.c.sum(axis=-1).real)
+    assert np.all(diff <= 0.5 * quad._SUM_ERR * ray.c_abs.sum(axis=-1))
+
+
+def test_gram_table_holds_the_references(hydrogen, three_level):
+    # the frozen 30-digit references at their stated tolerances, summed on
+    # the Gram table itself
+    import friedrichs.quad as quad
+
+    for model, e, want in ((hydrogen, -1.0, HYDROGEN_GRAM_MINUS1),
+                           (three_level, 0.0, THREE_LEVEL_GRAM_ZERO)):
+        t = model._gram_rows
+        sums = t.phase * quad._ray_reduce(t, t.c, np.array([e]), None, lambda k: k)[0]
+        for n, m, got in zip(t.rows, t.cols, sums):
+            assert got == pytest.approx(want[f"{n + 1}{m + 1}"], rel=1e-10)
+    for model, want, rel in ((hydrogen, L2_HYDROGEN, 1e-11), (three_level, L2_THREE_LEVEL, 1e-12)):
+        t = model._gram_rows
+        assert t.c[t.rows == t.cols].sum(axis=-1) == pytest.approx(want, rel=rel)
 
 
 def test_panel_tables_die_with_the_model():

@@ -10,6 +10,7 @@ from friedrichs import (
     FriedrichsModel,
     RationalFormFactor,
     UnitSystem,
+    compare_negative_spectrum,
     count_negative,
     kappa_curve,
     l2_norm_sq,
@@ -19,7 +20,7 @@ from friedrichs import (
     total_l2_norm_sq,
 )
 
-from _references import THREE_LEVEL_ROOTS
+from _references import HYDROGEN_HUGE_COUPLING_ROOTS, HYDROGEN_NORM_GRAM_COND, THREE_LEVEL_ROOTS
 
 
 @pytest.mark.parametrize("lam,want", [(0.1, 1), (0.7, 2), (10.0, 3)])
@@ -43,6 +44,47 @@ def test_find_root_against_reference(three_level_reports, lam):
     assert rep.count == len(THREE_LEVEL_ROOTS[lam])
     for st, want in zip(rep.states, THREE_LEVEL_ROOTS[lam]):
         assert st.energy == pytest.approx(want, abs=2e-10)
+
+
+def test_solve_model_at_a_huge_coupling(hydrogen):
+    # frozen by tests/oracles/gen_references.py: at lambda = 1e120 the roots
+    # are lambda sqrt(g_k), g_k the eigenvalues of the norm Gram matrix G.
+    # S(E) in double precision moves g_k by about eps ||G||, so each root
+    # holds to a relative eps cond(G) / 2 (7e-10), the smallest one no better
+    for lam, want in HYDROGEN_HUGE_COUPLING_ROOTS.items():
+        rep = solve_model(hydrogen.with_coupling(lam))
+        assert rep.count == 3 and rep.indeterminate == ()
+        bound = np.finfo(float).eps * HYDROGEN_NORM_GRAM_COND / 2.0
+        for st, ref in zip(rep.states, want):
+            assert abs(st.energy - ref) <= bound * abs(ref), (st.energy, ref)
+
+
+@pytest.mark.parametrize("name", ["hydrogen-4level", "three-level-fig"])
+def test_bound_state_runs_never_build_the_ray(name, tmp_path, monkeypatch):
+    # S(E <= 0), T(E, E') and the norms read the real Gram table alone:
+    # solving, counting, sweeping lambda, kappa-curves at E <= 0 and the
+    # oracle's solver member build it once and never build the rotated ray
+    # of D(E > 0)
+    import friedrichs.cli
+    import friedrichs.quad as quad
+
+    steps = []
+    ray_rows = quad._ray_rows
+    monkeypatch.setattr(quad, "_ray_rows", lambda factors, step, turn: (
+        steps.append(step) or ray_rows(factors, step, turn)))
+    for run in (solve_model, count_negative,
+                lambda m: compare_negative_spectrum(m, [200, 400])):
+        model = friedrichs.model.make_preset(name)
+        run(model)
+        assert "_ray_rows" not in model.__dict__ and "_gram_rows" in model.__dict__
+    loaded = []
+    load = friedrichs.cli._load
+    monkeypatch.setattr(friedrichs.cli, "_load", lambda args: loaded.append(load(args))
+                        or loaded[-1])
+    for argv in (["sweep-lambda"], ["kappa-curves", "--e-min=-1", "--e-max=0", "--e-steps", "5"]):
+        assert friedrichs.cli.main([*argv, "--preset", name, "--out", str(tmp_path)]) == 0
+        assert "_ray_rows" not in loaded[-1].__dict__ and "_gram_rows" in loaded[-1].__dict__
+    assert steps == [quad._GRAM_STEP] * 5
 
 
 def test_bound_state_fields(three_level, three_level_reports):

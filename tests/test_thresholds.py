@@ -15,6 +15,7 @@ from friedrichs import (
     certificate,
     lambda_bar_closed_form,
     load_model,
+    make_preset,
     pv_matrix,
     r_a,
 )
@@ -80,6 +81,21 @@ def test_certificate_samples_d_once(hydrogen, monkeypatch):
         off = np.array([x for e, on in built if not on for x in e if x > 0.0])
         assert np.abs(np.log(off[:, None] / np.array(scans[0]))).min() > 1e-12
         assert rep.verdict == ("true" if model is hydrogen else "false")
+
+
+def test_certificate_builds_each_table_once(monkeypatch):
+    # S(0) reads the real Gram table and every D(E) the rotated ray: a
+    # fresh model's certificate builds each of the two once
+    import friedrichs.quad as quad
+
+    steps = []
+    ray_rows = quad._ray_rows
+    monkeypatch.setattr(quad, "_ray_rows", lambda factors, step, turn: (
+        steps.append(step) or ray_rows(factors, step, turn)))
+    for name in ("hydrogen-4level", "three-level-fig"):
+        steps.clear()
+        certificate(make_preset(name))
+        assert sorted(steps) == [quad._RAY_STEP, quad._GRAM_STEP]
 
 
 def test_r_b_edge_reuses_scanned_ends(hydrogen, hydrogen_cert, monkeypatch):
