@@ -22,20 +22,26 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  The solver's S(E) is member 0 of the schedule's one search, the
-solver's, over every (member, branch) pair on one eigencurve family keyed
-by (member, E): each step builds the new S(E) as one stack and every new
-K_M(E) of a grid as one broadcast stack, and diagonalizes the S(E) and the
-K_M(E) of all grids in one stacked eigh each, so the solver's roots and
-each grid's are bit for bit their own searches'; each member keeps its own
-tolerance.  The solver's count at 0, the grids' counts at -gap and every
-member's lower bracket end come from one build; the counts' points are the
-search's upper bracket ends, and each root's point gives its level block.
+rule once.  A schedule runs two searches.  The solver's count and branch
+search run first, as in `solve_model`.  Their roots r_n then seed one
+search over every (grid, branch) pair on one eigencurve family keyed by
+(grid, E), which builds each step's new K_M(E) of a grid as one broadcast
+stack and diagonalizes those of all grids in one stacked eigh.  Branch n of
+a grid starts from [r_n - d_n, min(r_n + d_n / 2, -gap)], d_n = 2^-20 |r_n|
++ 2^10 times the roots' stop, where kappa_n - E changes sign strictly
+across it, and from the generic [seed, -gap] otherwise: a coarse grid's
+root outside the seeded bracket, or a branch the solver does not count.
+The grid's count point at -gap and its seeded ends come from one build; the
+count's point is the generic upper end, and each root's point gives its
+level block.  A grid that `discretize` built keeps its model, so searched
+alone it is seeded the same way and finds its schedule row bit for bit; a
+grid built without a model searches the generic brackets.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
-When all form factors share a global phase times a sign, B is built real
-(for one model, on every grid); the discrete spectrum is unchanged and the
-level-block eigenvectors stay directly comparable to the solver's.
+When every form factor's phase is the first one's times exactly +1 or -1,
+B is built real (for one model, on every grid); the discrete spectrum is
+unchanged and the level-block eigenvectors stay directly comparable to the
+solver's.  Any other ratio, however close to real, keeps B complex.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ import numpy as np
 
 from .model import _require_reach
 from .quad import _gauss_legendre, _panel_nodes
-from .solver import CountResult, _branch_roots, _model_seed, _seed, _unit
-from .spectral import _EigenCurves, _k_stack
+from .solver import _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
+from .spectral import _EigenCurves, _eigencurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
@@ -56,6 +62,10 @@ __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
 # eigenvalues at or above -_GAP_RTOL times the model's scale count as
 # continuum, not bound states
 _GAP_RTOL = 1e-8
+# branch n of a grid first tries [r_n - d_n, min(r_n + d_n / 2, -gap)]
+# around the solver's root r_n, d_n = _SEED_RTOL |r_n| + _SEED_ATOL times
+# the roots' stop, 1e-12 times the model's scale
+_SEED_RTOL, _SEED_ATOL = 2.0 ** -20, 2.0 ** 10
 
 
 @dataclass(frozen=True)
@@ -63,13 +73,16 @@ class DiscretizedHamiltonian:
     """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
     the levels, the coupling block b (N x M) and the grid.  Its eigenvalues
     at or above -gap count as continuum; `discretize` sets gap to 1e-8
-    times the model's scale (`solver._unit`)."""
+    times the model's scale (`solver._unit`) and keeps the model, whose
+    solver's roots seed the grid's root search."""
 
     levels: np.ndarray
     b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     gap: float = _GAP_RTOL
+    # the model, whose solver's roots seed this grid's root search
+    model: object = field(default=None, repr=False, compare=False)
     # the root search this grid shares with its schedule, until it reads it
     _schedule: "_Schedule" = field(default=None, init=False, repr=False, compare=False)
 
@@ -102,7 +115,7 @@ class DiscretizedHamiltonian:
         """The eigenvalues of h below -gap, ascending, and the eigencurve
         points of K_M(E) there: this grid's share of its schedule's search,
         or of a search of its own."""
-        return (self._schedule or _Schedule((self,))).take(self)
+        return (self._schedule or _Schedule((self,), self.model)).take(self)
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -gap, ascending."""
@@ -117,12 +130,12 @@ class DiscretizedHamiltonian:
 
 
 class _Schedule:
-    """The grids of one schedule, and optionally their model, and their one
-    root search.
+    """The grids of one schedule, and optionally their model, and their
+    root search (`_search`).
 
     The first grid to ask runs the search for all of them; each grid then
     reads its own result once, and a grid that asks again is searched alone.
-    With the model, the search also finds the solver's bound states, which
+    With the model, the search starts from the solver's bound states, which
     `take()` without a grid reads.
     """
 
@@ -143,47 +156,60 @@ class _Schedule:
 
 def _search(grids, model=None):
     """(roots, points) of every grid: its eigenvalues below -gap and the
-    eigencurve points of K_M(E) there, all from one root search over every
-    (member, branch) pair on one eigencurve family keyed by (member, E).
+    eigencurve points of K_M(E) there.
 
-    With the model, its S(E) is member 0 of the family, counted, bracketed
-    and searched as by the solver, and the list starts with the solver's
-    (CountResult, roots)."""
-    solver = [] if model is None else [model]
-    members, first = solver + list(grids), len(solver)
-
-    def build(es, i):
-        return _k_stack(model, es) if i < first else members[i]._k(es)
-
-    curves, ids = _EigenCurves(build), np.arange(len(members))
-    # the solver counts kappa_n(0) below its band and, by inertia,
-    # kappa_n(-g) < -g counts the eigenvalues of h below -g: those points
-    # are the search's upper bracket ends, built in one stack with the lower
-    tops = [0.0 for _ in solver] + [-g.gap for g in grids]
-    seeds = ([_model_seed(m) for m in solver]
-             + [_seed(g.levels, float(np.sum(np.abs(g.b) ** 2))) for g in grids])
-    units = ([_unit(m) for m in solver]
-             + [min((g.gap for g in grids), default=0.0) / _GAP_RTOL] * len(grids))
-    points = curves(tops + seeds, np.concatenate((ids, ids)))
-    counted = [CountResult.from_kappa(p.kappa, u) for p, u in zip(points, units[:first])]
-    counts = ([c.count for c in counted]
-              + [int(np.count_nonzero(p.kappa < p.e)) for p in points[first:len(ids)]])
-    roots = iter(e for e, _ in _branch_roots(curves, counts, units, seeds, tops))
-    found = [(c, [next(roots) for _ in range(c.count)]) for c in counted]
-    for i in ids[first:].tolist():
-        vals = [next(roots) for _ in range(counts[i])]
-        found.append((vals, curves(vals, [i] * counts[i])))
+    With the model, the solver's count and branch search run first, as in
+    `solve_model`, and the list starts with their (CountResult, roots).
+    Then one search runs over every (grid, branch) pair on one eigencurve
+    family keyed by (grid, E).  Branch n of a grid searches [r_n - d_n,
+    min(r_n + d_n / 2, -gap)] around the solver's root r_n where kappa_n - E
+    changes sign strictly across it, and [seed, -gap] otherwise.  The seeded
+    bracket is asymmetric because the search's first step bisects it: on a
+    symmetric one that step lands on r_n, and the search stops there."""
+    found, solver = [], []
+    if model is not None:
+        counted, roots = _count_and_roots(model, _eigencurves(model))
+        solver = [e for e, _ in roots]
+        found.append((counted, solver))
+    curves = _EigenCurves(lambda es, i: grids[i]._k(es))
+    tops, units = [-g.gap for g in grids], [g.gap / _GAP_RTOL for g in grids]
+    # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g:
+    # that point is the generic upper end, built in one stack with the
+    # seeded ends
+    stacks = [[top, *(e for r in solver
+                      for d in [_SEED_RTOL * abs(r) + _SEED_ATOL * _ROOT_TOL * unit]
+                      for e in (r - d, min(r + 0.5 * d, top)))]
+              for top, unit in zip(tops, units)]
+    curves([e for es in stacks for e in es], [i for i, es in enumerate(stacks) for _ in es])
+    counts, lo, hi = [], [], []
+    for i, (grid, stack) in enumerate(zip(grids, stacks)):
+        top, *ends = curves(stack, [i] * len(stack))
+        count = int(np.count_nonzero(top.kappa < top.e))
+        brackets = [(a.e, b.e) if a.kappa[n] - a.e > 0.0 > b.kappa[n] - b.e else None
+                    for n, (a, b) in enumerate(zip(ends[:2 * count:2], ends[1:2 * count:2]))]
+        brackets += [None] * (count - len(brackets))
+        if None in brackets:
+            seed = _seed(grid.levels, float(np.sum(np.abs(grid.b) ** 2)))
+            brackets = [b or (seed, top.e) for b in brackets]
+        counts.append(count)
+        lo.append([a for a, _ in brackets])
+        hi.append([b for _, b in brackets])
+    roots = iter(e for e, _ in _branch_roots(curves, counts, units, lo, hi, tops))
+    for i, count in enumerate(counts):
+        vals = [next(roots) for _ in range(count)]
+        found.append((vals, curves(vals, [i] * count)))
     return found
 
 
 def _coupling_block(model, nodes, weights):
-    """lambda * conj(v_n(omega_j)) * sqrt(w_j), real-gauged when possible."""
+    """lambda * conj(v_n(omega_j)) * sqrt(w_j), real-gauged when every
+    factor's phase is the first one's times an exactly real sigma."""
     sw = np.sqrt(weights)
     phases = [f.common_phase for f in model.form_factors]
     if all(p is not None for p in phases):
         base = phases[0]
         sigma = np.array([p / base for p in phases])
-        if np.all(np.abs(sigma.imag) <= 1e-12):
+        if not sigma.imag.any():
             rows = [model.coupling * s.real * (f.value(nodes) / f.common_phase).real * sw
                     for s, f in zip(sigma, model.form_factors)]
             return np.array(rows)
@@ -228,7 +254,7 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights, _GAP_RTOL * _unit(model))
+                                  nodes, weights, _GAP_RTOL * _unit(model), model)
 
 
 @dataclass(frozen=True)
@@ -253,9 +279,14 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     Each row records the count, the energies, and (when the counts agree)
     the absolute deviations from the solver roots.  Branch-wise deviations
     that grow between consecutive grids raise the non_cauchy flag; a clean
-    refinement study should shrink monotonically.  The solver's S(E) and
-    the grids share one root search, which the first grid's
-    `negative_eigenvalues` runs.
+    refinement study should shrink monotonically.  The first grid's
+    `negative_eigenvalues` runs the schedule's two searches: the solver's
+    count and branch roots, as in `solve_model`, then one search over every
+    (grid, branch) pair, each from a bracket a few steps wide around the
+    solver's root on its branch, or from [seed, -gap] where the root lies
+    outside it or the solver has no root on that branch.  Each search stops
+    on its own root, so a converged grid's delta reads the solver's own
+    error, within its stop of 1e-12 times the model's scale.
     """
     ms = [int(m) for m in m_schedule]
     grids = [discretize(model, m) for m in ms]

@@ -139,30 +139,43 @@ def _gap(curves):
         [p.kappa[m - 1] for p, m in zip(curves(e, *member), n)]) - e
 
 
-def _branch_roots(curves, count, unit, e_lo, e_hi=0.0):
+def _branch_roots(curves, count, unit, e_lo, e_hi=0.0, top=None):
     """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
-    search on the eigencurve family curves of a model of scale unit.
+    search on the eigencurve family curves of a model of scale unit.  A
+    root that reaches top (e_hi by default), where the count was read,
+    touches the diagonal there: a BracketError.
 
-    On a family of several members, count, unit, e_lo and e_hi hold one
-    entry per member, and the one search runs over every (member, branch)
-    pair, each to the tolerance of its own member's scale.  Returns
-    [(root, final bracket)] in member, then branch order; where the gap is
-    exactly 0 the root is exact and its bracket is [root, root].
+    On a family of several members, count, unit, e_lo, e_hi and top hold
+    one entry per member, and the one search runs over every (member,
+    branch) pair, each to the tolerance of its own member's scale; an entry
+    of e_lo or e_hi is one end for all the member's branches or one per
+    branch.  Returns [(root, final bracket)] in member, then branch order;
+    where the gap is exactly 0 the root is exact and its bracket is
+    [root, root].
     """
+    several = np.ndim(count) > 0
     counts = np.atleast_1d(count)
     if not counts.sum():
         return []
     member = np.repeat(np.arange(counts.size), counts)
     branch = np.concatenate([np.arange(1, c + 1) for c in counts])
-    lo, hi, scale = (np.broadcast_to(x, counts.shape)[member] for x in (e_lo, e_hi, unit))
+
+    def pairs(x):
+        """x at every (member, branch) pair, from one entry for all or one
+        per member, an entry one value or one per branch"""
+        entries = x if several and np.iterable(x) else [x] * counts.size
+        return np.array([v for e, c in zip(entries, counts.tolist())
+                         for v in (e if np.iterable(e) else [e] * c)], dtype=float)
+
+    lo, hi, top, scale = map(pairs, (e_lo, e_hi, e_hi if top is None else top, unit))
     res = bracketed_root(_gap(curves), lo, hi,
-                         args=(branch, member) if np.ndim(count) else (branch,),
+                         args=(branch, member) if several else (branch,),
                          what="branch roots, kappa_n(E) - E",
                          xatol=_ROOT_TOL * scale, xrtol=_ROOT_RTOL)
-    touching = ~(res.x < hi)
+    touching = ~(res.x < top)
     if touching.any():
         raise BracketError(f"branches {branch[touching].tolist()} touch the diagonal "
-                           f"at E = {hi[touching][0]:g}")
+                           f"at E = {top[touching][0]:g}")
     exact = res.f_x == 0.0
     return [(float(x), (float(lo), float(hi))) for x, lo, hi in
             zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]
@@ -209,12 +222,18 @@ def solve_model(model) -> SolveReport:
     return _solve(model, _eigencurves(model))
 
 
-def _solve(model, curves) -> SolveReport:
-    """`solve_model` on the model's eigencurve family."""
+def _count_and_roots(model, curves):
+    """`solve_model`'s count and branch search on the model's eigencurve
+    family: (CountResult, [(root, final bracket)])."""
     unit, seed = _unit(model), _model_seed(model)
     # K(0) for the count and K(seed), the search's lower end, in one stack
     counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
-    roots = _branch_roots(curves, counted.count, unit, seed)
+    return counted, _branch_roots(curves, counted.count, unit, seed)
+
+
+def _solve(model, curves) -> SolveReport:
+    """`solve_model` on the model's eigencurve family."""
+    counted, roots = _count_and_roots(model, curves)
     states = tuple(_bound_state(model, n, curves([e])[0], bracket)
                    for n, (e, bracket) in enumerate(roots, 1))
     return SolveReport(counted.count, states, counted.kappa_at_zero,

@@ -102,12 +102,13 @@ class _EigenCurves:
     build(array of energies), and diagonalizes it with one stacked eigh,
     which gives every point bit for bit as one energy alone.
 
-    A family of several members (the model's S(E) and the grids of one
-    oracle schedule) is keyed by (member, E) instead: a call names the
-    member of each energy, each member's new energies are built as one
-    stack, build(energies, member), and the stacks of each dtype are
-    diagonalized with one stacked eigh, so a complex S(E) and the real
-    K_M(E) of a real-gauged grid each keep their own LAPACK path and bits.
+    A family of several members (the grids of one oracle schedule) is
+    keyed by (member, E) instead: a call names the member of each energy,
+    each member's new energies are built as one stack, build(energies,
+    member), and the stacks of all members are diagonalized with one
+    stacked eigh.  The members share one dtype (the grids of one model are
+    all real-gauged or all complex), so each keeps the LAPACK path and bits
+    it has alone.
     """
 
     def __init__(self, build, points=()):
@@ -122,15 +123,13 @@ class _EigenCurves:
         if new and members is None:
             self._add(new, new, self._build(np.array(new)))
         elif new:
-            by_member, by_dtype = {}, {}
+            by_member = {}
             for key in new:
                 by_member.setdefault(key[0], []).append(key)
-            for member, part in by_member.items():
-                k = self._build(np.array([e for _, e in part]), member)
-                by_dtype.setdefault(k.dtype, []).append((part, k))
-            for group in by_dtype.values():
-                part = [key for ks, _ in group for key in ks]
-                self._add(part, [e for _, e in part], np.concatenate([k for _, k in group]))
+            part = [key for ks in by_member.values() for key in ks]
+            self._add(part, [e for _, e in part], np.concatenate(
+                [self._build(np.array([e for _, e in ks]), member)
+                 for member, ks in by_member.items()]))
         return [self._points[k] for k in keys]
 
     def _add(self, keys, energies, k):

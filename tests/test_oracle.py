@@ -10,6 +10,7 @@ import friedrichs._search
 import friedrichs.model
 import friedrichs.quad
 import friedrichs.solver
+import friedrichs.spectral
 from friedrichs import (
     DiscretizedHamiltonian,
     FriedrichsModel,
@@ -24,7 +25,7 @@ from friedrichs import (
     make_preset,
     solve_model,
 )
-from friedrichs.oracle import _coupling_block
+from friedrichs.oracle import _SEED_ATOL, _SEED_RTOL, _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
 from test_quad import _complex_tabulated
@@ -95,6 +96,20 @@ def test_complex_gauge_for_tabulated():
     ham = discretize(model, 120)
     assert np.iscomplexobj(ham.h)
     assert np.allclose(ham.h, ham.h.conj().T, atol=1e-15)
+
+
+def test_complex_gauge_for_nearly_common_phase():
+    # phases 1 and exp(1e-13 i) share no global phase: sigma = exp(1e-13 i)
+    # is not real, so b keeps the imaginary part that a real gauge drops
+    factors = tuple(friedrichs.model._PolynomialFormFactor(a, phase, (1.0,), 2, c)
+                    for a, phase, c in ((1.0, 1.0, 1.0), (0.5, np.exp(1e-13j), 2.0)))
+    model = FriedrichsModel((-0.01, 0.02), 1.5, factors, UnitSystem(1.0))
+    ham = discretize(model, 300)
+    assert np.iscomplexobj(ham.b)
+    want = scipy.linalg.eigh(ham.h, eigvals_only=True, subset_by_value=(-np.inf, -ham.gap))
+    got = ham.negative_eigenvalues()
+    assert got.size == want.size > 0
+    assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 def test_discretize_grid_quality(three_level):
@@ -222,16 +237,21 @@ def test_negative_spectrum_builds_each_k_once(three_level, monkeypatch):
 
 def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeypatch):
     # each level block is the eigenvector the search's point at its root
-    # already holds (3 K_M(E) were diagonalized twice before)
-    energies, matrices = [], []
-    build, eigh = DiscretizedHamiltonian._k, np.linalg.eigh
+    # already holds (3 K_M(E) were diagonalized twice before); the solver's
+    # K(E), whose roots seed the grid's search, are diagonalized once each too
+    energies, solver_energies, matrices = [], [], []
+    build, k_stack, eigh = DiscretizedHamiltonian._k, friedrichs.spectral._k_stack, np.linalg.eigh
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
                         lambda self, e: energies.extend(e.tolist()) or build(self, e))
+    monkeypatch.setattr(friedrichs.spectral, "_k_stack",
+                        lambda model, e: solver_energies.extend(e.tolist()) or k_stack(model, e))
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: matrices.append(np.size(a) // a.shape[-1] ** 2) or eigh(a))
     vals, blocks = discretize(three_level.with_coupling(10.0), 1000).negative_eigensystem()
     assert vals.size == 3 and blocks.shape == (3, 3)
-    assert 0 < sum(matrices) == len(energies) == len(set(energies))
+    assert 0 < len(energies) == len(set(energies))
+    assert len(solver_energies) == len(set(solver_energies))
+    assert sum(matrices) == len(energies) + len(solver_energies)
 
 
 def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch):
@@ -274,8 +294,9 @@ def test_schedule_rows_match_grids_alone(name):
     (_single_level(0.1), (10, 500), [0, 0]),
 ])
 def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
-    # one search over the solver's branches and every (grid, branch) pair;
-    # none where neither the solver nor a grid counts a state
+    # two searches: the solver's branches, whose roots seed the grids'
+    # brackets, then one over every (grid, branch) pair; none where no
+    # branch is counted
     sizes = []
     find_root = friedrichs._search._find_root
     monkeypatch.setattr(friedrichs._search, "_find_root",
@@ -283,8 +304,7 @@ def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
                         or find_root(f, lo, hi, **kw))
     table = compare_negative_spectrum(model, schedule)
     assert [row.count for row in table.rows] == counts
-    size = table.solver_count + sum(counts)
-    assert sizes == ([size] if size else [])
+    assert sizes == [size for size in (table.solver_count, sum(counts)) if size]
     monkeypatch.undo()
     for row, m in zip(table.rows, schedule):
         alone = discretize(model, m).negative_eigenvalues()
@@ -305,8 +325,8 @@ def _deep_root_model():
     ("deep", None),
 ])
 def test_schedule_solver_matches_solve_model(name, lam):
-    # the solver's S(E), member 0 of the schedule's one search, keeps the
-    # count, brackets and tolerance of `solve_model`: the same bytes
+    # the solver's search, which the schedule runs first, keeps the count,
+    # brackets and tolerance of `solve_model`: the same bytes
     model = (load_model(_GOLDEN_TABULATED) if name == "tabulated"
              else _deep_root_model() if name == "deep" else make_preset(name, lam))
     table = compare_negative_spectrum(model, (500, 1000))
@@ -318,16 +338,43 @@ def test_schedule_solver_matches_solve_model(name, lam):
 
 def test_schedule_builds_each_k_once(three_level, monkeypatch):
     # each (grid, E) of the shared family is built once, the count's points
-    # at -gap included, and every grid of the schedule is searched
-    built = []
+    # at -gap included, and every grid of the schedule is searched.  The
+    # solver's roots seed brackets a few steps wide: 16 stacks of K_M(E),
+    # where the generic brackets took 44
+    built, stacks = [], []
     build = DiscretizedHamiltonian._k
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
-                        lambda self, e: built.extend((id(self), x) for x in e.tolist())
+                        lambda self, e: stacks.append(e.size)
+                        or built.extend((id(self), x) for x in e.tolist())
                         or build(self, e))
     table = compare_negative_spectrum(three_level.with_coupling(10.0), _SCHEDULE)
     assert [row.count for row in table.rows] == [3] * 4
     assert len(built) == len(set(built))
     assert len({grid for grid, _ in built}) == len(_SCHEDULE)
+    assert len(stacks) <= 20
+
+
+@pytest.mark.parametrize("lam,schedule", [(0.7, (10, 500)), (0.18044971, (10, 137, 500))])
+def test_schedule_falls_back_to_generic_brackets(lam, schedule):
+    # the coarse grids' roots lie outside the brackets the solver's roots
+    # seed, and 1e-6 below the second state's threshold they count a
+    # branch the solver does not: those pairs search [seed, -gap], and
+    # every root still matches LAPACK on the dense h
+    model = make_preset("three-level-fig", lam)
+    table = compare_negative_spectrum(model, schedule)
+    stop = friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)
+    for row in table.rows:
+        ham = discretize(model, row.m)
+        want = scipy.linalg.eigh(ham.h, eigvals_only=True,
+                                 subset_by_value=(-np.inf, -ham.gap))
+        assert row.count == want.size
+        assert np.allclose(row.energies, want, rtol=0.0, atol=1e-10)
+        seeded = []
+        for r, e in zip(table.solver_energies, row.energies):
+            d = _SEED_RTOL * abs(r) + _SEED_ATOL * stop
+            seeded.append(r - d < e < min(r + 0.5 * d, -ham.gap))
+        assert seeded == [row.m == 500] * len(seeded)
+        assert (row.count > table.solver_count) == (lam < 0.5 and row.m < 500)
 
 
 def _scaled_three_level(s, lam):
