@@ -35,7 +35,8 @@ The grid's count point at -gap and its seeded ends come from one build; the
 count's point is the generic upper end, and each root's point gives its
 level block.  A grid that `discretize` built keeps its model, so searched
 alone it is seeded the same way and finds its schedule row bit for bit; a
-grid built without a model searches the generic brackets.
+grid built without a model, or whose model's solver search fails (at E = 0
+for a form factor with p = 0), searches the generic brackets.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
 When every form factor's phase is the first one's times exactly +1 or -1,
@@ -51,8 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _require_reach
-from .quad import _gauss_legendre, _panel_nodes
+from .model import ConfigError, _require_reach
+from .quad import NumericalError, _gauss_legendre, _panel_nodes
 from .solver import _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
 from .spectral import _EigenCurves, _eigencurves
 
@@ -81,8 +82,9 @@ class DiscretizedHamiltonian:
     nodes: np.ndarray
     weights: np.ndarray
     gap: float = _GAP_RTOL
-    # the model, whose solver's roots seed this grid's root search
-    model: object = field(default=None, repr=False, compare=False)
+    # the model `discretize` built this grid from, whose solver's roots
+    # seed its root search
+    _model: object = field(default=None, init=False, repr=False, compare=False)
     # the root search this grid shares with its schedule, until it reads it
     _schedule: "_Schedule" = field(default=None, init=False, repr=False, compare=False)
 
@@ -115,7 +117,9 @@ class DiscretizedHamiltonian:
         """The eigenvalues of h below -gap, ascending, and the eigencurve
         points of K_M(E) there: this grid's share of its schedule's search,
         or of a search of its own."""
-        return (self._schedule or _Schedule((self,), self.model)).take(self)
+        if self._schedule is not None:
+            return self._schedule.take(self)
+        return _search((self,), _seeds(self._model))[0]
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -gap, ascending."""
@@ -130,47 +134,61 @@ class DiscretizedHamiltonian:
 
 
 class _Schedule:
-    """The grids of one schedule, and optionally their model, and their
-    root search (`_search`).
+    """The grids of one schedule, their model, and their two searches.
 
-    The first grid to ask runs the search for all of them; each grid then
-    reads its own result once, and a grid that asks again is searched alone.
-    With the model, the search starts from the solver's bound states, which
-    `take()` without a grid reads.
+    The first grid to ask runs both for all of them: the solver's count and
+    branch roots (`_solver_roots`), then the grids' roots they seed
+    (`_search`).  Each grid then reads its own result once, and a grid that
+    asks again is searched alone; `take()` without a grid reads the
+    solver's (CountResult, roots).
     """
 
-    def __init__(self, grids, model=None):
+    def __init__(self, grids, model):
         self._grids, self._model, self._found = tuple(grids), model, None
         for grid in self._grids:
             object.__setattr__(grid, "_schedule", self)  # a frozen dataclass
 
     def take(self, grid=None):
         if self._found is None:
-            keys = [None] * (self._model is not None) + [id(g) for g in self._grids]
-            self._found = dict(zip(keys, _search(self._grids, self._model)))
+            counted, solver = _solver_roots(self._model)
+            self._found = dict(zip([id(g) for g in self._grids], _search(self._grids, solver)))
+            self._found[None] = counted, solver
             self._grids, self._model = (), None
         if grid is not None:
             object.__setattr__(grid, "_schedule", None)
         return self._found.pop(None if grid is None else id(grid))
 
 
-def _search(grids, model=None):
+def _solver_roots(model):
+    """`solve_model`'s count and branch search: (CountResult, roots)."""
+    counted, roots = _count_and_roots(model, _eigencurves(model))
+    return counted, [e for e, _ in roots]
+
+
+def _seeds(model):
+    """The solver's roots that seed a grid searched alone: none without its
+    model, or where the solver's search fails (its count reads K(0), which
+    a form factor with p = 0 does not have), and the grid then searches the
+    generic brackets."""
+    if model is None:
+        return []
+    try:
+        return _solver_roots(model)[1]
+    except (ConfigError, NumericalError):
+        return []
+
+
+def _search(grids, solver):
     """(roots, points) of every grid: its eigenvalues below -gap and the
     eigencurve points of K_M(E) there.
 
-    With the model, the solver's count and branch search run first, as in
-    `solve_model`, and the list starts with their (CountResult, roots).
-    Then one search runs over every (grid, branch) pair on one eigencurve
-    family keyed by (grid, E).  Branch n of a grid searches [r_n - d_n,
-    min(r_n + d_n / 2, -gap)] around the solver's root r_n where kappa_n - E
-    changes sign strictly across it, and [seed, -gap] otherwise.  The seeded
-    bracket is asymmetric because the search's first step bisects it: on a
+    One search runs over every (grid, branch) pair on one eigencurve family
+    keyed by (grid, E).  Branch n of a grid searches [r_n - d_n, min(r_n +
+    d_n / 2, -gap)] around the solver's root r_n where kappa_n - E changes
+    sign strictly across it, and [seed, -gap] otherwise.  The seeded bracket
+    is asymmetric because the search's first step bisects it: on a
     symmetric one that step lands on r_n, and the search stops there."""
-    found, solver = [], []
-    if model is not None:
-        counted, roots = _count_and_roots(model, _eigencurves(model))
-        solver = [e for e, _ in roots]
-        found.append((counted, solver))
+    found = []
     curves = _EigenCurves(lambda es, i: grids[i]._k(es))
     tops, units = [-g.gap for g in grids], [g.gap / _GAP_RTOL for g in grids]
     # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g:
@@ -252,9 +270,11 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     nodes = np.concatenate((panel_x.ravel(), omega_max + scale * t / (1.0 - t)))
     _require_reach(model.form_factors, float(nodes[-1]), f"the oracle's tail at m = {m}")
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
-    return DiscretizedHamiltonian(model.level_array(),
+    grid = DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights, _GAP_RTOL * _unit(model), model)
+                                  nodes, weights, _GAP_RTOL * _unit(model))
+    object.__setattr__(grid, "_model", model)  # a frozen dataclass
+    return grid
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import friedrichs._search
 import friedrichs.model
+import friedrichs.oracle
 import friedrichs.quad
 import friedrichs.solver
 import friedrichs.spectral
@@ -375,6 +376,41 @@ def test_schedule_falls_back_to_generic_brackets(lam, schedule):
             seeded.append(r - d < e < min(r + 0.5 * d, -ham.gap))
         assert seeded == [row.m == 500] * len(seeded)
         assert (row.count > table.solver_count) == (lam < 0.5 and row.m < 500)
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+def test_grid_alone_without_solver_roots(lam, monkeypatch):
+    # a grid searched alone is seeded by its model's solver roots only where
+    # the solver's search succeeds.  A form factor with p = 0 has no K(0),
+    # so the solver's count raises a ConfigError, and a failed branch search
+    # raises a NumericalError: the grid searches the generic brackets
+    f = TabulatedFormFactor(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.4, 0.2]),
+                            tail_exponent=-1.0, p_exponent=0.0)
+    model = FriedrichsModel((0.5,), lam, (f,), UnitSystem(1.0))
+    with pytest.raises(friedrichs.model.ConfigError):
+        solve_model(model)
+    ham = discretize(model, 500)
+    want = scipy.linalg.eigh(ham.h, eigvals_only=True, subset_by_value=(-np.inf, -ham.gap))
+    assert want.size == 1
+    assert np.allclose(ham.negative_eigenvalues(), want, rtol=0.0, atol=1e-10)
+
+    def fail(*args):
+        raise friedrichs._search.BracketError("no bracket")
+
+    model = make_preset("three-level-fig", lam)
+    ham = discretize(model, 500)
+    want = scipy.linalg.eigh(ham.h, eigvals_only=True, subset_by_value=(-np.inf, -ham.gap))
+    monkeypatch.setattr(friedrichs.oracle, "_count_and_roots", fail)
+    assert np.allclose(ham.negative_eigenvalues(), want, rtol=0.0, atol=1e-10)
+    with pytest.raises(friedrichs._search.BracketError):
+        compare_negative_spectrum(model, (500,))
+
+
+def test_discretized_hamiltonian_takes_no_model():
+    # the grid's model is set by `discretize`, not a constructor option
+    with pytest.raises(TypeError):
+        DiscretizedHamiltonian(np.array([-1.0]), np.array([[1.0]]), np.array([1.0]),
+                               np.array([1.0]), 1e-8, make_preset("three-level-fig"))
 
 
 def _scaled_three_level(s, lam):
