@@ -22,21 +22,21 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  A schedule runs two searches.  The solver's count and branch
-search run first, as in `solve_model`.  Their roots r_n then seed one
-search over every (grid, branch) pair on one eigencurve family keyed by
-(grid, E), which builds each step's new K_M(E) of a grid as one broadcast
-stack and diagonalizes those of all grids in one stacked eigh.  Branch n of
-a grid starts from [r_n - d_n, min(r_n + d_n / 2, -gap)], d_n = 2^-20 |r_n|
-+ 2^10 times the roots' stop, where kappa_n - E changes sign strictly
-across it, and from the generic [seed, -gap] otherwise: a coarse grid's
-root outside the seeded bracket, or a branch the solver does not count.
-The grid's count point at -gap and its seeded ends come from one build; the
-count's point is the generic upper end, and each root's point gives its
-level block.  A grid that `discretize` built keeps its model, so searched
-alone it is seeded the same way and finds its schedule row bit for bit; a
-grid built without a model, or whose model's solver search fails (at E = 0
-for a form factor with p = 0), searches the generic brackets.
+rule once.  A grid searched alone never runs the solver: each branch starts
+from the generic [seed, -gap], and the grid keeps what it found, so it
+searches once however often it is asked.  `compare_negative_spectrum`
+runs the solver's count and branch search, as in `solve_model`, and hands
+its roots r_n to the schedule's one search over every (grid, branch) pair
+on one eigencurve family keyed by (grid, E), which builds each step's new
+K_M(E) of a grid as one broadcast stack and diagonalizes those of all grids
+in one stacked eigh.  Branch n of a grid starts from [r_n - d_n, min(r_n +
+d_n / 2, -gap)], d_n = 2^-20 |r_n| + 2^10 times the roots' stop, where
+kappa_n - E changes sign strictly across it, and from [seed, -gap]
+otherwise: a coarse grid's root outside the seeded bracket, or a branch the
+solver does not count.  Sharing changes no bit: each grid finds what it
+finds searched alone from the same roots.  The grid's count point at -gap
+and its seeded ends come from one build; the count's point is the generic
+upper end, and each root's point gives its level block.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
 When every form factor's phase is the first one's times exactly +1 or -1,
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfigError, _require_reach
-from .quad import NumericalError, _gauss_legendre, _panel_nodes
+from .quad import _gauss_legendre, _panel_nodes
 from .solver import _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
 from .spectral import _EigenCurves, _eigencurves
 
@@ -74,18 +74,16 @@ class DiscretizedHamiltonian:
     """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
     the levels, the coupling block b (N x M) and the grid.  Its eigenvalues
     at or above -gap count as continuum; `discretize` sets gap to 1e-8
-    times the model's scale (`solver._unit`) and keeps the model, whose
-    solver's roots seed the grid's root search."""
+    times the model's scale (`solver._unit`).  The grid knows nothing of
+    the solver: searched alone it starts every branch from [seed, -gap],
+    and only a schedule hands it the solver's roots."""
 
     levels: np.ndarray
     b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     gap: float = _GAP_RTOL
-    # the model `discretize` built this grid from, whose solver's roots
-    # seed its root search
-    _model: object = field(default=None, init=False, repr=False, compare=False)
-    # the root search this grid shares with its schedule, until it reads it
+    # the root search this grid shares with the grids of its schedule
     _schedule: "_Schedule" = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -113,69 +111,41 @@ class DiscretizedHamiltonian:
         energy of the array e, as one stack."""
         return self._level_diag - (self.b / (self.nodes - e[:, None, None])) @ self._b_dagger
 
+    @functools.cached_property
     def _roots(self):
         """The eigenvalues of h below -gap, ascending, and the eigencurve
-        points of K_M(E) there: this grid's share of its schedule's search,
-        or of a search of its own."""
+        points of K_M(E) there, searched once per grid: its share of its
+        schedule's search, or a search of its own from [seed, -gap]."""
         if self._schedule is not None:
             return self._schedule.take(self)
-        return _search((self,), _seeds(self._model))[0]
+        return _search((self,), [])[0]
 
     def negative_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of h below -gap, ascending."""
-        return np.array(self._roots()[0])
+        return np.array(self._roots[0])
 
     def negative_eigensystem(self):
         """Eigenpairs of h below -gap: (values, level blocks), the blocks
         normalized to unit columns like solver amplitudes."""
-        vals, points = self._roots()
+        vals, points = self._roots
         blocks = [p.vectors[:, i] for i, p in enumerate(points)]
         return np.array(vals), np.array(blocks).reshape(len(vals), self.levels.size).T
 
 
 class _Schedule:
-    """The grids of one schedule, their model, and their two searches.
+    """The grids of one schedule and the solver's roots that seed their one
+    shared search (`_search`), which the first grid to ask runs for all."""
 
-    The first grid to ask runs both for all of them: the solver's count and
-    branch roots (`_solver_roots`), then the grids' roots they seed
-    (`_search`).  Each grid then reads its own result once, and a grid that
-    asks again is searched alone; `take()` without a grid reads the
-    solver's (CountResult, roots).
-    """
-
-    def __init__(self, grids, model):
-        self._grids, self._model, self._found = tuple(grids), model, None
+    def __init__(self, grids, solver):
+        self._grids, self._solver, self._found = tuple(grids), solver, None
         for grid in self._grids:
             object.__setattr__(grid, "_schedule", self)  # a frozen dataclass
 
-    def take(self, grid=None):
+    def take(self, grid):
         if self._found is None:
-            counted, solver = _solver_roots(self._model)
-            self._found = dict(zip([id(g) for g in self._grids], _search(self._grids, solver)))
-            self._found[None] = counted, solver
-            self._grids, self._model = (), None
-        if grid is not None:
-            object.__setattr__(grid, "_schedule", None)
-        return self._found.pop(None if grid is None else id(grid))
-
-
-def _solver_roots(model):
-    """`solve_model`'s count and branch search: (CountResult, roots)."""
-    counted, roots = _count_and_roots(model, _eigencurves(model))
-    return counted, [e for e, _ in roots]
-
-
-def _seeds(model):
-    """The solver's roots that seed a grid searched alone: none without its
-    model, or where the solver's search fails (its count reads K(0), which
-    a form factor with p = 0 does not have), and the grid then searches the
-    generic brackets."""
-    if model is None:
-        return []
-    try:
-        return _solver_roots(model)[1]
-    except (ConfigError, NumericalError):
-        return []
+            self._found = dict(zip(map(id, self._grids), _search(self._grids, self._solver)))
+            self._grids = ()
+        return self._found[id(grid)]
 
 
 def _search(grids, solver):
@@ -245,9 +215,12 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     form-factor breakpoint inside (0, omega_max) is one more edge, taken out
     of the geometric budget, so the node count lands within a few percent of
     m unless the breakpoints outnumber m / 12.  Nodes come out ascending.
+    m must be a whole number (an integral float will do) of at least 10;
+    anything else raises a ConfigError.
     """
-    if m < 10:
-        raise ValueError("need at least 10 grid points")
+    if not (np.isfinite(m) and m == int(m) >= 10):
+        raise ConfigError(f"the grid needs a whole number of at least 10 points, not {m!r}")
+    m = int(m)
     scale = model.max_scale()
     omega_max = 20.0 * scale
 
@@ -270,11 +243,9 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     nodes = np.concatenate((panel_x.ravel(), omega_max + scale * t / (1.0 - t)))
     _require_reach(model.form_factors, float(nodes[-1]), f"the oracle's tail at m = {m}")
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
-    grid = DiscretizedHamiltonian(model.level_array(),
+    return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
                                   nodes, weights, _GAP_RTOL * _unit(model))
-    object.__setattr__(grid, "_model", model)  # a frozen dataclass
-    return grid
 
 
 @dataclass(frozen=True)
@@ -299,20 +270,22 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     Each row records the count, the energies, and (when the counts agree)
     the absolute deviations from the solver roots.  Branch-wise deviations
     that grow between consecutive grids raise the non_cauchy flag; a clean
-    refinement study should shrink monotonically.  The first grid's
-    `negative_eigenvalues` runs the schedule's two searches: the solver's
-    count and branch roots, as in `solve_model`, then one search over every
-    (grid, branch) pair, each from a bracket a few steps wide around the
-    solver's root on its branch, or from [seed, -gap] where the root lies
-    outside it or the solver has no root on that branch.  Each search stops
-    on its own root, so a converged grid's delta reads the solver's own
-    error, within its stop of 1e-12 times the model's scale.
+    refinement study should shrink monotonically.  After building the
+    grids, it runs the solver's count and branch roots, as in
+    `solve_model`; the first grid's `negative_eigenvalues` then runs one
+    search over every (grid, branch) pair, each from a bracket a few steps
+    wide around the solver's root on its branch, or from [seed, -gap] where
+    the root lies outside it or the solver has no root on that branch.
+    Each search stops on its own root, so a converged grid's delta reads
+    the solver's own error, within its stop of 1e-12 times the model's
+    scale.
     """
-    ms = [int(m) for m in m_schedule]
+    ms = list(m_schedule)
     grids = [discretize(model, m) for m in ms]
-    schedule = _Schedule(grids, model)
+    counted, roots = _count_and_roots(model, _eigencurves(model))
+    solver_e = [e for e, _ in roots]
+    _Schedule(grids, solver_e)  # seeds the grids' one shared search
     spectra = [grid.negative_eigenvalues() for grid in grids]
-    counted, solver_e = schedule.take()
     floor = 1e-11 * _unit(model)
     rows = []
     prev = None
@@ -330,6 +303,6 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
                 non_cauchy = True
         if deltas:
             prev = deltas
-        rows.append(ConvergenceRow(m, count, tuple(float(v) for v in vals),
+        rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals),
                                    deltas))
     return ConvergenceTable(tuple(rows), counted.count, tuple(solver_e), non_cauchy)

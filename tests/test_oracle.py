@@ -29,6 +29,7 @@ from friedrichs import (
 from friedrichs.oracle import _SEED_ATOL, _SEED_RTOL, _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
+from property_suites import draw_model
 from test_quad import _complex_tabulated
 
 
@@ -226,20 +227,20 @@ def test_negative_spectrum_builds_each_k_once(three_level, monkeypatch):
     build = DiscretizedHamiltonian._k
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
                         lambda self, e: energies.extend(e.tolist()) or build(self, e))
-    ham = discretize(three_level.with_coupling(10.0), 1000)
-    assert ham.negative_eigenvalues().size == 3
+    model = three_level.with_coupling(10.0)
+    assert discretize(model, 1000).negative_eigenvalues().size == 3
     assert len(energies) == len(set(energies))
     n_search = len(energies)
     energies.clear()
-    vals, _ = ham.negative_eigensystem()
+    vals, _ = discretize(model, 1000).negative_eigensystem()
     assert vals.size == 3
     assert len(energies) == len(set(energies)) == n_search
 
 
 def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeypatch):
     # each level block is the eigenvector the search's point at its root
-    # already holds (3 K_M(E) were diagonalized twice before); the solver's
-    # K(E), whose roots seed the grid's search, are diagonalized once each too
+    # already holds (3 K_M(E) were diagonalized twice before), and a grid
+    # searched alone builds no K(E) of the solver
     energies, solver_energies, matrices = [], [], []
     build, k_stack, eigh = DiscretizedHamiltonian._k, friedrichs.spectral._k_stack, np.linalg.eigh
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
@@ -251,8 +252,8 @@ def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeyp
     vals, blocks = discretize(three_level.with_coupling(10.0), 1000).negative_eigensystem()
     assert vals.size == 3 and blocks.shape == (3, 3)
     assert 0 < len(energies) == len(set(energies))
-    assert len(solver_energies) == len(set(solver_energies))
-    assert sum(matrices) == len(energies) + len(solver_energies)
+    assert solver_energies == []
+    assert sum(matrices) == len(energies)
 
 
 def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch):
@@ -277,16 +278,31 @@ def _single_level(lam):
     return FriedrichsModel((0.01,), lam, (RationalFormFactor(1),), UnitSystem(1.0))
 
 
+def _check_rows_against_grids_alone(model, table):
+    """The shared search gives every grid, bit for bit, its search alone
+    from the same solver roots; a grid searched alone, from [seed, -gap],
+    finds its row's roots within the roots' stop."""
+    stop = friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)
+    roots = list(table.solver_energies)
+    grids = [discretize(model, row.m) for row in table.rows]
+    shared = friedrichs.oracle._search(grids, roots)
+    for row, grid, (vals, _) in zip(table.rows, grids, shared):
+        assert np.array(row.energies).tobytes() == np.array(vals).tobytes()
+        seeded, _ = friedrichs.oracle._search((grid,), roots)[0]
+        assert np.array(seeded).tobytes() == np.array(vals).tobytes()
+        alone = discretize(model, row.m).negative_eigenvalues()
+        assert alone.size == row.count
+        err = np.abs(alone - np.array(row.energies))
+        assert np.all(err <= stop + 4.0 * np.finfo(float).eps * np.abs(alone))
+
+
 @pytest.mark.parametrize("name", ["0.1", "0.7", "10", "tabulated"])
 def test_schedule_rows_match_grids_alone(name):
-    # the shared search gives every grid, bit for bit, its roots alone
     model = (load_model(_GOLDEN_TABULATED) if name == "tabulated"
              else make_preset("three-level-fig", float(name)))
     table = compare_negative_spectrum(model, _SCHEDULE)
-    for row, m in zip(table.rows, _SCHEDULE):
-        alone = discretize(model, m).negative_eigenvalues()
-        assert row.count == alone.size > 0
-        assert np.array(row.energies).tobytes() == alone.tobytes()
+    assert all(row.count > 0 for row in table.rows)
+    _check_rows_against_grids_alone(model, table)
 
 
 @pytest.mark.parametrize("model,schedule,counts", [
@@ -307,9 +323,7 @@ def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
     assert [row.count for row in table.rows] == counts
     assert sizes == [size for size in (table.solver_count, sum(counts)) if size]
     monkeypatch.undo()
-    for row, m in zip(table.rows, schedule):
-        alone = discretize(model, m).negative_eigenvalues()
-        assert np.array(row.energies).tobytes() == alone.tobytes()
+    _check_rows_against_grids_alone(model, table)
 
 
 def _deep_root_model():
@@ -380,10 +394,14 @@ def test_schedule_falls_back_to_generic_brackets(lam, schedule):
 
 @pytest.mark.parametrize("lam", [1.0, 3.0])
 def test_grid_alone_without_solver_roots(lam, monkeypatch):
-    # a grid searched alone is seeded by its model's solver roots only where
-    # the solver's search succeeds.  A form factor with p = 0 has no K(0),
-    # so the solver's count raises a ConfigError, and a failed branch search
-    # raises a NumericalError: the grid searches the generic brackets
+    # a grid searched alone never runs the solver's search: it finds LAPACK's
+    # roots where the solver raises (a form factor with p = 0 has no K(0),
+    # so the solver's count raises a ConfigError) and where the solver's
+    # search is patched to fail, which `compare_negative_spectrum` still raises
+    def fail(*args):
+        raise AssertionError("the solver's search ran")
+
+    monkeypatch.setattr(friedrichs.oracle, "_count_and_roots", fail)
     f = TabulatedFormFactor(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.4, 0.2]),
                             tail_exponent=-1.0, p_exponent=0.0)
     model = FriedrichsModel((0.5,), lam, (f,), UnitSystem(1.0))
@@ -394,20 +412,73 @@ def test_grid_alone_without_solver_roots(lam, monkeypatch):
     assert want.size == 1
     assert np.allclose(ham.negative_eigenvalues(), want, rtol=0.0, atol=1e-10)
 
-    def fail(*args):
-        raise friedrichs._search.BracketError("no bracket")
-
     model = make_preset("three-level-fig", lam)
     ham = discretize(model, 500)
     want = scipy.linalg.eigh(ham.h, eigvals_only=True, subset_by_value=(-np.inf, -ham.gap))
-    monkeypatch.setattr(friedrichs.oracle, "_count_and_roots", fail)
     assert np.allclose(ham.negative_eigenvalues(), want, rtol=0.0, atol=1e-10)
-    with pytest.raises(friedrichs._search.BracketError):
+    with pytest.raises(AssertionError, match="the solver's search ran"):
         compare_negative_spectrum(model, (500,))
 
 
+def test_grid_asked_twice_searches_once(three_level, monkeypatch):
+    # each grid keeps its search: asked again, alone or in a schedule, it
+    # reads the roots it found
+    calls = []
+    find_root = friedrichs._search._find_root
+    monkeypatch.setattr(friedrichs._search, "_find_root",
+                        lambda *a, **kw: calls.append(1) or find_root(*a, **kw))
+    model = three_level.with_coupling(10.0)
+    ham = discretize(model, 1000)
+    first = ham.negative_eigenvalues()
+    assert ham.negative_eigenvalues().tobytes() == first.tobytes()
+    assert ham.negative_eigensystem()[0].tobytes() == first.tobytes()
+    assert len(calls) == 1
+    roots = [st.energy for st in solve_model(model).states]
+    calls.clear()
+    grids = [discretize(model, m) for m in (500, 1000)]
+    friedrichs.oracle._Schedule(grids, roots)
+    spectra = [grid.negative_eigenvalues() for grid in grids * 2]
+    assert [s.size for s in spectra] == [3] * 4
+    assert spectra[2].tobytes() == spectra[0].tobytes()
+    assert spectra[3].tobytes() == spectra[1].tobytes()
+    assert len(calls) == 1
+
+
+def test_grid_alone_binds_below_each_negative_level():
+    # the paper's first claim on the solver-free oracle: K_M(E) <= diag(omega)
+    # for E < 0, so by min-max h has at least as many eigenvalues below -gap
+    # as there are levels, and the k-th lies at or below the k-th level
+    rng = np.random.default_rng(20261020)
+    for _ in range(100):
+        model = draw_model(rng)
+        ham = discretize(model, 500)
+        levels = np.sort(model.level_array())
+        levels = levels[levels < -ham.gap]
+        vals = ham.negative_eigenvalues()
+        assert vals.size >= levels.size
+        assert np.all(vals[:levels.size] <= levels)
+
+
+@pytest.mark.parametrize("m", [1000.7, 9.0, np.nan, np.inf])
+def test_discretize_takes_whole_grid_sizes(three_level, m):
+    # a size that is not a whole number of at least 10 is refused, not
+    # rounded, by `discretize` and so by `compare_negative_spectrum`
+    with pytest.raises(friedrichs.model.ConfigError):
+        discretize(three_level, m)
+    with pytest.raises(friedrichs.model.ConfigError):
+        compare_negative_spectrum(three_level, (500, m))
+
+
+def test_discretize_takes_integral_floats(three_level):
+    whole, integral = discretize(three_level, 1000), discretize(three_level, np.float64(1000.0))
+    assert whole.nodes.tobytes() == integral.nodes.tobytes()
+    assert whole.b.tobytes() == integral.b.tobytes()
+    table = compare_negative_spectrum(three_level, (1000.0,))
+    assert table.rows[0].m == 1000 and type(table.rows[0].m) is int
+
+
 def test_discretized_hamiltonian_takes_no_model():
-    # the grid's model is set by `discretize`, not a constructor option
+    # the grid knows nothing of its model: the constructor takes no model
     with pytest.raises(TypeError):
         DiscretizedHamiltonian(np.array([-1.0]), np.array([[1.0]]), np.array([1.0]),
                                np.array([1.0]), 1e-8, make_preset("three-level-fig"))
