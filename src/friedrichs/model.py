@@ -506,12 +506,12 @@ def model_digest(model: FriedrichsModel) -> str:
 def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
     """Integral of |v_n|^2 over the half line: a node sum for the built-in
     families, the panel table and power-law ends for tabulated factors
-    (`quad._norm_sq`)."""
-    from .quad import _norm_sq
+    (`quad._norms_sq`)."""
+    from .quad import _norms_sq
 
     if not 1 <= n <= model.n_levels:
         raise ValueError(f"level index {n} outside 1..{model.n_levels}")
-    return _norm_sq(model, n - 1)
+    return _norms_sq(model)[n - 1]
 
 
 def total_l2_norm_sq(model: FriedrichsModel) -> float:

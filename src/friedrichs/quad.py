@@ -14,7 +14,7 @@ and for E inside the continuum (E >= 0) the principal-value matrix
     D_nm(E)    = PV integral  conj(v_n(w)) v_m(w) / (w - E)  dw.
 
 Every entry is a pair integral of conj(v_n) v_m against the matrix's kernel
-(`_level_shift`).
+(`_pair_sums`).
 
 Built-in families.  v(x) = phase * sqrt(x) * r(x) with r even and rational,
 poles at +-i c only (`rational_part`), so the pair density is
@@ -59,10 +59,16 @@ size t0^2 / (2 |E E'|), below 1e-16 for |E|, |E'| >= 1e-12 c_lo (t0 / |E|
 when E' = 0).
 
 Every sum runs over every node of its table.  The kernel is evaluated once
-per energy for all pairs; a stack's energies go in blocks, and each pair's
-row is summed on its own along the contiguous last axis, so a stack holds
-each energy's matrix bit for bit.  err, computed when first read, is the
-rounding bound 24 eps sum_k |c_k| |kernel(w_k)|.
+per energy for all pairs; a stack's energies go in blocks (T(E, E') with
+its second energies aligned to them, as for the solver's T(E_n, E_n) of
+every root), and each pair's row is summed on its own along the
+contiguous last axis, so a stack holds each energy's matrix bit for bit.
+One builder (`_pair_sums`) makes every stack's entries.  The public
+matrices wrap it in a LevelShiftMatrix whose err, computed when first
+read, is the rounding bound 24 eps sum_k |c_k| |kernel(w_k)|; the
+eigencurves and the solver's states take the entries alone
+(`_shift_stack`), after the same checks of the energies, and never build
+err.
 
 The lattice.  At E_j = a exp(j h/2), a = c_lo, the ray's nodes give
 1/(w_k - E_j) = g(2k - j) / E_j = exp(-k h) g~(2k - j) / a, with
@@ -254,21 +260,34 @@ def _require_finite_mass(mass, rows, cols):
 
 def _kernel(w, e, e2=None):
     """1/(w - e), or 1/((w - e)(w - e2)), at a table's nodes w: once per
-    energy, one row per energy for a column e of energies."""
+    energy, one row per energy for a column e of energies (and e2)."""
     return 1.0 / (w - e) if e2 is None else 1.0 / ((w - e) * (w - e2))
 
 
-def _ray_reduce(t, coef, e, e2, part):
-    """sum_k coef_k part(kernel(w_k)) of every pair over every node of t,
-    (e.size, pairs): one kernel per energy, in blocks of energies of at
+def _ray_reduce(t, coef, e, e2=None, part=None):
+    """sum_k coef_k part(kernel(w_k)) (part None: the kernel itself) of every
+    pair over every node of t, (e.size, pairs), e2 None, one energy or one
+    per energy of e: one kernel per energy, in blocks of energies of at
     most _RAY_BLOCK terms, and each row reduced on its own along the
     contiguous last axis, so that a sum does not depend on the energies
     beside it."""
     size = max(1, _RAY_BLOCK // coef.size)
+    if e2 is not None:
+        e2 = np.broadcast_to(e2, e.shape)
     if e.size <= size:
-        return np.add.reduce(coef * part(_kernel(t.w, e[:, None], e2))[:, None, :], axis=-1)
-    return np.concatenate([_ray_reduce(t, coef, e[b:b + size], e2, part)
+        kernel = _kernel(t.w, e[:, None], None if e2 is None else e2[:, None])
+        if part is not None:
+            kernel = part(kernel)
+        return np.add.reduce(coef * kernel[:, None, :], axis=-1)
+    return np.concatenate([_ray_reduce(t, coef, e[b:b + size],
+                                       None if e2 is None else e2[b:b + size], part)
                            for b in range(0, e.size, size)])
+
+
+def _ray_sums(t, e, e2=None):
+    """The sums sum_k c_k kernel(w_k) on the table t (ray or Gram table) at
+    the energies e, (e.size, pairs)."""
+    return _ray_reduce(t, t.c, e, e2)
 
 
 def _ray_bounds(t, e, e2=None):
@@ -587,9 +606,10 @@ def _near_terms(t, e, kk, pp, own):
 
 def _panel_sums(t, e, e2=None):
     """(values, bounds) of the table's pairs against 1/(w - E) for E in the
-    array e (with e2, 1/((w - E)(w - e2))), each (e.size, pairs): one kernel
-    on the table's nodes per energy and one row sum per pair, the ends, and
-    for E > 0 the panels near E, the one that holds E split there."""
+    array e (with e2, aligned with e, 1/((w - E)(w - E'))), each (e.size,
+    pairs): one kernel on the table's nodes per energy and one row sum per
+    pair, the ends, and for E > 0 the panels near E, the one that holds E
+    split there."""
     x0, x1 = t.edges[:-1], t.edges[1:]
     half = 0.5 * (x1 - x0)
     near = ((e[:, None] > 0.0) & (e2 is None)
@@ -598,8 +618,11 @@ def _panel_sums(t, e, e2=None):
     split = (near[np.arange(e.size), hold]
              & (np.minimum(e - x0[hold], x1[hold] - e) > 2.0 * _SPLIT * half[hold]))
     nodes, width = t.w.ravel(), t.w.shape[1]
-    sums, bounds = _ends(t, e) if e2 is None else _t_ends(t, e[0], e2)
-    sums, bounds = np.array(sums, ndmin=2), np.array(bounds, ndmin=2)
+    if e2 is None:
+        sums, bounds = _ends(t, e)
+    else:
+        ends = [_t_ends(t, x, x2) for x, x2 in zip(e.tolist(), e2.tolist())]
+        sums, bounds = map(np.array, zip(*ends))
     # a block of energies at once, each row summed on its own along the
     # contiguous last axis, so each sum is that energy's alone
     block = max(1, _BLOCK // t.d.size)
@@ -607,7 +630,8 @@ def _panel_sums(t, e, e2=None):
         gap = nodes - e[b:b + block, None]
         cut = np.flatnonzero(split[b:b + block])
         gap[cut[:, None], hold[b + cut, None] * width + np.arange(width)] = np.inf
-        kernel = (1.0 / (gap if e2 is None else gap * (nodes - e2)))[:, None, :]
+        kernel = (1.0 / (gap if e2 is None
+                         else gap * (nodes - e2[b:b + block, None])))[:, None, :]
         sums[b:b + block] += np.add.reduce(t.d * kernel, axis=-1)
         bounds[b:b + block] += np.add.reduce(t.d_abs * np.abs(kernel), axis=-1)
     kk, pp = np.nonzero(near)
@@ -637,15 +661,17 @@ def _pairs(n):
     return index, pair + rows.size * np.where(a < b, 0, np.where(a > b, 1, 2)), pair
 
 
-def _ray_parts(model, e, x, lattice):
-    """[(table, part)] for the built-in pairs at the energies x = ravel(e):
-    those at or below 0 on the model's Gram table, those above 0 on its ray
-    (all of them with the lattice), part None or, for a stack that holds
-    both, a mask of x; [] without built-in factors.  A stack of energies
-    of one sign reads one table and builds no other; a float skips numpy."""
-    if lattice or isinstance(e, float):
-        up = lattice or e > 0.0
-    else:
+def _ray_parts(model, x, up=None):
+    """[(table, part)] for the built-in pairs at the energies x: those at
+    or below 0 on the model's Gram table, those above 0 on its ray, part
+    None or, for a stack that holds both, a mask of x; [] without built-in
+    factors.  up is True or False when every energy is known to lie above
+    0 (the lattice) or at or below 0 (a checked stack), None to read the
+    signs.  A stack of energies of one sign reads one table and builds no
+    other; one energy skips numpy."""
+    if up is None and x.size == 1:
+        up = bool(x[0] > 0.0)
+    elif up is None:
         up = x > 0.0
         above = np.count_nonzero(up)
         if above in (0, x.size):
@@ -657,68 +683,100 @@ def _ray_parts(model, e, x, lattice):
     return parts if parts[0][0] is not None else []
 
 
-def _by_table(parts, x, reduce):
-    """reduce(table, energies), real, of each (table, part) of `_ray_parts`
-    at the energies x, in their order, (x.size, pairs)."""
+def _by_table(parts, x, e2, reduce):
+    """reduce(table, energies, e2), real, of each (table, part) of
+    `_ray_parts` at the energies x (e2 None or aligned with x), in their
+    order, (x.size, pairs)."""
     if len(parts) == 1:
-        return reduce(parts[0][0], x).real
+        return reduce(parts[0][0], x, e2).real
     out = np.empty((x.size, parts[0][0].at.size))
     for t, part in parts:
-        out[part] = reduce(t, x[part]).real
+        out[part] = reduce(t, x[part], None if e2 is None else e2[part]).real
     return out
 
 
-def _level_shift(model, e, e2=None, lattice=None) -> LevelShiftMatrix:
-    """Hermitian matrices of pair integrals against 1/(w - E) (with e2,
-    1/((w - E)(w - e2))), shaped e.shape + (N, N) for E in e, and their
-    error bounds, computed when first read: built-in pairs are phase *
-    Re sum_k c_k kernel(w_k) over every node of the model's Gram table
-    (E <= 0) or ray (E > 0) (`_ray_reduce`), or with lattice (a, j), e the
-    lattice energies a exp(j h/2), by FFT on the ray (`_ray_lattice`); the
-    others `_panel_sums` on its panel table.  Every pair is on the ray and
-    Gram tables (which list the same pairs) or on the panel table, at its
-    place `at`, and each entry is read from its pair (`_pairs`)."""
-    x = np.ravel(e)
+def _pair_sums(model, x, e2=None, lattice=None, up=None):
+    """(entries, fft, panel): the Hermitian matrices of pair integrals
+    against 1/(w - E) (with e2, aligned with x, 1/((w - E)(w - E'))) at the
+    energies of the 1-d array x as one complex stack (x.size, N, N), and
+    the bounds that come with their sums, the lattice's FFT bound and the
+    panel table's sum |term| (None where there are none); up as in
+    `_ray_parts`, True with the lattice.  Built-in pairs
+    are phase * Re sum_k c_k kernel(w_k) over every node of the model's
+    Gram table (E <= 0) or ray (E > 0) (`_ray_reduce`), or with lattice
+    (a, j), x the lattice energies a exp(j h/2), by FFT on the ray
+    (`_ray_lattice`); the others `_panel_sums` on its panel table.  Every
+    pair is on the ray and Gram tables (which list the same pairs) or on
+    the panel table, at its place `at`, and each entry is read from its
+    pair (`_pairs`).  No check of the energies and no err: the public
+    matrices (`_level_shift`) and the eigencurves (`_shift_stack`) check
+    them first."""
     n = model.n_levels
-    _, fill, pair = _pairs(n)
-    parts, panels = _ray_parts(model, e, x, lattice is not None), model._panel_rows
-    v = np.empty((x.size, n * (n + 1) // 2), dtype=complex)
+    parts, panels = _ray_parts(model, x, up), model._panel_rows
+    v = fft = panel = None
     if parts:
         table = parts[0][0]
         if lattice is not None:
-            sums, fft_bounds = _ray_lattice(table, x, *lattice)
+            sums, fft = _ray_lattice(table, x, *lattice)
         else:
-            sums = _by_table(parts, x, lambda t, y: _ray_reduce(t, t.c, y, e2, lambda k: k))
-        v[:, table.at] = table.phase * sums.real
+            sums = _by_table(parts, x, e2, _ray_sums)
+        # in the table's order, which is the pairs' own order when every
+        # factor is built in (no panel table)
+        v = table.phase * sums.real
     if panels is not None:
-        sums, panel_bounds = _panel_sums(panels, x, e2)
+        ray, v = v, np.empty((x.size, n * (n + 1) // 2), dtype=complex)
+        if ray is not None:
+            v[:, table.at] = ray
+        sums, panel = _panel_sums(panels, x, e2)
         v[:, panels.at] = sums
-    shape = np.shape(e) + (n, n)
-    # a Hermitian matrix has a real diagonal
-    entries = np.concatenate((v, v.conj(), v.real), axis=1)[:, fill]
+    # a Hermitian matrix has a real diagonal; take keeps each matrix
+    # C-contiguous, as a matrix alone is
+    entries = np.concatenate((v, v.conj(), v.real), axis=1).take(_pairs(n)[1], axis=1)
+    return entries.reshape(x.size, n, n), fft, panel
+
+
+def _level_shift(model, e, e2=None, lattice=None) -> LevelShiftMatrix:
+    """The LevelShiftMatrix of `_pair_sums` at the energies e (a float or an
+    array; e2 a float), shaped e.shape + (N, N), and its error bounds,
+    computed when first read: the ray's and Gram table's 24 eps sum |term|
+    (`_ray_bounds`), plus on the lattice the FFT's bound, and the panel
+    table's."""
+    x, up = np.ravel(e), (None if lattice is None else True)
+    e2 = None if e2 is None else np.full(x.shape, e2)
+    entries, fft, panel = _pair_sums(model, x, e2, lattice, up)
+    shape = np.shape(e) + entries.shape[1:]
 
     def bounds():
-        err = np.empty(v.shape)
+        n = model.n_levels
+        parts, panels = _ray_parts(model, x, up), model._panel_rows
+        err = np.empty((x.size, n * (n + 1) // 2))
         if parts:
-            ray_err = _by_table(parts, x, lambda t, y: _ray_bounds(t, y, e2))
-            err[:, table.at] = ray_err if lattice is None else ray_err + fft_bounds
+            ray_err = _by_table(parts, x, e2, _ray_bounds)
+            err[:, parts[0][0].at] = ray_err if fft is None else ray_err + fft
         if panels is not None:
-            err[:, panels.at] = _SUM_ERR * panel_bounds
-        return err[:, pair].reshape(shape)
+            err[:, panels.at] = _SUM_ERR * panel
+        return err[:, _pairs(n)[2]].reshape(shape)
 
     return LevelShiftMatrix(entries.reshape(shape), e, bounds)
 
 
-def _norm_sq(model, n) -> float:
-    """Integral of |v_n|^2 over the half line (the kernel 1), n 0-based:
-    on the Gram table for a built-in factor."""
-    if model.form_factors[n].common_phase is None:
-        t = model._panel_rows
-        k = np.flatnonzero((t.rows == n) & (t.cols == n))[0]
-        return float((np.add.reduce(t.d[k]) + t.eta_lo[k] * t.edges[0] / (t.p[k] + 1.0)
-                      + t.eta_hi[k] * t.edges[-1] / (-1.0 - t.beta[k])).real)
+def _norms_sq(model) -> list:
+    """Integral of |v_n|^2 over the half line (the kernel 1) of every level
+    n, in order: one row sum per level, on the Gram table for a built-in
+    factor, on the panel table plus its power-law ends for a tabulated
+    one."""
+    norms = np.empty(model.n_levels)
     t = model._gram_rows
-    return float(t.c[np.flatnonzero((t.rows == n) & (t.cols == n))[0]].sum())
+    if t is not None:
+        k = t.rows == t.cols
+        norms[t.rows[k]] = np.add.reduce(t.c[k], axis=-1)
+    t = model._panel_rows
+    if t is not None:
+        k = t.rows == t.cols
+        norms[t.rows[k]] = (np.add.reduce(t.d[k], axis=-1)
+                            + t.eta_lo[k] * t.edges[0] / (t.p[k] + 1.0)
+                            + t.eta_hi[k] * t.edges[-1] / (-1.0 - t.beta[k])).real
+    return norms.tolist()
 
 
 def _extreme(e, reduce, empty):
@@ -728,16 +786,44 @@ def _extreme(e, reduce, empty):
     return e if isinstance(e, float) else float(reduce.reduce(e, axis=None, initial=empty))
 
 
-def _check_below_threshold(model, e, op):
-    top = _extreme(e, np.maximum, -np.inf)
-    if not top <= 0.0:
-        raise ValueError(f"{op} requires E <= 0, got E = {top}")
-    if top == 0.0:
+def _check_energies(model, e, op, above=False):
+    """The checks of gram_matrix and t_matrix (op), or with above those of
+    pv_matrix (op), on the energy or array of energies e: a ValueError
+    unless each is at or below 0 (at or above 0 with above; a NaN is
+    neither), and a ConfigError when one is 0 and a form factor has p <= 0,
+    where S(0) = D(0) diverges."""
+    edge = _extreme(e, np.minimum, np.inf) if above else _extreme(e, np.maximum, -np.inf)
+    if not (edge >= 0.0 if above else edge <= 0.0):
+        raise ValueError(f"{op} requires E {'>=' if above else '<='} 0, got E = {edge}")
+    if edge == 0.0:
         for k, f in enumerate(model.form_factors, start=1):
             if not f.p_exponent > 0.0:
                 raise ConfigError(
-                    f"{op} at E = 0 needs a positive threshold exponent, "
-                    f"form factor {k} has p = {f.p_exponent}")
+                    f"{'gram_matrix' if above else op} at E = 0 needs a positive "
+                    f"threshold exponent, form factor {k} has p = {f.p_exponent}")
+
+
+def _shift_stack(model, e, e2=None):
+    """The entries alone of the level-shift matrices at the energies of the
+    1-d array e, as one complex stack (e.size, N, N) from `_pair_sums`,
+    with no LevelShiftMatrix and no err: S(E) at E <= 0 and D(E) at E > 0,
+    each bit for bit gram_matrix or pv_matrix at E alone, after the same
+    checks (of the energies at or below 0 first); with e2, aligned with e,
+    T(E, E') after t_matrix's checks."""
+    if e2 is not None:
+        for x in (e, e2):
+            _check_energies(model, x, "t_matrix")
+        if np.any((e == 0.0) & (e2 == 0.0)):
+            raise ValueError("t_matrix requires E < 0 or E' < 0")
+        return _pair_sums(model, e, e2, up=False)[0]
+    top = _extreme(e, np.maximum, -np.inf)
+    if top <= 0.0:
+        _check_energies(model, top, "gram_matrix")
+        return _pair_sums(model, e, up=False)[0]
+    below = e <= 0.0
+    _check_energies(model, e[below], "gram_matrix")
+    _check_energies(model, e[~below], "pv_matrix", above=True)
+    return _pair_sums(model, e)[0]
 
 
 def gram_matrix(model, e) -> LevelShiftMatrix:
@@ -749,7 +835,7 @@ def gram_matrix(model, e) -> LevelShiftMatrix:
     ends.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
-    _check_below_threshold(model, e, "gram_matrix")
+    _check_energies(model, e, "gram_matrix")
     return _level_shift(model, e)
 
 
@@ -764,8 +850,8 @@ def t_matrix(model, e, e2) -> LevelShiftMatrix:
     cancels as E' approaches E.
     """
     e, e2 = float(e), float(e2)
-    _check_below_threshold(model, e, "t_matrix")
-    _check_below_threshold(model, e2, "t_matrix")
+    _check_energies(model, e, "t_matrix")
+    _check_energies(model, e2, "t_matrix")
     if e == 0.0 and e2 == 0.0:
         raise ValueError("t_matrix requires E < 0 or E' < 0")
     return _level_shift(model, e, e2)
@@ -781,11 +867,7 @@ def pv_matrix(model, e) -> LevelShiftMatrix:
     the panel table, each panel near E with its own piece at E subtracted.
     """
     e = float(e) if np.ndim(e) == 0 else np.asarray(e, dtype=float)
-    bottom = _extreme(e, np.minimum, np.inf)
-    if not bottom >= 0.0:
-        raise ValueError(f"pv_matrix requires E >= 0, got E = {bottom}")
-    if bottom == 0.0:
-        _check_below_threshold(model, 0.0, "gram_matrix")
+    _check_energies(model, e, "pv_matrix", above=True)
     return _level_shift(model, e)
 
 

@@ -17,6 +17,10 @@ scan never certifies anything, it only reports candidates and defects.
 Both searches, and the oracle's on its node-sum K_M(E), are one objective
 kappa_n(E) - E on an eigencurve family that diagonalizes each energy once:
 the count, the states and the defects read the points the search holds.
+Its K(E), the states' T(E, E) of every root (one stack) and the seed's
+norms (one pass) come straight from the kernels' tables
+(`quad._shift_stack`, `quad._norms_sq`); only the public matrices, which
+the searches do not call, build a LevelShiftMatrix and its err.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import BracketError, bracketed_root
-from .model import total_l2_norm_sq
-from .quad import NumericalError, _check_finite, gram_matrix, t_matrix
+from .quad import NumericalError, _check_finite, _norms_sq, _shift_stack, gram_matrix
 from .spectral import _eigencurves, k_matrix
 
 __all__ = [
@@ -181,22 +184,30 @@ def _branch_roots(curves, count, unit, e_lo, e_hi=0.0, top=None):
             zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]
 
 
-def _bound_state(model, n, point, bracket) -> BoundState:
-    """The normalized bound state on branch n at the eigencurve point of
-    K(E) at its root E < 0, which the search enclosed in bracket.
+def _bound_states(model, points, roots):
+    """The normalized bound states on branches 1, 2, ... at their roots
+    [(E, bracket)] < 0, the search's final brackets, from the eigencurve
+    points of K(E) there.
 
     The level amplitudes c come from the eigenvector of K(E) on that branch;
-    the continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c.
+    the continuum weight, the integral of |f|^2, is lambda^2 c^dagger T(E, E) c,
+    T(E, E) of every root built in one stack.
     """
-    e, c_raw, lam = point.e, point.vectors[:, n - 1], model.coupling
+    if not roots:
+        return ()
+    e = np.array([x for x, _ in roots])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = t_matrix(model, e, e).entries
+        t = _shift_stack(model, e, e)
     _check_finite(t, e, "T(E, E)")
-    continuum_raw = lam * lam * float(np.vdot(c_raw, t @ c_raw).real)
-    total_raw = 1.0 + continuum_raw
-    c = c_raw / math.sqrt(total_raw)
-    cont = continuum_raw / total_raw
-    return BoundState(e, c, cont, float(np.vdot(c, c).real) + cont, n, bracket)
+    lam, states = model.coupling, []
+    for n, (point, t_n, (_, bracket)) in enumerate(zip(points, t, roots), 1):
+        c_raw = point.vectors[:, n - 1]
+        continuum_raw = lam * lam * float(np.vdot(c_raw, t_n @ c_raw).real)
+        total_raw = 1.0 + continuum_raw
+        c = c_raw / math.sqrt(total_raw)
+        cont = continuum_raw / total_raw
+        states.append(BoundState(point.e, c, cont, float(np.vdot(c, c).real) + cont, n, bracket))
+    return tuple(states)
 
 
 def residual(model, state: BoundState) -> float:
@@ -211,8 +222,9 @@ def residual(model, state: BoundState) -> float:
 
 
 def _model_seed(model):
-    """`_seed` of the model: every branch's lower bracket end."""
-    return _seed(model.levels, model.coupling ** 2 * total_l2_norm_sq(model))
+    """`_seed` of the model: every branch's lower bracket end, from every
+    norm read in one pass."""
+    return _seed(model.levels, model.coupling ** 2 * sum(_norms_sq(model)))
 
 
 def solve_model(model) -> SolveReport:
@@ -234,8 +246,7 @@ def _count_and_roots(model, curves):
 def _solve(model, curves) -> SolveReport:
     """`solve_model` on the model's eigencurve family."""
     counted, roots = _count_and_roots(model, curves)
-    states = tuple(_bound_state(model, n, curves([e])[0], bracket)
-                   for n, (e, bracket) in enumerate(roots, 1))
+    states = _bound_states(model, curves([e for e, _ in roots]), roots)
     return SolveReport(counted.count, states, counted.kappa_at_zero,
                        counted.indeterminate)
 

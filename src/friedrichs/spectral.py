@@ -11,6 +11,13 @@ the sign of E alone picks the matrix, and D(0) = S(0) joins the two.
 Below threshold the curves are nonincreasing in E and bounded above by the
 bare levels, which is what makes bound-state counting a matter of reading
 signs at E = 0.
+
+k_matrix builds K from a public LevelShiftMatrix.  The model's eigencurve
+family (`_eigencurves`), behind the solver's count and branch roots, the
+crossing scan and compare_negative_spectrum's solver search, takes a
+stack's S(E) and D(E) entries straight from the kernels' sums
+(`quad._shift_stack`) into K and one stacked eigh: no LevelShiftMatrix and
+no err, bit for bit the public matrices' K.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import LevelShiftMatrix, _check_finite, gram_matrix, pv_matrix
+from .quad import LevelShiftMatrix, _check_finite, _shift_stack
 
 __all__ = ["EigenCurvePoint", "LevelShiftMatrix", "k_matrix", "eigh", "kappa_curve"]
 
@@ -50,7 +57,15 @@ def k_matrix(model, shift: LevelShiftMatrix, *, lam2=None) -> np.ndarray:
     """
     if shift.n != model.n_levels:
         raise ValueError("shift matrix size does not match the model")
-    entries = shift.entries
+    k, finite = _k(model, shift.entries, lam2)
+    if not finite:
+        _check_finite(k, np.broadcast_to(shift.e, k.shape[:-2]), "K(E)")
+    return k
+
+
+def _k(model, entries, lam2=None):
+    """(K, finite): diag(levels) - lambda^2 * entries (lam2 as in k_matrix),
+    and whether every entry is known to be finite without a check."""
     if lam2 is None:
         lam2 = top = model.coupling ** 2
     else:
@@ -58,13 +73,11 @@ def k_matrix(model, shift: LevelShiftMatrix, *, lam2=None) -> np.ndarray:
     # |omega_n| + lambda^2 max |S_ij| bounds every entry: below the largest
     # double, nothing overflows, so neither numpy's error state nor a check
     # of the result is needed (a NaN fails the test)
-    size = float(np.max(np.abs(entries), initial=0.0))
+    size = float(np.maximum.reduce(np.abs(entries), axis=None, initial=0.0))
     if max(-model.levels[0], model.levels[-1]) + top * size < _HUGE:
-        return model._level_diag - lam2 * entries
+        return model._level_diag - lam2 * entries, True
     with np.errstate(over="ignore", invalid="ignore"):
-        k = model._level_diag - lam2 * entries
-    _check_finite(k, np.broadcast_to(shift.e, k.shape[:-2]), "K(E)")
-    return k
+        return model._level_diag - lam2 * entries, False
 
 
 def eigh(k: np.ndarray, e: float = float("nan")) -> EigenCurvePoint:
@@ -85,30 +98,38 @@ def _eigencurves(model, points=()):
 
 
 def _k_stack(model, e):
-    """K(E) at each energy of the array e, as one complex stack: S(E) at
-    E <= 0 and D(E) at E > 0, each side of E = 0 built as one stack."""
-    below = e <= 0.0
-    if below.all() or not below.any():
-        return k_matrix(model, (gram_matrix if below.all() else pv_matrix)(model, e))
-    k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
-    for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
-        k[part] = k_matrix(model, shift(model, e[part]))
+    """K(E) at each energy of the 1-d array e, as one complex stack, each
+    bit for bit k_matrix of gram_matrix (E <= 0) or pv_matrix (E > 0) at E
+    alone: the entries straight from the kernels' sums (`quad._shift_stack`,
+    which checks the energies as those two do), with no LevelShiftMatrix
+    and no err.  Its errors are those of S(E) and D(E) built apart, the
+    side at or below 0 first: an overflowing K names its first energy
+    there, else its first above 0, and an energy above 0 that fails its
+    check is reported only once K at or below 0 has passed."""
+    try:
+        entries = _shift_stack(model, e)
+    except ValueError:
+        below = e <= 0.0
+        if 0 < np.count_nonzero(below) < e.size:
+            _k_stack(model, e[below])
+        raise
+    k, finite = _k(model, entries)
+    if not finite:
+        below = e <= 0.0
+        for part in (below, ~below):
+            _check_finite(k[part], e[part], "K(E)")
     return k
 
 
 class _EigenCurves:
     """A family K(E) of Hermitian matrices, remembered as one EigenCurvePoint
-    per energy: each call builds the energies not seen before as one stack,
-    build(array of energies), and diagonalizes it with one stacked eigh,
-    which gives every point bit for bit as one energy alone.
-
-    A family of several members (the grids of one oracle schedule) is
-    keyed by (member, E) instead: a call names the member of each energy,
-    each member's new energies are built as one stack, build(energies,
-    member), and the stacks of all members are diagonalized with one
-    stacked eigh.  The members share one dtype (the grids of one model are
-    all real-gauged or all complex), so each keeps the LAPACK path and bits
-    it has alone.
+    per key: E, or (member, E) on a family of several members (the grids of
+    one oracle schedule).  Each call builds the new energies of each member
+    as one stack, build(energies) or build(energies, member), and
+    diagonalizes the stacks of all members with one stacked eigh, which
+    gives every point bit for bit as one energy alone.  The members share
+    one dtype (the grids of one model are all real-gauged or all complex),
+    so each keeps the LAPACK path and bits it has alone.
     """
 
     def __init__(self, build, points=()):
@@ -117,23 +138,22 @@ class _EigenCurves:
     def __call__(self, energies, members=None) -> list:
         """The points at the energies, flattened, in their order (of member
         members[i] at energies[i] on a family of several members)."""
-        es = np.ravel(energies).tolist()
-        keys = es if members is None else list(zip(np.ravel(members).tolist(), es))
-        new = list(dict.fromkeys(k for k in keys if k not in self._points))
-        if new and members is None:
-            self._add(new, new, self._build(np.array(new)))
-        elif new:
-            by_member = {}
-            for key in new:
-                by_member.setdefault(key[0], []).append(key)
-            part = [key for ks in by_member.values() for key in ks]
-            self._add(part, [e for _, e in part], np.concatenate(
-                [self._build(np.array([e for _, e in ks]), member)
-                 for member, ks in by_member.items()]))
-        return [self._points[k] for k in keys]
-
-    def _add(self, keys, energies, k):
-        """Remember the points of the stack k, diagonalized in one eigh."""
-        kappa, vectors = np.linalg.eigh(k)
-        self._points.update((key, EigenCurvePoint(e, a, v))
-                            for key, e, a, v in zip(keys, energies, kappa, vectors))
+        points, es = self._points, np.ravel(energies).tolist()
+        if members is None:
+            keys, members = es, [()] * len(es)
+        else:
+            members = [(m,) for m in np.ravel(members).tolist()]
+            keys = list(zip(members, es))
+        new = {}
+        for key, member, e in zip(keys, members, es):
+            if key not in points:
+                new.setdefault(member, {})[key] = e
+        if new:
+            stacks = [self._build(np.array(list(part.values())), *member)
+                      for member, part in new.items()]
+            kappa, vectors = np.linalg.eigh(stacks[0] if len(stacks) == 1
+                                            else np.concatenate(stacks))
+            made = (item for part in new.values() for item in part.items())
+            points.update((key, EigenCurvePoint(e, a, v))
+                          for (key, e), a, v in zip(made, kappa, vectors))
+        return [points[k] for k in keys]

@@ -211,15 +211,14 @@ def test_kappa_curves_candidates(tmp_path):
 
 def test_kappa_curves_builds_each_energy_once(tmp_path, monkeypatch):
     # the rows, the bound-state search and the positive crossing search
-    # share one eigencurve family: every energy handed to pv_matrix or
-    # gram_matrix is distinct, the grid's included
+    # share one eigencurve family: every energy at which it builds S(E) or
+    # D(E) is distinct, the grid's included
     import friedrichs.spectral as spectral
 
     energies = []
-    for name in ("pv_matrix", "gram_matrix"):
-        build = getattr(spectral, name)
-        monkeypatch.setattr(spectral, name, lambda model, e, build=build: (
-            energies.extend(np.ravel(e).tolist()) or build(model, e)))
+    build = spectral._shift_stack
+    monkeypatch.setattr(spectral, "_shift_stack", lambda model, e: (
+        energies.extend(e.tolist()) or build(model, e)))
     rc = main(["kappa-curves", "--preset", "three-level-fig", "--lambda", "3",
                "--e-min=-0.5", "--e-max=0.3", "--e-steps", "41", "--out", str(tmp_path)])
     assert rc == 0

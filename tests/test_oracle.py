@@ -259,7 +259,7 @@ def test_negative_eigensystem_diagonalizes_each_energy_once(three_level, monkeyp
 def test_compare_negative_spectrum_solves_energies_only(three_level, monkeypatch):
     # the comparison prints counts and energies: no T(E, E) and no states
     calls = []
-    monkeypatch.setattr(friedrichs.solver, "t_matrix",
+    monkeypatch.setattr(friedrichs.solver, "_shift_stack",
                         lambda *a: calls.append(a))
     table = compare_negative_spectrum(three_level.with_coupling(0.7), (400,))
     assert table.solver_count == 2

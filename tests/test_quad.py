@@ -588,6 +588,27 @@ def test_stacked_matrices_match_single_energies(name):
         assert np.array_equal(entries, one.entries) and np.array_equal(err, one.err), e
 
 
+@pytest.mark.parametrize("name", _STACK_MODELS)
+def test_t_stack_matches_t_matrix(name):
+    # T(E, E') of every energy of a stack (`quad._shift_stack` with e2
+    # aligned with e), as the solver builds T(E, E) at its roots, is bit for
+    # bit t_matrix at each pair of energies alone, each matrix C-contiguous
+    # as one alone is (a strided matrix changes the bits of T @ c), also
+    # where the stack spans more than one block of energies
+    import friedrichs.quad as quad
+
+    model = _STACK_MODELS[name]()
+    blocks = [quad._RAY_BLOCK // t.c.size for t in [model._gram_rows] if t is not None]
+    blocks += [quad._BLOCK // t.d.size for t in [model._panel_rows] if t is not None]
+    e = -model.max_scale() * np.geomspace(1e-4, 10.0, max(blocks) + 2)
+    for e2 in (e, e[::-1].copy(), np.append(e[1:], 0.0)):
+        stack = quad._shift_stack(model, e, e2)
+        assert stack.shape == (e.size, model.n_levels, model.n_levels)
+        for x, x2, t in zip(e, e2, stack):
+            assert t.flags.c_contiguous
+            assert t.tobytes() == t_matrix(model, x, x2).entries.tobytes(), (x, x2)
+
+
 def test_kernel_evaluated_once_per_energy(hydrogen, monkeypatch):
     # each energy goes into exactly one kernel 1/(w - E) on the ray, which
     # serves all six built-in pairs, also in a stack; err, computed on

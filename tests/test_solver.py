@@ -12,6 +12,7 @@ from friedrichs import (
     UnitSystem,
     compare_negative_spectrum,
     count_negative,
+    gram_matrix,
     kappa_curve,
     l2_norm_sq,
     positive_candidate_scan,
@@ -174,9 +175,9 @@ def test_positive_scan_builds_each_energy_once(hydrogen, monkeypatch):
     # themselves taken from the search; the search reads kappa_n(E) - E at
     # the cell ends from the grid's points, so no grid energy comes twice
     energies = []
-    pv = friedrichs.spectral.pv_matrix
-    monkeypatch.setattr(friedrichs.spectral, "pv_matrix",
-                        lambda model, e: energies.extend(np.ravel(e)) or pv(model, e))
+    build = friedrichs.spectral._shift_stack
+    monkeypatch.setattr(friedrichs.spectral, "_shift_stack",
+                        lambda model, e: energies.extend(e.tolist()) or build(model, e))
     cands = positive_candidate_scan(hydrogen, np.linspace(1e-4, 0.5, 50))
     assert len(cands) == 3
     assert len(energies) == len(set(energies)) <= 57
@@ -201,18 +202,20 @@ def test_seed_energy_covers_strong_coupling(three_level, three_level_reports):
 
 
 def _record_grams(monkeypatch, calls=None):
-    """Every energy at which the eigencurve family builds an S(E), and in
-    calls, when given, the number of energies of each gram_matrix call."""
+    """Every energy at which the eigencurve family builds an S(E) (every
+    energy of a bound-state search is at or below 0), and in calls, when
+    given, the number of energies of each stack it builds."""
     energies = []
-    gram = friedrichs.spectral.gram_matrix
+    build = friedrichs.spectral._shift_stack
 
     def record(model, e):
-        energies.extend(np.ravel(e))
+        assert np.all(e <= 0.0)
+        energies.extend(e.tolist())
         if calls is not None:
-            calls.append(np.size(e))
-        return gram(model, e)
+            calls.append(e.size)
+        return build(model, e)
 
-    monkeypatch.setattr(friedrichs.spectral, "gram_matrix", record)
+    monkeypatch.setattr(friedrichs.spectral, "_shift_stack", record)
     return energies
 
 
@@ -282,14 +285,18 @@ def test_crossing_scan_sees_gaps_whose_product_underflows():
 
 
 def test_solve_model_takes_seed_norm_once(three_level, monkeypatch):
-    # one l2 integral per level seeds every branch's bracket
+    # one pass over the levels' l2 integrals seeds every branch's bracket
+    # (one l2_norm_sq call per level before), and its sum is the sum of
+    # l2_norm_sq over the levels bit for bit
     calls = []
-    l2 = friedrichs.model.l2_norm_sq
-    monkeypatch.setattr(friedrichs.model, "l2_norm_sq",
-                        lambda *a: calls.append(1) or l2(*a))
-    rep = solve_model(three_level.with_coupling(10.0))
+    norms = friedrichs.solver._norms_sq
+    monkeypatch.setattr(friedrichs.solver, "_norms_sq",
+                        lambda model: calls.append(norms(model)) or calls[-1])
+    model = three_level.with_coupling(10.0)
+    rep = solve_model(model)
     assert rep.count == 3
-    assert len(calls) == 3
+    assert len(calls) == 1
+    assert sum(calls[0]) == total_l2_norm_sq(model)
 
 
 def test_solve_model_builds_each_gram_once(three_level, monkeypatch):
@@ -299,6 +306,27 @@ def test_solve_model_builds_each_gram_once(three_level, monkeypatch):
     rep = solve_model(three_level.with_coupling(10.0))
     assert rep.count == 3
     assert 0 < len(energies) == len(set(energies)) <= 25
+
+
+def test_searches_build_no_level_shift_matrix(three_level, tabulated_two_level,
+                                             monkeypatch):
+    # the searches of solve_model and compare_negative_spectrum, and the
+    # states, take their K(E) and T(E, E) straight from the kernels' sums:
+    # no LevelShiftMatrix is built and no err computed; the public matrices
+    # still build both
+    import friedrichs.quad as quad
+
+    built, bounds = [], []
+    cls, ray_bounds = quad.LevelShiftMatrix, quad._ray_bounds
+    monkeypatch.setattr(quad, "LevelShiftMatrix", lambda *a: built.append(a) or cls(*a))
+    monkeypatch.setattr(quad, "_ray_bounds", lambda *a: bounds.append(a) or ray_bounds(*a))
+    assert solve_model(three_level.with_coupling(10.0)).count == 3
+    assert solve_model(tabulated_two_level).count == 1
+    table = compare_negative_spectrum(three_level.with_coupling(0.7), (500,))
+    assert table.solver_count == 2
+    assert built == [] and bounds == []
+    assert gram_matrix(three_level, -0.5).err.shape == (3, 3)
+    assert len(built) == len(bounds) == 1
 
 
 def test_solve_model_diagonalizes_each_energy_once(three_level, monkeypatch):

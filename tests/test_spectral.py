@@ -1,17 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from friedrichs import (
+    FriedrichsModel,
     LevelShiftMatrix,
     NumericalError,
+    TabulatedFormFactor,
+    UnitSystem,
     eigh,
     gram_matrix,
     k_matrix,
     kappa_curve,
+    make_preset,
+    model_from_dict,
     pv_matrix,
 )
+from friedrichs.spectral import _k_stack
 
 from _references import HYDROGEN_PV_NORM_AT_1
+from test_quad import _STACK_MODELS
 
 
 def char_poly_coeffs(a):
@@ -84,3 +93,67 @@ def test_kappa_perturbation_bound_at_one(hydrogen):
     lam_sq = hydrogen.coupling ** 2
     dev = np.abs(point.kappa - hydrogen.level_array())
     assert np.all(dev <= lam_sq * d.norm() * (1.0 + 1e-12))
+
+
+def _k_apart(model, e):
+    """K(E) at each energy of e through the public matrices: S(E) at E <= 0
+    and D(E) at E > 0, each side of E = 0 one gram_matrix or pv_matrix
+    stack, the side at or below 0 first."""
+    below = e <= 0.0
+    k = np.empty(e.shape + (model.n_levels,) * 2, dtype=complex)
+    for part, shift in ((below, gram_matrix), (~below, pv_matrix)):
+        if part.any():
+            k[part] = k_matrix(model, shift(model, e[part]))
+    return k
+
+
+def _outcome(build, model, e):
+    """The bytes of build(model, e), or the type and message it raises."""
+    try:
+        return build(model, e).tobytes()
+    except (ValueError, NumericalError) as err:
+        return type(err), str(err)
+
+
+def _p_zero_model():
+    f = TabulatedFormFactor(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.4, 0.2]),
+                            tail_exponent=-1.0, p_exponent=0.0)
+    return FriedrichsModel((0.5,), 1.0, (f,), UnitSystem(1.0))
+
+
+def _overflowing_model():
+    # lambda^2 max |S_ij| passes the largest double at E = -0.3, 0 and 0.3,
+    # but not at E = -1, 1 and 5
+    config = make_preset("three-level-fig").descriptor()
+    config["form_factors"][1]["a"] = 3.4e8
+    config["lambda"] = 3.5e146
+    return model_from_dict(config)
+
+
+_K_MODELS = {**_STACK_MODELS, "p-zero": _p_zero_model, "overflow": _overflowing_model}
+
+
+@pytest.mark.parametrize("name", _K_MODELS)
+def test_k_stack_matches_public_matrices(name):
+    # the eigencurves' K(E), built straight from the kernels' sums, is bit
+    # for bit k_matrix of gram_matrix or pv_matrix, and raises the same
+    # error type and message: on stacks of 1-8 energies of both signs, with
+    # 0.0, -0.0, repeats and NaN, at E = 0 with a factor of p = 0 (a
+    # ConfigError) and where K overflows (a NumericalError naming the first
+    # energy at or below 0, else the first above it)
+    model = _K_MODELS[name]()
+    scale = model.max_scale()
+    pool = np.array([-1.0, -0.3, -1e-3, 0.0, -0.0, 1e-3, 0.3, 1.0, 5.0, math.nan])
+    rng = np.random.default_rng(33)
+    stacks = [pool[[i]] for i in range(pool.size)]
+    stacks += [rng.choice(pool, size) for size in range(2, 9) for _ in range(6)]
+    stacks += [np.array([1.0, 0.3, -0.3]), np.array([5.0, -1.0, 0.0]), np.array([0.3, 0.3])]
+    kinds = set()
+    for e in stacks:
+        e = e * (1.0 if name == "overflow" else scale)
+        got = _outcome(_k_stack, model, e)
+        assert got == _outcome(_k_apart, model, e), e
+        kinds.add(got[0] if isinstance(got, tuple) else bytes)
+    want = {"p-zero": {bytes, ValueError, model_from_dict.__globals__["ConfigError"]},
+            "overflow": {bytes, ValueError, NumericalError}}.get(name, {bytes, ValueError})
+    assert kinds == want
