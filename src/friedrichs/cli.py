@@ -147,12 +147,14 @@ def cmd_analyze(args, model, metadata):
 
 
 def cmd_sweep_lambda(args, model, metadata):
-    if not (0 < args.lambda_min <= args.lambda_max):
-        raise ConfigError("need 0 < --lambda-min <= --lambda-max")
+    if not (0 < args.lambda_min <= args.lambda_max < np.inf):
+        raise ConfigError("need 0 < --lambda-min <= --lambda-max, both finite")
     if args.lambda_steps < 1:
         raise ConfigError("--lambda-steps must be >= 1")
-    lams = (np.geomspace(args.lambda_min, args.lambda_max, args.lambda_steps).tolist()
-            if args.lambda_steps > 1 else [args.lambda_min])
+    # 10^log10(--lambda-max) may overflow; geomspace then sets the ends
+    with np.errstate(over="ignore"):
+        lams = (np.geomspace(args.lambda_min, args.lambda_max, args.lambda_steps).tolist()
+                if args.lambda_steps > 1 else [args.lambda_min])
     # kappa(0) depends on lambda only through the prefactor of S(0), so one
     # Gram matrix, scaled by each lambda^2 into one stack of K(0) and
     # diagonalized in one call, serves the whole sweep.  The sweep ascends:
@@ -177,7 +179,13 @@ def cmd_sweep_lambda(args, model, metadata):
 def cmd_kappa_curves(args, model, metadata):
     if args.e_steps < 2 or not -np.inf < args.e_min < args.e_max < np.inf:
         raise ConfigError("need finite --e-min < --e-max and --e-steps >= 2")
-    grid = np.linspace(args.e_min, args.e_max, args.e_steps)
+    # a span past the largest double makes the steps inf or NaN; just below
+    # it only the last point's product overflows, which linspace sets to
+    # --e-max
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(args.e_min, args.e_max, args.e_steps)
+    if not np.isfinite(grid).all():
+        raise ConfigError("the span from --e-min to --e-max overflows a double")
     if args.kind == "S" and grid[-1] > 0 or args.kind == "D" and grid[0] < 0:
         side = "nonpositive" if args.kind == "S" else "nonnegative"
         raise ConfigError(f"kind '{args.kind}' needs a {side} energy grid")

@@ -515,7 +515,10 @@ def l2_norm_sq(model: FriedrichsModel, n: int) -> float:
 
 
 def total_l2_norm_sq(model: FriedrichsModel) -> float:
-    return sum(l2_norm_sq(model, n) for n in range(1, model.n_levels + 1))
+    """sum_n `l2_norm_sq`, every norm read in one pass."""
+    from .quad import _norms_sq
+
+    return sum(_norms_sq(model))
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,18 @@ rule once.  A grid searched alone never runs the solver: each branch starts
 from the generic [seed, -gap], and the grid keeps what it found, so it
 searches once however often it is asked.  `compare_negative_spectrum`
 runs the solver's count and branch search, as in `solve_model`, and hands
-its roots r_n to the schedule's one search over every (grid, branch) pair
-on one eigencurve family keyed by (grid, E), which builds each step's new
-K_M(E) of a grid as one broadcast stack and diagonalizes those of all grids
-in one stacked eigh.  Branch n of a grid starts from [r_n - d_n, min(r_n +
-d_n / 2, -gap)], d_n = 2^-20 |r_n| + 2^10 times the roots' stop, where
-kappa_n - E changes sign strictly across it, and from [seed, -gap]
-otherwise: a coarse grid's root outside the seeded bracket, or a branch the
-solver does not count.  Sharing changes no bit: each grid finds what it
-finds searched alone from the same roots.  The grid's count point at -gap
-and its seeded ends come from one build; the count's point is the generic
-upper end, and each root's point gives its level block.
+its roots r_n to the schedule's one search, the solver's `_branch_roots`
+with one row per (grid, branch) pair, on one eigencurve family keyed by
+(grid, E), which builds each step's new K_M(E) of a grid as one broadcast
+stack and diagonalizes those of all grids in one stacked eigh.  Branch n
+of a grid starts from [r_n - d_n, min(r_n + d_n / 2, -gap)], d_n = 2^-20
+|r_n| + 2^10 times the roots' stop, where kappa_n - E changes sign
+strictly across it, and from [seed, -gap] otherwise: a coarse grid's root
+outside the seeded bracket, or a branch the solver does not count.
+Sharing changes no bit: each grid finds what it finds searched alone from
+the same roots.  The grid's count point at -gap and its seeded ends come
+from one build; the count's point is the generic upper end, and each
+root's point gives its level block.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
 When every form factor's phase is the first one's times exactly +1 or -1,
@@ -152,12 +153,15 @@ def _search(grids, solver):
     """(roots, points) of every grid: its eigenvalues below -gap and the
     eigencurve points of K_M(E) there.
 
-    One search runs over every (grid, branch) pair on one eigencurve family
-    keyed by (grid, E).  Branch n of a grid searches [r_n - d_n, min(r_n +
-    d_n / 2, -gap)] around the solver's root r_n where kappa_n - E changes
-    sign strictly across it, and [seed, -gap] otherwise.  The seeded bracket
-    is asymmetric because the search's first step bisects it: on a
-    symmetric one that step lands on r_n, and the search stops there."""
+    One `_branch_roots` call searches every (grid, branch) pair on one
+    eigencurve family keyed by (grid, E): each grid's count appends its
+    rows, each row its branch, grid, bracket, the grid's top -gap and its
+    stop, 1e-12 times the model's scale.  Branch n of a grid searches
+    [r_n - d_n, min(r_n + d_n / 2, -gap)] around the solver's root r_n
+    where kappa_n - E changes sign strictly across it, and [seed, -gap]
+    otherwise.  The seeded bracket is asymmetric because the search's first
+    step bisects it: on a symmetric one that step lands on r_n, and the
+    search stops there."""
     found = []
     curves = _EigenCurves(lambda es, i: grids[i]._k(es))
     tops, units = [-g.gap for g in grids], [g.gap / _GAP_RTOL for g in grids]
@@ -169,7 +173,7 @@ def _search(grids, solver):
                       for e in (r - d, min(r + 0.5 * d, top)))]
               for top, unit in zip(tops, units)]
     curves([e for es in stacks for e in es], [i for i, es in enumerate(stacks) for _ in es])
-    counts, lo, hi = [], [], []
+    counts, rows = [], []
     for i, (grid, stack) in enumerate(zip(grids, stacks)):
         top, *ends = curves(stack, [i] * len(stack))
         count = int(np.count_nonzero(top.kappa < top.e))
@@ -180,9 +184,10 @@ def _search(grids, solver):
             seed = _seed(grid.levels, float(np.sum(np.abs(grid.b) ** 2)))
             brackets = [b or (seed, top.e) for b in brackets]
         counts.append(count)
-        lo.append([a for a, _ in brackets])
-        hi.append([b for _, b in brackets])
-    roots = iter(e for e, _ in _branch_roots(curves, counts, units, lo, hi, tops))
+        rows += [(n, i, lo, hi, top.e, _ROOT_TOL * (grid.gap / _GAP_RTOL))
+                 for n, (lo, hi) in enumerate(brackets, 1)]
+    branch, member, lo, hi, top, xatol = zip(*rows) if rows else [()] * 6
+    roots = iter(e for e, _ in _branch_roots(curves, branch, lo, hi, top, xatol, member))
     for i, count in enumerate(counts):
         vals = [next(roots) for _ in range(count)]
         found.append((vals, curves(vals, [i] * count)))

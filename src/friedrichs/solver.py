@@ -14,9 +14,11 @@ the principal-value family, reported together with the modulus of sum_n
 c_n v_n(E*), which must vanish for a genuine embedded eigenvector.  The
 scan never certifies anything, it only reports candidates and defects.
 
-Both searches, and the oracle's on its node-sum K_M(E), are one objective
-kappa_n(E) - E on an eigencurve family that diagonalizes each energy once:
-the count, the states and the defects read the points the search holds.
+Both searches, and the oracle's on its node-sum K_M(E), are one call of
+`_branch_roots` over flat rows, one row per (member, branch) bracket with
+its own top and stop, of the objective kappa_n(E) - E on an eigencurve
+family that diagonalizes each energy once: the count, the states and the
+defects read the points the search holds.
 Its K(E), the states' T(E, E) of every root (one stack) and the seed's
 norms (one pass) come straight from the kernels' tables
 (`quad._shift_stack`, `quad._norms_sq`); only the public matrices, which
@@ -133,52 +135,31 @@ def _seed(levels, coupled_norm_sq):
     return seed
 
 
-def _gap(curves):
-    """The objective kappa_n(E) - E, elementwise over energies e and branches
-    n (1-based) of the eigencurve family curves, and over its members if it
-    has several: bracket ends shared by several branches, or met again, are
-    built once."""
-    return lambda e, n, *member: np.array(
-        [p.kappa[m - 1] for p, m in zip(curves(e, *member), n)]) - e
+def _branch_roots(curves, branch, lo, hi, top, xatol, member=None, xrtol=_ROOT_RTOL,
+                  what="branch roots, kappa_n(E) - E"):
+    """Roots of kappa_n(E) - E on the eigencurve family curves, all in one
+    elementwise search over rows: row i refines branch n = branch[i]
+    (1-based) of member member[i] (on a family of several members) on
+    [lo[i], hi[i]] down to a bracket narrower than xatol[i] + xrtol |E|.
+    Every argument holds one value per row or one value for every row.  A
+    root that reaches top[i], where the branch was counted, touches the
+    diagonal there: a BracketError.  Bracket ends shared by several rows,
+    or met again, are built once.
 
-
-def _branch_roots(curves, count, unit, e_lo, e_hi=0.0, top=None):
-    """Roots of kappa_n(E) - E on [e_lo, e_hi] for n = 1..count, all in one
-    search on the eigencurve family curves of a model of scale unit.  A
-    root that reaches top (e_hi by default), where the count was read,
-    touches the diagonal there: a BracketError.
-
-    On a family of several members, count, unit, e_lo, e_hi and top hold
-    one entry per member, and the one search runs over every (member,
-    branch) pair, each to the tolerance of its own member's scale; an entry
-    of e_lo or e_hi is one end for all the member's branches or one per
-    branch.  Returns [(root, final bracket)] in member, then branch order;
-    where the gap is exactly 0 the root is exact and its bracket is
-    [root, root].
+    Returns [(root, final bracket)] in row order; where the gap is exactly 0
+    the root is exact and its bracket is [root, root].
     """
-    several = np.ndim(count) > 0
-    counts = np.atleast_1d(count)
-    if not counts.sum():
+    if not np.size(branch):
         return []
-    member = np.repeat(np.arange(counts.size), counts)
-    branch = np.concatenate([np.arange(1, c + 1) for c in counts])
-
-    def pairs(x):
-        """x at every (member, branch) pair, from one entry for all or one
-        per member, an entry one value or one per branch"""
-        entries = x if several and np.iterable(x) else [x] * counts.size
-        return np.array([v for e, c in zip(entries, counts.tolist())
-                         for v in (e if np.iterable(e) else [e] * c)], dtype=float)
-
-    lo, hi, top, scale = map(pairs, (e_lo, e_hi, e_hi if top is None else top, unit))
-    res = bracketed_root(_gap(curves), lo, hi,
-                         args=(branch, member) if several else (branch,),
-                         what="branch roots, kappa_n(E) - E",
-                         xatol=_ROOT_TOL * scale, xrtol=_ROOT_RTOL)
+    args = (branch,) if member is None else (branch, member)
+    res = bracketed_root(
+        lambda e, n, *m: np.array([p.kappa[k - 1] for p, k in zip(curves(e, *m), n)]) - e,
+        lo, hi, args=args, what=what, xatol=xatol, xrtol=xrtol)
     touching = ~(res.x < top)
     if touching.any():
-        raise BracketError(f"branches {branch[touching].tolist()} touch the diagonal "
-                           f"at E = {top[touching][0]:g}")
+        branch, top = (np.broadcast_to(a, touching.shape)[touching] for a in (branch, top))
+        raise BracketError(f"branches {branch.tolist()} touch the diagonal "
+                           f"at E = {top[0]:g}")
     exact = res.f_x == 0.0
     return [(float(x), (float(lo), float(hi))) for x, lo, hi in
             zip(res.x, *(np.where(exact, res.x, end) for end in res.bracket))]
@@ -240,7 +221,9 @@ def _count_and_roots(model, curves):
     unit, seed = _unit(model), _model_seed(model)
     # K(0) for the count and K(seed), the search's lower end, in one stack
     counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
-    return counted, _branch_roots(curves, counted.count, unit, seed)
+    count = counted.count
+    return counted, _branch_roots(curves, np.arange(1, count + 1), np.full(count, seed),
+                                  0.0, 0.0, _ROOT_TOL * unit)
 
 
 def _solve(model, curves) -> SolveReport:
@@ -276,13 +259,10 @@ def _positive_candidates(model, curves, grid):
              if signs[i, n - 1] == 0.0
              or i + 1 < len(grid) and signs[i, n - 1] * signs[i + 1, n - 1] < 0.0]
     refine = [(n, i) for n, i in cells if signs[i, n - 1] != 0.0]
-    roots = {}
-    if refine:
-        branch, cell = np.array(refine).T
-        res = bracketed_root(_gap(curves), grid[cell], grid[cell + 1], args=(branch,),
-                             what="positive crossing search",
-                             xatol=1e-11 * _unit(model), xrtol=1e-11)
-        roots = dict(zip(refine, res.x.tolist()))
+    branch, cell = np.array(refine, dtype=int).reshape(-1, 2).T
+    found = _branch_roots(curves, branch, grid[cell], grid[cell + 1], np.inf,
+                          1e-11 * _unit(model), xrtol=1e-11, what="positive crossing search")
+    roots = dict(zip(refine, (x for x, _ in found)))
     out = []
     for n, i in cells:
         e_star = roots.get((n, i), float(grid[i]))

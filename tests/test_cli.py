@@ -844,11 +844,65 @@ def test_malformed_model_exits_2(site, value):
 @pytest.mark.parametrize("argv", [
     ["oracle-check", "--grid", "5"],
     ["kappa-curves", "--e-max", "nan"],
-], ids=["tiny-grid", "nan-e-max"])
+    ["kappa-curves", "--e-min=-1e308", "--e-max=1e308", "--e-steps", "3"],
+    ["sweep-lambda", "--lambda-max", "inf"],
+    ["sweep-lambda", "--lambda-max", "inf", "--lambda-steps", "1"],
+    ["sweep-lambda", "--lambda-min=1", "--lambda-max=1.7976931348623157e308",
+     "--lambda-steps", "2"],
+], ids=["tiny-grid", "nan-e-max", "overflowing-e-span", "inf-lambda-max",
+        "inf-lambda-max-one-step", "largest-double-lambda-max"])
 def test_bad_number_exit_code(tmp_path, capsys, argv):
+    # one line on stderr: no numpy warning before the message, and an
+    # energy grid whose span overflows to inf or NaN steps is not a
+    # traceback
     rc = main(argv + ["--preset", "three-level-fig", "--out", str(tmp_path)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_largest_double_grid_exits_0(tmp_path):
+    # the grid's steps near the largest double overflow inside linspace,
+    # whose last point is set to --e-max: every row is still finite
+    rc = main(["kappa-curves", "--preset", "three-level-fig", "--e-min=0",
+               "--e-max=1.7976931348623157e308", "--e-steps", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, rows = read_csv(tmp_path / "kappa_curves.csv")
+    assert [float(r[0]) for r in rows] == pytest.approx(
+        [0.0, 5.992310449541e307, 1.198462089908e308, 1.797693134862e308], rel=1e-12)
+
+
+# any float, inf and NaN included, and the edges of the doubles more often
+_HUGE = float(np.finfo(float).max)
+_ANY_FLOAT = st.floats() | st.sampled_from([-_HUGE, -1e308, 0.0, 1e308, _HUGE])
+
+
+@pytest.mark.parametrize("command,floats,steps,examples", [
+    ("kappa-curves", ("--e-min", "--e-max"), "--e-steps", 200),
+    ("sweep-lambda", ("--lambda-min", "--lambda-max"), "--lambda-steps", 200),
+    ("analyze", ("--lambda",), None, 200),
+    ("thresholds", ("--lambda",), None, 100),
+], ids=["kappa-curves", "sweep-lambda", "analyze", "thresholds"])
+def test_numeric_flags_exit_cleanly(tmp_path, command, floats, steps, examples):
+    # any float in each numeric flag of a command (and a step count up to
+    # 4) exits 0, 2 or 3: never a traceback or a RuntimeWarning; the cases
+    # are drawn the same on every run
+    @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+    @given(values=st.tuples(*[_ANY_FLOAT] * len(floats)),
+           count=st.integers(-1, 4) if steps else st.none())
+    def run(values, count):
+        argv = [command, "--preset", "three-level-fig", "--out", str(tmp_path)]
+        argv += [f"{flag}={value!r}" for flag, value in zip(floats, values)]
+        argv += [f"{steps}={count}"] if steps else []
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+        assert rc in (0, 2, 3)
+        assert (rc == 0) == (err.getvalue() == "")
+
+    run()
 
 
 def test_analyze_narrow_form_factor(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import friedrichs.quad
 from friedrichs import (
     ConfigError,
     FriedrichsModel,
@@ -157,6 +158,20 @@ def test_l2_norms_three_level(three_level):
         assert l2_norm_sq(three_level, n) == pytest.approx(w, rel=1e-12)
         assert L2_THREE_LEVEL[n - 1] == pytest.approx(w, rel=1e-14)
     assert total_l2_norm_sq(three_level) == pytest.approx(sum(want), rel=1e-12)
+
+
+def test_total_l2_norm_sq_reads_the_norms_once(three_level, tabulated_two_level, monkeypatch):
+    # one pass over the tables (one per level before), and the same floats
+    # summed in the same order as the levels' l2_norm_sq
+    calls = []
+    norms = friedrichs.quad._norms_sq
+    monkeypatch.setattr(friedrichs.quad, "_norms_sq",
+                        lambda model: calls.append(1) or norms(model))
+    for model in (three_level, tabulated_two_level):
+        calls.clear()
+        total = total_l2_norm_sq(model)
+        assert len(calls) == 1
+        assert total == sum(l2_norm_sq(model, n) for n in range(1, model.n_levels + 1))
 
 
 def test_rational_validation():

@@ -49,6 +49,10 @@ TESTS_ONLY = {
     # stack of entries (`quad._shift_stack`), which tests/test_quad.py
     # checks bit for bit against this matrix
     "t_matrix",
+    # one level's ||v_n||^2: total_l2_norm_sq and the solver's seed read
+    # every norm in one pass (`quad._norms_sq`), and tests/test_model.py
+    # checks this one against the closed forms and their sum
+    "l2_norm_sq",
 }
 
 

@@ -378,24 +378,67 @@ def test_deep_root_converges_to_relative_bracket(three_level, site, value):
     assert residual(model, deep) <= 1e-14 * abs(deep.energy)
 
 
-def test_member_roots_keep_their_own_tolerance():
-    # one search over two members of scales 1 and 1e3, kappa(E) = -c + s E^2,
-    # gives each member's roots and brackets bit for bit as a search of that
-    # member alone; with the first member's tolerance shared, the second's
-    # bracket narrows further
-    def curves_of(members):
+def _two_members():
+    # kappa(E) = -c + s E^2 on two members of scales 1 and 1e3, each row to
+    # its own member's tolerance
+    members = ((1.0, 0.3), (1e3, 1e-3))
+
+    def curves():
         return friedrichs.spectral._EigenCurves(
             lambda e, m: (-members[m][0] + members[m][1] * e * e + 0j)[:, None, None])
 
-    members, units, seeds = ((1.0, 0.3), (1e3, 1e-3)), [1.0, 1e3], [-20.0, -5e3]
-    both = friedrichs.solver._branch_roots(curves_of(members), [1, 1], units, seeds, 0.0)
-    alone = [friedrichs.solver._branch_roots(curves_of((m,)), [1], [u], [lo], 0.0)
-             for m, u, lo in zip(members, units, seeds)]
-    assert both == alone[0] + alone[1]
-    shared = friedrichs.solver._branch_roots(curves_of(members), [1, 1], 1.0, seeds, 0.0)
-    assert shared[0] == both[0]
-    (_, (lo, hi)), (_, (lo1, hi1)) = both[1], shared[1]
-    assert 1e-10 < hi - lo < 1e-9 and hi1 - lo1 < 1e-12 + 4 * np.finfo(float).eps * 618.1
+    return curves, dict(branch=[1, 1], member=[0, 1], lo=[-20.0, -5e3], hi=0.0, top=0.0,
+                        xatol=friedrichs.solver._ROOT_TOL * np.array([1.0, 1e3]))
+
+
+def _solver_rows():
+    # solve_model's rows on three-level-fig at lambda = 10: branches 1..3
+    # from the seed to 0
+    model = friedrichs.model.make_preset("three-level-fig", 10.0)
+    seed = friedrichs.solver._model_seed(model)
+    return (lambda: friedrichs.spectral._eigencurves(model),
+            dict(branch=np.arange(1, 4), lo=np.full(3, seed), hi=0.0, top=0.0,
+                 xatol=friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)))
+
+
+def _crossing_rows():
+    # the crossing scan's rows on 8 energies across each hydrogen level
+    # +- 4e-5, one crossing in each window
+    model = friedrichs.model.make_preset("hydrogen-4level")
+    branch, lo, hi = [], [], []
+    for level in model.levels:
+        grid = np.linspace(level - 4e-5, level + 4e-5, 8)
+        signs = np.sign([p.kappa - p.e for p in kappa_curve(model, grid)])
+        cell, n = np.nonzero(signs[:-1] * signs[1:] < 0.0)
+        branch += (n + 1).tolist()
+        lo += grid[cell].tolist()
+        hi += grid[cell + 1].tolist()
+    assert len(branch) == 3
+    return (lambda: friedrichs.spectral._eigencurves(model),
+            dict(branch=branch, lo=lo, hi=hi, top=np.inf,
+                 xatol=1e-11 * friedrichs.solver._unit(model), xrtol=1e-11,
+                 what="positive crossing search"))
+
+
+@pytest.mark.parametrize("rows", [_two_members, _solver_rows, _crossing_rows],
+                         ids=["members", "solver", "crossing"])
+def test_member_roots_keep_their_own_tolerance(rows):
+    # every row of one search gives bit for bit the root and bracket it
+    # gives searched alone, on a fresh family, to its own tolerance
+    curves, columns = rows()
+    both = friedrichs.solver._branch_roots(curves(), **columns)
+    alone = [friedrichs.solver._branch_roots(curves(), **{
+                 k: v if np.ndim(v) == 0 else np.asarray(v)[i:i + 1]
+                 for k, v in columns.items()}) for i in range(len(both))]
+    assert len(both) > 1 and both == [root for row in alone for root in row]
+    if rows is _two_members:
+        # with the first member's tolerance shared, the second's bracket
+        # narrows further
+        shared = friedrichs.solver._branch_roots(
+            curves(), **dict(columns, xatol=friedrichs.solver._ROOT_TOL))
+        assert shared[0] == both[0]
+        (_, (lo, hi)), (_, (lo1, hi1)) = both[1], shared[1]
+        assert 1e-10 < hi - lo < 1e-9 and hi1 - lo1 < 1e-12 + 4 * np.finfo(float).eps * 618.1
 
 
 def test_exact_zero_gap_reports_its_point_as_bracket():
@@ -403,7 +446,7 @@ def test_exact_zero_gap_reports_its_point_as_bracket():
     # evaluates; the reported bracket is that point, not the search's last
     # bracket (-2, -1)
     curves = friedrichs.spectral._EigenCurves(lambda e: np.full((e.size, 1, 1), -1.0 + 0j))
-    roots = friedrichs.solver._branch_roots(curves, 1, 1.0, -2.0)
+    roots = friedrichs.solver._branch_roots(curves, [1], -2.0, 0.0, 0.0, 1e-12)
     assert roots == [(-1.0, (-1.0, -1.0))]
 
 
