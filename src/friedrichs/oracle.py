@@ -11,8 +11,8 @@ inertia additivity H has as many eigenvalues below E as the Schur
 complement K_M(E) - E has negative ones.  K_M(E) = diag(omega_n) -
 B diag(1/(omega_j - E)) B^dagger is the solver's K(E) with the Gram matrix
 replaced by its node sum, so the discrete negative spectrum converges to the
-bound states as the grid refines, and it comes from the solver's own count
-and branch-root search on K_M at O(N^2 M) per energy; the level block of
+bound states as the grid refines, and it comes from a count and a root
+search on K_M at O(N^2 M) per energy; the level block of
 each eigenvector of H is the kernel vector of K_M(E) - E at its root.  The
 dense H is built only on request.  This brute-force model is an independent
 check of the solver: `oracle-check` and the acceptance gate compare the two.
@@ -22,22 +22,23 @@ Nodes follow composite Gauss-Legendre panels on geometrically spaced edges
 form-factor breakpoint, plus an algebraic tail beyond omega_max.  The
 panels come from the kernels' own routine `quad._panel_nodes` and both rules
 from its cache `quad._gauss_legendre`, so a schedule of grids builds each
-rule once.  A grid searched alone never runs the solver: each branch starts
-from the generic [seed, -gap], and the grid keeps what it found, so it
-searches once however often it is asked.  `compare_negative_spectrum`
-runs the solver's count and branch search, as in `solve_model`, and hands
-its roots r_n to the schedule's one search, the solver's `_branch_roots`
-with one row per (grid, branch) pair, on one eigencurve family keyed by
-(grid, E), which builds each step's new K_M(E) of a grid as one broadcast
-stack and diagonalizes those of all grids in one stacked eigh.  Branch n
-of a grid starts from [r_n - d_n, min(r_n + d_n / 2, -gap)], d_n = 2^-20
-|r_n| + 2^10 times the roots' stop, where kappa_n - E changes sign
-strictly across it, and from [seed, -gap] otherwise: a coarse grid's root
-outside the seeded bracket, or a branch the solver does not count.
-Sharing changes no bit: each grid finds what it finds searched alone from
-the same roots.  The grid's count point at -gap and its seeded ends come
-from one build; the count's point is the generic upper end, and each
-root's point gives its level block.
+rule once.  A grid searched alone never runs the solver: each branch is
+one row of the solver's `_branch_roots` search from the generic
+[seed, -gap], and the grid keeps what it found, so it searches once however
+often it is asked.  `compare_negative_spectrum` runs the solver's count
+and branch search, as in `solve_model`, and hands its roots r_n to the
+schedule's one search (`_search`) on one eigencurve family keyed by
+(grid, E), which builds the new K_M(E) of a grid as one broadcast stack and
+diagonalizes those of all grids in one stacked eigh.  Each grid's first
+stack is its count point -gap and the solver's roots below it; from r_n,
+branch n takes one Newton step on kappa_n - E, and the steps of all grids
+are one second stack.  For E < 0 every kappa_n is nonincreasing, so
+kappa_n - E falls with slope at most -1 and |E - E*| <= |kappa_n(E) - E|:
+a step where that is within the roots' stop is the grid's root, and any
+other counted branch (a step not taken, a branch the solver does not
+count) falls back to a row of the search from [seed, -gap].  Sharing
+changes no bit: each grid finds what it finds searched alone from the
+same roots, and each root's point gives its level block.
 Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
 model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
 When every form factor's phase is the first one's times exactly +1 or -1,
@@ -55,7 +56,7 @@ import numpy as np
 
 from .model import ConfigError, _require_reach
 from .quad import _gauss_legendre, _panel_nodes
-from .solver import _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
+from .solver import _ROOT_RTOL, _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
 from .spectral import _EigenCurves, _eigencurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
@@ -64,10 +65,6 @@ __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
 # eigenvalues at or above -_GAP_RTOL times the model's scale count as
 # continuum, not bound states
 _GAP_RTOL = 1e-8
-# branch n of a grid first tries [r_n - d_n, min(r_n + d_n / 2, -gap)]
-# around the solver's root r_n, d_n = _SEED_RTOL |r_n| + _SEED_ATOL times
-# the roots' stop, 1e-12 times the model's scale
-_SEED_RTOL, _SEED_ATOL = 2.0 ** -20, 2.0 ** 10
 
 
 @dataclass(frozen=True)
@@ -151,45 +148,59 @@ class _Schedule:
 
 def _search(grids, solver):
     """(roots, points) of every grid: its eigenvalues below -gap and the
-    eigencurve points of K_M(E) there.
+    eigencurve points of K_M(E) there, on one eigencurve family keyed by
+    (grid, E).
 
-    One `_branch_roots` call searches every (grid, branch) pair on one
-    eigencurve family keyed by (grid, E): each grid's count appends its
-    rows, each row its branch, grid, bracket, the grid's top -gap and its
-    stop, 1e-12 times the model's scale.  Branch n of a grid searches
-    [r_n - d_n, min(r_n + d_n / 2, -gap)] around the solver's root r_n
-    where kappa_n - E changes sign strictly across it, and [seed, -gap]
-    otherwise.  The seeded bracket is asymmetric because the search's first
-    step bisects it: on a symmetric one that step lands on r_n, and the
-    search stops there."""
-    found = []
+    Each grid's first stack holds its count point -gap and every solver
+    root r_n below it.  From r_n, branch n takes one Newton step,
+    E_1 = r_n + g_n(r_n) / slope with g_n = kappa_n - E and slope =
+    1 + sum_j (|y_j| / (omega_j - r_n))^2, y = b^dagger c, c the branch's
+    eigenvector at r_n: -slope is g_n's derivative there.  The steps of
+    every grid below -gap are one second stack.  Since kappa_n is
+    nonincreasing, g_n has slope at most -1 and |E - E*| <= |g_n(E)|, so
+    E_1 is taken as the root where |g_n(E_1)| is within the roots' stop,
+    1e-12 times the model's scale plus 4 eps |E_1|.  Every other counted
+    branch (a step not taken, a branch the solver does not count, a grid
+    searched alone) is one row of a `_branch_roots` search from
+    [seed, -gap] to the same stop."""
     curves = _EigenCurves(lambda es, i: grids[i]._k(es))
     tops, units = [-g.gap for g in grids], [g.gap / _GAP_RTOL for g in grids]
-    # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g:
-    # that point is the generic upper end, built in one stack with the
-    # seeded ends
-    stacks = [[top, *(e for r in solver
-                      for d in [_SEED_RTOL * abs(r) + _SEED_ATOL * _ROOT_TOL * unit]
-                      for e in (r - d, min(r + 0.5 * d, top)))]
-              for top, unit in zip(tops, units)]
+    # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
+    # the solver's roots below it, r_1 <= r_2 <= ..., join its stack
+    below = [next((n for n, r in enumerate(solver) if not r < top), len(solver)) for top in tops]
+    stacks = [[top, *solver[:k]] for top, k in zip(tops, below)]
     curves([e for es in stacks for e in es], [i for i, es in enumerate(stacks) for _ in es])
-    counts, rows = [], []
+    counts, steps = [], {}
     for i, (grid, stack) in enumerate(zip(grids, stacks)):
-        top, *ends = curves(stack, [i] * len(stack))
+        top, *at = curves(stack, [i] * len(stack))
         count = int(np.count_nonzero(top.kappa < top.e))
-        brackets = [(a.e, b.e) if a.kappa[n] - a.e > 0.0 > b.kappa[n] - b.e else None
-                    for n, (a, b) in enumerate(zip(ends[:2 * count:2], ends[1:2 * count:2]))]
-        brackets += [None] * (count - len(brackets))
-        if None in brackets:
-            seed = _seed(grid.levels, float(np.sum(np.abs(grid.b) ** 2)))
-            brackets = [b or (seed, top.e) for b in brackets]
         counts.append(count)
-        rows += [(n, i, lo, hi, top.e, _ROOT_TOL * (grid.gap / _GAP_RTOL))
-                 for n, (lo, hi) in enumerate(brackets, 1)]
-    branch, member, lo, hi, top, xatol = zip(*rows) if rows else [()] * 6
-    roots = iter(e for e, _ in _branch_roots(curves, branch, lo, hi, top, xatol, member))
+        at = at[:count]
+        if at:
+            r = np.array([p.e for p in at])
+            c = np.array([p.vectors[:, n] for n, p in enumerate(at)]).T
+            g = np.array([p.kappa[n] for n, p in enumerate(at)]) - r
+            # the quotient first: (omega_j - r)^2 alone can overflow
+            y = np.abs(grid._b_dagger @ c) / (grid.nodes[:, None] - r)
+            e1 = r + g / (1.0 + np.sum(y * y, axis=0))
+            steps.update(((i, n), e) for n, e in enumerate(e1.tolist(), 1) if e < top.e)
+    roots = {}
+    for (i, n), p in zip(steps, curves(list(steps.values()), [i for i, _ in steps])):
+        if abs(p.kappa[n - 1] - p.e) <= _ROOT_TOL * units[i] + _ROOT_RTOL * abs(p.e):
+            roots[i, n] = p.e
+    rows = []
+    for i, (grid, count) in enumerate(zip(grids, counts)):
+        missing = [n for n in range(1, count + 1) if (i, n) not in roots]
+        if missing:
+            seed = _seed(grid.levels, float(np.sum(np.abs(grid.b) ** 2)))
+            rows += [(n, i, seed, tops[i], _ROOT_TOL * units[i]) for n in missing]
+    if rows:
+        branch, member, lo, hi, xatol = zip(*rows)
+        searched = _branch_roots(curves, branch, lo, hi, hi, xatol, member)
+        roots.update(((i, n), e) for (n, i, *_), (e, _) in zip(rows, searched))
+    found = []
     for i, count in enumerate(counts):
-        vals = [next(roots) for _ in range(count)]
+        vals = [roots[i, n] for n in range(1, count + 1)]
         found.append((vals, curves(vals, [i] * count)))
     return found
 
@@ -278,12 +289,12 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     refinement study should shrink monotonically.  After building the
     grids, it runs the solver's count and branch roots, as in
     `solve_model`; the first grid's `negative_eigenvalues` then runs one
-    search over every (grid, branch) pair, each from a bracket a few steps
-    wide around the solver's root on its branch, or from [seed, -gap] where
-    the root lies outside it or the solver has no root on that branch.
-    Each search stops on its own root, so a converged grid's delta reads
+    search for every grid (`_search`): one Newton step from the solver's
+    root on each branch, taken where it lands within the roots' stop of
+    the grid's own root, and a search from [seed, -gap] on every other
+    branch.  Each grid's root is its own, so a converged grid's delta reads
     the solver's own error, within its stop of 1e-12 times the model's
-    scale.
+    scale plus 4 eps |E|.
     """
     ms = list(m_schedule)
     grids = [discretize(model, m) for m in ms]
@@ -291,7 +302,11 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     solver_e = [e for e, _ in roots]
     _Schedule(grids, solver_e)  # seeds the grids' one shared search
     spectra = [grid.negative_eigenvalues() for grid in grids]
-    floor = 1e-11 * _unit(model)
+    # factor-2 slack plus a floor, so that root-search noise near
+    # convergence does not raise the flag: 1e-11 times the model's scale
+    # plus both roots' relative stops, 4 eps |E| each, since a deep root's
+    # delta can read one ulp of E
+    floors = [1e-11 * _unit(model) + 2.0 * _ROOT_RTOL * abs(e) for e in solver_e]
     rows = []
     prev = None
     non_cauchy = False
@@ -302,9 +317,7 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
         else:
             deltas = ()
         if prev and deltas and len(prev) == len(deltas):
-            # factor-2 slack plus a floor on the model's scale so root-search
-            # noise (1e-12 brackets) near convergence does not raise the flag
-            if any(d > 2.0 * p + floor for d, p in zip(deltas, prev)):
+            if any(d > 2.0 * p + f for d, p, f in zip(deltas, prev, floors)):
                 non_cauchy = True
         if deltas:
             prev = deltas

@@ -14,7 +14,8 @@ the principal-value family, reported together with the modulus of sum_n
 c_n v_n(E*), which must vanish for a genuine embedded eigenvector.  The
 scan never certifies anything, it only reports candidates and defects.
 
-Both searches, and the oracle's on its node-sum K_M(E), are one call of
+Both searches, and the oracle's rows that its Newton step from the
+solver's roots leaves (on its node-sum K_M(E)), are one call of
 `_branch_roots` over flat rows, one row per (member, branch) bracket with
 its own top and stop, of the objective kappa_n(E) - E on an eigencurve
 family that diagonalizes each energy once: the count, the states and the

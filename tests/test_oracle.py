@@ -26,7 +26,7 @@ from friedrichs import (
     make_preset,
     solve_model,
 )
-from friedrichs.oracle import _SEED_ATOL, _SEED_RTOL, _coupling_block
+from friedrichs.oracle import _GAP_RTOL, _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
 from property_suites import draw_model
@@ -305,32 +305,48 @@ def test_schedule_rows_match_grids_alone(name):
     _check_rows_against_grids_alone(model, table)
 
 
+def _record_fallback_rows(monkeypatch):
+    """The (grid, branch) rows that the schedule's search hands to
+    `_branch_roots`, in order: every row whose Newton step it did not take."""
+    rows = []
+    branch_roots = friedrichs.oracle._branch_roots
+    monkeypatch.setattr(friedrichs.oracle, "_branch_roots",
+                        lambda curves, branch, lo, hi, top, xatol, member:
+                        rows.extend(zip(member, branch))
+                        or branch_roots(curves, branch, lo, hi, top, xatol, member))
+    return rows
+
+
 @pytest.mark.parametrize("model,schedule,counts", [
     (make_preset("three-level-fig", 0.7), (500, 500), [2, 2]),
     (_single_level(_SHALLOW), (10, 100, 500, 1000), [0, 0, 1, 1]),
     (_single_level(0.1), (10, 500), [0, 0]),
+    (make_preset("three-level-fig", 0.7), (10, 500), [2, 2]),
 ])
 def test_schedule_runs_one_search(model, schedule, counts, monkeypatch):
-    # two searches: the solver's branches, whose roots seed the grids'
-    # brackets, then one over every (grid, branch) pair; none where no
-    # branch is counted
+    # the solver's branch search runs, and after it at most one more: the
+    # rows whose Newton step from the solver's root was not taken, here
+    # those of the coarse grids.  None where no branch is counted
     sizes = []
     find_root = friedrichs._search._find_root
     monkeypatch.setattr(friedrichs._search, "_find_root",
                         lambda f, lo, hi, **kw: sizes.append(np.size(lo))
                         or find_root(f, lo, hi, **kw))
+    fell = _record_fallback_rows(monkeypatch)
     table = compare_negative_spectrum(model, schedule)
     assert [row.count for row in table.rows] == counts
-    assert sizes == [size for size in (table.solver_count, sum(counts)) if size]
+    assert fell == [(i, n) for i, row in enumerate(table.rows) if row.m < 500
+                    for n in range(1, row.count + 1)]
+    assert sizes == [size for size in (table.solver_count, len(fell)) if size]
     monkeypatch.undo()
     _check_rows_against_grids_alone(model, table)
 
 
-def _deep_root_model():
+def _deep_root_model(cutoff=5.5e9):
     """three-level-fig with form factor 1's width 5.5e9: a root near -1.3e9
     that converges to a relative bracket, next to two shallow ones."""
     config = make_preset("three-level-fig").descriptor()
-    config["form_factors"][0]["cutoff"] = 5.5e9
+    config["form_factors"][0]["cutoff"] = cutoff
     return friedrichs.model.model_from_dict(config)
 
 
@@ -351,45 +367,85 @@ def test_schedule_solver_matches_solve_model(name, lam):
     assert np.array(table.solver_energies).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cutoff,lam", [(5.5e5, 0.7), (5.5e7, 0.7), (5.5e9, 10.0)])
+def test_deep_root_deltas_keep_the_cauchy_flag_down(cutoff, lam):
+    # near convergence a deep root's delta reads an ulp or a few of E, not
+    # a growing error: at width 5.5e5 delta_1 read 0 and then 1.455e-11,
+    # one ulp of -7.89e4, above the floor of 1e-11 times the model's scale
+    # alone.  The floor also holds both roots' relative stops, 8 eps |E|
+    table = compare_negative_spectrum(_deep_root_model(cutoff).with_coupling(lam), _SCHEDULE)
+    assert all(row.count == table.solver_count for row in table.rows)
+    assert table.solver_energies[0] < -7e4
+    assert not table.non_cauchy
+
+
 def test_schedule_builds_each_k_once(three_level, monkeypatch):
     # each (grid, E) of the shared family is built once, the count's points
-    # at -gap included, and every grid of the schedule is searched.  The
-    # solver's roots seed brackets a few steps wide: 16 stacks of K_M(E),
-    # where the generic brackets took 44
+    # at -gap included, and every grid of the schedule is searched.  Two
+    # stacks of K_M(E) per grid: the count point with the solver's roots,
+    # then every grid's Newton steps, each taken (16 stacks with brackets
+    # seeded by the solver's roots, 32 and 44 with the generic ones)
     built, stacks = [], []
     build = DiscretizedHamiltonian._k
     monkeypatch.setattr(DiscretizedHamiltonian, "_k",
                         lambda self, e: stacks.append(e.size)
                         or built.extend((id(self), x) for x in e.tolist())
                         or build(self, e))
-    table = compare_negative_spectrum(three_level.with_coupling(10.0), _SCHEDULE)
-    assert [row.count for row in table.rows] == [3] * 4
-    assert len(built) == len(set(built))
-    assert len({grid for grid, _ in built}) == len(_SCHEDULE)
-    assert len(stacks) <= 20
+    for lam, count in ((0.7, 2), (10.0, 3)):
+        built.clear()
+        stacks.clear()
+        table = compare_negative_spectrum(three_level.with_coupling(lam), _SCHEDULE)
+        assert [row.count for row in table.rows] == [count] * len(_SCHEDULE)
+        assert len(built) == len(set(built)) == len(_SCHEDULE) * (1 + 2 * count)
+        assert len({grid for grid, _ in built}) == len(_SCHEDULE)
+        assert len(stacks) == 2 * len(_SCHEDULE)
 
 
 @pytest.mark.parametrize("lam,schedule", [(0.7, (10, 500)), (0.18044971, (10, 137, 500))])
-def test_schedule_falls_back_to_generic_brackets(lam, schedule):
-    # the coarse grids' roots lie outside the brackets the solver's roots
-    # seed, and 1e-6 below the second state's threshold they count a
-    # branch the solver does not: those pairs search [seed, -gap], and
-    # every root still matches LAPACK on the dense h
+def test_schedule_falls_back_to_generic_brackets(lam, schedule, monkeypatch):
+    # the coarse grids' roots lie too far from the solver's for one Newton
+    # step (at lambda = 0.18 the m = 10 grid's first root, 6.5e-7 away, is
+    # near enough; the m = 137 grid's, 1.9e-6 away, is not), and 1e-6 below
+    # the second state's threshold they count a branch the solver does
+    # not: those rows search [seed, -gap], the m = 500 grid takes every
+    # step, and every root still matches LAPACK on the dense h
     model = make_preset("three-level-fig", lam)
+    fell = _record_fallback_rows(monkeypatch)
     table = compare_negative_spectrum(model, schedule)
-    stop = friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)
+    assert fell == {0.7: [(0, 1), (0, 2)], 0.18044971: [(0, 2), (1, 1), (1, 2)]}[lam]
     for row in table.rows:
         ham = discretize(model, row.m)
         want = scipy.linalg.eigh(ham.h, eigvals_only=True,
                                  subset_by_value=(-np.inf, -ham.gap))
         assert row.count == want.size
         assert np.allclose(row.energies, want, rtol=0.0, atol=1e-10)
-        seeded = []
-        for r, e in zip(table.solver_energies, row.energies):
-            d = _SEED_RTOL * abs(r) + _SEED_ATOL * stop
-            seeded.append(r - d < e < min(r + 0.5 * d, -ham.gap))
-        assert seeded == [row.m == 500] * len(seeded)
         assert (row.count > table.solver_count) == (lam < 0.5 and row.m < 500)
+
+
+def test_schedule_roots_match_lapack_on_drawn_models(monkeypatch):
+    # on drawn models and the golden tabulated one, every grid takes every
+    # Newton step, each a root within the roots' stop (|kappa_n(E) - E|
+    # bounds |E - E*|, since kappa_n - E falls with slope at most -1), and
+    # every grid root lies within 1e-10 of LAPACK's eigenvalue of the dense h
+    rng = np.random.default_rng(20261021)
+    models = [draw_model(rng) for _ in range(20)] + [load_model(_GOLDEN_TABULATED)]
+    fell = _record_fallback_rows(monkeypatch)
+    roots = 0
+    for model in models:
+        table = compare_negative_spectrum(model, (500, 1000))
+        assert fell == []
+        for row in table.rows:
+            ham = discretize(model, row.m)
+            want = scipy.linalg.eigh(ham.h, eigvals_only=True,
+                                     subset_by_value=(-np.inf, -ham.gap))
+            assert row.count == want.size
+            assert np.allclose(row.energies, want, rtol=0.0, atol=1e-10)
+            stop = friedrichs.solver._ROOT_TOL * (ham.gap / _GAP_RTOL)
+            for n, e in enumerate(row.energies, 1):
+                kappa = np.linalg.eigh(ham._k(np.array([e])))[0][0, n - 1]
+                assert abs(kappa - e) <= stop + friedrichs.solver._ROOT_RTOL * abs(e)
+            roots += row.count
+    assert roots == 74
 
 
 @pytest.mark.parametrize("lam", [1.0, 3.0])
@@ -422,26 +478,28 @@ def test_grid_alone_without_solver_roots(lam, monkeypatch):
 
 def test_grid_asked_twice_searches_once(three_level, monkeypatch):
     # each grid keeps its search: asked again, alone or in a schedule, it
-    # reads the roots it found
-    calls = []
-    find_root = friedrichs._search._find_root
-    monkeypatch.setattr(friedrichs._search, "_find_root",
-                        lambda *a, **kw: calls.append(1) or find_root(*a, **kw))
+    # reads the roots it found and builds no K_M(E)
+    stacks = []
+    build = DiscretizedHamiltonian._k
+    monkeypatch.setattr(DiscretizedHamiltonian, "_k",
+                        lambda self, e: stacks.append(e.size) or build(self, e))
     model = three_level.with_coupling(10.0)
     ham = discretize(model, 1000)
     first = ham.negative_eigenvalues()
+    searched = len(stacks)
+    assert searched > 0
     assert ham.negative_eigenvalues().tobytes() == first.tobytes()
     assert ham.negative_eigensystem()[0].tobytes() == first.tobytes()
-    assert len(calls) == 1
+    assert len(stacks) == searched
     roots = [st.energy for st in solve_model(model).states]
-    calls.clear()
+    stacks.clear()
     grids = [discretize(model, m) for m in (500, 1000)]
     friedrichs.oracle._Schedule(grids, roots)
     spectra = [grid.negative_eigenvalues() for grid in grids * 2]
     assert [s.size for s in spectra] == [3] * 4
     assert spectra[2].tobytes() == spectra[0].tobytes()
     assert spectra[3].tobytes() == spectra[1].tobytes()
-    assert len(calls) == 1
+    assert len(stacks) == 2 * len(grids)
 
 
 def test_grid_alone_binds_below_each_negative_level():
