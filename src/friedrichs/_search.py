@@ -141,21 +141,21 @@ def _per_element(tol, shape):
 
 def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=0.0,
                maxiter=None) -> SearchResult:
-    """Chandrupatla's root search on [lo, hi], elementwise; xatol and fatol
-    may be arrays that broadcast to the bracket, one tolerance per
+    """Chandrupatla's root search on [lo, hi], elementwise; xatol, xrtol and
+    fatol may be arrays that broadcast to the bracket, one tolerance per
     element."""
     (x1, x2), (f1, f2), args, shape = _start(f, (lo, hi), args)
     xatol = _per_element(4 * _TINY if xatol is None else xatol, shape)
     fatol = _per_element(_TINY if fatol is None else fatol, shape)
-    xrtol = float(4 * _EPS if xrtol is None else xrtol)
+    xrtol = _per_element(4 * _EPS if xrtol is None else xrtol, shape)
     frtol = float(frtol)
     if maxiter is None:
         maxiter = math.log2(np.finfo(float).max) - math.log2(_TINY)
     states = []
-    for x1, x2, f1, f2, xa, fa in zip(x1.tolist(), x2.tolist(), f1.tolist(), f2.tolist(),
-                                      xatol, fatol):
+    for x1, x2, f1, f2, xa, xr, fa in zip(x1.tolist(), x2.tolist(), f1.tolist(), f2.tolist(),
+                                          xatol, xrtol, fatol):
         a1, a2 = abs(f1), abs(f2)  # np.minimum of the two, NaN propagating
-        states.append(dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, xatol=xa,
+        states.append(dict(x1=x1, f1=f1, x2=x2, f2=f2, x3=None, f3=None, xatol=xa, xrtol=xr,
                            ftol=fa + frtol * (a1 if a1 != a1 or a1 < a2 else a2)))
 
     def step(s):
@@ -198,7 +198,7 @@ def _find_root(f, lo, hi, *, args=(), xatol=None, xrtol=None, fatol=None, frtol=
         else:
             s["xmin"], s["fmin"] = xmin, fmin
             s["dx"] = dx = abs(x2 - x1)
-            s["tol"] = tol = abs(xmin) * xrtol + s["xatol"]
+            s["tol"] = tol = abs(xmin) * s["xrtol"] + s["xatol"]
             if not dx < tol:
                 return False
             status = _CONVERGED

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .model import ConfigError, FriedrichsModel, load_model, make_preset, model_digest
 from .quad import _ABS_TOL, _REL_TOL, NumericalError, gram_matrix
-from .solver import CountResult, _positive_candidates, _solve, _unit, solve_model
+from .solver import _band_counts, _positive_candidates, _solve, _tolerances, solve_model
 from .spectral import _eigencurves, eigh, k_matrix, kappa_curve
 from .oracle import compare_negative_spectrum
 from .thresholds import certificate
@@ -165,12 +165,10 @@ def cmd_sweep_lambda(args, model, metadata):
     kappa = eigh(k_matrix(model, s0, lam2=[lam ** 2 for lam in finite]), 0.0).kappa
     if len(finite) < len(lams):
         model.with_coupling(lams[len(finite)])  # raises the ConfigError
-    top, n, unit = model.levels[-1], model.n_levels, _unit(model)
-    rows = []
-    for lam, kap in zip(lams, kappa):
-        row = [_FMT.format(lam), str(CountResult.from_kappa(kap, unit).count)]
-        row += [_FMT.format(top - k) for k in kap]
-        rows.append(row)
+    top, n = model.levels[-1], model.n_levels
+    counts = _band_counts(kappa, _tolerances(model))[0].tolist()
+    rows = [[_FMT.format(lam), str(count), *(_FMT.format(top - k) for k in kap)]
+            for lam, count, kap in zip(lams, counts, kappa)]
     header = ["lambda", "count"] + [f"top_minus_kappa_{i}" for i in range(1, n + 1)]
     return ({"sweep_lambda.csv": _csv(header, metadata, rows)},
             [f"wrote {Path(args.out) / 'sweep_lambda.csv'} ({len(rows)} rows)"])

@@ -39,8 +39,10 @@ other counted branch (a step not taken, a branch the solver does not
 count) falls back to a row of the search from [seed, -gap].  Sharing
 changes no bit: each grid finds what it finds searched alone from the
 same roots, and each root's point gives its level block.
-Eigenvalues at or above -gap count as continuum; gap is 1e-8 times the
-model's scale (`solver._unit`), as is 1e4 times the roots' tolerance.
+Eigenvalues at or above -gap count as continuum.  The gap, 1e-8 times the
+narrowest width, and the roots' stop, 1e-12 times it + 4 eps |E|, come
+with each grid from `solver._tolerances`, which also gives the
+non-Cauchy floor.
 When every form factor's phase is the first one's times exactly +1 or -1,
 B is built real (for one model, on every grid); the discrete spectrum is
 unchanged and the level-block eigenvectors stay directly comparable to the
@@ -56,31 +58,30 @@ import numpy as np
 
 from .model import ConfigError, _require_reach
 from .quad import _gauss_legendre, _panel_nodes
-from .solver import _ROOT_RTOL, _ROOT_TOL, _branch_roots, _count_and_roots, _seed, _unit
+from .solver import _branch_roots, _count_and_roots, _seed, _tolerances
 from .spectral import _EigenCurves, _eigencurves
 
 __all__ = ["DiscretizedHamiltonian", "ConvergenceRow", "ConvergenceTable",
            "discretize", "compare_negative_spectrum"]
-
-# eigenvalues at or above -_GAP_RTOL times the model's scale count as
-# continuum, not bound states
-_GAP_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class DiscretizedHamiltonian:
     """The (N + M) dimensional arrowhead Hamiltonian, kept as its parts:
     the levels, the coupling block b (N x M) and the grid.  Its eigenvalues
-    at or above -gap count as continuum; `discretize` sets gap to 1e-8
-    times the model's scale (`solver._unit`).  The grid knows nothing of
-    the solver: searched alone it starts every branch from [seed, -gap],
-    and only a schedule hands it the solver's roots."""
+    at or above -gap count as continuum, and its roots' stop is (xatol,
+    xrtol); `discretize` sets both from `solver._tolerances` (a gap of 1e-8
+    and a stop of 1e-12 + 4 eps |E|, times the narrowest width, which the
+    defaults take as 1).  The grid knows nothing of the solver: searched
+    alone it starts every branch from [seed, -gap], and only a schedule
+    hands it the solver's roots."""
 
     levels: np.ndarray
     b: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    gap: float = _GAP_RTOL
+    gap: float = 1e-8
+    _stop: tuple = field(default=(1e-12, 4.0 * np.finfo(float).eps), kw_only=True)
     # the root search this grid shares with the grids of its schedule
     _schedule: "_Schedule" = field(default=None, init=False, repr=False, compare=False)
 
@@ -158,13 +159,13 @@ def _search(grids, solver):
     eigenvector at r_n: -slope is g_n's derivative there.  The steps of
     every grid below -gap are one second stack.  Since kappa_n is
     nonincreasing, g_n has slope at most -1 and |E - E*| <= |g_n(E)|, so
-    E_1 is taken as the root where |g_n(E_1)| is within the roots' stop,
-    1e-12 times the model's scale plus 4 eps |E_1|.  Every other counted
-    branch (a step not taken, a branch the solver does not count, a grid
-    searched alone) is one row of a `_branch_roots` search from
-    [seed, -gap] to the same stop."""
+    E_1 is taken as the root where |g_n(E_1)| is within the grid's roots'
+    stop, xatol + xrtol |E_1|.  Every other counted branch (a step not
+    taken, a branch the solver does not count, a grid searched alone) is
+    one row of a `_branch_roots` search from [seed, -gap] to the same
+    stop."""
     curves = _EigenCurves(lambda es, i: grids[i]._k(es))
-    tops, units = [-g.gap for g in grids], [g.gap / _GAP_RTOL for g in grids]
+    tops = [-g.gap for g in grids]
     # by inertia, kappa_n(-g) < -g counts the eigenvalues of h below -g;
     # the solver's roots below it, r_1 <= r_2 <= ..., join its stack
     below = [next((n for n, r in enumerate(solver) if not r < top), len(solver)) for top in tops]
@@ -186,17 +187,18 @@ def _search(grids, solver):
             steps.update(((i, n), e) for n, e in enumerate(e1.tolist(), 1) if e < top.e)
     roots = {}
     for (i, n), p in zip(steps, curves(list(steps.values()), [i for i, _ in steps])):
-        if abs(p.kappa[n - 1] - p.e) <= _ROOT_TOL * units[i] + _ROOT_RTOL * abs(p.e):
+        xatol, xrtol = grids[i]._stop
+        if abs(p.kappa[n - 1] - p.e) <= xatol + xrtol * abs(p.e):
             roots[i, n] = p.e
     rows = []
     for i, (grid, count) in enumerate(zip(grids, counts)):
         missing = [n for n in range(1, count + 1) if (i, n) not in roots]
         if missing:
             seed = _seed(grid.levels, float(np.sum(np.abs(grid.b) ** 2)))
-            rows += [(n, i, seed, tops[i], _ROOT_TOL * units[i]) for n in missing]
+            rows += [(n, i, seed, tops[i], *grid._stop) for n in missing]
     if rows:
-        branch, member, lo, hi, xatol = zip(*rows)
-        searched = _branch_roots(curves, branch, lo, hi, hi, xatol, member)
+        branch, member, lo, hi, xatol, xrtol = zip(*rows)
+        searched = _branch_roots(curves, branch, lo, hi, hi, xatol, xrtol, member)
         roots.update(((i, n), e) for (n, i, *_), (e, _) in zip(rows, searched))
     found = []
     for i, count in enumerate(counts):
@@ -259,9 +261,10 @@ def discretize(model, m: int) -> DiscretizedHamiltonian:
     nodes = np.concatenate((panel_x.ravel(), omega_max + scale * t / (1.0 - t)))
     _require_reach(model.form_factors, float(nodes[-1]), f"the oracle's tail at m = {m}")
     weights = np.concatenate((panel_w.ravel(), 0.5 * tw * jac * scale))
+    tol = _tolerances(model)
     return DiscretizedHamiltonian(model.level_array(),
                                   _coupling_block(model, nodes, weights),
-                                  nodes, weights, _GAP_RTOL * _unit(model))
+                                  nodes, weights, tol.gap, _stop=tol.root_stop)
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,8 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     root on each branch, taken where it lands within the roots' stop of
     the grid's own root, and a search from [seed, -gap] on every other
     branch.  Each grid's root is its own, so a converged grid's delta reads
-    the solver's own error, within its stop of 1e-12 times the model's
-    scale plus 4 eps |E|.
+    the solver's own error, within its stop of `solver._tolerances`, 1e-12
+    times the narrowest width plus 4 eps |E|.
     """
     ms = list(m_schedule)
     grids = [discretize(model, m) for m in ms]
@@ -303,24 +306,19 @@ def compare_negative_spectrum(model, m_schedule) -> ConvergenceTable:
     _Schedule(grids, solver_e)  # seeds the grids' one shared search
     spectra = [grid.negative_eigenvalues() for grid in grids]
     # factor-2 slack plus a floor, so that root-search noise near
-    # convergence does not raise the flag: 1e-11 times the model's scale
-    # plus both roots' relative stops, 4 eps |E| each, since a deep root's
-    # delta can read one ulp of E
-    floors = [1e-11 * _unit(model) + 2.0 * _ROOT_RTOL * abs(e) for e in solver_e]
-    rows = []
-    prev = None
-    non_cauchy = False
+    # convergence does not raise the flag: the floor of `_tolerances`, 1e-11
+    # times the narrowest width, plus both roots' relative stops, 4 eps |E|
+    # each, since a deep root's delta can read one ulp of E
+    tol = _tolerances(model)
+    floors = [tol.floor + 2.0 * tol.root_stop[1] * abs(e) for e in solver_e]
+    rows, prev, non_cauchy = [], (), False
     for m, vals in zip(ms, spectra):
         count = int(vals.size)
-        if count == len(solver_e):
-            deltas = tuple(abs(float(v) - e) for v, e in zip(vals, solver_e))
-        else:
-            deltas = ()
-        if prev and deltas and len(prev) == len(deltas):
-            if any(d > 2.0 * p + f for d, p, f in zip(deltas, prev, floors)):
-                non_cauchy = True
+        deltas = (tuple(abs(float(v) - e) for v, e in zip(vals, solver_e))
+                  if count == len(solver_e) else ())
         if deltas:
+            # against the last row whose count agreed, if there is one
+            non_cauchy |= any(d > 2.0 * p + f for d, p, f in zip(deltas, prev, floors))
             prev = deltas
-        rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals),
-                                   deltas))
+        rows.append(ConvergenceRow(int(m), count, tuple(float(v) for v in vals), deltas))
     return ConvergenceTable(tuple(rows), counted.count, tuple(solver_e), non_cauchy)

@@ -29,6 +29,7 @@ the searches do not call, build a LevelShiftMatrix and its err.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,40 @@ __all__ = [
     "positive_candidate_scan",
 ]
 
-# In units of the model's scale (`_unit`), |kappa_n(0)| at or below
-# _TOL_ZERO (or N eps max_n |kappa_n(0)|) is indeterminate (neither counted
-# nor ruled out), and a bound-state root search stops once its bracket is
-# narrower than _ROOT_TOL plus _ROOT_RTOL |E|: the relative term, a few
-# ulps, lets deep roots converge, whose adjacent doubles lie farther apart
-_TOL_ZERO = 1e-12
-_ROOT_TOL = 1e-12
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+# Every chosen tolerance of one model, from `_tolerances`
+_Tolerances = namedtuple("_Tolerances", "band root_stop gap floor scan_stop")
 
 
-def _unit(model) -> float:
-    """The model's scale, which every absolute tolerance of a count, a root
-    search and the oracle's gap multiplies: its narrowest width, since a
-    wide factor must not loosen the roots that a narrow one resolves."""
-    return min(f.scale for f in model.form_factors)
+def _tolerances(model) -> _Tolerances:
+    """The model's tolerances, every absolute one a multiple of its narrowest
+    width, since a wide factor must not loosen the roots that a narrow one
+    resolves.
+
+    band: the count band's floor, 1e-12; |kappa_n(0)| within
+       max(band, N eps max_n |kappa_n(0)|) is indeterminate.
+    root_stop: (xatol, xrtol) = (1e-12, 4 eps) of a bound-state root
+       search, the solver's and each grid's: it stops once its bracket is
+       narrower than xatol + xrtol |E| (the relative term, a few ulps, lets
+       deep roots converge, whose adjacent doubles lie farther apart), and a
+       grid's Newton step is its root where |kappa_n(E) - E| is that small.
+    gap: 1e-8; a grid's eigenvalues at or above -gap count as continuum.
+    floor: 1e-11, the oracle's non-Cauchy floor, to which each delta adds
+       both roots' relative stops.
+    scan_stop: (xatol, xrtol) = (1e-11, 1e-11) of the positive crossing
+       search.
+    """
+    unit = min(f.scale for f in model.form_factors)
+    return _Tolerances(band=1e-12 * unit, root_stop=(1e-12 * unit, 4.0 * _EPS),
+                       gap=1e-8 * unit, floor=1e-11 * unit, scan_stop=(1e-11 * unit, 1e-11))
+
+
+def _band_counts(kappa, tol):
+    """The count rule on a stack of kappa(0), row by row: the number of
+    branches with kappa_n(0) below minus the band max(tol.band, N eps
+    max_n |kappa_n(0)|), and where |kappa_n(0)| lies inside it."""
+    band = np.fmax(tol.band, kappa.shape[-1] * _EPS * np.abs(kappa).max(axis=-1))[..., None]
+    return np.count_nonzero(kappa < -band, axis=-1), np.abs(kappa) <= band
 
 
 @dataclass(frozen=True)
@@ -67,17 +87,18 @@ class CountResult:
     indeterminate: tuple = ()
 
     @classmethod
-    def from_kappa(cls, kappa, unit) -> "CountResult":
+    def from_kappa(cls, kappa, tol) -> "CountResult":
         """Count the branches with kappa_n(0) below minus the band
-        max(_TOL_ZERO unit, N eps max_n |kappa_n(0)|), unit from `_unit`.
+        max(tol.band, N eps max_n |kappa_n(0)|), tol from `_tolerances`
+        (tol.band is 1e-12 times the narrowest width): the rule of
+        `_band_counts`, which applies it to a stack.
 
         Branches with |kappa_n(0)| inside the band are flagged indeterminate
         and not counted; they sit within the rounding of K(0) of the
         continuum edge.
         """
-        band = max(_TOL_ZERO * unit, kappa.size * np.finfo(float).eps * np.abs(kappa).max())
-        indeterminate = tuple(int(i) + 1 for i in np.nonzero(np.abs(kappa) <= band)[0])
-        return cls(int(np.count_nonzero(kappa < -band)), kappa, indeterminate)
+        count, inside = _band_counts(kappa, tol)
+        return cls(int(count), kappa, tuple(int(i) + 1 for i in np.nonzero(inside)[0]))
 
 
 @dataclass(frozen=True)
@@ -121,7 +142,7 @@ class PositiveCandidate:
 def count_negative(model) -> CountResult:
     """Count eigencurves negative at threshold, i.e. the bound states
     (see CountResult.from_kappa for the rule)."""
-    return CountResult.from_kappa(_eigencurves(model)([0.0])[0].kappa, _unit(model))
+    return CountResult.from_kappa(_eigencurves(model)([0.0])[0].kappa, _tolerances(model))
 
 
 def _seed(levels, coupled_norm_sq):
@@ -136,12 +157,12 @@ def _seed(levels, coupled_norm_sq):
     return seed
 
 
-def _branch_roots(curves, branch, lo, hi, top, xatol, member=None, xrtol=_ROOT_RTOL,
+def _branch_roots(curves, branch, lo, hi, top, xatol, xrtol, member=None,
                   what="branch roots, kappa_n(E) - E"):
     """Roots of kappa_n(E) - E on the eigencurve family curves, all in one
     elementwise search over rows: row i refines branch n = branch[i]
     (1-based) of member member[i] (on a family of several members) on
-    [lo[i], hi[i]] down to a bracket narrower than xatol[i] + xrtol |E|.
+    [lo[i], hi[i]] down to a bracket narrower than xatol[i] + xrtol[i] |E|.
     Every argument holds one value per row or one value for every row.  A
     root that reaches top[i], where the branch was counted, touches the
     diagonal there: a BracketError.  Bracket ends shared by several rows,
@@ -212,19 +233,20 @@ def _model_seed(model):
 def solve_model(model) -> SolveReport:
     """Count every bound state of the model, then locate all of them in one
     search, each on the bracket [min(omega_1, 0) - 2 sqrt(lambda^2 sum_n
-    |v_n|^2), 0] down to a bracket narrower than 1e-12 `_unit` + 4 eps |E|."""
+    |v_n|^2), 0] down to the roots' stop of `_tolerances`, a bracket
+    narrower than 1e-12 times the narrowest width + 4 eps |E|."""
     return _solve(model, _eigencurves(model))
 
 
 def _count_and_roots(model, curves):
     """`solve_model`'s count and branch search on the model's eigencurve
     family: (CountResult, [(root, final bracket)])."""
-    unit, seed = _unit(model), _model_seed(model)
+    tol, seed = _tolerances(model), _model_seed(model)
     # K(0) for the count and K(seed), the search's lower end, in one stack
-    counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, unit)
+    counted = CountResult.from_kappa(curves([0.0, seed])[0].kappa, tol)
     count = counted.count
     return counted, _branch_roots(curves, np.arange(1, count + 1), np.full(count, seed),
-                                  0.0, 0.0, _ROOT_TOL * unit)
+                                  0.0, 0.0, *tol.root_stop)
 
 
 def _solve(model, curves) -> SolveReport:
@@ -262,7 +284,7 @@ def _positive_candidates(model, curves, grid):
     refine = [(n, i) for n, i in cells if signs[i, n - 1] != 0.0]
     branch, cell = np.array(refine, dtype=int).reshape(-1, 2).T
     found = _branch_roots(curves, branch, grid[cell], grid[cell + 1], np.inf,
-                          1e-11 * _unit(model), xrtol=1e-11, what="positive crossing search")
+                          *_tolerances(model).scan_stop, what="positive crossing search")
     roots = dict(zip(refine, (x for x, _ in found)))
     out = []
     for n, i in cells:

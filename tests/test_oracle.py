@@ -26,7 +26,7 @@ from friedrichs import (
     make_preset,
     solve_model,
 )
-from friedrichs.oracle import _GAP_RTOL, _coupling_block
+from friedrichs.oracle import _coupling_block
 
 from _references import THREE_LEVEL_ROOTS
 from property_suites import draw_model
@@ -282,7 +282,7 @@ def _check_rows_against_grids_alone(model, table):
     """The shared search gives every grid, bit for bit, its search alone
     from the same solver roots; a grid searched alone, from [seed, -gap],
     finds its row's roots within the roots' stop."""
-    stop = friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)
+    stop = friedrichs.solver._tolerances(model).root_stop[0]
     roots = list(table.solver_energies)
     grids = [discretize(model, row.m) for row in table.rows]
     shared = friedrichs.oracle._search(grids, roots)
@@ -311,9 +311,9 @@ def _record_fallback_rows(monkeypatch):
     rows = []
     branch_roots = friedrichs.oracle._branch_roots
     monkeypatch.setattr(friedrichs.oracle, "_branch_roots",
-                        lambda curves, branch, lo, hi, top, xatol, member:
+                        lambda curves, branch, lo, hi, top, xatol, xrtol, member:
                         rows.extend(zip(member, branch))
-                        or branch_roots(curves, branch, lo, hi, top, xatol, member))
+                        or branch_roots(curves, branch, lo, hi, top, xatol, xrtol, member))
     return rows
 
 
@@ -432,6 +432,7 @@ def test_schedule_roots_match_lapack_on_drawn_models(monkeypatch):
     fell = _record_fallback_rows(monkeypatch)
     roots = 0
     for model in models:
+        stop, rtol = friedrichs.solver._tolerances(model).root_stop
         table = compare_negative_spectrum(model, (500, 1000))
         assert fell == []
         for row in table.rows:
@@ -440,10 +441,9 @@ def test_schedule_roots_match_lapack_on_drawn_models(monkeypatch):
                                      subset_by_value=(-np.inf, -ham.gap))
             assert row.count == want.size
             assert np.allclose(row.energies, want, rtol=0.0, atol=1e-10)
-            stop = friedrichs.solver._ROOT_TOL * (ham.gap / _GAP_RTOL)
             for n, e in enumerate(row.energies, 1):
                 kappa = np.linalg.eigh(ham._k(np.array([e])))[0][0, n - 1]
-                assert abs(kappa - e) <= stop + friedrichs.solver._ROOT_RTOL * abs(e)
+                assert abs(kappa - e) <= stop + rtol * abs(e)
             roots += row.count
     assert roots == 74
 
@@ -563,7 +563,7 @@ def test_oracle_count_is_scale_covariant(s, lam):
     # an energy squared
     model = _scaled_three_level(s, lam)
     ham = discretize(model, 1000)
-    assert ham.gap == 1e-8 * model.max_scale()
+    assert ham.gap == friedrichs.solver._tolerances(model).gap
     table = compare_negative_spectrum(model, (1000,))
     assert table.rows[0].count == table.solver_count == {0.1: 1, 0.7: 2, 10.0: 3}[lam]
     ref, ref_cert = _unscaled(lam)
@@ -574,6 +574,17 @@ def test_oracle_count_is_scale_covariant(s, lam):
     assert cert.bound == pytest.approx(ref_cert.bound, rel=1e-9, abs=0.0)
     for got, want in ((cert.r_a, ref_cert.r_a), (cert.r_b, ref_cert.r_b)):
         assert got / s == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_grid_gap_and_stop_come_from_the_models_tolerances():
+    # each grid gets the gap and the roots' stop of `solver._tolerances`,
+    # on the narrowest width: hydrogen-4level's widths are 1, 0.889 and
+    # 0.833, so its gap is not 1e-8 times `max_scale()`
+    model = make_preset("hydrogen-4level")
+    tol = friedrichs.solver._tolerances(model)
+    ham = discretize(model, 500)
+    assert (ham.gap, ham._stop) == (tol.gap, tol.root_stop)
+    assert ham.gap != 1e-8 * model.max_scale()
 
 
 @functools.cache

@@ -89,26 +89,35 @@ def test_find_root_scalar_bracket():
     assert np.ndim(mine.x) == 0
 
 
-def test_find_root_array_xatol_is_per_element():
-    # an array xatol gives each element the result of a search of its own
-    # with that element's scalar tolerance
+def _check_array_tolerance_is_per_element(name, other):
+    # an array tolerance `name` (the `other` one 0) gives each element the
+    # result of a search of its own with that element's scalar tolerance
     rng = np.random.default_rng(3)
     n = 12
     c = rng.uniform(-3.0, 3.0, n)
     s = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n)
     lo, hi = -4.0 - rng.uniform(0.0, 2.0, n), 4.0 + rng.uniform(0.0, 2.0, n)
-    xatol = 10.0 ** rng.uniform(-12.0, -2.0, n)
-    both = _find_root(cubic, lo, hi, args=(c, s), xatol=xatol, xrtol=0.0)
+    tol = 10.0 ** rng.uniform(-12.0, -2.0, n)
+    both = _find_root(cubic, lo, hi, args=(c, s), **{name: tol, other: 0.0})
     for i in range(n):
         alone = _find_root(cubic, lo[i:i + 1], hi[i:i + 1], args=(c[i:i + 1], s[i:i + 1]),
-                           xatol=xatol[i], xrtol=0.0)
-        for name in FIELDS:
-            got, want = getattr(both, name), getattr(alone, name)
+                           **{name: tol[i], other: 0.0})
+        for field in FIELDS:
+            got, want = getattr(both, field), getattr(alone, field)
             if isinstance(want, tuple):
-                assert [bits(g[i:i + 1]) for g in got] == [bits(w) for w in want], name
+                assert [bits(g[i:i + 1]) for g in got] == [bits(w) for w in want], field
             else:
-                assert bits(got[i:i + 1]) == bits(want), name
+                assert bits(got[i:i + 1]) == bits(want), field
     assert len(set(both.x.tolist())) == n
+
+
+def test_find_root_array_xatol_is_per_element():
+    _check_array_tolerance_is_per_element("xatol", "xrtol")
+
+
+def test_find_root_array_xrtol_is_per_element():
+    # the oracle's fallback rows carry each grid's relative stop
+    _check_array_tolerance_is_per_element("xrtol", "xatol")
 
 
 def test_find_root_array_fatol_is_per_element():

@@ -9,6 +9,7 @@ import friedrichs.spectral
 from friedrichs import (
     FriedrichsModel,
     RationalFormFactor,
+    TabulatedFormFactor,
     UnitSystem,
     compare_negative_spectrum,
     count_negative,
@@ -22,6 +23,7 @@ from friedrichs import (
 )
 
 from _references import HYDROGEN_HUGE_COUPLING_ROOTS, HYDROGEN_NORM_GRAM_COND, THREE_LEVEL_ROOTS
+from test_quad import _tabulated_rational
 
 
 @pytest.mark.parametrize("lam,want", [(0.1, 1), (0.7, 2), (10.0, 3)])
@@ -353,7 +355,7 @@ def test_count_band_scales_with_k_at_zero(three_level):
     model = friedrichs.model.model_from_dict(config)
     res = count_negative(model)
     assert res.kappa_at_zero[0] < -1e15
-    band = max(friedrichs.solver._TOL_ZERO * friedrichs.solver._unit(model),
+    band = max(friedrichs.solver._tolerances(model).band,
                3 * np.finfo(float).eps * np.abs(res.kappa_at_zero).max())
     assert np.all(np.abs(res.kappa_at_zero[1:]) <= band)
     assert (res.count, res.indeterminate) == (1, (2, 3))
@@ -378,17 +380,59 @@ def test_deep_root_converges_to_relative_bracket(three_level, site, value):
     assert residual(model, deep) <= 1e-14 * abs(deep.energy)
 
 
+def _binary_scaled(model, k):
+    # levels and widths times s = 4^k: a built-in amplitude follows through
+    # its cutoff and a tabulated value scales by 2^k = sqrt(s), so that
+    # K_s(sE) = s K(E) with every product exact
+    s = 4.0 ** k
+    factors = tuple(
+        TabulatedFormFactor(s * f.grid, 2.0 ** k * f.values, f.tail_exponent, f.p_exponent)
+        if isinstance(f, TabulatedFormFactor)
+        else RationalFormFactor(f.n_index, f.a, s * f.cutoff, f.prefactor)
+        for f in model.form_factors)
+    return FriedrichsModel(tuple(s * w for w in model.levels), model.coupling, factors,
+                           model.units)
+
+
+@pytest.mark.parametrize("model", [
+    friedrichs.model.make_preset("three-level-fig", 0.7),
+    friedrichs.model.make_preset("three-level-fig", 10.0),
+    _tabulated_rational(),
+], ids=["three-level-0.7", "three-level-10", "tabulated-rational"])
+def test_count_and_roots_are_binary_scale_equivariant(model):
+    # a power-of-two scale moves no bit of the count or the roots: every
+    # tolerance is relative to the model's width, and a fixed absolute one
+    # (a band of 1e-12) counts nothing at s = 4^-30
+    count, report = count_negative(model), solve_model(model)
+    energies = np.array([st.energy for st in report.states])
+    for k in (-30, -4, 4, 30):
+        s = 4.0 ** k
+        scaled = _binary_scaled(model, k)
+        got_count, got_report = count_negative(scaled), solve_model(scaled)
+        for got, want in ((got_count, count), (got_report, report)):
+            assert (got.count, got.indeterminate) == (want.count, want.indeterminate), k
+            assert (got.kappa_at_zero / s).tobytes() == want.kappa_at_zero.tobytes(), k
+        got_energies = np.array([st.energy for st in got_report.states])
+        assert (got_energies / s).tobytes() == energies.tobytes(), k
+
+
+def _unit_stop():
+    # the roots' stop (xatol, xrtol) of a model whose narrowest width is 1
+    return friedrichs.solver._tolerances(friedrichs.model.make_preset("three-level-fig")).root_stop
+
+
 def _two_members():
     # kappa(E) = -c + s E^2 on two members of scales 1 and 1e3, each row to
     # its own member's tolerance
     members = ((1.0, 0.3), (1e3, 1e-3))
+    xatol, xrtol = _unit_stop()
 
     def curves():
         return friedrichs.spectral._EigenCurves(
             lambda e, m: (-members[m][0] + members[m][1] * e * e + 0j)[:, None, None])
 
     return curves, dict(branch=[1, 1], member=[0, 1], lo=[-20.0, -5e3], hi=0.0, top=0.0,
-                        xatol=friedrichs.solver._ROOT_TOL * np.array([1.0, 1e3]))
+                        xatol=xatol * np.array([1.0, 1e3]), xrtol=xrtol)
 
 
 def _solver_rows():
@@ -396,9 +440,10 @@ def _solver_rows():
     # from the seed to 0
     model = friedrichs.model.make_preset("three-level-fig", 10.0)
     seed = friedrichs.solver._model_seed(model)
+    xatol, xrtol = friedrichs.solver._tolerances(model).root_stop
     return (lambda: friedrichs.spectral._eigencurves(model),
             dict(branch=np.arange(1, 4), lo=np.full(3, seed), hi=0.0, top=0.0,
-                 xatol=friedrichs.solver._ROOT_TOL * friedrichs.solver._unit(model)))
+                 xatol=xatol, xrtol=xrtol))
 
 
 def _crossing_rows():
@@ -414,9 +459,9 @@ def _crossing_rows():
         lo += grid[cell].tolist()
         hi += grid[cell + 1].tolist()
     assert len(branch) == 3
+    xatol, xrtol = friedrichs.solver._tolerances(model).scan_stop
     return (lambda: friedrichs.spectral._eigencurves(model),
-            dict(branch=branch, lo=lo, hi=hi, top=np.inf,
-                 xatol=1e-11 * friedrichs.solver._unit(model), xrtol=1e-11,
+            dict(branch=branch, lo=lo, hi=hi, top=np.inf, xatol=xatol, xrtol=xrtol,
                  what="positive crossing search"))
 
 
@@ -435,7 +480,7 @@ def test_member_roots_keep_their_own_tolerance(rows):
         # with the first member's tolerance shared, the second's bracket
         # narrows further
         shared = friedrichs.solver._branch_roots(
-            curves(), **dict(columns, xatol=friedrichs.solver._ROOT_TOL))
+            curves(), **dict(columns, xatol=_unit_stop()[0]))
         assert shared[0] == both[0]
         (_, (lo, hi)), (_, (lo1, hi1)) = both[1], shared[1]
         assert 1e-10 < hi - lo < 1e-9 and hi1 - lo1 < 1e-12 + 4 * np.finfo(float).eps * 618.1
@@ -446,7 +491,7 @@ def test_exact_zero_gap_reports_its_point_as_bracket():
     # evaluates; the reported bracket is that point, not the search's last
     # bracket (-2, -1)
     curves = friedrichs.spectral._EigenCurves(lambda e: np.full((e.size, 1, 1), -1.0 + 0j))
-    roots = friedrichs.solver._branch_roots(curves, [1], -2.0, 0.0, 0.0, 1e-12)
+    roots = friedrichs.solver._branch_roots(curves, [1], -2.0, 0.0, 0.0, *_unit_stop())
     assert roots == [(-1.0, (-1.0, -1.0))]
 
 
