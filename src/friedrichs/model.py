@@ -328,12 +328,14 @@ class TabulatedFormFactor(FormFactor):
         values = np.asarray(values, dtype=complex)
         if grid.ndim != 1 or grid.size < 2:
             raise ConfigError("tabulated grid needs at least two points")
-        if np.any(np.diff(grid) <= 0.0) or grid[0] <= 0.0:
+        # finite first: np.diff of infinite nodes warns, and positive first:
+        # the difference of two positive nodes cannot overflow
+        _require_finite(grid=grid, values=values, tail_exponent=tail_exponent,
+                        p_exponent=p_exponent)
+        if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
             raise ConfigError("tabulated grid must be positive and strictly increasing")
         if values.shape != grid.shape:
             raise ConfigError("values must match the grid shape")
-        _require_finite(grid=grid, values=values, tail_exponent=tail_exponent,
-                        p_exponent=p_exponent)
         if not tail_exponent < -0.5:
             raise ConfigError("tail_exponent must be < -1/2 for square integrability")
         if p_exponent < 0.0:
@@ -344,10 +346,11 @@ class TabulatedFormFactor(FormFactor):
         self.p_exponent = float(p_exponent)
         self.scale = float(grid[-1])
         self.common_phase = None
-        # on the grid |v|^2 <= max |v_k|^2, |d|v|^2/dx| <= 2 max |v_k| |slope|
+        # each line's slope, kept for `_piece`; on the grid |v|^2 <= max
+        # |v_k|^2, |d|v|^2/dx| <= 2 max |v_k| |slope|
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = 2.0 * np.abs(values).max() * np.abs(
-                np.append(values, np.diff(values) / np.diff(grid)))
+            self._slopes = np.diff(values) / np.diff(grid)
+            bound = 2.0 * np.abs(values).max() * np.abs(np.append(values, self._slopes))
         if not np.all(np.isfinite(bound)):
             raise ConfigError("tabulated |v|^2 or its slope overflows")
 
@@ -358,16 +361,20 @@ class TabulatedFormFactor(FormFactor):
     def _piece(self, x, cell):
         """v on the piece `cell` continued to x, and the slope of its line:
         cell 0 is the power below the grid, cell k < N (N nodes) the line
-        from node k - 1 to node k, cell N the power above."""
+        from node k - 1 to node k, cell N the power above.  The line is
+        formed at every point, each power only on its own cell."""
         g, v = self.grid, self.values
-        k = np.clip(cell, 1, g.size - 1)
-        slope = (v[k] - v[k - 1]) / (g[k] - g[k - 1])
-        # a power away from its cell may overflow, or divide by 0 at x = 0
+        k = np.clip(cell, 1, g.size - 1) - 1
+        slope = self._slopes[k]
+        # the line away from its cell may overflow, and so may x / gN on
+        # the tail cell
         with np.errstate(all="ignore"):
-            head = v[0] * (x / g[0]) ** self.p_exponent
-            tail = v[-1] * (x / g[-1]) ** self.tail_exponent
-        lin = slope * (x - g[k - 1]) + v[k - 1]
-        return np.where(cell == 0, head, np.where(cell == g.size, tail, lin)), slope
+            out = slope * (x - g[k]) + v[k]
+            for part, end, a in ((cell == 0, 0, self.p_exponent),
+                                 (cell == g.size, -1, self.tail_exponent)):
+                if part.any():
+                    out[part] = v[end] * (x[part] / g[end]) ** a
+        return out, slope
 
     def _at(self, x):
         """x >= 0 as a 1-d array, the cell of each point (searchsorted to the
@@ -401,9 +408,11 @@ class TabulatedFormFactor(FormFactor):
                 out[part] = e and e * abs(self.values[end]) ** 2 / g * (xs[part] / g) ** (e - 1.0)
         return out if np.ndim(x) else float(out[0])
 
-    def descriptor(self) -> dict:
-        return {"family": "tabulated", "grid": self.grid.tolist(),
-                "values_re": self.values.real.tolist(), "values_im": self.values.imag.tolist(),
+    def descriptor(self, array=np.ndarray.tolist) -> dict:
+        """The factor's description, each of its three arrays entered as
+        `array(a)`: a list of floats, or `model_digest`'s hash."""
+        return {"family": "tabulated", "grid": array(self.grid),
+                "values_re": array(self.values.real), "values_im": array(self.values.imag),
                 "tail_exponent": self.tail_exponent, "p_exponent": self.p_exponent}
 
 
@@ -488,18 +497,31 @@ class FriedrichsModel:
     def with_coupling(self, coupling: float) -> "FriedrichsModel":
         return replace(self, coupling=float(coupling))
 
-    def descriptor(self) -> dict:
+    def descriptor(self, array=np.ndarray.tolist) -> dict:
+        """The model's description, each tabulated array entered as
+        `array(a)` (`TabulatedFormFactor.descriptor`)."""
         return {
             "reference_cutoff": self.units.reference_cutoff,
             "levels": list(self.levels),
             "lambda": self.coupling,
-            "form_factors": [f.descriptor() for f in self.form_factors],
+            "form_factors": [f.descriptor() if f.common_phase is not None
+                             else f.descriptor(array) for f in self.form_factors],
         }
 
 
+def _array_digest(a) -> str:
+    """Hex sha256 of the array's little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(a, "<f8").tobytes()).hexdigest()
+
+
 def model_digest(model: FriedrichsModel) -> str:
-    """Short stable hash of the model description, for output metadata."""
-    payload = json.dumps(model.descriptor(), sort_keys=True, separators=(",", ":"))
+    """Short stable hash of the model description, for output metadata: the
+    first 16 hex digits of the sha256 of the sorted JSON descriptor, with
+    each tabulated array (grid, values_re, values_im) entered as the hex
+    sha256 of its little-endian float64 bytes.  Two models share a hash
+    exactly when their descriptors hold the same floats."""
+    payload = json.dumps(model.descriptor(_array_digest), sort_keys=True,
+                         separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -421,13 +421,23 @@ def _j(s, z):
     return out
 
 
+@functools.cache
+def _quarter_rule():
+    """(nodes, weights) of the panels [1/4, 1/2] and [1/2, 1], built once
+    on first use like `_gauss_legendre` and returned read-only."""
+    _, u, w = _panel_nodes(np.array([0.25, 0.5, 1.0]))
+    rule = u.ravel(), w.ravel()
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _j_mid(s, z):
     """`_j` for 1/2 <= |z| < 2: the series on [0, 1/4] and the quarter rule
     on [1/4, 1], where for z > 0 the pole goes as z^s log|(1 - z)/(1/4 - z)|
     and the rest is the divided difference z^s expm1(s log1p(g/z)) / g,
     g = u - z, which no node next to z can cancel."""
-    _, u, w = _panel_nodes(np.array([0.25, 0.5, 1.0]))
-    u, w, pos = u.ravel(), w.ravel(), z > 0.0
+    (u, w), pos = _quarter_rule(), z > 0.0
     zp = np.where(pos, z, 1.0)[:, None]
     g = u - z[:, None]
     g0 = np.where(g == 0.0, 1.0, g)

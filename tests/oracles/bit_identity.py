@@ -12,9 +12,10 @@ in each checkout and diff the two outputs:
 Each line is "<model> <driver> <sha256>", the hash of the pickled result
 (protocol 4), or of the exception's type and message where the driver
 raises.  The drivers: `count_negative`, `solve_model`,
-`compare_negative_spectrum` over m = 500, 1000, 2000 and 4000, and
+`compare_negative_spectrum` over m = 500, 1000, 2000 and 4000,
 `positive_candidate_scan` on 40 points over [1e-3, 5] times the model's
-`max_scale()`.  The models: the 18 `bound-states` and 2 `tabulated`
+`max_scale()`, and `certificate` (the `ThresholdReport`, which on a
+tabulated model reads d|v|^2/domega of the interpolant).  The models: the 18 `bound-states` and 2 `tabulated`
 benchmark models of seed 2, both presets, three-level-fig at lambda = 0.1,
 0.7 and 10, hydrogen-4level at 0.3 and 3, `tests/golden/tabulated.json`,
 three-level-fig with levels and widths scaled by s in {1e-9, 1e-6, 1e-3,
@@ -37,8 +38,8 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from friedrichs import (  # noqa: E402
-    FriedrichsModel, RationalFormFactor, compare_negative_spectrum, count_negative,
-    load_model, make_preset, positive_candidate_scan, solve_model)
+    FriedrichsModel, RationalFormFactor, certificate, compare_negative_spectrum,
+    count_negative, load_model, make_preset, positive_candidate_scan, solve_model)
 from friedrichs.model import model_from_dict  # noqa: E402
 from property_suites import draw_model  # noqa: E402
 
@@ -83,6 +84,7 @@ DRIVERS = {
     "compare_negative_spectrum": lambda m: compare_negative_spectrum(m, SCHEDULE),
     "positive_candidate_scan": lambda m: positive_candidate_scan(
         m, np.linspace(1e-3, 5.0, 40) * m.max_scale()),
+    "certificate": certificate,
 }
 
 

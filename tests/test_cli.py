@@ -643,6 +643,25 @@ def test_far_tabulated_end_gives_a_verdict(tmp_path, capsys):
     assert "verdict: " in (tmp_path / "thresholds_report.txt").read_text()
 
 
+def test_infinite_tabulated_nodes_exit_2_with_one_line(tmp_path):
+    # from the third node on 0.5e308 (i + 1) is inf: np.diff of the grid
+    # warned "invalid value encountered in subtract" before the finiteness
+    # check named the grid; run as a program, where numpy's warnings reach
+    # stderr
+    config = json.loads(_GOLDEN_TABULATED.read_text())
+    config["form_factors"][0]["grid"] = [0.5e308 * (i + 1) for i in range(16)]
+    cfg = tmp_path / "model.json"
+    with open(cfg, "w") as fh:
+        json.dump(config, fh)
+    src = str(Path(friedrichs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "friedrichs", "analyze", "--model", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: bad form-factor description: grid must be finite\n"
+
+
 def test_unknown_preset_exit_code(tmp_path, capsys):
     rc = main(["analyze", "--preset", "nope", "--out", str(tmp_path)])
     assert rc == 2

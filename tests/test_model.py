@@ -282,6 +282,51 @@ def test_tabulated_mod_sq_derivative_on_a_far_grid_end():
     assert np.allclose(got, near.mod_sq_derivative(s * xs) * s, rtol=1e-13, atol=0.0)
 
 
+def _piece_with_both_powers(f, x, cell):
+    """`TabulatedFormFactor._piece` as np.where of the line and both end
+    powers, each formed at every point, and the slope formed per point: the
+    reference for the piece that forms each power on its own cell only."""
+    g, v = f.grid, f.values
+    k = np.clip(cell, 1, g.size - 1)
+    slope = (v[k] - v[k - 1]) / (g[k] - g[k - 1])
+    with np.errstate(all="ignore"):
+        head = v[0] * (x / g[0]) ** f.p_exponent
+        tail = v[-1] * (x / g[-1]) ** f.tail_exponent
+    lin = slope * (x - g[k - 1]) + v[k - 1]
+    return np.where(cell == 0, head, np.where(cell == g.size, tail, lin)), slope
+
+
+@pytest.mark.parametrize("p_exponent", [0.0, 0.5, 1.0])
+def test_tabulated_piece_is_bit_identical_to_both_powers_everywhere(p_exponent, monkeypatch):
+    # value, mod_sq and mod_sq_derivative bit for bit against the np.where
+    # form, in shuffled order: below g0, on the nodes, inside cells, at gN,
+    # above it and at 0; and the piece of every cell continued to every point
+    grid = np.geomspace(0.05, 6.0, 23)
+    rng = np.random.default_rng(11)
+    vals = (np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(1j * np.tanh(grid))
+            + 1e-3 * rng.standard_normal(grid.size))
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.7, p_exponent=p_exponent)
+    cell = rng.integers(1, grid.size, 300)
+    inside = grid[cell - 1] + rng.uniform(0.0, 1.0, 300) * np.diff(grid)[cell - 1]
+    xs = rng.permutation(np.concatenate((
+        rng.uniform(0.0, grid[0], 100), grid, inside, rng.uniform(grid[-1], 1e3, 100),
+        [0.0, 1e-300, grid[-1], 1e12])))
+    reference = TabulatedFormFactor(grid, vals, tail_exponent=-1.7, p_exponent=p_exponent)
+    monkeypatch.setattr(reference, "_piece",
+                        lambda x, cell: _piece_with_both_powers(reference, x, cell))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("value", "mod_sq", "mod_sq_derivative"):
+            want = getattr(reference, name)(xs)
+            assert getattr(f, name)(xs).tobytes() == want.tobytes(), name
+            for x in xs[:40]:
+                assert np.asarray(getattr(f, name)(float(x))).tobytes() == np.asarray(
+                    getattr(reference, name)(float(x))).tobytes(), (name, x)
+        any_cell = rng.integers(0, grid.size + 1, xs.size)
+        for got, want in zip(f._piece(xs, any_cell), _piece_with_both_powers(f, xs, any_cell)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_tabulated_certificate_alpha_is_the_interpolants():
     # alpha_2 = |v_2(omega_2)|^2 of the model the kernels integrate
     # (0.0616466), not the interpolated sampled |v|^2 (0.0617452)
@@ -380,6 +425,14 @@ def test_model_digest_sensitivity(three_level):
     assert d0 == model_digest(make_preset("three-level-fig"))
     assert d0 != model_digest(three_level.with_coupling(0.5))
     assert len(d0) == 16
+    # the built-ins' hashes are those of the golden outputs
+    golden = {("three-level-fig", None): "25b8a664645e0e4c",
+              ("three-level-fig", 0.7): "bf1e98f59301cb58",
+              ("three-level-fig", 10.0): "b4f3a29030df1810",
+              ("hydrogen-4level", None): "7c8c0c4af0666afd",
+              ("hydrogen-4level", 0.3): "594ed9c94a38b43f"}
+    for (name, coupling), digest in golden.items():
+        assert model_digest(make_preset(name, coupling)) == digest, (name, coupling)
 
 
 def test_descriptor_roundtrip(three_level, hydrogen):
@@ -388,14 +441,37 @@ def test_descriptor_roundtrip(three_level, hydrogen):
         assert model_digest(clone) == model_digest(model)
 
 
-def test_tabulated_descriptor_roundtrip():
+def _one_tabulated(grid, vals, p_exponent=0.5):
+    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5, p_exponent=p_exponent)
+    return FriedrichsModel((0.1,), 0.3, (f,), UnitSystem(1.0))
+
+
+def test_tabulated_descriptor_roundtrip(tmp_path):
     grid = np.linspace(0.5, 4.0, 8)
     vals = np.sqrt(grid) / (1.0 + grid ** 2) * np.exp(0.3j)
-    f = TabulatedFormFactor(grid, vals, tail_exponent=-1.5)
-    model = FriedrichsModel((0.1,), 0.3, (f,), UnitSystem(1.0))
+    vals[3] = vals[3].real          # a +0.0 imaginary part
+    model = _one_tabulated(grid, vals)
     clone = model_from_dict(model.descriptor())
     assert np.allclose(clone.form_factors[0].values, vals)
     assert model_digest(clone) == model_digest(model)
+    # the hash survives a file
+    path = tmp_path / "model.json"
+    with open(path, "w") as fh:
+        json.dump(model.descriptor(), fh)
+    assert model_digest(load_model(path)) == model_digest(model)
+    # and moves with any one float of the arrays, even -0.0 for 0.0, or
+    # with an exponent
+    ulp_value, ulp_node, signed_zero = vals.copy(), grid.copy(), vals.copy()
+    ulp_value[5] = complex(np.nextafter(vals[5].real, np.inf), vals[5].imag)
+    ulp_node[2] = np.nextafter(grid[2], np.inf)
+    signed_zero[3] = complex(vals[3].real, -0.0)
+    variants = [_one_tabulated(grid, ulp_value), _one_tabulated(ulp_node, vals),
+                _one_tabulated(grid, signed_zero),
+                _one_tabulated(grid, vals.imag + 1j * vals.real),
+                _one_tabulated(grid, vals, p_exponent=1.0)]
+    assert np.signbit(variants[2].form_factors[0].values.imag[3])
+    digests = {model_digest(m) for m in [model] + variants}
+    assert len(digests) == len(variants) + 1
 
 
 def test_load_model(tmp_path):
